@@ -78,6 +78,13 @@ from .sections import (
     integrate_section,
     verify_law_divergence,
 )
-from .cli import load_model, resolve_model_path
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # loaded on first use, so that ``python -m ksym.cli`` finds ksym.cli unimported
+    if name in ("load_model", "resolve_model_path"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

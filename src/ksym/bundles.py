@@ -14,7 +14,6 @@ import numpy as np
 
 from .calculus import (
     PForm,
-    ScalarField,
     VectorField,
     exterior_derivative,
     form_neg,
@@ -25,7 +24,6 @@ from .expr import (
     Coord,
     Expression,
     Num,
-    base_chart,
     compiled_evaluator,
     cotangent_chart,
     make_add,

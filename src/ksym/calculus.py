@@ -10,18 +10,16 @@ signs on demand.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .expr import (
     ChartSpace,
-    Coord,
-    EvaluationDomainError,
     Expression,
     Num,
+    batch_evaluator,
     compiled_evaluator,
     make_add,
     make_mul,
@@ -29,6 +27,7 @@ from .expr import (
     sample_points,
     to_source,
     validate_on_chart,
+    worst_sample,
 )
 
 __all__ = [
@@ -76,6 +75,20 @@ class ClosednessError(ValueError):
         self.witness = np.asarray(witness, dtype=float)
 
 
+def _one_row(point) -> np.ndarray:
+    return np.asarray(point, dtype=float)[None]
+
+
+def max_abs(exprs: Iterable[Expression], points) -> np.ndarray:
+    """Running maximum of |e| over ``exprs`` at each of the (m, N) points,
+    starting from 0; NaN propagates, so no NaN ever passes a tolerance."""
+    points = np.asarray(points, dtype=float)
+    out = np.zeros(len(points))
+    for e in exprs:
+        np.maximum(out, np.abs(batch_evaluator(e)(points)), out=out)
+    return out
+
+
 def _same_chart(*objects) -> ChartSpace:
     chart = objects[0].chart
     for obj in objects[1:]:
@@ -103,7 +116,10 @@ class ScalarField:
         validate_on_chart(self.expr, self.chart)
 
     def evaluate(self, point) -> float:
-        return compiled_evaluator(self.expr)(point)
+        return float(self.evaluate_batch(_one_row(point))[0])
+
+    def evaluate_batch(self, points) -> np.ndarray:
+        return batch_evaluator(self.expr)(points)
 
     def differentiate(self, coordinate: str | int) -> "ScalarField":
         if isinstance(coordinate, str):
@@ -131,7 +147,11 @@ class VectorField:
             validate_on_chart(comp, self.chart)
 
     def evaluate(self, point) -> np.ndarray:
-        return np.array([compiled_evaluator(c)(point) for c in self.components], dtype=float)
+        return self.evaluate_batch(_one_row(point))[0]
+
+    def evaluate_batch(self, points) -> np.ndarray:
+        """Component values at each point, shape (m, N)."""
+        return np.stack([batch_evaluator(c)(points) for c in self.components], axis=-1)
 
     def apply_to(self, f: Expression) -> Expression:
         """Directional derivative X(f) as an expression."""
@@ -238,13 +258,12 @@ class PForm:
     def is_zero(self) -> bool:
         return not self.components
 
-    def evaluate_components(self, point) -> dict:
-        return {key: compiled_evaluator(expr)(point) for key, expr in self.components.items()}
-
     def max_component_at(self, point) -> float:
-        if not self.components:
-            return 0.0
-        return max(abs(compiled_evaluator(e)(point)) for e in self.components.values())
+        return float(self.max_abs(_one_row(point))[0])
+
+    def max_abs(self, points) -> np.ndarray:
+        """Largest |component| at each point; NaN wherever any component is NaN."""
+        return max_abs(self.components.values(), points)
 
     def __add__(self, other):
         return form_add(self, other)
@@ -319,10 +338,6 @@ def form_neg(a: PForm) -> PForm:
 
 def form_sub(a: PForm, b: PForm) -> PForm:
     return form_add(a, form_neg(b))
-
-
-def form_scale(a: PForm, factor: Expression) -> PForm:
-    return PForm(a.chart, a.degree, {k: make_mul(factor, e) for k, e in a.components.items()})
 
 
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
@@ -482,17 +497,19 @@ class PotentialEvaluator:
         ts, ws = np.polynomial.legendre.leggauss(nodes)
         self._ts = 0.5 * (ts + 1.0)
         self._ws = 0.5 * ws
-        self._comps = [(key[0], compiled_evaluator(expr)) for key, expr in alpha.components.items()]
+        self._comps = [(key[0], batch_evaluator(expr)) for key, expr in alpha.components.items()]
 
     def evaluate(self, point) -> float:
-        q = np.asarray(point, dtype=float)
-        delta = q - self.base_point
-        total = 0.0
+        return float(self.evaluate_batch(_one_row(point))[0])
+
+    def evaluate_batch(self, points) -> np.ndarray:
+        delta = np.asarray(points, dtype=float) - self.base_point
+        total = np.zeros(len(delta))
         for t, w in zip(self._ts, self._ws):
             x = self.base_point + t * delta
             pairing = 0.0
             for idx, fn in self._comps:
-                pairing += fn(x) * delta[idx]
+                pairing = pairing + fn(x) * delta[:, idx]
             total += w * pairing
         return total
 
@@ -526,13 +543,7 @@ def potential_of_exact_one_form(
             halfwidth=halfwidth,
             require=list(alpha.components.values()) + list(d_alpha.components.values()),
         )
-        worst = 0.0
-        witness = pts[0]
-        for p in pts:
-            residual = d_alpha.max_component_at(p)
-            if residual > worst:
-                worst = residual
-                witness = p
-        if worst > tolerance:
-            raise ClosednessError(worst, witness)
+        worst, at = worst_sample(d_alpha.max_abs(pts))
+        if not worst <= tolerance:
+            raise ClosednessError(worst, pts[at])
     return PotentialEvaluator(alpha, base_point, nodes=nodes)

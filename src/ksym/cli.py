@@ -29,8 +29,8 @@ from .conservation import (
     NotCartanSymmetryError,
     build_bracket_law,
     build_noether_law,
+    law_residuals,
     user_law,
-    verify_law_pointwise,
 )
 from .dynamics import (
     FieldSystem,
@@ -48,10 +48,12 @@ from .expr import (
     ChartSpace,
     ExprError,
     Num,
+    SamplingError,
     base_chart,
     parse_expression,
     sample_points,
     to_source,
+    worst_sample,
 )
 from .sections import (
     SectionIntegrationError,
@@ -540,17 +542,13 @@ def _point(text: str | None, chart: ChartSpace, flag: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _sampled_record(name: str, kind: str, residuals, points, tol: float) -> CheckRecord:
+    worst, at = worst_sample(residuals)
+    return CheckRecord(name, kind, tol, worst, tuple(map(float, points[at])), worst <= tol)
+
+
 def _law_record(name: str, X: KVectorField, law: ConservationLaw, points, tol: float) -> CheckRecord:
-    residuals = [verify_law_pointwise(X, law, [p]) for p in points]
-    worst = int(np.argmax(residuals))
-    return CheckRecord(
-        name,
-        "law-pointwise",
-        tol,
-        float(residuals[worst]),
-        tuple(map(float, points[worst])),
-        residuals[worst] <= tol,
-    )
+    return _sampled_record(name, "law-pointwise", law_residuals(X, law, points), points, tol)
 
 
 def _phi_sources(law: ConservationLaw) -> list:
@@ -663,15 +661,7 @@ def _cmd_verify_evolution(model: LoadedModel, args) -> Report:
     points = _sample(model, args)
     tol = EVOLUTION_TOLERANCE if args.tol is None else args.tol
     residuals = evolution_residuals(system, family, points)
-    worst = int(np.argmax(residuals))
-    record = CheckRecord(
-        "evolution",
-        "evolution-residual",
-        tol,
-        float(residuals[worst]),
-        tuple(map(float, points[worst])),
-        residuals[worst] <= tol,
-    )
+    record = _sampled_record("evolution", "evolution-residual", residuals, points, tol)
     return Report("verify evolution", model.label, args.seed, args.samples, [record])
 
 
@@ -902,13 +892,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = _dispatch(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
     except ModelFileError as exc:
         print(f"model error: {exc}", file=_sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (CliUsageError, FileNotFoundError, SamplingError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     report.elapsed_ms = int(round((time.perf_counter() - start) * 1000))

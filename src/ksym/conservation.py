@@ -23,7 +23,6 @@ theta_A)(X_A) and d Phi_A = d(theta_A(Y)) - L_Y theta_A, both symbolic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -41,11 +40,12 @@ from .calculus import (
     form_sub,
     interior_product,
     lie_derivative_form,
+    max_abs,
     potential_of_exact_one_form,
     scalar_form,
 )
 from .dynamics import FieldSystem, KVectorField
-from .expr import ChartSpace, Num, compiled_evaluator, make_add, make_neg, sample_points
+from .expr import ChartSpace, Num, batch_evaluator, make_add, make_neg, sample_points, worst_sample
 from .symmetry import SymmetryVerdict, is_cartan_symmetry
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "user_law",
     "build_bracket_law",
     "build_noether_law",
+    "law_residuals",
     "verify_law_pointwise",
     "check_momentum_converse",
 ]
@@ -84,6 +85,9 @@ class NumericLawComponent:
 
     def evaluate(self, point) -> float:
         return self.symbolic.evaluate(point) - self.potential.evaluate(point)
+
+    def evaluate_batch(self, points) -> np.ndarray:
+        return self.symbolic.evaluate_batch(points) - self.potential.evaluate_batch(points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +187,7 @@ def build_noether_law(
     for theta in sys.theta:
         pairing = ScalarField(sys.chart, apply_form(theta, [Y]))
         derivative = lie_derivative_form(Y, theta)
-        if max(derivative.max_component_at(p) for p in points) <= tol:
+        if worst_sample(derivative.max_abs(points))[0] <= tol:
             potentials.append(ScalarField(sys.chart, Num(0.0)))
             components.append(pairing)
         else:
@@ -211,31 +215,18 @@ def build_noether_law(
 # ---------------------------------------------------------------------------
 
 
-def _worst(values) -> float:
-    """Largest value, 0.0 for none; NaN as soon as any value is NaN, so that
-    no comparison against a tolerance passes."""
-    worst = 0.0
-    for v in values:
-        if math.isnan(v):
-            return math.nan
-        worst = max(worst, v)
-    return worst
-
-
-def _directional_evaluator(Xa: VectorField, comp):
+def _directional_derivative(Xa: VectorField, comp):
     if isinstance(comp, ScalarField):
-        return compiled_evaluator(directional_derivative(Xa, comp.expr))
+        return directional_derivative(Xa, comp.expr)
     # X_A(f_A) = alpha_A(X_A) because df_A = alpha_A
-    return compiled_evaluator(
-        make_add(
-            directional_derivative(Xa, comp.symbolic.expr),
-            make_neg(apply_form(comp.potential.alpha, [Xa])),
-        )
+    return make_add(
+        directional_derivative(Xa, comp.symbolic.expr),
+        make_neg(apply_form(comp.potential.alpha, [Xa])),
     )
 
 
-def verify_law_pointwise(X: KVectorField, law: ConservationLaw, points) -> float:
-    """Max over samples of |sum_A X_A(Phi_A)|; NaN if any sample gives NaN.
+def law_residuals(X: KVectorField, law: ConservationLaw, points) -> np.ndarray:
+    """|sum_A X_A(Phi_A)| at each sample point.
 
     Quadrature-backed components are differentiated exactly, through the
     one-form alpha_A = df_A their potential integrates.
@@ -244,8 +235,15 @@ def verify_law_pointwise(X: KVectorField, law: ConservationLaw, points) -> float
         raise ChartMismatchError("family lives on a different chart")
     if len(X) != len(law.components):
         raise ValueError("family and law have different lengths")
-    terms = [_directional_evaluator(Xa, comp) for Xa, comp in zip(X, law.components)]
-    return _worst(abs(sum(term(p) for term in terms)) for p in points)
+    return np.abs(sum(
+        batch_evaluator(_directional_derivative(Xa, comp))(points)
+        for Xa, comp in zip(X, law.components)
+    ))
+
+
+def verify_law_pointwise(X: KVectorField, law: ConservationLaw, points) -> float:
+    """Max over samples of |sum_A X_A(Phi_A)|; NaN if any sample gives NaN."""
+    return worst_sample(law_residuals(X, law, points))[0]
 
 
 def _differential(comp) -> PForm:
@@ -255,9 +253,8 @@ def _differential(comp) -> PForm:
     return form_sub(exterior_derivative(scalar_form(comp.symbolic)), comp.potential.alpha)
 
 
-def _pairing_residual(X_single, comp, omega, points) -> float:
-    res = form_sub(interior_product(X_single, omega), _differential(comp))
-    return _worst(res.max_component_at(p) for p in points)
+def _pairing_form(X_single, comp, omega) -> PForm:
+    return form_sub(interior_product(X_single, omega), _differential(comp))
 
 
 @dataclass(frozen=True)
@@ -298,10 +295,11 @@ def check_momentum_converse(
     if X_single.chart != sys.chart or law.chart != sys.chart:
         raise ChartMismatchError("ingredients live on different charts")
     tol = sys.default_tolerance if tolerance is None else tolerance
-    pairing = _worst(
-        _pairing_residual(X_single, comp, omega, points)
-        for comp, omega in zip(law.components, sys.omega)
-    )
+    pairing_forms = [
+        _pairing_form(X_single, comp, omega) for comp, omega in zip(law.components, sys.omega)
+    ]
+    exprs = [e for form in pairing_forms for e in form.components.values()]
+    pairing = worst_sample(max_abs(exprs, points))[0]
     law_residual = verify_law_pointwise(X, law, points)
     cartan = is_cartan_symmetry(sys, X_single, points, tol)
     return MomentumConverseVerdict(

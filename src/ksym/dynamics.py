@@ -34,10 +34,12 @@ from .expr import (
     ChartSpace,
     Expression,
     Func,
+    batch_evaluator,
     compiled_evaluator,
     make_add,
     make_neg,
     parse_expression,
+    worst_sample,
 )
 
 __all__ = [
@@ -212,7 +214,7 @@ def _fiber_hessian_evaluators(system: FieldSystem):
         rows = []
         for a in slots:
             da = L.diff(a)
-            rows.append([compiled_evaluator(da.diff(b)) for b in slots])
+            rows.append([batch_evaluator(da.diff(b)) for b in slots])
         system._cache[key] = rows
     return system._cache[key]
 
@@ -222,19 +224,15 @@ def check_regularity(system: FieldSystem, points) -> RegularityReport:
     if system.kind != "lagrangian":
         raise ValueError("regularity applies to Lagrangian systems")
     rows = _fiber_hessian_evaluators(system)
-    size = len(rows)
-    best = np.inf
-    witness = np.asarray(points[0], dtype=float)
-    for p in points:
-        M = np.empty((size, size))
-        for a in range(size):
-            for b in range(size):
-                M[a, b] = rows[a][b](p)
-        det = abs(float(np.linalg.det(M)))
-        if det < best:
-            best = det
-            witness = np.asarray(p, dtype=float)
-    return RegularityReport(regular=best > REGULARITY_DET_TOL, min_abs_det=best, witness=witness)
+    points = np.asarray(points, dtype=float)
+    M = np.empty((len(points), len(rows), len(rows)))
+    for a, row in enumerate(rows):
+        for b, fn in enumerate(row):
+            M[:, a, b] = fn(points)
+    dets = np.abs(np.linalg.det(M))
+    at = int(np.argmin(dets))  # the first NaN, if any
+    best = float(dets[at])
+    return RegularityReport(regular=best > REGULARITY_DET_TOL, min_abs_det=best, witness=points[at])
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +391,9 @@ def _evolution_residual_form(system: FieldSystem, X: KVectorField) -> PForm:
 
 def evolution_residuals(system: FieldSystem, X: KVectorField, points) -> np.ndarray:
     """Sup-norm of the evolution one-form residual at each sample point."""
-    residual_form = _evolution_residual_form(system, X)
-    return np.array([residual_form.max_component_at(p) for p in points])
+    return _evolution_residual_form(system, X).max_abs(points)
 
 
 def verify_evolution(system: FieldSystem, X: KVectorField, points) -> float:
     """Max over samples of the sup-norm of sum_A i_{X_A} omega_A - d(target)."""
-    res = evolution_residuals(system, X, points)
-    return float(np.max(res)) if len(res) else 0.0
+    return worst_sample(evolution_residuals(system, X, points))[0]

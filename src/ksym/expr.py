@@ -9,7 +9,14 @@ unary negation, integer powers, and a small set of analytic functions
 Simplification is deliberately conservative: constant folding, 0/1
 identities, and flattening of nested sums and products.  There is no
 canonical polynomial form; callers that need equality of values check it
-pointwise.
+at sample points.
+
+Sampled checks evaluate through ``batch_evaluator``: each expression is
+compiled once into a numpy kernel over an (m, N) array of points.  Rows
+the kernel cannot settle in IEEE arithmetic (a floating-point exception in
+the batch, or a non-finite value) are redone one at a time on the scalar
+path, ``compiled_evaluator``, whose domain errors come from the exact
+interpretive ``Expression.evaluate``.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -47,11 +54,11 @@ __all__ = [
     "parse_expression",
     "to_source",
     "differentiate",
-    "evaluate",
     "compiled_evaluator",
+    "batch_evaluator",
     "validate_on_chart",
-    "coordinates_used",
     "sample_points",
+    "worst_sample",
     "ExprError",
     "ExprSyntaxError",
     "UnknownIdentifierError",
@@ -647,7 +654,7 @@ def _prec(e: Expression) -> int:
 
 
 def _fmt_num(v: float) -> str:
-    if v == math.floor(v) and abs(v) < 1e16 and not math.isinf(v):
+    if math.isfinite(v) and v == math.floor(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -848,21 +855,6 @@ def differentiate(e: Expression, coordinate: str | int, chart: ChartSpace | None
     return e.diff(coordinate)
 
 
-def evaluate(e: Expression, point) -> float:
-    return e.evaluate(point)
-
-
-def coordinates_used(e: Expression) -> set[int]:
-    found: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Coord):
-            found.add(node.index)
-        stack.extend(node.children())
-    return found
-
-
 def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
     """Check that each coordinate reference matches the chart by index and name."""
     stack = [e]
@@ -878,45 +870,96 @@ def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation (hot loops: flows, grids)
+# compiled evaluation: numpy kernels over point arrays (sampled checks,
+# grids) and the scalar path they fall back to (single points, RK4 steps)
 # ---------------------------------------------------------------------------
 
+_NUMPY_IMPL = {name: getattr(np, name) for name in FUNCTIONS}
 
-def _python_source(e: Expression) -> str:
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Coord):
-        return f"P[{e.index}]"
-    if isinstance(e, Add):
-        return "(" + " + ".join(_python_source(t) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + " * ".join(_python_source(f) for f in e.factors) + ")"
-    if isinstance(e, Div):
-        return f"({_python_source(e.numerator)} / {_python_source(e.denominator)})"
-    if isinstance(e, Neg):
-        return f"(-{_python_source(e.arg)})"
-    if isinstance(e, Pow):
-        return f"({_python_source(e.base)})**({e.exponent})"
-    if isinstance(e, Func):
-        return f"{e.name}({_python_source(e.arg)})"
-    raise TypeError(f"not an expression: {e!r}")
+
+def _compile(e: Expression, functions: dict) -> Callable:
+    """``lambda P: <e>`` over ``functions``.  Literals are bound by name in
+    its namespace, so inf and nan need no spelling."""
+    namespace = {**functions, "__builtins__": {}}
+
+    def source(e: Expression) -> str:
+        if isinstance(e, Num):
+            name = f"c{len(namespace)}"
+            namespace[name] = e.value
+            return name
+        if isinstance(e, Coord):
+            return f"P[{e.index}]"
+        if isinstance(e, Add):
+            return "(" + " + ".join(source(t) for t in e.terms) + ")"
+        if isinstance(e, Mul):
+            return "(" + " * ".join(source(f) for f in e.factors) + ")"
+        if isinstance(e, Div):
+            return f"({source(e.numerator)} / {source(e.denominator)})"
+        if isinstance(e, Neg):
+            return f"(-{source(e.arg)})"
+        if isinstance(e, Pow):
+            return f"({source(e.base)})**({e.exponent})"
+        if isinstance(e, Func):
+            return f"{e.name}({source(e.arg)})"
+        raise TypeError(f"not an expression: {e!r}")
+
+    return eval("lambda P: " + source(e), namespace)
 
 
 @lru_cache(maxsize=None)
 def compiled_evaluator(e: Expression) -> Callable:
-    """Compile to a Python callable.  Falls back to the interpretive path on
-    domain failures so the rich error (or IEEE infinity) is preserved."""
-    namespace = {name: impl for name, impl in _FUNC_IMPL.items()}
-    namespace["__builtins__"] = {}
-    fast = eval("lambda P: " + _python_source(e), namespace)
+    """Compile to a Python callable on one point.  Falls back to the
+    interpretive path on domain failures so the rich error (or IEEE
+    infinity) is preserved."""
+    fast = _compile(e, _FUNC_IMPL)
 
     def call(point, _fast=fast, _e=e):
+        if isinstance(point, np.ndarray):
+            point = point.tolist()  # Python floats raise where numpy scalars warn
         try:
             return _fast(point)
         except (ValueError, ZeroDivisionError, OverflowError):
             return _e.evaluate(point)
 
     return call
+
+
+@lru_cache(maxsize=None)
+def batch_evaluator(e: Expression) -> Callable:
+    """Compile to a numpy kernel mapping an (m, N) point array to m values.
+
+    The batch raises on division by zero, invalid operations and overflow
+    (an infinite intermediate divides by zero without a flag).  Then every
+    row is redone on the scalar path; otherwise only the non-finite rows
+    are.  So a finite value agrees with ``compiled_evaluator`` to round-off,
+    any other is the scalar one, and the first bad row raises the same
+    ``EvaluationDomainError``, or gives NaN with ``strict=False``.
+    """
+    fast = _compile(e, _NUMPY_IMPL)
+
+    def kernel(points, strict: bool = True, _fast=fast, _e=e) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        m = len(points)
+        if not m:
+            return np.zeros(0)
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                values = np.full(m, _fast(points.T))
+            redo = np.flatnonzero(~np.isfinite(values))
+        except ArithmeticError:  # numpy's FloatingPointError, or Python's on literals
+            values, redo = np.empty(m), range(m)
+        if len(redo):
+            scalar = compiled_evaluator(_e)
+            for i in redo:
+                try:
+                    values[i] = scalar(points[i])
+                except EvaluationDomainError:
+                    if strict:
+                        raise
+                    values[i] = math.nan
+        return values
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -933,42 +976,37 @@ def sample_points(
 ) -> np.ndarray:
     """Draw ``count`` points uniformly from [-halfwidth, halfwidth]^N.
 
-    Points where any expression in ``require`` hits an evaluation domain
-    error are discarded and redrawn, up to a 10x oversampling budget.
+    ``require`` holds expressions (or scalar fields, standing for their
+    expressions).  Points where any of them is non-finite or hits an
+    evaluation domain error are discarded and redrawn, up to a 10x
+    oversampling budget; the first valid points are kept in draw order.
     """
     rng = np.random.default_rng(seed)
-    checks = []
-    for item in require:
-        if isinstance(item, Expression):
-            checks.append(item.evaluate)
-        elif hasattr(item, "evaluate"):
-            checks.append(item.evaluate)
-        elif callable(item):
-            checks.append(item)
-        else:
-            raise TypeError(f"cannot use {item!r} as a sampling constraint")
+    kernels = [batch_evaluator(getattr(item, "expr", item)) for item in require]
 
-    accepted: list[np.ndarray] = []
+    accepted = np.empty((0, chart.dimension))
     drawn = 0
     budget = 10 * count
-    dim = chart.dimension
     while len(accepted) < count:
         if drawn >= budget:
             raise SamplingError(
                 f"could not draw {count} valid points within {budget} attempts"
             )
         batch = min(count, budget - drawn)
-        pts = rng.uniform(-halfwidth, halfwidth, size=(batch, dim))
+        pts = rng.uniform(-halfwidth, halfwidth, size=(batch, chart.dimension))
         drawn += batch
-        for row in pts:
-            if len(accepted) == count:
-                break
-            try:
-                for check in checks:
-                    value = check(row)
-                    if value != value or math.isinf(value):
-                        raise EvaluationDomainError("non-finite value", "<sample check>")
-            except EvaluationDomainError:
-                continue
-            accepted.append(row)
-    return np.asarray(accepted)
+        valid = np.ones(batch, dtype=bool)
+        for kernel in kernels:
+            valid &= np.isfinite(kernel(pts, strict=False))
+        accepted = np.concatenate([accepted, pts[valid][: count - len(accepted)]])
+    return accepted
+
+
+def worst_sample(residuals) -> tuple[float, int]:
+    """The largest residual and the index of its first occurrence; (0.0, 0)
+    for none.  NaN counts as largest (``np.argmax`` stops at the first), so a
+    NaN sample never passes a check written as ``worst <= tolerance``."""
+    if not len(residuals):
+        return 0.0, 0
+    at = int(np.argmax(residuals))
+    return float(residuals[at]), at

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ChartMismatchError, lie_bracket
+from .calculus import ChartMismatchError, lie_bracket, max_abs
 from .conservation import ConservationLaw
 from .dynamics import KVectorField
-from .expr import ChartSpace, EvaluationDomainError, compiled_evaluator
+from .expr import ChartSpace, EvaluationDomainError, compiled_evaluator, worst_sample
 
 __all__ = [
     "IntegrabilityReport",
@@ -74,26 +74,20 @@ class SectionGrid:
         return self.values.shape[:-1]
 
 
+def _commutation_residuals(X: KVectorField, points) -> np.ndarray:
+    """Largest |[X_A, X_B]| component, A < B, at each point."""
+    k = len(X)
+    brackets = [lie_bracket(X[a], X[b]) for a in range(k) for b in range(a + 1, k)]
+    return max_abs((c for br in brackets for c in br.components), points)
+
+
 def check_integrability(
     X: KVectorField, points, tolerance: float = COMMUTATION_TOLERANCE
 ) -> IntegrabilityReport:
     """Max over samples of |[X_A, X_B]| components, A < B."""
-    k = len(X)
-    brackets = [
-        lie_bracket(X[a], X[b]) for a in range(k) for b in range(a + 1, k)
-    ]
-    if not brackets:
-        return IntegrabilityReport(True, 0.0, tolerance, np.asarray(points[0], dtype=float))
-    residuals = [
-        max(float(np.max(np.abs(br.evaluate(p)))) for br in brackets) for p in points
-    ]
-    worst = int(np.argmax(residuals))
-    return IntegrabilityReport(
-        integrable=residuals[worst] <= tolerance,
-        max_residual=float(residuals[worst]),
-        tolerance=tolerance,
-        witness=np.asarray(points[worst], dtype=float),
-    )
+    points = np.asarray(points, dtype=float)
+    worst, at = worst_sample(_commutation_residuals(X, points))
+    return IntegrabilityReport(worst <= tolerance, worst, tolerance, points[at])
 
 
 def _per_axis(value, k: int, name: str) -> tuple[float, ...]:
@@ -196,8 +190,8 @@ def integrate_section(
             for i in range(1, counts[a] + 1):
                 values[prefix + (i,) + suffix] = line[i]
 
-    residual = _grid_commutation_residual(X, values)
-    if residual > tolerance:
+    residual = worst_sample(_commutation_residuals(X, values.reshape(-1, chart.dimension)))[0]
+    if not residual <= tolerance:
         warnings.warn(
             f"component fields do not commute (residual {residual:.3e}); "
             "the section depends on flow order",
@@ -213,22 +207,6 @@ def integrate_section(
         values=values,
         commutation_residual=residual,
     )
-
-
-def _grid_commutation_residual(X: KVectorField, values: np.ndarray) -> float:
-    k = len(X)
-    brackets = [
-        lie_bracket(X[a], X[b]) for a in range(k) for b in range(a + 1, k)
-    ]
-    if not brackets:
-        return 0.0
-    flat = values.reshape(-1, values.shape[-1])
-    worst = 0.0
-    for br in brackets:
-        fns = [compiled_evaluator(c) for c in br.components]
-        for p in flat:
-            worst = max(worst, max(abs(fn(p)) for fn in fns))
-    return worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,9 +234,7 @@ def verify_law_divergence(law: ConservationLaw, grid: SectionGrid) -> Divergence
     if any(m < 3 for m in shape):
         raise ValueError("divergence check needs at least 3 nodes per axis")
     flat = grid.values.reshape(-1, grid.values.shape[-1])
-    phi = np.empty((k,) + shape)
-    for A, comp in enumerate(law.components):
-        phi[A] = np.array([comp.evaluate(p) for p in flat]).reshape(shape)
+    phi = np.stack([comp.evaluate_batch(flat).reshape(shape) for comp in law.components])
 
     total = np.zeros(tuple(m - 2 for m in shape))
     for A in range(k):

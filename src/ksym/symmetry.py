@@ -30,9 +30,10 @@ from .calculus import (
     directional_derivative,
     lie_bracket,
     lie_derivative_form,
+    max_abs,
 )
 from .dynamics import FieldSystem, KVectorField
-from .expr import ChartSpace, Coord, Num, compiled_evaluator, make_add, make_mul, make_pow, to_source
+from .expr import ChartSpace, Coord, Num, make_add, make_mul, make_pow, to_source, worst_sample
 
 __all__ = [
     "SymmetryVerdict",
@@ -67,8 +68,7 @@ class SymmetryVerdict:
 
 
 def _verdict(kind, residuals, points, tolerance, **extra) -> SymmetryVerdict:
-    worst = int(np.argmax(residuals)) if len(residuals) else 0
-    top = float(residuals[worst]) if len(residuals) else 0.0
+    top, worst = worst_sample(residuals)
     witness = np.asarray(points[worst] if len(residuals) else (), dtype=float)
     return SymmetryVerdict(
         kind=kind,
@@ -87,9 +87,7 @@ def is_symmetry(
     if Y.chart != X.chart:
         raise ChartMismatchError("field lives on a different chart")
     brackets = [lie_bracket(Xa, Y) for Xa in X]
-    residuals = [
-        max(float(np.max(np.abs(br.evaluate(p)))) for br in brackets) for p in points
-    ]
+    residuals = max_abs((c for br in brackets for c in br.components), points)
     return _verdict("symmetry", residuals, points, tolerance)
 
 
@@ -111,21 +109,19 @@ def solve_pseudosymmetry(
     if Y.chart != X.chart or Z.chart != X.chart:
         raise ChartMismatchError("fields live on different charts")
     k = len(X)
-    brackets = [lie_bracket(Xa, Y) for Xa in X]
     n_pts = len(points)
+    Zmats = np.stack([Zb.evaluate_batch(points) for Zb in Z], axis=-1)  # (m, N, k)
+    rank_deficient = np.flatnonzero(np.linalg.matrix_rank(Zmats) < k)
+    brackets = [lie_bracket(Xa, Y).evaluate_batch(points) for Xa in X]  # k of (m, N)
     lam = np.zeros((n_pts, k, k))
     residuals = np.zeros(n_pts)
-    rank_deficient = []
-    for pi, p in enumerate(points):
-        Zmat = np.column_stack([Zb.evaluate(p) for Zb in Z])
-        if np.linalg.matrix_rank(Zmat) < k:
-            rank_deficient.append(pi)
+    # lstsq stays per point: a stacked solve changes lambda in the last bits
+    for pi, Zmat in enumerate(Zmats):
         worst = 0.0
         for a, br in enumerate(brackets):
-            b = br.evaluate(p)
-            sol, *_ = np.linalg.lstsq(Zmat, b, rcond=1e-12)
+            sol, *_ = np.linalg.lstsq(Zmat, br[pi], rcond=1e-12)
             lam[pi, a] = sol
-            worst = max(worst, float(np.max(np.abs(Zmat @ sol - b))))
+            worst = max(worst, float(np.max(np.abs(Zmat @ sol - br[pi]))))
         residuals[pi] = worst
     fit, fit_residual = _fit_lambda(X.chart, points, lam, fit_degree, fit_tolerance)
     return _verdict(
@@ -136,7 +132,7 @@ def solve_pseudosymmetry(
         lambda_samples=lam,
         lambda_fit=fit,
         lambda_fit_residual=fit_residual,
-        rank_deficient_points=tuple(rank_deficient),
+        rank_deficient_points=tuple(int(i) for i in rank_deficient),
     )
 
 
@@ -149,15 +145,9 @@ def is_cartan_symmetry(
     if tolerance is None:
         tolerance = sys.default_tolerance
     lies = [lie_derivative_form(Y, w) for w in sys.omega]
-    scalar = compiled_evaluator(directional_derivative(Y, sys.target.expr))
-    residuals = [
-        max(
-            abs(scalar(p)),
-            max(form.max_component_at(p) for form in lies),
-        )
-        for p in points
-    ]
-    return _verdict("cartan", residuals, points, tolerance)
+    exprs = [directional_derivative(Y, sys.target.expr)]
+    exprs += [e for form in lies for e in form.components.values()]
+    return _verdict("cartan", max_abs(exprs, points), points, tolerance)
 
 
 def is_invariant_form(
@@ -175,9 +165,7 @@ def is_invariant_form(
         if w.chart != X.chart:
             raise ChartMismatchError("form lives on a different chart")
     lies = [lie_derivative_form(Xa, w) for Xa, w in zip(X, omegas)]
-    residuals = [
-        max(form.max_component_at(p) for form in lies) for p in points
-    ]
+    residuals = max_abs((e for form in lies for e in form.components.values()), points)
     return _verdict("invariant-form", residuals, points, tolerance)
 
 

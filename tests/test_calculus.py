@@ -160,6 +160,16 @@ def test_d_squared_zero_pointwise():
         assert dd.max_component_at(p) <= 1e-12
 
 
+def test_nan_component_is_not_folded_away():
+    chart = base_chart(2)
+    huge = parse_expression("exp(1000*x_1)", chart)
+    alpha = one_form(chart, [Num(1.0), make_add(huge, -huge)])  # inf - inf at x_1 = 0.9
+    assert math.isnan(alpha.max_component_at([0.9, 0.0]))
+    assert alpha.max_component_at([0.0, 0.0]) == 1.0
+    residuals = alpha.max_abs(np.array([[0.0, 0.0], [0.9, 0.0], [-0.5, 0.0]]))
+    assert residuals[0] == 1.0 and math.isnan(residuals[1]) and residuals[2] == 1.0
+
+
 def test_wedge_antisymmetry_of_one_forms():
     chart = base_chart(3)
     dx1 = coordinate_differential(chart, 0)

@@ -326,6 +326,24 @@ def test_bad_origin_and_step_exit_2(capsys):
     assert main(base + ["--origin", "0,1,2", "--T", "0.5", "--h", "0.3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "law", "--model", "vibrating_string", "--law", "wave_flux",
+         "--against", "xi1,xi2", "--param", "sigma=nan"],
+        ["build", "noether", "--model", "vibrating_string", "--field", "ddx",
+         "--param", "sigma=inf"],
+    ],
+)
+def test_non_finite_parameters_end_cleanly(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_failing_check_exits_1(capsys):
     assert main(["check", "symmetry", "--model", "nahm", "--field", "radial"]) == 1
 
@@ -376,13 +394,22 @@ def test_non_commuting_family_fails_the_section_check(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # runpy warns when the package import has already loaded ksym.cli
     proc = subprocess.run(
-        [sys.executable, "-m", "ksym.cli", "list-models", "--format", "json"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ksym.cli", "list-models",
+         "--format", "json"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
+    assert proc.stderr == ""
     assert json.loads(proc.stdout)["command"] == "list-models"
+
+
+def test_package_exports_load_model_lazily():
+    from ksym import load_model, resolve_model_path
+
+    assert load_model(resolve_model_path("free_particle")).name == "free_particle"
 
 
 def test_console_script_entry_point_runs():

@@ -141,6 +141,16 @@ def test_regularity_rejects_linear_lagrangian():
     assert report.min_abs_det == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+def test_regularity_fails_on_a_nan_determinant():
+    sys = build_system("lagrangian", 1, 1, "(1 + x_1^2)*v_1_1^2/2")
+    points = [np.array([0.5, 0.1]), np.array([np.nan, 0.2]), np.array([0.0, 0.3])]
+    report = check_regularity(sys, points)
+    assert not report.regular
+    assert np.isnan(report.min_abs_det)
+    assert np.isnan(report.witness[0])
+
+
 def test_regularity_requires_lagrangian_side():
     sys = build_system("hamiltonian", 1, 1, "p_1_1^2/2")
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from ksym.expr import (
     SamplingError,
     UnknownIdentifierError,
     base_chart,
+    batch_evaluator,
     compiled_evaluator,
     cotangent_chart,
     differentiate,
@@ -412,6 +413,72 @@ def test_compiled_evaluator_preserves_domain_errors():
         fast([-1.0])
 
 
+def test_non_finite_literals_compile_and_print():
+    x = Coord(0, "x_1")
+    for value in (math.inf, -math.inf, math.nan):
+        e = make_mul(Num(value), x)
+        assert to_source(Num(value)) == repr(value)
+        assert math.isnan(compiled_evaluator(e)([0.0]))  # inf * 0
+        assert compiled_evaluator(e)([1.0]) == pytest.approx(value, nan_ok=True)
+    assert parse_expression("1e308*10*x_1", base_chart(1)) == make_mul(Num(math.inf), x)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+# ---------------------------------------------------------------------------
+
+
+def _scalar_rows(e, points):
+    """Values on the scalar path row by row, or the error of its first bad row."""
+    fast = compiled_evaluator(e)
+    try:
+        return np.array([fast(p) for p in points], dtype=float), None
+    except (EvaluationDomainError, ValueError) as exc:
+        return None, exc
+
+
+@given(
+    _expression_strategy(base_chart(3)),
+    st.lists(st.lists(st.floats(-2, 2), min_size=3, max_size=3), min_size=1, max_size=6),
+)
+def test_batch_kernel_matches_scalar_path(e, rows):
+    points = np.array(rows)
+    expected, error = _scalar_rows(e, points)
+    if error is not None:
+        with pytest.raises(type(error)) as caught:
+            batch_evaluator(e)(points)
+        assert str(caught.value) == str(error)
+        return
+    values = batch_evaluator(e)(points)
+    finite = np.isfinite(values)
+    assert np.array_equal(finite, np.isfinite(expected))
+    np.testing.assert_array_equal(values[~finite], expected[~finite])
+    np.testing.assert_array_max_ulp(values[finite], expected[finite], maxulp=2)
+
+
+@pytest.mark.parametrize(
+    "source, x, reason",
+    [
+        ("1/(1/x_1)", 0.0, "division by zero"),  # plain numpy: 1/inf = 0
+        ("exp(-1/x_1)", 0.0, "division by zero"),  # plain numpy: exp(-inf) = 0
+        ("sqrt(x_1)", -1.0, "square root of a negative number"),
+        ("log(x_1)", 0.0, "logarithm of a non-positive number"),
+    ],
+)
+def test_batch_kernel_raises_the_scalar_domain_error(source, x, reason):
+    e = parse_expression(source, base_chart(1))
+    points = np.array([[0.5], [x], [2.0]])
+    with pytest.raises(EvaluationDomainError) as scalar:
+        compiled_evaluator(e)(points[1])
+    with pytest.raises(EvaluationDomainError) as batch:
+        batch_evaluator(e)(points)
+    assert batch.value.reason == scalar.value.reason == reason
+    assert batch.value.subexpression == scalar.value.subexpression
+    relaxed = batch_evaluator(e)(points, strict=False)
+    assert math.isnan(relaxed[1])
+    assert relaxed[0] == pytest.approx(compiled_evaluator(e)(points[0]), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -439,3 +506,31 @@ def test_sampling_gives_up_after_budget():
     e = parse_expression("sqrt(-1 - x_1^2)", chart)
     with pytest.raises(SamplingError):
         sample_points(chart, count=8, seed=5, require=[e])
+
+
+def _sample_row_by_row(chart, count, seed, require):
+    """The row-by-row filter sample_points replaced, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    accepted, drawn = [], 0
+    while len(accepted) < count:
+        batch = min(count, 10 * count - drawn)
+        drawn += batch
+        for row in rng.uniform(-1.0, 1.0, size=(batch, chart.dimension)):
+            if len(accepted) == count:
+                break
+            try:
+                if all(math.isfinite(e.evaluate(row)) for e in require):
+                    accepted.append(row)
+            except EvaluationDomainError:
+                pass
+    return np.asarray(accepted)
+
+
+@pytest.mark.parametrize("source", ["log(x_1)", "1/x_1"])
+def test_sampling_filter_keeps_the_row_by_row_sample(source):
+    chart = base_chart(2)
+    require = [parse_expression(source, chart)]
+    for seed in range(21):
+        expected = _sample_row_by_row(chart, 32, seed, require)
+        actual = sample_points(chart, count=32, seed=seed, require=require)
+        assert actual.tobytes() == expected.tobytes()
