@@ -7,7 +7,9 @@ Every command loads a model (bundled by name, or any path to a ``.ksym``
 file), runs one check family, and emits a report as a table or as JSON.
 
 Exit codes: 0 when every check passes, 1 when any fails, 2 for usage or
-model-file errors.
+model-file errors.  Numeric flags are checked when parsed, and the point
+arrays a command allocates (samples or grid nodes, times the chart dimension)
+are held to ``MAX_ARRAY_VALUES``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys as _sys
 import time
@@ -46,6 +49,7 @@ from .dynamics import (
 )
 from .expr import (
     ChartSpace,
+    EvaluationDomainError,
     ExprError,
     Num,
     SamplingError,
@@ -460,9 +464,20 @@ def _load_from_args(args) -> LoadedModel:
     return load_model(path, _parse_overrides(args.param) or None)
 
 
+# coordinate values one command may hold in a sample or grid array (80 MB)
+MAX_ARRAY_VALUES = 10_000_000
+
+
+def _check_budget(what: str, values: float) -> None:
+    if values > MAX_ARRAY_VALUES:
+        raise CliUsageError(
+            f"{what} needs {values:.4g} coordinate values, over the budget of "
+            f"{MAX_ARRAY_VALUES:,}"
+        )
+
+
 def _sample(model: LoadedModel, args) -> np.ndarray:
-    if args.samples < 1:
-        raise CliUsageError("--samples must be at least 1")
+    _check_budget(f"--samples {args.samples}", args.samples * model.chart.dimension)
     require = (model.system.function,) if model.system is not None else ()
     return sample_points(
         model.chart, count=args.samples, seed=args.seed, halfwidth=args.box, require=require
@@ -677,6 +692,10 @@ def _cmd_verify_law(model: LoadedModel, args) -> Report:
 def _integrate(model: LoadedModel, args):
     family = _evolution_family(model, args.against or args.evolution)
     origin = _point(args.origin, model.chart, "--origin")
+    values = float(model.chart.dimension)
+    for _ in family:
+        values *= args.T / args.h + 1.0  # overflows to inf, never raises
+    _check_budget(f"a grid with --T {args.T:g} --h {args.h:g}", values)
     try:
         return family, integrate_section(family, origin, args.T, args.h)
     except ValueError as exc:
@@ -797,6 +816,29 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+def _number(convert, low: float, strict: bool = False):
+    """An argparse type: a finite number at least ``low`` (above it if strict)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            bound = f"> {low:g}" if strict else f">= {low:g}"
+            finite = "finite and " if convert is float else ""
+            raise argparse.ArgumentTypeError(f"must be {finite}{bound}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _grid_arguments(p) -> None:
+    p.add_argument("--origin", help="comma separated start point (default: origin)")
+    p.add_argument("--T", type=_number(float, 0.0), default=0.5, help="integration span per axis")
+    p.add_argument("--h", type=_number(float, 0.0, strict=True), default=1 / 128, help="grid spacing per axis")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ksym", description="Field-theory model checks from the command line."
@@ -805,10 +847,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True, help="bundled model name or path to a .ksym file")
-    common.add_argument("--seed", type=int, default=42, help="sampling seed")
-    common.add_argument("--samples", type=int, default=64, help="number of sample points")
-    common.add_argument("--box", type=float, default=1.0, help="sampling half-width")
-    common.add_argument("--tol", type=float, default=None, help="override the check tolerance")
+    common.add_argument("--seed", type=_number(int, 0), default=42, help="sampling seed")
+    common.add_argument("--samples", type=_number(int, 1), default=64, help="number of sample points")
+    common.add_argument("--box", type=_number(float, 0.0, strict=True), default=1.0, help="sampling half-width")
+    common.add_argument("--tol", type=_number(float, 0.0), default=None, help="override the check tolerance")
     common.add_argument(
         "--param", action="append", default=[], metavar="NAME=VALUE",
         help="override a model parameter (repeatable)",
@@ -852,9 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", required=True, help="law name from the model file")
     p.add_argument("--against", help="comma separated family (default: evolution)")
     p.add_argument("--evolution", help="override the default evolution fields")
-    p.add_argument("--origin", help="comma separated start point (default: origin)")
-    p.add_argument("--T", type=float, default=0.5, help="integration span per axis")
-    p.add_argument("--h", type=float, default=1.0 / 128.0, help="grid spacing per axis")
+    _grid_arguments(p)
 
     build = top.add_parser("build", help="construct conservation laws")
     build_sub = build.add_subparsers(dest="action", required=True)
@@ -869,9 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = integrate_sub.add_parser("section", parents=[common], help="fill a section grid by composed flows")
     p.add_argument("--against", help="comma separated family (default: evolution)")
     p.add_argument("--evolution", help="override the default evolution fields")
-    p.add_argument("--origin", help="comma separated start point (default: origin)")
-    p.add_argument("--T", type=float, default=0.5, help="integration span per axis")
-    p.add_argument("--h", type=float, default=1.0 / 128.0, help="grid spacing per axis")
+    _grid_arguments(p)
     p.add_argument("--out", help="write the grid as CSV to this path")
 
     return parser
@@ -895,7 +933,7 @@ def main(argv=None) -> int:
     except ModelFileError as exc:
         print(f"model error: {exc}", file=_sys.stderr)
         return 2
-    except (CliUsageError, FileNotFoundError, SamplingError) as exc:
+    except (CliUsageError, FileNotFoundError, SamplingError, EvaluationDomainError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     report.elapsed_ms = int(round((time.perf_counter() - start) * 1000))

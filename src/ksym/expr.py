@@ -503,6 +503,10 @@ class Func(Expression):
             return _FUNC_IMPL[self.name](value)
         except OverflowError:
             return math.inf
+        except ValueError:  # sin and cos of an infinite argument
+            raise EvaluationDomainError(
+                f"{self.name} of an infinite number", to_source(self)
+            ) from None
 
     def __eq__(self, other):
         return type(other) is Func and self.name == other.name and self.arg == other.arg
@@ -876,6 +880,10 @@ def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
 
 _NUMPY_IMPL = {name: getattr(np, name) for name in FUNCTIONS}
 
+# distinct expressions kept compiled per path; one command on a bundled model
+# compiles fewer than ten
+COMPILE_CACHE_SIZE = 1024
+
 
 def _compile(e: Expression, functions: dict) -> Callable:
     """``lambda P: <e>`` over ``functions``.  Literals are bound by name in
@@ -906,7 +914,7 @@ def _compile(e: Expression, functions: dict) -> Callable:
     return eval("lambda P: " + source(e), namespace)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def compiled_evaluator(e: Expression) -> Callable:
     """Compile to a Python callable on one point.  Falls back to the
     interpretive path on domain failures so the rich error (or IEEE
@@ -924,7 +932,7 @@ def compiled_evaluator(e: Expression) -> Callable:
     return call
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def batch_evaluator(e: Expression) -> Callable:
     """Compile to a numpy kernel mapping an (m, N) point array to m values.
 

@@ -6,9 +6,10 @@ fields, innermost copy first:
     psi(t^1, ..., t^k) = Flow_{X_1}^{t^1} ( ... Flow_{X_k}^{t^k}(p0) ... )
 
 Each flow runs classical fixed-step fourth-order Runge-Kutta, one step per
-grid interval.  The grid is filled by marching the last axis first and
-reusing every previously integrated line as the starting data for the next
-axis, so each node is computed exactly once.
+grid interval.  The grid is filled by marching the last axis first; every
+node filled so far starts one line of the next axis, and all lines of an
+axis advance together as one front through the batched kernels, so each
+node is computed exactly once.
 
 For commuting component fields the composition order is immaterial up to
 integration error; the pairwise commutation residual is attached to every
@@ -25,7 +26,7 @@ import numpy as np
 from .calculus import ChartMismatchError, lie_bracket, max_abs
 from .conservation import ConservationLaw
 from .dynamics import KVectorField
-from .expr import ChartSpace, EvaluationDomainError, compiled_evaluator, worst_sample
+from .expr import ChartSpace, EvaluationDomainError, batch_evaluator, worst_sample
 
 __all__ = [
     "IntegrabilityReport",
@@ -99,34 +100,49 @@ def _per_axis(value, k: int, name: str) -> tuple[float, ...]:
     return out
 
 
-def _rk4_line(F, start: np.ndarray, h: float, m: int, axis_label: str) -> np.ndarray:
-    """Integrate m fixed steps of size h along F, returning m+1 points."""
-    out = np.empty((m + 1, start.size))
-    out[0] = start
-    p = start
-    # non-finite values are caught by the guard below, so let them propagate
-    # through the arithmetic silently
+def _rk4_step(kernels, P: np.ndarray, h: float, strict: bool) -> np.ndarray:
+    """One classical RK4 step of size h from every row of the (L, N) array P."""
+    def F(Q):
+        return np.stack([kern(Q, strict=strict) for kern in kernels], axis=-1)
+    k1 = F(P)
+    k2 = F(P + (h / 2.0) * k1)
+    k3 = F(P + (h / 2.0) * k2)
+    k4 = F(P + h * k3)
+    return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _march(kernels, lines: np.ndarray, h: float, axis_label: str) -> None:
+    """Fill lines[1:] from lines[0] (an (m+1, L, N) view), all L lines at once.
+
+    Non-finite values propagate silently and stop their line.  The
+    lowest-index stopped line replays that one step on the strict path, so
+    the error names the line a line-by-line march reaches first, with the
+    scalar evaluator's reason and subexpression.
+    """
+    alive = np.arange(lines.shape[1])
+    failed_at = np.full(lines.shape[1], -1)
     with np.errstate(all="ignore"):
-        for i in range(m):
-            t = i * h
-            try:
-                k1 = F(p)
-                k2 = F(p + (h / 2.0) * k1)
-                k3 = F(p + (h / 2.0) * k2)
-                k4 = F(p + h * k3)
-            except EvaluationDomainError as err:
-                raise SectionIntegrationError(
-                    f"flow along {axis_label} left the domain at t={t + h:.6g}, "
-                    f"point {p}: {err}"
-                ) from err
-            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(p)):
-                raise SectionIntegrationError(
-                    f"flow along {axis_label} diverged at t={(i + 1) * h:.6g}, "
-                    f"point {out[i]}"
-                )
-            out[i + 1] = p
-    return out
+        for i in range(len(lines) - 1):
+            new = _rk4_step(kernels, lines[i, alive], h, strict=False)
+            ok = np.isfinite(new).all(axis=1)
+            failed_at[alive[~ok]] = i
+            alive = alive[ok]
+            lines[i + 1, alive] = new[ok]
+        if alive.size == lines.shape[1]:
+            return
+        line = int(np.argmax(failed_at >= 0))
+        i = int(failed_at[line])
+        p = lines[i, line]
+        try:
+            _rk4_step(kernels, p[None], h, strict=True)
+        except EvaluationDomainError as err:
+            raise SectionIntegrationError(
+                f"flow along {axis_label} left the domain at t={i * h + h:.6g}, "
+                f"point {p}: {err}"
+            ) from err
+    raise SectionIntegrationError(
+        f"flow along {axis_label} diverged at t={(i + 1) * h:.6g}, point {p}"
+    )
 
 
 def integrate_section(
@@ -154,8 +170,8 @@ def integrate_section(
     h = _per_axis(steps, k, "step")
     counts = []
     for a in range(k):
-        if h[a] <= 0 or T[a] < 0:
-            raise ValueError("ranges must be nonnegative and steps positive")
+        if not (0.0 < h[a] < np.inf and 0.0 <= T[a] < np.inf):
+            raise ValueError("ranges must be finite and nonnegative, steps finite and positive")
         m = int(round(T[a] / h[a])) if T[a] else 0
         if abs(m * h[a] - T[a]) > 1e-9 * max(1.0, abs(T[a])):
             raise ValueError(
@@ -163,32 +179,16 @@ def integrate_section(
             )
         counts.append(m)
 
-    evaluators = [
-        [compiled_evaluator(c) for c in field.components] for field in X
-    ]
-
-    def flow_fn(a):
-        comps = evaluators[a]
-
-        def F(p):
-            return np.array([fn(p) for fn in comps])
-
-        return F
-
     shape = tuple(m + 1 for m in counts)
     values = np.empty(shape + (chart.dimension,))
     values[(0,) * k] = origin
 
-    # march the innermost flow first, then extend earlier axes line by line
+    # march the innermost flow first; every node already filled along the
+    # later axes starts one line of the next axis out
     for a in range(k - 1, -1, -1):
-        F = flow_fn(a)
-        suffix_shape = shape[a + 1:]
-        prefix = (0,) * a
-        for suffix in np.ndindex(*suffix_shape):
-            start = values[prefix + (0,) + suffix]
-            line = _rk4_line(F, start, h[a], counts[a], f"axis {a + 1}")
-            for i in range(1, counts[a] + 1):
-                values[prefix + (i,) + suffix] = line[i]
+        kernels = [batch_evaluator(c) for c in X[a].components]
+        lines = values[(0,) * a].reshape(shape[a], -1, chart.dimension)
+        _march(kernels, lines, h[a], f"axis {a + 1}")
 
     residual = worst_sample(_commutation_residuals(X, values.reshape(-1, chart.dimension)))[0]
     if not residual <= tolerance:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from ksym.cli import (
+    MAX_ARRAY_VALUES,
     ModelFileError,
     bundled_model_names,
     load_model,
@@ -342,6 +343,75 @@ def test_non_finite_parameters_end_cleanly(argv, capsys):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def assert_one_error_line(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_domain_error_in_a_sampled_check_exits_2(tmp_path, capsys):
+    path = write_model(
+        tmp_path,
+        "[model]\nname = m\nkind = lagrangian\nn = 1\nk = 1\nfunction = v_1_1^2/2\n\n"
+        "[field X]\nc_x_1 = v_1_1\n\n[law bad]\nPhi_1 = sqrt(x_1)\n",
+    )
+    code = main(["verify", "law", "--model", str(path), "--law", "bad"])
+    err = assert_one_error_line(code, capsys)
+    assert "square root of a negative number in 'sqrt(x_1)'" in err
+
+
+def test_sine_of_an_overflowed_argument_ends_cleanly(tmp_path, capsys):
+    path = write_model(
+        tmp_path,
+        "[model]\nname = m\nkind = lagrangian\nn = 1\nk = 1\n"
+        "function = v_1_1^2/2 + sin(exp(1000*x_1))\n",
+    )
+    code = main(["check", "regularity", "--model", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--T", "inf"), ("--T", "nan"), ("--T", "-0.25"),
+        ("--h", "0"), ("--h", "-1"), ("--h", "inf"), ("--h", "nan"),
+        ("--box", "nan"), ("--box", "inf"), ("--box", "0"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
+        ("--seed", "-1"), ("--seed", "1.5"), ("--samples", "0"), ("--samples", "x"),
+    ],
+)
+def test_invalid_numeric_flags_are_usage_errors(flag, value, capsys):
+    argv = ["verify", "divergence", "--model", "free_particle", "--law", "momenta"]
+    assert main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"argument {flag}: " in err
+
+
+def one_dimensional_model(tmp_path) -> Path:
+    # base chart of dimension 1, so a count of nodes or samples is a count of values
+    return write_model(
+        tmp_path, "[model]\nname = m\nkind = ode\nn = 1\nk = 1\n\n[field F]\nc_x_1 = 1\n"
+    )
+
+
+def test_samples_over_the_budget_are_refused_before_sampling(tmp_path, capsys):
+    path = one_dimensional_model(tmp_path)
+    argv = ["check", "symmetry", "--model", str(path), "--field", "F", "--against", "F"]
+    code = main(argv + ["--samples", str(MAX_ARRAY_VALUES + 1)])
+    assert "over the budget" in assert_one_error_line(code, capsys)
+
+
+def test_grid_over_the_budget_is_refused_before_integrating(tmp_path, capsys):
+    path = one_dimensional_model(tmp_path)
+    argv = ["integrate", "section", "--model", str(path), "--against", "F"]
+    code = main(argv + ["--T", str(MAX_ARRAY_VALUES), "--h", "1"])  # budget + 1 nodes
+    assert "over the budget" in assert_one_error_line(code, capsys)
 
 
 def test_failing_check_exits_1(capsys):

@@ -463,6 +463,8 @@ def test_batch_kernel_matches_scalar_path(e, rows):
         ("exp(-1/x_1)", 0.0, "division by zero"),  # plain numpy: exp(-inf) = 0
         ("sqrt(x_1)", -1.0, "square root of a negative number"),
         ("log(x_1)", 0.0, "logarithm of a non-positive number"),
+        ("sin(x_1*exp(x_1))", 1000.0, "sin of an infinite number"),  # math.sin: ValueError
+        ("cos(exp(x_1))", 1000.0, "cos of an infinite number"),
     ],
 )
 def test_batch_kernel_raises_the_scalar_domain_error(source, x, reason):

@@ -7,9 +7,10 @@ import pytest
 
 from ksym.bundles import first_prolongation, tangent_bundle
 from ksym.calculus import ScalarField, VectorField, coordinate_vector_field
+from ksym.cli import load_model, resolve_model_path
 from ksym.conservation import build_bracket_law, user_law
 from ksym.dynamics import KVectorField, build_system
-from ksym.expr import Num, base_chart, parse_expression, sample_points
+from ksym.expr import Num, base_chart, compiled_evaluator, parse_expression, sample_points
 from ksym.sections import (
     SectionIntegrationError,
     check_integrability,
@@ -205,6 +206,77 @@ def test_overflow_guard_reports_divergence():
     ch, family = exponential_flow()
     with pytest.raises(SectionIntegrationError, match="diverged"):
         integrate_section(family, np.array([1.0]), ranges=800.0, steps=1.0)
+
+
+def test_first_failing_line_in_row_order_is_reported():
+    # line j of axis 1 starts at x_2 = j/4 and leaves sqrt's domain after
+    # about 0.3/(1 + j/4) in t, so later lines fail sooner; the report still
+    # names line 0, the one a line-by-line march reaches first
+    ch = base_chart(2, 2)
+    X1 = VectorField(ch, (parse_expression("sqrt(x_1)^2 - x_1 - (1 + x_2)", ch), Num(0.0)))
+    X2 = VectorField(ch, (Num(0.0), Num(1.0)))
+    family = KVectorField(ch, (X1, X2))
+    with pytest.raises(SectionIntegrationError) as info:
+        integrate_section(family, np.array([0.3, 0.0]), ranges=(1, 2), steps=(0.0625, 0.25))
+    assert str(info.value) == (
+        "flow along axis 1 left the domain at t=0.3125, point [0.05 0.  ]: "
+        "square root of a negative number in 'sqrt(x_1)'"
+    )
+
+
+def per_line_march(X, origin, T, h):
+    """The line-by-line RK4 march on the scalar evaluator, kept as the
+    reference for the batched front march."""
+    k, m = len(X), int(round(T / h))
+    values = np.empty((m + 1,) * k + (len(origin),))
+    values[(0,) * k] = origin
+    for a in range(k - 1, -1, -1):
+        comps = [compiled_evaluator(c) for c in X[a].components]
+
+        def F(p):
+            return np.array([fn(p) for fn in comps])
+
+        for suffix in np.ndindex(*values.shape[a + 1:-1]):
+            p = values[(0,) * a + (0,) + suffix]
+            for i in range(m):
+                k1 = F(p)
+                k2 = F(p + (h / 2.0) * k1)
+                k3 = F(p + (h / 2.0) * k2)
+                k4 = F(p + h * k3)
+                p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                values[(0,) * a + (i + 1,) + suffix] = p
+    return values
+
+
+def bundled_family(name, fields):
+    model = load_model(resolve_model_path(name))
+    return KVectorField(model.chart, tuple(model.fields[f] for f in fields))
+
+
+@pytest.mark.parametrize(
+    "family, origin, T, h",
+    [
+        (bundled_family("free_particle", ("X1", "X2")), [0.0, 1.0, 2.0], 0.5, 1 / 32),
+        (bundled_family("vibrating_string", ("xi1", "xi2")), [0.0, 0.4, 0.3], 0.25, 1 / 64),
+        (bundled_family("laplace3", ("X1", "X2", "X3")), [0.1, 0.5, -0.25, 2.0], 0.25, 1 / 32),
+    ],
+    ids=["free_particle", "vibrating_string", "laplace3"],
+)
+def test_front_march_is_bit_identical_on_polynomial_families(family, origin, T, h):
+    grid = integrate_section(family, np.array(origin), ranges=T, steps=h)
+    reference = per_line_march(family, np.array(origin), T, h)
+    assert np.array_equal(grid.values, reference)
+
+
+@pytest.mark.filterwarnings("ignore:component fields do not commute")
+def test_front_march_matches_per_line_march_on_a_transcendental_flow():
+    ch = base_chart(2, 2)
+    X1 = VectorField(ch, (parse_expression("sin(x_1 + x_2)", ch), parse_expression("cos(x_1)/2", ch)))
+    X2 = VectorField(ch, (parse_expression("exp(-x_2)", ch), parse_expression("1 + sin(3*x_1)", ch)))
+    family = KVectorField(ch, (X1, X2))
+    origin = np.array([0.2, -0.4])
+    grid = integrate_section(family, origin, ranges=0.5, steps=1 / 32)
+    np.testing.assert_array_max_ulp(grid.values, per_line_march(family, origin, 0.5, 1 / 32), maxulp=4)
 
 
 # ---------------------------------------------------------------------------
