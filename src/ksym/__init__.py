@@ -8,7 +8,7 @@ Layering, bottom up:
 - ``calculus``      vector fields, alternating forms, brackets, potentials
 - ``bundles``       canonical structures on k-tangent / k-cotangent charts
 - ``dynamics``      field systems and pointwise evolution solvers
-- ``symmetry``      symmetry / pseudosymmetry / invariance verdicts
+- ``symmetry``      symmetry / pseudosymmetry / invariance checks
 - ``conservation``  conserved-quantity constructors and verifiers
 - ``sections``      integral-section grids and divergence checks
 - ``cli``           model files, bundled models, check reports
@@ -16,6 +16,7 @@ Layering, bottom up:
 
 from .expr import (
     ChartSpace,
+    Check,
     EvaluationDomainError,
     Expression,
     ExprError,
@@ -56,7 +57,6 @@ from .dynamics import (
     verify_evolution,
 )
 from .symmetry import (
-    SymmetryVerdict,
     is_cartan_symmetry,
     is_invariant_form,
     is_symmetry,

@@ -24,7 +24,7 @@ from .expr import (
     Coord,
     Expression,
     Num,
-    compiled_evaluator,
+    batch_evaluator,
     cotangent_chart,
     make_add,
     make_mul,
@@ -294,13 +294,8 @@ class SymbolicProlongation:
     fiber_exprs: tuple[Expression, ...]  # grouped by A, then i
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.empty(self.n * (1 + self.k))
-        for i, e in enumerate(self.base_exprs):
-            out[i] = compiled_evaluator(e)(t)
-        for j, e in enumerate(self.fiber_exprs):
-            out[self.n + j] = compiled_evaluator(e)(t)
-        return out
+        row = np.asarray(t, dtype=float)[None]
+        return np.array([batch_evaluator(e)(row)[0] for e in self.base_exprs + self.fiber_exprs])
 
 
 def first_prolongation(phi, *, steps: Sequence[float] | None = None):

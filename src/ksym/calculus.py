@@ -20,7 +20,6 @@ from .expr import (
     Expression,
     Num,
     batch_evaluator,
-    compiled_evaluator,
     make_add,
     make_mul,
     make_neg,
@@ -468,7 +467,7 @@ def two_form_matrix(omega: PForm, point) -> np.ndarray:
     dim = omega.chart.dimension
     W = np.zeros((dim, dim))
     for (i, j), expr in omega.components.items():
-        value = compiled_evaluator(expr)(point)
+        value = batch_evaluator(expr)(_one_row(point))[0]
         W[i, j] += value
         W[j, i] -= value
     return W

@@ -36,6 +36,7 @@ from .conservation import (
     user_law,
 )
 from .dynamics import (
+    REGULARITY_DET_TOL,
     FieldSystem,
     InconsistentSystemError,
     KVectorField,
@@ -45,21 +46,23 @@ from .dynamics import (
     evolution_residuals,
     solve_evolution_hamiltonian,
     solve_evolution_lagrangian,
-    verify_evolution,
 )
 from .expr import (
     ChartSpace,
+    Check,
     EvaluationDomainError,
     ExprError,
     Num,
     SamplingError,
     base_chart,
     parse_expression,
+    residual_check,
     sample_points,
     to_source,
-    worst_sample,
 )
 from .sections import (
+    COMMUTATION_TOLERANCE,
+    DIVERGENCE_TOLERANCE,
     SectionIntegrationError,
     export_grid_csv,
     integrate_section,
@@ -73,7 +76,6 @@ from .symmetry import (
 )
 
 __all__ = [
-    "CheckRecord",
     "CliUsageError",
     "LoadedModel",
     "ModelFileError",
@@ -87,7 +89,6 @@ __all__ = [
 MODEL_KINDS = ("lagrangian", "hamiltonian", "ode")
 EVOLUTION_TOLERANCE = 1e-9
 LAW_TOLERANCE = 1e-9
-DIVERGENCE_TOLERANCE = 1e-8
 
 _BUNDLED_DIR = Path(__file__).resolve().parent / "models"
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -345,30 +346,19 @@ def _json_value(value):
     return value
 
 
-@dataclass
-class CheckRecord:
-    """One pass/fail entry; passing means max_residual <= tol."""
-
-    name: str
-    kind: str
-    tol: float
-    max_residual: float
-    witness: tuple
-    passed: bool
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        entry = {
-            "name": self.name,
-            "kind": self.kind,
-            "tol": float(self.tol),
-            "max_residual": float(self.max_residual),
-            "witness": [_json_value(w) for w in self.witness],
-            "pass": bool(self.passed),
-        }
-        for key in sorted(self.extra):
-            entry[key] = _json_value(self.extra[key])
-        return entry
+def _check_entry(name: str, check: Check) -> dict:
+    """One report entry; passing means the check holds."""
+    entry = {
+        "name": name,
+        "kind": check.kind,
+        "tol": float(check.tolerance),
+        "max_residual": float(check.max_residual),
+        "witness": [float(w) for w in check.witness],
+        "pass": bool(check.holds),
+    }
+    for key in sorted(check.extra):
+        entry[key] = _json_value(check.extra[key])
+    return entry
 
 
 @dataclass
@@ -379,13 +369,13 @@ class Report:
     model: str | None
     seed: int | None
     samples: int | None
-    checks: list
+    checks: list  # (name, Check) pairs
     extra: dict = field(default_factory=dict)
     elapsed_ms: int = 0
 
     @property
     def exit_code(self) -> int:
-        return 0 if all(record.passed for record in self.checks) else 1
+        return 0 if all(check.holds for _, check in self.checks) else 1
 
     def to_dict(self) -> dict:
         body = {
@@ -393,7 +383,7 @@ class Report:
             "model": self.model,
             "seed": self.seed,
             "samples": self.samples,
-            "checks": [record.to_dict() for record in self.checks],
+            "checks": [_check_entry(name, check) for name, check in self.checks],
         }
         for key in sorted(self.extra):
             body[key] = _json_value(self.extra[key])
@@ -411,33 +401,15 @@ class Report:
             lines.append(f"seed: {self.seed}  samples: {self.samples}")
         for key in sorted(self.extra):
             lines.append(f"{key}: {json.dumps(_json_value(self.extra[key]))}")
-        for record in self.checks:
-            status = "PASS" if record.passed else "FAIL"
+        for name, check in self.checks:
+            status = "PASS" if check.holds else "FAIL"
             lines.append(
-                f"{status} {record.name} [{record.kind}] "
-                f"max_residual={record.max_residual:.6g} tol={record.tol:.6g}"
+                f"{status} {name} [{check.kind}] "
+                f"max_residual={check.max_residual:.6g} tol={check.tolerance:.6g}"
             )
-            for key in sorted(record.extra):
-                lines.append(f"  {key}: {json.dumps(_json_value(record.extra[key]))}")
+            for key in sorted(check.extra):
+                lines.append(f"  {key}: {json.dumps(_json_value(check.extra[key]))}")
         return "\n".join(lines)
-
-
-def _record_from_verdict(name: str, verdict) -> CheckRecord:
-    extra: dict = {}
-    if verdict.lambda_fit is not None:
-        extra["lambda_fit"] = [list(row) for row in verdict.lambda_fit]
-        extra["lambda_fit_residual"] = verdict.lambda_fit_residual
-    if verdict.rank_deficient_points:
-        extra["rank_deficient_points"] = len(verdict.rank_deficient_points)
-    return CheckRecord(
-        name,
-        verdict.kind,
-        verdict.tolerance,
-        verdict.max_residual,
-        tuple(map(float, verdict.witness)),
-        verdict.holds,
-        extra,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +529,8 @@ def _point(text: str | None, chart: ChartSpace, flag: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _sampled_record(name: str, kind: str, residuals, points, tol: float) -> CheckRecord:
-    worst, at = worst_sample(residuals)
-    return CheckRecord(name, kind, tol, worst, tuple(map(float, points[at])), worst <= tol)
-
-
-def _law_record(name: str, X: KVectorField, law: ConservationLaw, points, tol: float) -> CheckRecord:
-    return _sampled_record(name, "law-pointwise", law_residuals(X, law, points), points, tol)
+def _law_check(X: KVectorField, law: ConservationLaw, points, tol: float) -> Check:
+    return residual_check("law-pointwise", law_residuals(X, law, points), points, tol)
 
 
 def _phi_sources(law: ConservationLaw) -> list:
@@ -574,11 +541,11 @@ def _phi_sources(law: ConservationLaw) -> list:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its (name, Check) pairs and the report's extra keys
 # ---------------------------------------------------------------------------
 
 
-def _cmd_list_models(args) -> Report:
+def _list_models() -> list:
     rows = []
     for name in bundled_model_names():
         model = load_model(_BUNDLED_DIR / f"{name}.ksym")
@@ -592,60 +559,45 @@ def _cmd_list_models(args) -> Report:
                 "laws": sorted(model.laws),
             }
         )
-    return Report("list-models", None, None, None, [], {"models": rows})
+    return rows
 
 
-def _cmd_check_regularity(model: LoadedModel, args) -> Report:
+def _cmd_check_regularity(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "check regularity")
     if not model.kind == "lagrangian":
         raise CliUsageError("check regularity applies to lagrangian models only")
     points = _sample(model, args)
-    report = check_regularity(system, points)
-    det_tol = report.tolerance if args.tol is None else args.tol
-    # encoded so that pass still means max_residual <= tol
-    record = CheckRecord(
-        "regularity",
-        "regularity",
-        -det_tol,
-        -report.min_abs_det,
-        tuple(map(float, report.witness)),
-        report.min_abs_det > det_tol,
-        {"min_abs_det": report.min_abs_det},
-    )
-    return Report("check regularity", model.label, args.seed, args.samples, [record])
+    tol = REGULARITY_DET_TOL if args.tol is None else args.tol
+    return [("regularity", check_regularity(system, points, tol))], {}
 
 
-def _cmd_check_symmetry(model: LoadedModel, args) -> Report:
+def _cmd_check_symmetry(model: LoadedModel, args) -> tuple[list, dict]:
     family = _evolution_family(model, args.against or args.evolution)
     Y = _named_field(model, args.field)
     points = _sample(model, args)
     tol = BRACKET_TOLERANCE if args.tol is None else args.tol
-    verdict = is_symmetry(family, Y, points, tolerance=tol)
-    record = _record_from_verdict(f"symmetry:{args.field}", verdict)
-    return Report("check symmetry", model.label, args.seed, args.samples, [record])
+    return [(f"symmetry:{args.field}", is_symmetry(family, Y, points, tolerance=tol))], {}
 
 
-def _cmd_check_pseudosymmetry(model: LoadedModel, args) -> Report:
+def _cmd_check_pseudosymmetry(model: LoadedModel, args) -> tuple[list, dict]:
     family = _evolution_family(model, args.evolution)
     Y = _named_field(model, args.field)
     Z = _named_family(model, args.against) if args.against else family
     points = _sample(model, args)
     tol = BRACKET_TOLERANCE if args.tol is None else args.tol
-    verdict = solve_pseudosymmetry(family, Y, Z, points, tolerance=tol)
-    record = _record_from_verdict(f"pseudosymmetry:{args.field}", verdict)
-    return Report("check pseudosymmetry", model.label, args.seed, args.samples, [record])
+    check, _lam = solve_pseudosymmetry(family, Y, Z, points, tolerance=tol)
+    return [(f"pseudosymmetry:{args.field}", check)], {}
 
 
-def _cmd_check_cartan(model: LoadedModel, args) -> Report:
+def _cmd_check_cartan(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "check cartan")
     Y = _named_field(model, args.field)
     points = _sample(model, args)
-    verdict = is_cartan_symmetry(system, Y, points, tolerance=args.tol)
-    record = _record_from_verdict(f"cartan:{args.field}", verdict)
-    return Report("check cartan", model.label, args.seed, args.samples, [record])
+    check = is_cartan_symmetry(system, Y, points, tolerance=args.tol)
+    return [(f"cartan:{args.field}", check)], {}
 
 
-def _cmd_solve_evolution(model: LoadedModel, args) -> Report:
+def _cmd_solve_evolution(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "solve evolution")
     at = _point(args.at, model.chart, "--at")
     tol = EVOLUTION_TOLERANCE if args.tol is None else args.tol
@@ -653,40 +605,32 @@ def _cmd_solve_evolution(model: LoadedModel, args) -> Report:
     try:
         solution = solver(system, at)
     except (SingularHessianError, InconsistentSystemError) as exc:
-        record = CheckRecord(
-            "solve", "evolution-residual", tol, float("inf"),
-            tuple(map(float, at)), False, {"error": str(exc)},
-        )
-        return Report("solve evolution", model.label, args.seed, args.samples, [record])
+        failed = Check("evolution-residual", False, math.inf, tol, at, {"error": str(exc)})
+        return [("solve", failed)], {}
     family = KVectorField(
         model.chart,
         [VectorField(model.chart, [Num(float(c)) for c in row]) for row in solution],
     )
-    residual = float(verify_evolution(system, family, [at]))
-    record = CheckRecord(
-        "solve", "evolution-residual", tol, residual, tuple(map(float, at)), residual <= tol
-    )
-    extra = {"at": [float(c) for c in at], "solution": solution.tolist()}
-    return Report("solve evolution", model.label, args.seed, args.samples, [record], extra)
+    residuals = evolution_residuals(system, family, [at])
+    check = residual_check("evolution-residual", residuals, [at], tol)
+    return [("solve", check)], {"at": [float(c) for c in at], "solution": solution.tolist()}
 
 
-def _cmd_verify_evolution(model: LoadedModel, args) -> Report:
+def _cmd_verify_evolution(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "verify evolution")
     family = _evolution_family(model, args.against or args.evolution)
     points = _sample(model, args)
     tol = EVOLUTION_TOLERANCE if args.tol is None else args.tol
     residuals = evolution_residuals(system, family, points)
-    record = _sampled_record("evolution", "evolution-residual", residuals, points, tol)
-    return Report("verify evolution", model.label, args.seed, args.samples, [record])
+    return [("evolution", residual_check("evolution-residual", residuals, points, tol))], {}
 
 
-def _cmd_verify_law(model: LoadedModel, args) -> Report:
+def _cmd_verify_law(model: LoadedModel, args) -> tuple[list, dict]:
     law = _named_law(model, args.law)
     family = _evolution_family(model, args.against or args.evolution)
     points = _sample(model, args)
     tol = LAW_TOLERANCE if args.tol is None else args.tol
-    record = _law_record(f"law:{args.law}", family, law, points, tol)
-    return Report("verify law", model.label, args.seed, args.samples, [record])
+    return [(f"law:{args.law}", _law_check(family, law, points, tol))], {}
 
 
 def _integrate(model: LoadedModel, args):
@@ -697,87 +641,64 @@ def _integrate(model: LoadedModel, args):
         values *= args.T / args.h + 1.0  # overflows to inf, never raises
     _check_budget(f"a grid with --T {args.T:g} --h {args.h:g}", values)
     try:
-        return family, integrate_section(family, origin, args.T, args.h)
+        return integrate_section(family, origin, args.T, args.h)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from None
 
 
-def _commutation_record(grid, tol: float) -> CheckRecord:
-    return CheckRecord(
-        "commutation",
-        "commutation",
-        tol,
-        float(grid.commutation_residual),
-        tuple(map(float, grid.origin)),
-        grid.commutation_residual <= tol,
-    )
+def _integration_failure(exc: SectionIntegrationError) -> tuple[list, dict]:
+    return [("integration", Check("section", False, math.inf, 0.0, (), {"error": str(exc)}))], {}
 
 
-def _cmd_verify_divergence(model: LoadedModel, args) -> Report:
+def _commutation_check(grid, tol: float) -> Check:
+    residual = grid.commutation_residual
+    return Check("commutation", residual <= tol, residual, tol, grid.origin)
+
+
+def _cmd_verify_divergence(model: LoadedModel, args) -> tuple[list, dict]:
     law = _named_law(model, args.law)
     try:
-        _family, grid = _integrate(model, args)
+        grid = _integrate(model, args)
     except SectionIntegrationError as exc:
-        record = CheckRecord(
-            "integration", "section", 0.0, float("inf"), (), False, {"error": str(exc)}
-        )
-        return Report("verify divergence", model.label, args.seed, args.samples, [record])
+        return _integration_failure(exc)
     tol = DIVERGENCE_TOLERANCE if args.tol is None else args.tol
-    report = verify_law_divergence(law, grid)
-    records = [
-        _commutation_record(grid, DIVERGENCE_TOLERANCE),
-        CheckRecord(
-            f"divergence:{args.law}",
-            "divergence",
-            tol,
-            float(report.max_residual),
-            tuple(map(float, report.witness_point)),
-            report.max_residual <= tol,
-            {
-                "scale_constant": report.scale_constant,
-                "witness_t": [float(t) for t in report.witness_t],
-            },
-        ),
+    checks = [
+        ("commutation", _commutation_check(grid, COMMUTATION_TOLERANCE)),
+        (f"divergence:{args.law}", verify_law_divergence(law, grid, tol)),
     ]
-    extra = {"grid_shape": list(grid.shape)}
-    return Report("verify divergence", model.label, args.seed, args.samples, records, extra)
+    return checks, {"grid_shape": list(grid.shape)}
 
 
-def _cmd_integrate_section(model: LoadedModel, args) -> Report:
+def _cmd_integrate_section(model: LoadedModel, args) -> tuple[list, dict]:
     try:
-        _family, grid = _integrate(model, args)
+        grid = _integrate(model, args)
     except SectionIntegrationError as exc:
-        record = CheckRecord(
-            "integration", "section", 0.0, float("inf"), (), False, {"error": str(exc)}
-        )
-        return Report("integrate section", model.label, args.seed, args.samples, [record])
-    records = [_commutation_record(grid, DIVERGENCE_TOLERANCE if args.tol is None else args.tol)]
+        return _integration_failure(exc)
+    tol = COMMUTATION_TOLERANCE if args.tol is None else args.tol
     extra = {"grid_shape": list(grid.shape)}
     if args.out:
         export_grid_csv(grid, args.out)
         extra["csv_rows"] = int(np.prod(grid.shape))
-    return Report("integrate section", model.label, args.seed, args.samples, records, extra)
+    return [("commutation", _commutation_check(grid, tol))], extra
 
 
-def _cmd_build_noether(model: LoadedModel, args) -> Report:
+def _cmd_build_noether(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "build noether")
     Y = _named_field(model, args.field)
     points = _sample(model, args)
     try:
         law = build_noether_law(system, Y, points=points, tolerance=args.tol)
     except NotCartanSymmetryError as exc:
-        record = _record_from_verdict(f"cartan:{args.field}", exc.verdict)
-        return Report("build noether", model.label, args.seed, args.samples, [record])
-    records = [_record_from_verdict(f"cartan:{args.field}", law.ingredients["cartan"])]
+        return [(f"cartan:{args.field}", exc.verdict)], {}
+    checks = [(f"cartan:{args.field}", law.ingredients["cartan"])]
     family = _maybe_evolution(model)
     if family is not None:
         tol = system.default_tolerance if args.tol is None else args.tol
-        records.append(_law_record("conserved-along-evolution", family, law, points, tol))
-    extra = {"phi": _phi_sources(law)}
-    return Report("build noether", model.label, args.seed, args.samples, records, extra)
+        checks.append(("conserved-along-evolution", _law_check(family, law, points, tol)))
+    return checks, {"phi": _phi_sources(law)}
 
 
-def _cmd_build_bracket_law(model: LoadedModel, args) -> Report:
+def _cmd_build_bracket_law(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "build bracket-law")
     s_names = [s.strip() for s in args.s.split(",") if s.strip()]
     s_fields = [_named_field(model, nm) for nm in s_names]
@@ -786,14 +707,13 @@ def _cmd_build_bracket_law(model: LoadedModel, args) -> Report:
         law = build_bracket_law(system.omega, s_fields, Y)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from None
-    records = []
+    checks = []
     family = _maybe_evolution(model)
     if family is not None:
         points = _sample(model, args)
         tol = LAW_TOLERANCE if args.tol is None else args.tol
-        records.append(_law_record("conserved-along-evolution", family, law, points, tol))
-    extra = {"phi": _phi_sources(law)}
-    return Report("build bracket-law", model.label, args.seed, args.samples, records, extra)
+        checks.append(("conserved-along-evolution", _law_check(family, law, points, tol)))
+    return checks, {"phi": _phi_sources(law)}
 
 
 _HANDLERS = {
@@ -917,9 +837,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> Report:
     if args.group == "list-models":
-        return _cmd_list_models(args)
+        return Report("list-models", None, None, None, [], {"models": _list_models()})
     model = _load_from_args(args)
-    return _HANDLERS[(args.group, args.action)](model, args)
+    checks, extra = _HANDLERS[(args.group, args.action)](model, args)
+    return Report(f"{args.group} {args.action}", model.label, args.seed, args.samples, checks, extra)
 
 
 def main(argv=None) -> int:

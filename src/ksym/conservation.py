@@ -45,13 +45,15 @@ from .calculus import (
     scalar_form,
 )
 from .dynamics import FieldSystem, KVectorField
-from .expr import ChartSpace, Num, batch_evaluator, make_add, make_neg, sample_points, worst_sample
-from .symmetry import SymmetryVerdict, is_cartan_symmetry
+from .expr import (
+    ChartSpace, Check, Num, batch_evaluator, make_add, make_neg, residual_check, sample_points,
+    worst_sample,
+)
+from .symmetry import is_cartan_symmetry
 
 __all__ = [
     "ConservationLaw",
     "NumericLawComponent",
-    "MomentumConverseVerdict",
     "NotCartanSymmetryError",
     "user_law",
     "build_bracket_law",
@@ -67,7 +69,7 @@ PROVENANCES = ("bracket-law", "noether", "user")
 class NotCartanSymmetryError(ValueError):
     """The candidate field failed the Cartan check gating the construction."""
 
-    def __init__(self, verdict: SymmetryVerdict):
+    def __init__(self, verdict: Check):
         super().__init__(
             "field is not a Cartan symmetry: residual "
             f"{verdict.max_residual:.3e} at {verdict.witness}"
@@ -257,28 +259,6 @@ def _pairing_form(X_single, comp, omega) -> PForm:
     return form_sub(interior_product(X_single, omega), _differential(comp))
 
 
-@dataclass(frozen=True)
-class MomentumConverseVerdict:
-    """Three-way diagnosis of whether a law is induced by a Cartan symmetry."""
-
-    pairing_residual: float
-    law_residual: float
-    cartan: SymmetryVerdict
-    tolerance: float
-
-    @property
-    def pairing_holds(self) -> bool:
-        return self.pairing_residual <= self.tolerance
-
-    @property
-    def law_holds(self) -> bool:
-        return self.law_residual <= self.tolerance
-
-    @property
-    def noether_induced(self) -> bool:
-        return self.pairing_holds and self.law_holds and self.cartan.holds
-
-
 def check_momentum_converse(
     sys: FieldSystem,
     X_single: VectorField,
@@ -286,11 +266,13 @@ def check_momentum_converse(
     X: KVectorField,
     points,
     tolerance: float | None = None,
-) -> MomentumConverseVerdict:
+) -> tuple[Check, Check, Check]:
     """Test the biconditional linking a law to a generating Cartan symmetry.
 
-    (a) i_{X_single} omega_A = d Phi_A for every A, (b) the law holds along
-    X, (c) X_single is a Cartan symmetry of the system.
+    Returns three checks: (a) "pairing", i_{X_single} omega_A = d Phi_A for
+    every A, (b) "law-pointwise", the law holds along X, (c) "cartan",
+    X_single is a Cartan symmetry of the system.  The law is induced by
+    X_single (Noether-induced) iff all three hold.
     """
     if X_single.chart != sys.chart or law.chart != sys.chart:
         raise ChartMismatchError("ingredients live on different charts")
@@ -299,12 +281,6 @@ def check_momentum_converse(
         _pairing_form(X_single, comp, omega) for comp, omega in zip(law.components, sys.omega)
     ]
     exprs = [e for form in pairing_forms for e in form.components.values()]
-    pairing = worst_sample(max_abs(exprs, points))[0]
-    law_residual = verify_law_pointwise(X, law, points)
-    cartan = is_cartan_symmetry(sys, X_single, points, tol)
-    return MomentumConverseVerdict(
-        pairing_residual=pairing,
-        law_residual=law_residual,
-        cartan=cartan,
-        tolerance=tol,
-    )
+    pairing = residual_check("pairing", max_abs(exprs, points), points, tol)
+    conserved = residual_check("law-pointwise", law_residuals(X, law, points), points, tol)
+    return pairing, conserved, is_cartan_symmetry(sys, X_single, points, tol)

@@ -32,10 +32,10 @@ from .calculus import (
 )
 from .expr import (
     ChartSpace,
+    Check,
     Expression,
     Func,
     batch_evaluator,
-    compiled_evaluator,
     make_add,
     make_neg,
     parse_expression,
@@ -45,7 +45,6 @@ from .expr import (
 __all__ = [
     "FieldSystem",
     "KVectorField",
-    "RegularityReport",
     "SingularHessianError",
     "InconsistentSystemError",
     "build_system",
@@ -198,14 +197,6 @@ def build_system(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    regular: bool
-    min_abs_det: float
-    witness: np.ndarray
-    tolerance: float = REGULARITY_DET_TOL
-
-
 def _fiber_hessian_evaluators(system: FieldSystem):
     key = "fiber_hessian"
     if key not in system._cache:
@@ -219,8 +210,15 @@ def _fiber_hessian_evaluators(system: FieldSystem):
     return system._cache[key]
 
 
-def check_regularity(system: FieldSystem, points) -> RegularityReport:
-    """Invertibility of the fiber Hessian of L across the sample points."""
+def check_regularity(
+    system: FieldSystem, points, tolerance: float = REGULARITY_DET_TOL
+) -> Check:
+    """Invertibility of the fiber Hessian of L across the sample points.
+
+    Regular iff min |det| > tolerance, strictly.  The check reports it as
+    max_residual = -min |det| against -tolerance, so a larger residual is
+    still worse; holds keeps the strict comparison.
+    """
     if system.kind != "lagrangian":
         raise ValueError("regularity applies to Lagrangian systems")
     rows = _fiber_hessian_evaluators(system)
@@ -231,8 +229,8 @@ def check_regularity(system: FieldSystem, points) -> RegularityReport:
             M[:, a, b] = fn(points)
     dets = np.abs(np.linalg.det(M))
     at = int(np.argmin(dets))  # the first NaN, if any
-    best = float(dets[at])
-    return RegularityReport(regular=best > REGULARITY_DET_TOL, min_abs_det=best, witness=points[at])
+    det = float(dets[at])
+    return Check("regularity", det > tolerance, -det, -tolerance, points[at], {"min_abs_det": det})
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,7 @@ def _target_gradient_evaluators(system: FieldSystem):
     if key not in system._cache:
         expr = system.target.expr
         system._cache[key] = [
-            compiled_evaluator(expr.diff(i)) for i in range(system.chart.dimension)
+            batch_evaluator(expr.diff(i)) for i in range(system.chart.dimension)
         ]
     return system._cache[key]
 
@@ -257,7 +255,7 @@ def _omega_matrix_entries(system: FieldSystem):
         entries = []
         for omega in system.omega:
             entries.append(
-                [(i, j, compiled_evaluator(expr)) for (i, j), expr in omega.components.items()]
+                [(i, j, batch_evaluator(expr)) for (i, j), expr in omega.components.items()]
             )
         system._cache[key] = entries
     return system._cache[key]
@@ -275,16 +273,16 @@ def solve_evolution_hamiltonian(system: FieldSystem, point) -> np.ndarray:
     chart = system.chart
     N = chart.dimension
     k = system.k
-    point = np.asarray(point, dtype=float)
+    batch = np.asarray(point, dtype=float)[None]  # one-row batch for the kernels
 
     # row c of the system: sum_A sum_b W_A[b, c] (X_A)^b = (dH)_c
     M = np.zeros((N, k * N))
     for A, entries in enumerate(_omega_matrix_entries(system)):
         for i, j, fn in entries:
-            w = fn(point)
+            w = fn(batch)[0]
             M[j, A * N + i] += w
             M[i, A * N + j] -= w
-    b = np.array([fn(point) for fn in _target_gradient_evaluators(system)])
+    b = np.array([fn(batch)[0] for fn in _target_gradient_evaluators(system)])
 
     solution, *_ = np.linalg.lstsq(M, b, rcond=RCOND)
     residual = float(np.max(np.abs(M @ solution - b))) if N else 0.0
@@ -299,7 +297,7 @@ def _lagrangian_row_evaluators(system: FieldSystem):
         chart = system.chart
         n, k = system.n, system.k
         L = system.function.expr
-        dLdx = [compiled_evaluator(L.diff(chart.base_index(i))) for i in range(1, n + 1)]
+        dLdx = [batch_evaluator(L.diff(chart.base_index(i))) for i in range(1, n + 1)]
         dLdv = {}
         for A in range(1, k + 1):
             for i in range(1, n + 1):
@@ -308,9 +306,9 @@ def _lagrangian_row_evaluators(system: FieldSystem):
         hess = {}
         for (A, i), e in dLdv.items():
             for j in range(1, n + 1):
-                mixed[(A, i, j)] = compiled_evaluator(e.diff(chart.base_index(j)))
+                mixed[(A, i, j)] = batch_evaluator(e.diff(chart.base_index(j)))
                 for B in range(1, k + 1):
-                    hess[(A, i, B, j)] = compiled_evaluator(e.diff(chart.fiber_index(B, j)))
+                    hess[(A, i, B, j)] = batch_evaluator(e.diff(chart.fiber_index(B, j)))
         system._cache[key] = (dLdx, mixed, hess)
     return system._cache[key]
 
@@ -328,11 +326,13 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
     chart = system.chart
     n, k = system.n, system.k
     point = np.asarray(point, dtype=float)
+    batch = point[None]  # one-row batch for the kernels
 
-    report = check_regularity(system, [point])
-    if not report.regular:
+    regularity = check_regularity(system, batch)
+    if not regularity.holds:
         raise SingularHessianError(
-            f"fiber Hessian is singular at the point (|det| = {report.min_abs_det:.3e})"
+            "fiber Hessian is singular at the point "
+            f"(|det| = {regularity.extra['min_abs_det']:.3e})"
         )
 
     dLdx, mixed, hess = _lagrangian_row_evaluators(system)
@@ -348,12 +348,12 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
 
     for i in range(1, n + 1):
         row = i - 1
-        rhs = dLdx[i - 1](point)
+        rhs = dLdx[i - 1](batch)[0]
         for A in range(1, k + 1):
             for j in range(1, n + 1):
-                rhs -= mixed[(A, i, j)](point) * point[chart.fiber_index(A, j)]
+                rhs -= mixed[(A, i, j)](batch)[0] * point[chart.fiber_index(A, j)]
                 for B in range(1, k + 1):
-                    M[row, unknown(A, B, j)] += hess[(A, i, B, j)](point)
+                    M[row, unknown(A, B, j)] += hess[(A, i, B, j)](batch)[0]
         b[row] = rhs
 
     row = n

@@ -11,19 +11,23 @@ identities, and flattening of nested sums and products.  There is no
 canonical polynomial form; callers that need equality of values check it
 at sample points.
 
-Sampled checks evaluate through ``batch_evaluator``: each expression is
-compiled once into a numpy kernel over an (m, N) array of points.  Rows
-the kernel cannot settle in IEEE arithmetic (a floating-point exception in
-the batch, or a non-finite value) are redone one at a time on the scalar
-path, ``compiled_evaluator``, whose domain errors come from the exact
-interpretive ``Expression.evaluate``.
+Every evaluation goes through ``batch_evaluator``: each expression is
+compiled once into a numpy kernel over an (m, N) array of points (a single
+point is a one-row batch).  Rows the kernel cannot settle in IEEE
+arithmetic (a floating-point exception in the batch, or a non-finite
+value) are redone one at a time on the exact interpretive
+``Expression.evaluate``, whose domain errors name the failing
+subexpression.
+
+Every sampled claim ends in one ``Check``: the worst residual over the
+points, its witness, and whether it is within tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -54,11 +58,12 @@ __all__ = [
     "parse_expression",
     "to_source",
     "differentiate",
-    "compiled_evaluator",
     "batch_evaluator",
     "validate_on_chart",
     "sample_points",
     "worst_sample",
+    "Check",
+    "residual_check",
     "ExprError",
     "ExprSyntaxError",
     "UnknownIdentifierError",
@@ -874,21 +879,20 @@ def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: numpy kernels over point arrays (sampled checks,
-# grids) and the scalar path they fall back to (single points, RK4 steps)
+# compiled evaluation: numpy kernels over point arrays
 # ---------------------------------------------------------------------------
 
 _NUMPY_IMPL = {name: getattr(np, name) for name in FUNCTIONS}
 
-# distinct expressions kept compiled per path; one command on a bundled model
-# compiles fewer than ten
+# distinct expressions kept compiled; one command on a bundled model compiles
+# fewer than ten
 COMPILE_CACHE_SIZE = 1024
 
 
-def _compile(e: Expression, functions: dict) -> Callable:
-    """``lambda P: <e>`` over ``functions``.  Literals are bound by name in
-    its namespace, so inf and nan need no spelling."""
-    namespace = {**functions, "__builtins__": {}}
+def _compile(e: Expression) -> Callable:
+    """``lambda P: <e>`` over numpy's functions.  Literals are bound by name
+    in its namespace, so inf and nan need no spelling."""
+    namespace = {**_NUMPY_IMPL, "__builtins__": {}}
 
     def source(e: Expression) -> str:
         if isinstance(e, Num):
@@ -915,35 +919,17 @@ def _compile(e: Expression, functions: dict) -> Callable:
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def compiled_evaluator(e: Expression) -> Callable:
-    """Compile to a Python callable on one point.  Falls back to the
-    interpretive path on domain failures so the rich error (or IEEE
-    infinity) is preserved."""
-    fast = _compile(e, _FUNC_IMPL)
-
-    def call(point, _fast=fast, _e=e):
-        if isinstance(point, np.ndarray):
-            point = point.tolist()  # Python floats raise where numpy scalars warn
-        try:
-            return _fast(point)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return _e.evaluate(point)
-
-    return call
-
-
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def batch_evaluator(e: Expression) -> Callable:
     """Compile to a numpy kernel mapping an (m, N) point array to m values.
 
     The batch raises on division by zero, invalid operations and overflow
     (an infinite intermediate divides by zero without a flag).  Then every
-    row is redone on the scalar path; otherwise only the non-finite rows
-    are.  So a finite value agrees with ``compiled_evaluator`` to round-off,
-    any other is the scalar one, and the first bad row raises the same
-    ``EvaluationDomainError``, or gives NaN with ``strict=False``.
+    row is redone by ``Expression.evaluate``; otherwise only the non-finite
+    rows are.  So a finite value agrees with it to round-off, any other is
+    its value, and the first bad row raises its ``EvaluationDomainError``,
+    or gives NaN with ``strict=False``.
     """
-    fast = _compile(e, _NUMPY_IMPL)
+    fast = _compile(e)
 
     def kernel(points, strict: bool = True, _fast=fast, _e=e) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -956,15 +942,13 @@ def batch_evaluator(e: Expression) -> Callable:
             redo = np.flatnonzero(~np.isfinite(values))
         except ArithmeticError:  # numpy's FloatingPointError, or Python's on literals
             values, redo = np.empty(m), range(m)
-        if len(redo):
-            scalar = compiled_evaluator(_e)
-            for i in redo:
-                try:
-                    values[i] = scalar(points[i])
-                except EvaluationDomainError:
-                    if strict:
-                        raise
-                    values[i] = math.nan
+        for i in redo:
+            try:
+                values[i] = _e.evaluate(points[i])
+            except EvaluationDomainError:
+                if strict:
+                    raise
+                values[i] = math.nan
         return values
 
     return kernel
@@ -1018,3 +1002,27 @@ def worst_sample(residuals) -> tuple[float, int]:
         return 0.0, 0
     at = int(np.argmax(residuals))
     return float(residuals[at]), at
+
+
+@dataclass(frozen=True, eq=False)
+class Check:
+    """The verdict on one claim: its worst residual against a tolerance, the
+    point where it occurs, and the extra report entries, as printed."""
+
+    kind: str
+    holds: bool
+    max_residual: float
+    tolerance: float
+    witness: np.ndarray
+    extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "witness", np.asarray(self.witness, dtype=float))
+
+
+def residual_check(kind: str, residuals, points, tolerance: float, **extra) -> Check:
+    """Holds iff the worst of the per-point ``residuals`` is within
+    ``tolerance`` (never on NaN); the witness is that point."""
+    top, at = worst_sample(residuals)
+    witness = points[at] if len(residuals) else ()
+    return Check(kind, top <= tolerance, top, tolerance, witness, extra)

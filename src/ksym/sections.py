@@ -13,11 +13,15 @@ node is computed exactly once.
 
 For commuting component fields the composition order is immaterial up to
 integration error; the pairwise commutation residual is attached to every
-grid so downstream tolerances can widen when it is not.
+grid so downstream tolerances can widen when it is not.  Integrability and
+the divergence of a law over a grid are each returned as one
+``expr.Check``; ``export_grid_csv`` writes a grid with a single
+``np.savetxt`` over the stacked (t, values) rows.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -26,12 +30,12 @@ import numpy as np
 from .calculus import ChartMismatchError, lie_bracket, max_abs
 from .conservation import ConservationLaw
 from .dynamics import KVectorField
-from .expr import ChartSpace, EvaluationDomainError, batch_evaluator, worst_sample
+from .expr import (
+    ChartSpace, Check, EvaluationDomainError, batch_evaluator, residual_check, worst_sample,
+)
 
 __all__ = [
-    "IntegrabilityReport",
     "SectionGrid",
-    "DivergenceReport",
     "SectionIntegrationError",
     "check_integrability",
     "integrate_section",
@@ -40,18 +44,11 @@ __all__ = [
 ]
 
 COMMUTATION_TOLERANCE = 1e-8
+DIVERGENCE_TOLERANCE = 1e-8
 
 
 class SectionIntegrationError(RuntimeError):
     """A flow left the expression domain or blew up mid-integration."""
-
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    integrable: bool
-    max_residual: float
-    tolerance: float
-    witness: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +81,9 @@ def _commutation_residuals(X: KVectorField, points) -> np.ndarray:
 
 def check_integrability(
     X: KVectorField, points, tolerance: float = COMMUTATION_TOLERANCE
-) -> IntegrabilityReport:
+) -> Check:
     """Max over samples of |[X_A, X_B]| components, A < B."""
-    points = np.asarray(points, dtype=float)
-    worst, at = worst_sample(_commutation_residuals(X, points))
-    return IntegrabilityReport(worst <= tolerance, worst, tolerance, points[at])
+    return residual_check("commutation", _commutation_residuals(X, points), points, tolerance)
 
 
 def _per_axis(value, k: int, name: str) -> tuple[float, ...]:
@@ -172,6 +167,8 @@ def integrate_section(
     for a in range(k):
         if not (0.0 < h[a] < np.inf and 0.0 <= T[a] < np.inf):
             raise ValueError("ranges must be finite and nonnegative, steps finite and positive")
+        if not T[a] / h[a] < np.inf:
+            raise ValueError(f"axis {a + 1}: range {T[a]} over step {h[a]} overflows")
         m = int(round(T[a] / h[a])) if T[a] else 0
         if abs(m * h[a] - T[a]) > 1e-9 * max(1.0, abs(T[a])):
             raise ValueError(
@@ -209,21 +206,15 @@ def integrate_section(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DivergenceReport:
-    max_residual: float
-    scale_constant: float
-    steps: tuple[float, ...]
-    witness_t: tuple[float, ...]
-    witness_point: np.ndarray
-
-
-def verify_law_divergence(law: ConservationLaw, grid: SectionGrid) -> DivergenceReport:
+def verify_law_divergence(
+    law: ConservationLaw, grid: SectionGrid, tolerance: float = DIVERGENCE_TOLERANCE
+) -> Check:
     """Max over interior nodes of |sum_A d(Phi_A o psi)/dt^A|.
 
     Derivatives are second-order central differences per axis, so a true
     conservation law leaves a residual of order h^2; the implied constant
-    is reported as scale_constant = residual / max(h)^2.
+    is reported as scale_constant = residual / max(h)^2, beside the grid
+    times witness_t of the witness node.
     """
     if law.chart != grid.chart:
         raise ChartMismatchError("law lives on a different chart")
@@ -247,35 +238,29 @@ def verify_law_divergence(law: ConservationLaw, grid: SectionGrid) -> Divergence
         total += (phi[A][upper] - phi[A][lower]) / (2.0 * grid.steps[A])
 
     residual = np.abs(total)
-    worst_flat = int(np.argmax(residual))
-    worst_idx = np.unravel_index(worst_flat, residual.shape)
-    node_idx = tuple(i + 1 for i in worst_idx)
-    h_max = max(grid.steps)
-    top = float(residual[worst_idx])
-    return DivergenceReport(
-        max_residual=top,
-        scale_constant=top / h_max**2,
-        steps=grid.steps,
-        witness_t=tuple(float(grid.axes[a][node_idx[a]]) for a in range(k)),
-        witness_point=grid.values[node_idx],
+    top, at = worst_sample(residual.ravel())
+    node = tuple(int(i) + 1 for i in np.unravel_index(at, residual.shape))
+    return Check(
+        "divergence",
+        top <= tolerance,
+        top,
+        tolerance,
+        grid.values[node],
+        {
+            "scale_constant": top / max(grid.steps) ** 2,
+            "witness_t": [float(grid.axes[a][node[a]]) for a in range(k)],
+        },
     )
 
 
 def export_grid_csv(grid: SectionGrid, target) -> None:
-    """Write the grid row-major: columns t_1..t_k then the chart coordinates."""
-    close = False
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        handle = open(target, "w", encoding="utf-8", newline="\n")
-        close = True
-    else:
-        handle = target
-    try:
-        header = [f"t_{a + 1}" for a in range(grid.k)] + list(grid.chart.coordinate_names)
-        handle.write(",".join(header) + "\n")
-        for idx in np.ndindex(*grid.shape):
-            ts = [grid.axes[a][idx[a]] for a in range(grid.k)]
-            row = list(ts) + list(grid.values[idx])
-            handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if close:
-            handle.close()
+    """Write the grid row-major: columns t_1..t_k then the chart coordinates.
+
+    ``target`` is a path (str, bytes or path-like) or an open text file.
+    """
+    if isinstance(target, (str, bytes, os.PathLike)):
+        target = os.fsdecode(target)  # np.savetxt takes no bytes paths
+    header = [f"t_{a + 1}" for a in range(grid.k)] + list(grid.chart.coordinate_names)
+    times = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)
+    rows = np.concatenate([times, grid.values], axis=-1).reshape(-1, len(header))
+    np.savetxt(target, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")

@@ -1,7 +1,7 @@
 """Symmetry detection for families of vector fields.
 
-Four checks, all sampled over a point set and reported through one verdict
-type:
+Four checks, each sampled over a point set and returned as one
+``expr.Check``:
 
   * plain symmetry          [X_A, Y] = 0 for every A
   * generalized symmetry    [X_A, Y] = sum_B lambda_A^B Z_B, coefficients
@@ -10,15 +10,14 @@ type:
                             system's driving scalar
   * invariant form family   L_{X_A} omega_A = 0, paired per copy
 
-The lambda coefficients are returned as sampled values; a low-degree
-polynomial fit is attempted purely for reporting and never affects the
-verdict.
+The lambda coefficients are returned beside the check as sampled values; a
+low-degree polynomial fit is attempted purely for reporting and never
+affects the verdict.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,10 +32,11 @@ from .calculus import (
     max_abs,
 )
 from .dynamics import FieldSystem, KVectorField
-from .expr import ChartSpace, Coord, Num, make_add, make_mul, make_pow, to_source, worst_sample
+from .expr import (
+    ChartSpace, Check, Coord, Num, make_add, make_mul, make_pow, residual_check, to_source,
+)
 
 __all__ = [
-    "SymmetryVerdict",
     "is_symmetry",
     "solve_pseudosymmetry",
     "is_cartan_symmetry",
@@ -48,47 +48,15 @@ FIT_TOLERANCE = 1e-8
 FIT_DEGREE = 2
 
 
-@dataclass(frozen=True)
-class SymmetryVerdict:
-    """Outcome of one sampled symmetry check; holds iff the worst residual
-    is within tolerance."""
-
-    kind: str
-    holds: bool
-    max_residual: float
-    tolerance: float
-    witness: np.ndarray
-    lambda_samples: np.ndarray | None = None
-    lambda_fit: tuple | None = None
-    lambda_fit_residual: float | None = None
-    rank_deficient_points: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "witness", np.asarray(self.witness, dtype=float))
-
-
-def _verdict(kind, residuals, points, tolerance, **extra) -> SymmetryVerdict:
-    top, worst = worst_sample(residuals)
-    witness = np.asarray(points[worst] if len(residuals) else (), dtype=float)
-    return SymmetryVerdict(
-        kind=kind,
-        holds=top <= tolerance,
-        max_residual=top,
-        tolerance=tolerance,
-        witness=witness,
-        **extra,
-    )
-
-
 def is_symmetry(
     X: KVectorField, Y: VectorField, points, tolerance: float = BRACKET_TOLERANCE
-) -> SymmetryVerdict:
+) -> Check:
     """Does Y commute with every component field of X on the samples?"""
     if Y.chart != X.chart:
         raise ChartMismatchError("field lives on a different chart")
     brackets = [lie_bracket(Xa, Y) for Xa in X]
     residuals = max_abs((c for br in brackets for c in br.components), points)
-    return _verdict("symmetry", residuals, points, tolerance)
+    return residual_check("symmetry", residuals, points, tolerance)
 
 
 def solve_pseudosymmetry(
@@ -99,19 +67,21 @@ def solve_pseudosymmetry(
     tolerance: float = BRACKET_TOLERANCE,
     fit_degree: int = FIT_DEGREE,
     fit_tolerance: float = FIT_TOLERANCE,
-) -> SymmetryVerdict:
+) -> tuple[Check, np.ndarray]:
     """Solve [X_A, Y] = sum_B lambda_A^B Z_B pointwise by least squares.
 
-    A rank-deficient Z at a sample is not an error: the minimum-norm
+    Returns the check and the (m, k, k) sampled coefficients.  A
+    rank-deficient Z at a sample is not an error: the minimum-norm
     coefficients are still defined (an all-zero Z reduces the check to plain
-    symmetry with lambda = 0).  Such sample indices are reported.
+    symmetry with lambda = 0).  How many samples were rank deficient is
+    reported.
     """
     if Y.chart != X.chart or Z.chart != X.chart:
         raise ChartMismatchError("fields live on different charts")
     k = len(X)
     n_pts = len(points)
     Zmats = np.stack([Zb.evaluate_batch(points) for Zb in Z], axis=-1)  # (m, N, k)
-    rank_deficient = np.flatnonzero(np.linalg.matrix_rank(Zmats) < k)
+    rank_deficient = int(np.count_nonzero(np.linalg.matrix_rank(Zmats) < k))
     brackets = [lie_bracket(Xa, Y).evaluate_batch(points) for Xa in X]  # k of (m, N)
     lam = np.zeros((n_pts, k, k))
     residuals = np.zeros(n_pts)
@@ -123,22 +93,15 @@ def solve_pseudosymmetry(
             lam[pi, a] = sol
             worst = max(worst, float(np.max(np.abs(Zmat @ sol - br[pi]))))
         residuals[pi] = worst
-    fit, fit_residual = _fit_lambda(X.chart, points, lam, fit_degree, fit_tolerance)
-    return _verdict(
-        "pseudosymmetry",
-        residuals,
-        points,
-        tolerance,
-        lambda_samples=lam,
-        lambda_fit=fit,
-        lambda_fit_residual=fit_residual,
-        rank_deficient_points=tuple(int(i) for i in rank_deficient),
-    )
+    extra = _fit_lambda(X.chart, points, lam, fit_degree, fit_tolerance)
+    if rank_deficient:
+        extra["rank_deficient_points"] = rank_deficient
+    return residual_check("pseudosymmetry", residuals, points, tolerance, **extra), lam
 
 
 def is_cartan_symmetry(
     sys: FieldSystem, Y: VectorField, points, tolerance: float | None = None
-) -> SymmetryVerdict:
+) -> Check:
     """Does Y preserve every two-form of the system and its driving scalar?"""
     if Y.chart != sys.chart:
         raise ChartMismatchError("field lives on a different chart")
@@ -147,7 +110,7 @@ def is_cartan_symmetry(
     lies = [lie_derivative_form(Y, w) for w in sys.omega]
     exprs = [directional_derivative(Y, sys.target.expr)]
     exprs += [e for form in lies for e in form.components.values()]
-    return _verdict("cartan", max_abs(exprs, points), points, tolerance)
+    return residual_check("cartan", max_abs(exprs, points), points, tolerance)
 
 
 def is_invariant_form(
@@ -155,7 +118,7 @@ def is_invariant_form(
     omegas: Sequence[PForm],
     points,
     tolerance: float = BRACKET_TOLERANCE,
-) -> SymmetryVerdict:
+) -> Check:
     """Per-copy invariance: L_{X_A} omega_A = 0 for every A."""
     if len(omegas) != len(X):
         raise ValueError(
@@ -166,7 +129,7 @@ def is_invariant_form(
             raise ChartMismatchError("form lives on a different chart")
     lies = [lie_derivative_form(Xa, w) for Xa, w in zip(X, omegas)]
     residuals = max_abs((e for form in lies for e in form.components.values()), points)
-    return _verdict("invariant-form", residuals, points, tolerance)
+    return residual_check("invariant-form", residuals, points, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +167,12 @@ def _render_polynomial(chart: ChartSpace, exponents, coefficients) -> str:
     return to_source(make_add(*terms)) if terms else "0"
 
 
-def _fit_lambda(chart, points, lam, degree, fit_tolerance):
+def _fit_lambda(chart, points, lam, degree, fit_tolerance) -> dict:
+    """Report entries lambda_fit (rows of polynomial sources, None where the
+    fit misses) and lambda_fit_residual; none for no samples."""
     n_pts, k, _ = lam.shape
     if n_pts == 0:
-        return None, None
+        return {}
     exponents = _monomial_exponents(chart.dimension, degree)
     pts = np.asarray(points, dtype=float)
     design = np.empty((n_pts, len(exponents)))
@@ -230,5 +195,5 @@ def _fit_lambda(chart, points, lam, degree, fit_tolerance):
                 if deviation <= fit_tolerance
                 else None
             )
-        rows.append(tuple(row))
-    return tuple(rows), worst
+        rows.append(row)
+    return {"lambda_fit": rows, "lambda_fit_residual": worst}

@@ -34,7 +34,6 @@ from ksym.dynamics import KVectorField, solve_evolution_hamiltonian, verify_evol
 from ksym.expr import (
     Num,
     base_chart,
-    compiled_evaluator,
     differentiate,
     parse_expression,
     sample_points,
@@ -100,13 +99,14 @@ def test_criterion_03_rescaling_pseudosymmetry_constant():
     X = _family(model, "X")
     radial = model.fields["radial"]
     # [X, radial] = -X exactly, so every sample solves with lambda = -1
-    verdict = solve_pseudosymmetry(X, radial, X, _points(model.chart))
-    worst = float(np.max(np.abs(verdict.lambda_samples + 1.0)))
+    verdict, lam = solve_pseudosymmetry(X, radial, X, _points(model.chart))
+    worst = float(np.max(np.abs(lam + 1.0)))
+    fit = verdict.extra["lambda_fit"]
     _record(
         3,
         "radial field is a pseudosymmetry with constant coefficient -1",
-        verdict.holds and worst <= 1e-9 and verdict.lambda_fit == (("-1",),),
-        f"max |lambda + 1| = {worst:.2e}, fitted {verdict.lambda_fit[0][0]!r}",
+        verdict.holds and worst <= 1e-9 and fit == [["-1"]],
+        f"max |lambda + 1| = {worst:.2e}, fitted {fit[0][0]!r}",
     )
 
 
@@ -137,7 +137,7 @@ def test_criterion_04_noether_momenta_match_expected_formulas():
         law = build_noether_law(model.system, model.fields[field_name], points=points)
         origin = np.zeros(model.chart.dimension)
         for comp, source in zip(law.components, formulas):
-            expected = compiled_evaluator(parse_expression(source, model.chart))
+            expected = parse_expression(source, model.chart).evaluate
             shift = comp.evaluate(origin) - expected(origin)
             diff = max(
                 abs((comp.evaluate(p) - shift) - expected(p)) for p in points
@@ -160,13 +160,13 @@ def test_criterion_05_main_theorem_end_to_end():
     points = _points(model.chart)
 
     symmetry = is_symmetry(X, Y, points, tolerance=1e-10)
-    pseudo = solve_pseudosymmetry(X, S, KVectorField.repeat(Y, 2), points, tolerance=1e-9)
+    pseudo, _lam = solve_pseudosymmetry(X, S, KVectorField.repeat(Y, 2), points, tolerance=1e-9)
     forms = is_invariant_form(X, system.omega, points, tolerance=1e-10)
 
     law = build_bracket_law(system.omega, [S], Y)
     # bilinear expansion of omega_A(Delta, d/dx) gives exactly -v_A
     oracle = [
-        compiled_evaluator(parse_expression(src, model.chart))
+        parse_expression(src, model.chart).evaluate
         for src in ("-v_1_1", "-v_2_1")
     ]
     oracle_worst = max(
@@ -229,9 +229,9 @@ def test_criterion_07_oracle_equivalence(fd):
             exprs.extend(comp.expr for comp in law.components)
         points = _points(model.chart, count=16)
         for expr in exprs:
-            fn = compiled_evaluator(expr)
+            fn = expr.evaluate
             for i in range(model.chart.dimension):
-                sym = compiled_evaluator(differentiate(expr, i, model.chart))
+                sym = differentiate(expr, i, model.chart).evaluate
                 for p in points:
                     expected = sym(p)
                     rel = abs(fd(fn, p, i) - expected) / max(1.0, abs(expected))
@@ -321,7 +321,7 @@ def test_criterion_09_classical_anchor():
 
     X = _family(model, "X")
     grid = integrate_section(X, np.array([1.0, 0.0]), 1.0, 1e-3)
-    energy = compiled_evaluator(system.function.expr)
+    energy = system.function.expr.evaluate
     start = energy(grid.values[0])
     drift = max(abs(energy(v) - start) for v in grid.values)
     _record(

@@ -418,6 +418,22 @@ def test_failing_check_exits_1(capsys):
     assert main(["check", "symmetry", "--model", "nahm", "--field", "radial"]) == 1
 
 
+def test_regularity_at_zero_tolerance_stays_strict(tmp_path, capsys):
+    # the fiber Hessian of a Lagrangian linear in velocity vanishes: |det| = 0
+    # is not > 0, so the check fails even though -0.0 <= -0.0
+    path = write_model(
+        tmp_path, "[model]\nname = m\nkind = lagrangian\nn = 1\nk = 1\nfunction = v_1_1 + x_1^2\n"
+    )
+    code, out = run_cli(
+        ["check", "regularity", "--model", str(path), "--tol", "0", "--format", "json"], capsys
+    )
+    assert code == 1
+    assert '"pass": false' in out
+    (check,) = json.loads(out)["checks"]
+    assert check["min_abs_det"] == 0.0
+    assert math.copysign(1.0, check["tol"]) == math.copysign(1.0, check["max_residual"]) == -1.0
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["check", "--help"]) == 0

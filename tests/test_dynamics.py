@@ -106,8 +106,8 @@ def test_kvector_field_arity_and_repeat():
 def test_regularity_string_constant_hessian():
     sys = string_system(sigma=2.0, tau=3.0)
     report = check_regularity(sys, sample_points(sys.chart, count=8, seed=5))
-    assert report.regular
-    assert report.min_abs_det == pytest.approx(6.0, abs=1e-12)
+    assert report.holds
+    assert report.extra["min_abs_det"] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_regularity_coupled_quadratic_model():
@@ -117,28 +117,28 @@ def test_regularity_coupled_quadratic_model():
     )
     sys = build_system("lagrangian", 2, 2, src, {"lam": 1.0, "nu": 1.0})
     report = check_regularity(sys, sample_points(sys.chart, count=8, seed=6))
-    assert report.regular
+    assert report.holds
     # nu^2 ((lam + 2 nu)^2 - (lam + nu)^2) at lam = nu = 1
-    assert report.min_abs_det == pytest.approx(5.0, abs=1e-12)
+    assert report.extra["min_abs_det"] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_regularity_sqrt_model_bounded_below():
     sys = build_system("lagrangian", 1, 2, "sqrt(1 + v_1_1^2 + v_2_1^2)")
     pts = sample_points(sys.chart, count=64, seed=7)
     report = check_regularity(sys, pts)
-    assert report.regular
+    assert report.holds
     # determinant is (1 + |v|^2)^-2, at least 1/9 on the unit box
-    assert 1.0 / 9.0 - 1e-9 <= report.min_abs_det <= 1.0
+    assert 1.0 / 9.0 - 1e-9 <= report.extra["min_abs_det"] <= 1.0
     w = report.witness
     expected = (1.0 + w[1] ** 2 + w[2] ** 2) ** -2
-    assert report.min_abs_det == pytest.approx(expected, rel=1e-12)
+    assert report.extra["min_abs_det"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_regularity_rejects_linear_lagrangian():
     sys = build_system("lagrangian", 1, 1, "v_1_1")
     report = check_regularity(sys, sample_points(sys.chart, count=4, seed=8))
-    assert not report.regular
-    assert report.min_abs_det == 0.0
+    assert not report.holds
+    assert report.extra["min_abs_det"] == 0.0
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
@@ -146,8 +146,8 @@ def test_regularity_fails_on_a_nan_determinant():
     sys = build_system("lagrangian", 1, 1, "(1 + x_1^2)*v_1_1^2/2")
     points = [np.array([0.5, 0.1]), np.array([np.nan, 0.2]), np.array([0.0, 0.3])]
     report = check_regularity(sys, points)
-    assert not report.regular
-    assert np.isnan(report.min_abs_det)
+    assert not report.holds
+    assert np.isnan(report.extra["min_abs_det"])
     assert np.isnan(report.witness[0])
 
 

@@ -22,7 +22,6 @@ from ksym.expr import (
     UnknownIdentifierError,
     base_chart,
     batch_evaluator,
-    compiled_evaluator,
     cotangent_chart,
     differentiate,
     make_add,
@@ -397,29 +396,14 @@ def test_zero_to_negative_power_domain_error():
         e.evaluate([0.0])
 
 
-def test_compiled_evaluator_matches_interpreter():
-    chart = tangent_chart(1, 2)
-    e = parse_expression("tau*(sigma*v_1_1^2 + tau*v_2_1^2)", chart, {"sigma": 1, "tau": 1})
-    fast = compiled_evaluator(e)
-    for point in sample_points(chart, count=32, seed=11):
-        assert fast(point) == e.evaluate(point)
-
-
-def test_compiled_evaluator_preserves_domain_errors():
-    chart = base_chart(1)
-    e = parse_expression("log(x_1)", chart)
-    fast = compiled_evaluator(e)
-    with pytest.raises(EvaluationDomainError):
-        fast([-1.0])
-
-
 def test_non_finite_literals_compile_and_print():
     x = Coord(0, "x_1")
     for value in (math.inf, -math.inf, math.nan):
         e = make_mul(Num(value), x)
         assert to_source(Num(value)) == repr(value)
-        assert math.isnan(compiled_evaluator(e)([0.0]))  # inf * 0
-        assert compiled_evaluator(e)([1.0]) == pytest.approx(value, nan_ok=True)
+        values = batch_evaluator(e)(np.array([[0.0], [1.0]]))
+        assert math.isnan(values[0])  # inf * 0
+        assert values[1] == pytest.approx(value, nan_ok=True)
     assert parse_expression("1e308*10*x_1", base_chart(1)) == make_mul(Num(math.inf), x)
 
 
@@ -429,10 +413,10 @@ def test_non_finite_literals_compile_and_print():
 
 
 def _scalar_rows(e, points):
-    """Values on the scalar path row by row, or the error of its first bad row."""
-    fast = compiled_evaluator(e)
+    """Values on the interpretive path row by row, or the error of its first
+    bad row."""
     try:
-        return np.array([fast(p) for p in points], dtype=float), None
+        return np.array([e.evaluate(p) for p in points], dtype=float), None
     except (EvaluationDomainError, ValueError) as exc:
         return None, exc
 
@@ -471,14 +455,14 @@ def test_batch_kernel_raises_the_scalar_domain_error(source, x, reason):
     e = parse_expression(source, base_chart(1))
     points = np.array([[0.5], [x], [2.0]])
     with pytest.raises(EvaluationDomainError) as scalar:
-        compiled_evaluator(e)(points[1])
+        e.evaluate(points[1])
     with pytest.raises(EvaluationDomainError) as batch:
         batch_evaluator(e)(points)
     assert batch.value.reason == scalar.value.reason == reason
     assert batch.value.subexpression == scalar.value.subexpression
     relaxed = batch_evaluator(e)(points, strict=False)
     assert math.isnan(relaxed[1])
-    assert relaxed[0] == pytest.approx(compiled_evaluator(e)(points[0]), rel=1e-15)
+    assert relaxed[0] == pytest.approx(e.evaluate(points[0]), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
