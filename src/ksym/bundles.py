@@ -26,9 +26,11 @@ from .expr import (
     Num,
     batch_evaluator,
     cotangent_chart,
+    fold,
     make_add,
     make_mul,
     make_neg,
+    rebuild,
     tangent_chart,
 )
 
@@ -53,30 +55,13 @@ def transplant(expr: Expression, target: ChartSpace) -> Expression:
     Used to read base-chart expressions on a bundle chart (base coordinates
     come first with the same names) and vice versa for projections.
     """
-    if isinstance(expr, Coord):
-        return Coord(target.index_of(expr.name), expr.name)
-    if isinstance(expr, Num):
-        return expr
-    children = expr.children()
-    if not children:
-        return expr
-    rebuilt = [transplant(c, target) for c in children]
-    cls = type(expr)
-    from .expr import Add, Div, Func, Mul, Neg, Pow
 
-    if cls is Add:
-        return Add(tuple(rebuilt))
-    if cls is Mul:
-        return Mul(tuple(rebuilt))
-    if cls is Div:
-        return Div(rebuilt[0], rebuilt[1])
-    if cls is Neg:
-        return Neg(rebuilt[0])
-    if cls is Pow:
-        return Pow(rebuilt[0], expr.exponent)
-    if cls is Func:
-        return Func(expr.name, rebuilt[0])
-    raise TypeError(f"cannot transplant {expr!r}")
+    def rule(e: Expression, children: list) -> Expression:
+        if isinstance(e, Coord):
+            return Coord(target.index_of(e.name), e.name)
+        return rebuild(e, children)
+
+    return fold(expr, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -514,19 +514,15 @@ def _evolution_family(model: LoadedModel, names_csv: str | None) -> KVectorField
     return family
 
 
-def _point(text: str | None, chart: ChartSpace, flag: str) -> np.ndarray:
-    if text is None:
+def _point(values: np.ndarray | None, chart: ChartSpace, flag: str) -> np.ndarray:
+    if values is None:
         return np.zeros(chart.dimension)
-    try:
-        values = [float(s) for s in text.split(",")]
-    except ValueError:
-        raise CliUsageError(f"{flag} wants comma separated numbers, got {text!r}") from None
     if len(values) != chart.dimension:
         raise CliUsageError(
             f"{flag} needs {chart.dimension} values, one per coordinate "
             f"({', '.join(chart.coordinate_names)})"
         )
-    return np.asarray(values, dtype=float)
+    return values
 
 
 def _law_check(X: KVectorField, law: ConservationLaw, points, tol: float) -> Check:
@@ -657,6 +653,8 @@ def _commutation_check(grid, tol: float) -> Check:
 
 def _cmd_verify_divergence(model: LoadedModel, args) -> tuple[list, dict]:
     law = _named_law(model, args.law)
+    if args.T / args.h < 1.5:  # round(T / h) + 1 nodes per axis
+        raise CliUsageError("verify divergence needs at least 3 grid nodes per axis: --T >= 2 * --h")
     try:
         grid = _integrate(model, args)
     except SectionIntegrationError as exc:
@@ -753,8 +751,19 @@ def _number(convert, low: float, strict: bool = False):
     return parse
 
 
+def _coordinates(text: str) -> np.ndarray:
+    """An argparse type: comma separated finite numbers."""
+    try:
+        values = np.array([float(s) for s in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"wants comma separated numbers, got {text!r}") from None
+    if not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError(f"must be finite numbers, got {text!r}")
+    return values
+
+
 def _grid_arguments(p) -> None:
-    p.add_argument("--origin", help="comma separated start point (default: origin)")
+    p.add_argument("--origin", type=_coordinates, help="comma separated start point (default: origin)")
     p.add_argument("--T", type=_number(float, 0.0), default=0.5, help="integration span per axis")
     p.add_argument("--h", type=_number(float, 0.0, strict=True), default=1 / 128, help="grid spacing per axis")
 
@@ -799,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = top.add_parser("solve", help="solve the evolution equation")
     solve_sub = solve.add_subparsers(dest="action", required=True)
     p = solve_sub.add_parser("evolution", parents=[common], help="minimum-norm solution at a point")
-    p.add_argument("--at", help="comma separated chart point (default: origin)")
+    p.add_argument("--at", type=_coordinates, help="comma separated chart point (default: origin)")
 
     verify = top.add_parser("verify", help="residual checks")
     verify_sub = verify.add_subparsers(dest="action", required=True)

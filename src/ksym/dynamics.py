@@ -33,9 +33,9 @@ from .calculus import (
 from .expr import (
     ChartSpace,
     Check,
-    Expression,
     Func,
     batch_evaluator,
+    fold,
     make_add,
     make_neg,
     parse_expression,
@@ -136,20 +136,11 @@ class FieldSystem:
     def default_tolerance(self) -> float:
         """1e-8 on polynomial data, relaxed to 1e-6 when the model involves
         non-polynomial functions (square roots and friends)."""
-        return 1e-6 if _has_func(self.function.expr) else 1e-8
+        has_func = fold(self.function.expr, lambda node, kids: isinstance(node, Func) or any(kids))
+        return 1e-6 if has_func else 1e-8
 
     def fiber_slots(self) -> list[int]:
         return list(self.chart.fiber_indices)
-
-
-def _has_func(e: Expression) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Func):
-            return True
-        stack.extend(node.children())
-    return False
 
 
 def build_system(

@@ -1,10 +1,15 @@
 """Symbolic scalar expressions over named coordinate charts.
 
 Every partial derivative taken anywhere in the package bottoms out in the
-exact AST derivatives implemented here.  Expressions are immutable trees
-over real literals, chart coordinates, the four arithmetic operations,
-unary negation, integer powers, and a small set of analytic functions
-(sqrt, sin, cos, exp, log).
+exact AST derivatives implemented here.  Expressions are immutable trees,
+possibly sharing subtrees, over real literals, chart coordinates, the four
+arithmetic operations, unary negation, integer powers, and a small set of
+analytic functions (sqrt, sin, cos, exp, log).
+
+Every walk -- simplifying, printing, differentiating, compiling, moving to
+another chart -- is one iterative ``fold`` that visits each node once,
+after its children; hashing and equality do not recurse either.  Only the
+parser recurses, with its nesting depth capped.
 
 Simplification is deliberately conservative: constant folding, 0/1
 identities, and flattening of nested sums and products.  There is no
@@ -12,12 +17,11 @@ canonical polynomial form; callers that need equality of values check it
 at sample points.
 
 Every evaluation goes through ``batch_evaluator``: each expression is
-compiled once into a numpy kernel over an (m, N) array of points (a single
-point is a one-row batch).  Rows the kernel cannot settle in IEEE
-arithmetic (a floating-point exception in the batch, or a non-finite
-value) are redone one at a time on the exact interpretive
-``Expression.evaluate``, whose domain errors name the failing
-subexpression.
+compiled once into a straight-line numpy kernel, one statement per
+structurally unique node, over an (m, N) array of points (a single point is
+a one-row batch).  Rows the kernel cannot settle in IEEE arithmetic are
+rerun through a checked copy of the same statements, which names the first
+subexpression, in scalar evaluation order, that left its domain.
 
 Every sampled claim ends in one ``Check``: the worst residual over the
 points, its witness, and whether it is within tolerance.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -48,6 +52,8 @@ __all__ = [
     "Pow",
     "Func",
     "FUNCTIONS",
+    "fold",
+    "rebuild",
     "make_add",
     "make_mul",
     "make_div",
@@ -218,18 +224,37 @@ def cotangent_chart(n: int, k: int) -> ChartSpace:
 
 
 class Expression:
-    """Immutable AST node.  Subclasses are structural value types."""
+    """Immutable AST node.  Subclasses are structural value types; each node
+    caches its hash at construction, so hashing never walks the tree."""
 
-    __slots__ = ()
-
-    def diff(self, index: int) -> "Expression":
-        raise NotImplementedError
-
-    def evaluate(self, point) -> float:
-        raise NotImplementedError
+    __slots__ = ("_hash",)
+    _key = ()  # the data beside the children (value, name, exponent)
 
     def children(self) -> tuple["Expression", ...]:
         return ()
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        # structural, pair by pair without recursion; a pair met twice in a
+        # shared DAG is compared once
+        pending, seen = [(self, other)], set()
+        while pending:
+            a, b = pending.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash or a._key != b._key:
+                return False
+            ca, cb = a.children(), b.children()
+            if len(ca) != len(cb):
+                return False
+            seen.add((id(a), id(b)))
+            pending.extend(zip(ca, cb))
+        return True
+
+    def diff(self, index: int) -> "Expression":
+        return differentiate(self, index)
 
     # arithmetic sugar so geometric code reads like the formulas it implements
     def __add__(self, other):
@@ -278,44 +303,22 @@ def _coerce(value) -> Expression:
 
 
 class Num(Expression):
-    __slots__ = ("value",)
+    __slots__ = ("value", "_key")
 
     def __init__(self, value: float):
         self.value = float(value)
-
-    def diff(self, index: int) -> Expression:
-        return Num(0.0)
-
-    def evaluate(self, point) -> float:
-        return self.value
-
-    def __eq__(self, other):
-        return type(other) is Num and (
-            self.value == other.value or (self.value != self.value and other.value != other.value)
-        )
-
-    def __hash__(self):
-        return hash((Num, self.value))
+        self._key = (self.value,) if self.value == self.value else ("nan",)  # NaNs are equal
+        self._hash = hash(self._key)
 
 
 class Coord(Expression):
-    __slots__ = ("index", "name")
+    __slots__ = ("index", "name", "_key")
 
     def __init__(self, index: int, name: str):
         self.index = int(index)
         self.name = name
-
-    def diff(self, index: int) -> Expression:
-        return Num(1.0) if index == self.index else Num(0.0)
-
-    def evaluate(self, point) -> float:
-        return float(point[self.index])
-
-    def __eq__(self, other):
-        return type(other) is Coord and self.index == other.index and self.name == other.name
-
-    def __hash__(self):
-        return hash((Coord, self.index, self.name))
+        self._key = (self.index, name)
+        self._hash = hash(self._key)
 
 
 class Add(Expression):
@@ -323,24 +326,10 @@ class Add(Expression):
 
     def __init__(self, terms: tuple[Expression, ...]):
         self.terms = terms
+        self._hash = hash((Add, terms))
 
     def children(self):
         return self.terms
-
-    def diff(self, index: int) -> Expression:
-        return make_add(*[t.diff(index) for t in self.terms])
-
-    def evaluate(self, point) -> float:
-        total = 0.0
-        for t in self.terms:
-            total += t.evaluate(point)
-        return total
-
-    def __eq__(self, other):
-        return type(other) is Add and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((Add, self.terms))
 
 
 class Mul(Expression):
@@ -348,30 +337,10 @@ class Mul(Expression):
 
     def __init__(self, factors: tuple[Expression, ...]):
         self.factors = factors
+        self._hash = hash((Mul, factors))
 
     def children(self):
         return self.factors
-
-    def diff(self, index: int) -> Expression:
-        terms = []
-        for pos, factor in enumerate(self.factors):
-            dfactor = factor.diff(index)
-            rest = list(self.factors)
-            rest[pos] = dfactor
-            terms.append(make_mul(*rest))
-        return make_add(*terms)
-
-    def evaluate(self, point) -> float:
-        total = 1.0
-        for f in self.factors:
-            total *= f.evaluate(point)
-        return total
-
-    def __eq__(self, other):
-        return type(other) is Mul and self.factors == other.factors
-
-    def __hash__(self):
-        return hash((Mul, self.factors))
 
 
 class Div(Expression):
@@ -380,31 +349,10 @@ class Div(Expression):
     def __init__(self, numerator: Expression, denominator: Expression):
         self.numerator = numerator
         self.denominator = denominator
+        self._hash = hash((Div, numerator._hash, denominator._hash))
 
     def children(self):
         return (self.numerator, self.denominator)
-
-    def diff(self, index: int) -> Expression:
-        u, v = self.numerator, self.denominator
-        du, dv = u.diff(index), v.diff(index)
-        num = make_add(make_mul(du, v), make_neg(make_mul(u, dv)))
-        return make_div(num, make_pow(v, 2))
-
-    def evaluate(self, point) -> float:
-        den = self.denominator.evaluate(point)
-        if den == 0.0:
-            raise EvaluationDomainError("division by zero", to_source(self))
-        return self.numerator.evaluate(point) / den
-
-    def __eq__(self, other):
-        return (
-            type(other) is Div
-            and self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        return hash((Div, self.numerator, self.denominator))
 
 
 class Neg(Expression):
@@ -412,112 +360,72 @@ class Neg(Expression):
 
     def __init__(self, arg: Expression):
         self.arg = arg
+        self._hash = hash((Neg, arg._hash))
 
     def children(self):
         return (self.arg,)
-
-    def diff(self, index: int) -> Expression:
-        return make_neg(self.arg.diff(index))
-
-    def evaluate(self, point) -> float:
-        return -self.arg.evaluate(point)
-
-    def __eq__(self, other):
-        return type(other) is Neg and self.arg == other.arg
-
-    def __hash__(self):
-        return hash((Neg, self.arg))
 
 
 class Pow(Expression):
     """Integer power.  The exponent is data, not a child expression."""
 
-    __slots__ = ("base", "exponent")
+    __slots__ = ("base", "exponent", "_key")
 
     def __init__(self, base: Expression, exponent: int):
         self.base = base
         self.exponent = int(exponent)
+        self._key = (self.exponent,)
+        self._hash = hash((Pow, base._hash, self.exponent))
 
     def children(self):
         return (self.base,)
 
-    def diff(self, index: int) -> Expression:
-        dbase = self.base.diff(index)
-        return make_mul(Num(float(self.exponent)), make_pow(self.base, self.exponent - 1), dbase)
 
-    def evaluate(self, point) -> float:
-        base = self.base.evaluate(point)
-        try:
-            return base**self.exponent
-        except ZeroDivisionError:
-            raise EvaluationDomainError("division by zero", to_source(self)) from None
-        except OverflowError:
-            sign = 1.0 if (base > 0 or self.exponent % 2 == 0) else -1.0
-            return sign * math.inf
-
-    def __eq__(self, other):
-        return type(other) is Pow and self.exponent == other.exponent and self.base == other.base
-
-    def __hash__(self):
-        return hash((Pow, self.base, self.exponent))
-
-
-FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
-
-_FUNC_IMPL: dict[str, Callable[[float], float]] = {
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-}
+FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")  # named alike in math and numpy
 
 
 class Func(Expression):
-    __slots__ = ("name", "arg")
+    __slots__ = ("name", "arg", "_key")
 
     def __init__(self, name: str, arg: Expression):
-        if name not in _FUNC_IMPL:
+        if name not in FUNCTIONS:
             raise ValueError(f"unknown function '{name}'")
         self.name = name
         self.arg = arg
+        self._key = (name,)
+        self._hash = hash((Func, name, arg._hash))
 
     def children(self):
         return (self.arg,)
 
-    def diff(self, index: int) -> Expression:
-        u = self.arg
-        du = u.diff(index)
-        if self.name == "sqrt":
-            return make_div(du, make_mul(Num(2.0), make_func("sqrt", u)))
-        if self.name == "sin":
-            return make_mul(make_func("cos", u), du)
-        if self.name == "cos":
-            return make_neg(make_mul(make_func("sin", u), du))
-        if self.name == "exp":
-            return make_mul(make_func("exp", u), du)
-        return make_div(du, u)  # log
 
-    def evaluate(self, point) -> float:
-        value = self.arg.evaluate(point)
-        if self.name == "sqrt" and value < 0.0:
-            raise EvaluationDomainError("square root of a negative number", to_source(self))
-        if self.name == "log" and value <= 0.0:
-            raise EvaluationDomainError("logarithm of a non-positive number", to_source(self))
-        try:
-            return _FUNC_IMPL[self.name](value)
-        except OverflowError:
-            return math.inf
-        except ValueError:  # sin and cos of an infinite argument
-            raise EvaluationDomainError(
-                f"{self.name} of an infinite number", to_source(self)
-            ) from None
+# ---------------------------------------------------------------------------
+# the one walk
+# ---------------------------------------------------------------------------
 
-    def __eq__(self, other):
-        return type(other) is Func and self.name == other.name and self.arg == other.arg
 
-    def __hash__(self):
-        return hash((Func, self.name, self.arg))
+def fold(root: Expression, rule: Callable):
+    """``rule(node, results)`` applied bottom-up, where ``results`` holds the
+    rule's values for the node's children in order; returns the root's value.
+
+    Each node of a shared DAG is visited once, after its children, with an
+    explicit stack, so no walk costs more than the number of distinct nodes
+    and no depth reaches Python's recursion limit.
+    """
+    done = {}  # id(node) -> result
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            done[id(node)] = rule(node, [done[id(c)] for c in node.children()])
+        elif id(node) not in done:
+            children = node.children()
+            if children:
+                stack.append((node, True))
+                stack += [(c, False) for c in reversed(children)]
+            else:
+                done[id(node)] = rule(node, [])
+    return done[id(root)]
 
 
 # ---------------------------------------------------------------------------
@@ -608,31 +516,72 @@ def make_pow(base: Expression, exponent: int) -> Expression:
 
 
 def make_func(name: str, arg: Expression) -> Expression:
-    if isinstance(arg, Num):
+    if isinstance(arg, Num) and name in FUNCTIONS:
         try:
-            return Num(_FUNC_IMPL[name](arg.value))
+            return Num(getattr(math, name)(arg.value))
         except (ValueError, OverflowError):
             pass  # fold only when in domain; defer errors to evaluation
     return Func(name, arg)
 
 
+def rebuild(e: Expression, children, smart: bool = False) -> Expression:
+    """``e`` with its children replaced: through the raw constructors, or
+    through the smart ones when ``smart``.  Leaves come back unchanged."""
+    t = type(e)
+    if t is Add:
+        return make_add(*children) if smart else Add(tuple(children))
+    if t is Mul:
+        return make_mul(*children) if smart else Mul(tuple(children))
+    if t is Div:
+        return (make_div if smart else Div)(*children)
+    if t is Neg:
+        return (make_neg if smart else Neg)(*children)
+    if t is Pow:
+        return (make_pow if smart else Pow)(children[0], e.exponent)
+    if t is Func:
+        return (make_func if smart else Func)(e.name, children[0])
+    return e
+
+
 def simplify(e: Expression) -> Expression:
     """Rebuild through the smart constructors.  Idempotent node-for-node."""
-    if isinstance(e, (Num, Coord)):
-        return e
-    if isinstance(e, Add):
-        return make_add(*[simplify(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return make_mul(*[simplify(f) for f in e.factors])
-    if isinstance(e, Div):
-        return make_div(simplify(e.numerator), simplify(e.denominator))
-    if isinstance(e, Neg):
-        return make_neg(simplify(e.arg))
-    if isinstance(e, Pow):
-        return make_pow(simplify(e.base), e.exponent)
-    if isinstance(e, Func):
-        return make_func(e.name, simplify(e.arg))
-    raise TypeError(f"not an expression: {e!r}")
+    return fold(e, lambda node, children: rebuild(node, children, smart=True))
+
+
+def _derivative_rule(index: int) -> Callable:
+    """The fold rule for d/d(slot ``index``): each node's derivative from its
+    children's derivatives ``d``."""
+
+    def rule(e: Expression, d: list) -> Expression:
+        t = type(e)
+        if t is Num:
+            return Num(0.0)
+        if t is Coord:
+            return Num(1.0) if e.index == index else Num(0.0)
+        if t is Add:
+            return make_add(*d)
+        if t is Mul:
+            f = e.factors
+            return make_add(*[make_mul(*f[:i], di, *f[i + 1:]) for i, di in enumerate(d)])
+        if t is Div:
+            (u, v), (du, dv) = e.children(), d
+            return make_div(make_add(make_mul(du, v), make_neg(make_mul(u, dv))), make_pow(v, 2))
+        if t is Neg:
+            return make_neg(d[0])
+        if t is Pow:
+            return make_mul(Num(float(e.exponent)), make_pow(e.base, e.exponent - 1), d[0])
+        u, du = e.arg, d[0]
+        if e.name == "sqrt":
+            return make_div(du, make_mul(Num(2.0), make_func("sqrt", u)))
+        if e.name == "sin":
+            return make_mul(make_func("cos", u), du)
+        if e.name == "cos":
+            return make_neg(make_mul(make_func("sin", u), du))
+        if e.name == "exp":
+            return make_mul(make_func("exp", u), du)
+        return make_div(du, u)  # log
+
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -646,72 +595,61 @@ _PREC_NEG = 4
 _PREC_ATOM = 5
 
 
-def _prec(e: Expression) -> int:
-    if isinstance(e, Num):
-        return _PREC_ATOM if e.value >= 0.0 else _PREC_NEG
-    if isinstance(e, (Coord, Func)):
-        return _PREC_ATOM
-    if isinstance(e, Add):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Pow):
-        return _PREC_POW
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def _fmt_num(v: float) -> str:
     if math.isfinite(v) and v == math.floor(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
 
+def _wrap(printed: tuple, min_prec: int):
+    text, prec = printed[0], printed[1]
+    return ("(", text, ")") if prec < min_prec else text
+
+
+def _print_rule(e: Expression, kids: list) -> tuple:
+    """(text, precedence, printed argument of a Neg).  Text is a tree of
+    string tuples, joined once at the end, so printing stays linear."""
+    t = type(e)
+    if t is Num:
+        return _fmt_num(e.value), _PREC_ATOM if e.value >= 0.0 else _PREC_NEG, None
+    if t is Coord:
+        return e.name, _PREC_ATOM, None
+    if t is Add:
+        parts = [_wrap(kids[0], _PREC_ADD)]
+        for term, printed in zip(e.terms[1:], kids[1:]):
+            if type(term) is Neg:
+                parts.append((" - ", _wrap(printed[2], _PREC_MUL)))
+            else:
+                parts.append((" + ", _wrap(printed, _PREC_ADD)))
+        return tuple(parts), _PREC_ADD, None
+    if t is Mul:
+        parts = [_wrap(kids[0], _PREC_MUL)]
+        for factor, printed in zip(e.factors[1:], kids[1:]):
+            if type(factor) is Div:
+                parts.append((" * (", printed[0], ")"))
+            else:
+                parts.append((" * ", _wrap(printed, _PREC_MUL)))
+        return tuple(parts), _PREC_MUL, None
+    if t is Div:
+        return (_wrap(kids[0], _PREC_MUL), " / ", _wrap(kids[1], _PREC_POW)), _PREC_MUL, None
+    if t is Neg:
+        return ("-", _wrap(kids[0], _PREC_ATOM)), _PREC_NEG, kids[0]
+    if t is Pow:
+        return (_wrap(kids[0], _PREC_ATOM), "^", str(e.exponent)), _PREC_POW, None
+    return (e.name, "(", kids[0][0], ")"), _PREC_ATOM, None  # Func
+
+
 def to_source(e: Expression) -> str:
     """Render to text in the input grammar.  Reparsing the result yields a
     structurally identical AST (checked by the round-trip tests)."""
-    if isinstance(e, Num):
-        return _fmt_num(e.value)
-    if isinstance(e, Coord):
-        return e.name
-    if isinstance(e, Add):
-        parts = [_wrap(e.terms[0], _PREC_ADD)]
-        for term in e.terms[1:]:
-            if isinstance(term, Neg):
-                parts.append(" - " + _wrap(term.arg, _PREC_MUL))
-            else:
-                parts.append(" + " + _wrap(term, _PREC_ADD))
-        return "".join(parts)
-    if isinstance(e, Mul):
-        parts = [_wrap(e.factors[0], _PREC_MUL)]
-        for factor in e.factors[1:]:
-            if isinstance(factor, Div) or _prec(factor) < _PREC_MUL:
-                parts.append(" * (" + to_source(factor) + ")")
-            else:
-                parts.append(" * " + to_source(factor))
-        return "".join(parts)
-    if isinstance(e, Div):
-        left = _wrap(e.numerator, _PREC_MUL)
-        if _prec(e.denominator) <= _PREC_MUL:
-            right = "(" + to_source(e.denominator) + ")"
+    out, stack = [], [fold(e, _print_rule)[0]]
+    while stack:
+        part = stack.pop()
+        if type(part) is str:
+            out.append(part)
         else:
-            right = to_source(e.denominator)
-        return left + " / " + right
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _PREC_ATOM)
-    if isinstance(e, Pow):
-        return _wrap(e.base, _PREC_ATOM) + "^" + str(e.exponent)
-    if isinstance(e, Func):
-        return f"{e.name}({to_source(e.arg)})"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _wrap(e: Expression, min_prec: int) -> str:
-    text = to_source(e)
-    if _prec(e) < min_prec:
-        return "(" + text + ")"
-    return text
+            stack.extend(reversed(part))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +694,16 @@ _BP_UNARY = 40
 _BINARY_BP = {"+": _BP_ADD, "-": _BP_ADD, "*": _BP_MUL, "/": _BP_MUL, "^": _BP_POW}
 
 
+# nesting the parser accepts: it recurses one frame per level, so this stays
+# well inside Python's default recursion limit of 1000 frames
+_MAX_DEPTH = 500
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], chart: ChartSpace, parameters: dict):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.chart = chart
         self.parameters = parameters
 
@@ -784,7 +728,32 @@ class _Parser:
         return e
 
     def parse_expr(self, min_bp: int) -> Expression:
-        left = self.parse_prefix()
+        tok = self.advance()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels", tok.offset)
+        if tok.kind == "num":
+            left = Num(float(tok.text))
+        elif tok.kind == "op" and tok.text == "-":
+            left = make_neg(self.parse_expr(_BP_UNARY))
+        elif tok.kind == "op" and tok.text == "(":
+            left = self.parse_expr(0)
+            self.expect(")")
+        elif tok.kind == "ident" and self.peek().text == "(":
+            if tok.text not in FUNCTIONS:
+                raise UnknownIdentifierError(tok.text, tok.offset)
+            self.advance()
+            arg = self.parse_expr(0)
+            self.expect(")")
+            left = make_func(tok.text, arg)
+        elif tok.kind == "ident" and self.chart.has_coordinate(tok.text):
+            left = self.chart.coordinate(tok.text)
+        elif tok.kind == "ident" and tok.text in self.parameters:
+            left = Num(float(self.parameters[tok.text]))
+        elif tok.kind == "ident":
+            raise UnknownIdentifierError(tok.text, tok.offset)
+        else:
+            raise ExprSyntaxError(f"unexpected token '{tok.text or '<end>'}'", tok.offset)
         while True:
             tok = self.peek()
             if tok.kind != "op" or tok.text not in _BINARY_BP:
@@ -796,7 +765,7 @@ class _Parser:
             if tok.text == "^":
                 # right-associative; exponent must reduce to an integer literal
                 rhs = self.parse_expr(bp - 1)
-                if not isinstance(rhs, Num) or rhs.value != math.floor(rhs.value):
+                if not isinstance(rhs, Num) or not rhs.value.is_integer():  # nor inf or nan
                     raise NonIntegerExponentError(tok.offset)
                 left = make_pow(left, int(rhs.value))
             elif tok.text == "+":
@@ -807,33 +776,8 @@ class _Parser:
                 left = make_mul(left, self.parse_expr(bp))
             else:
                 left = make_div(left, self.parse_expr(bp))
+        self.depth -= 1
         return left
-
-    def parse_prefix(self) -> Expression:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "op" and tok.text == "-":
-            return make_neg(self.parse_expr(_BP_UNARY))
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.parse_expr(0)
-            self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in _FUNC_IMPL:
-                    raise UnknownIdentifierError(tok.text, tok.offset)
-                self.advance()
-                arg = self.parse_expr(0)
-                self.expect(")")
-                return make_func(tok.text, arg)
-            if self.chart.has_coordinate(tok.text):
-                return self.chart.coordinate(tok.text)
-            if tok.text in self.parameters:
-                return Num(float(self.parameters[tok.text]))
-            raise UnknownIdentifierError(tok.text, tok.offset)
-        raise ExprSyntaxError(f"unexpected token '{tok.text or '<end>'}'", tok.offset)
 
 
 def parse_expression(source: str, chart: ChartSpace, parameters: dict | None = None) -> Expression:
@@ -861,25 +805,26 @@ def differentiate(e: Expression, coordinate: str | int, chart: ChartSpace | None
         if chart is None:
             raise ValueError("differentiating by name requires the chart")
         coordinate = chart.index_of(coordinate)
-    return e.diff(coordinate)
+    return fold(e, _derivative_rule(coordinate))
 
 
 def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
     """Check that each coordinate reference matches the chart by index and name."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Coord):
-            names = chart.coordinate_names
-            if not (0 <= node.index < len(names)) or names[node.index] != node.name:
-                raise ValueError(
-                    f"coordinate {node.name!r} (slot {node.index}) does not belong to the chart"
-                )
-        stack.extend(node.children())
+    names = chart.coordinate_names
+
+    def check(node, _):
+        if isinstance(node, Coord) and not (
+            0 <= node.index < len(names) and names[node.index] == node.name
+        ):
+            raise ValueError(
+                f"coordinate {node.name!r} (slot {node.index}) does not belong to the chart"
+            )
+
+    fold(e, check)
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: numpy kernels over point arrays
+# compiled evaluation: straight-line numpy kernels over point arrays
 # ---------------------------------------------------------------------------
 
 _NUMPY_IMPL = {name: getattr(np, name) for name in FUNCTIONS}
@@ -888,67 +833,130 @@ _NUMPY_IMPL = {name: getattr(np, name) for name in FUNCTIONS}
 # fewer than ten
 COMPILE_CACHE_SIZE = 1024
 
+# statement templates over the operand names and the node ``e``
+_STATEMENTS = {Div: "{0} / {1}", Neg: "-{0}", Pow: "{0} ** {e.exponent}", Func: "{e.name}({0})"}
 
-def _compile(e: Expression) -> Callable:
-    """``lambda P: <e>`` over numpy's functions.  Literals are bound by name
-    in its namespace, so inf and nan need no spelling."""
-    namespace = {**_NUMPY_IMPL, "__builtins__": {}}
+# the test on a function's argument that leaves its domain, and why
+_FUNC_DOMAINS = {
+    "sqrt": ("{} < 0", "square root of a negative number"),
+    "log": ("{} <= 0", "logarithm of a non-positive number"),
+    "sin": ("isinf({})", "sin of an infinite number"),
+    "cos": ("isinf({})", "cos of an infinite number"),
+}
 
-    def source(e: Expression) -> str:
-        if isinstance(e, Num):
-            name = f"c{len(namespace)}"
-            namespace[name] = e.value
-            return name
-        if isinstance(e, Coord):
-            return f"P[{e.index}]"
-        if isinstance(e, Add):
-            return "(" + " + ".join(source(t) for t in e.terms) + ")"
-        if isinstance(e, Mul):
-            return "(" + " * ".join(source(f) for f in e.factors) + ")"
-        if isinstance(e, Div):
-            return f"({source(e.numerator)} / {source(e.denominator)})"
-        if isinstance(e, Neg):
-            return f"(-{source(e.arg)})"
-        if isinstance(e, Pow):
-            return f"({source(e.base)})**({e.exponent})"
-        if isinstance(e, Func):
-            return f"{e.name}({source(e.arg)})"
-        raise TypeError(f"not an expression: {e!r}")
 
-    return eval("lambda P: " + source(e), namespace)
+def _first(*codes):
+    """Per row, the first of ``codes`` that is not -1."""
+    out = codes[-1]
+    for code in codes[-2::-1]:
+        out = np.where(code >= 0, code, out)
+    return out
+
+
+def _compile(e: Expression) -> tuple[Callable, Callable, list]:
+    """A straight-line kernel ``run(P)`` over the transposed points: one
+    statement per structurally unique node (``t7 = t3 * t5``, equal operations
+    on equal operands share one), each operation in the order the nested
+    expression takes it, with literals bound by name.
+
+    ``checked()`` compiles, on first use, a kernel that runs the same
+    statements and also returns, per row, the index into ``failures`` --
+    (reason, node) pairs -- of the first node in scalar evaluation order that
+    leaves its domain, or -1.  That order takes children left to right, each
+    node after its children, except that a ``Div`` tests its denominator
+    before it evaluates its numerator.
+    """
+    values, steps, failures, emitted, literals = [], [], [], {}, {}
+    namespace = {**_NUMPY_IMPL, "first": _first, "where": np.where, "isinf": np.isinf,
+                 "__builtins__": {}}
+
+    def rule(node, kids):
+        t = type(node)
+        if t is Num:  # repr keeps -0.0 apart from 0.0
+            name = literals.setdefault(repr(node.value), f"c{len(literals)}")
+            namespace[name] = np.float64(node.value)
+            return name, None
+        if t is Coord:
+            return f"P[{node.index}]", None
+        args, codes = zip(*kids)
+        op = " + " if t is Add else " * " if t is Mul else None
+        text = op.join(args) if op else _STATEMENTS[t].format(*args, e=node)
+        if text in emitted:
+            return emitted[text]
+        name = f"t{len(values)}"
+        if op:
+            lines = [f"{name} = {op.join(args[:2])}"] + [f"{name} = {name}{op}{a}" for a in args[2:]]
+        else:
+            lines = [f"{name} = {text}"]
+        values.extend(lines)
+        steps.extend(lines)
+        if t is Div or (t is Pow and node.exponent < 0):
+            domain = ("{} == 0", "division by zero")
+        else:
+            domain = _FUNC_DOMAINS.get(node.name) if t is Func else None
+        own = None
+        if domain:  # tested on the last operand: denominator, base or argument
+            own = f"where({domain[0].format(args[-1])}, {len(failures)}, -1)"
+            failures.append((domain[1], node))
+        codes = [c for c in ([codes[1], own, codes[0]] if t is Div else [*codes, own]) if c]
+        if len(codes) == 1 and own is None:
+            code = codes[0]
+        elif codes:
+            code = f"e{name}"
+            steps.append(f"{code} = first({', '.join(codes)})")
+        else:
+            code = None
+        emitted[text] = name, code
+        return name, code
+
+    root, code = fold(e, rule)
+    checked = cache(partial(_define, steps, f"{root}, {code or -1}", namespace))
+    return _define(values, root, namespace), checked, failures
+
+
+def _define(lines: list, result: str, namespace: dict) -> Callable:
+    body = "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
+    exec(f"def kernel(P):\n{body}", namespace)
+    return namespace["kernel"]
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def batch_evaluator(e: Expression) -> Callable:
     """Compile to a numpy kernel mapping an (m, N) point array to m values.
 
-    The batch raises on division by zero, invalid operations and overflow
-    (an infinite intermediate divides by zero without a flag).  Then every
-    row is redone by ``Expression.evaluate``; otherwise only the non-finite
-    rows are.  So a finite value agrees with it to round-off, any other is
-    its value, and the first bad row raises its ``EvaluationDomainError``,
-    or gives NaN with ``strict=False``.
+    The straight-line kernel runs with numpy raising on division by zero,
+    invalid operations and overflow.  If it raises, every row is rerun in
+    checked mode; otherwise only the rows it left non-finite are.  Checked
+    mode runs the same statements in IEEE arithmetic, so overflow keeps its
+    infinity, and finds per row the first node that leaves its domain: a zero
+    divisor, zero to a negative power, the square root of a negative number,
+    the logarithm of a non-positive one, sin or cos of an infinity.  The
+    first such row raises an ``EvaluationDomainError`` naming that
+    subexpression, or gives NaN with ``strict=False``.
     """
-    fast = _compile(e)
+    run, checked, failures = _compile(e)
 
-    def kernel(points, strict: bool = True, _fast=fast, _e=e) -> np.ndarray:
+    def kernel(points, strict: bool = True) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         m = len(points)
         if not m:
             return np.zeros(0)
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
-                values = np.full(m, _fast(points.T))
-            redo = np.flatnonzero(~np.isfinite(values))
-        except ArithmeticError:  # numpy's FloatingPointError, or Python's on literals
-            values, redo = np.empty(m), range(m)
-        for i in redo:
-            try:
-                values[i] = _e.evaluate(points[i])
-            except EvaluationDomainError:
-                if strict:
-                    raise
-                values[i] = math.nan
+                values = np.full(m, run(points.T))
+            rows = np.flatnonzero(~np.isfinite(values))
+        except FloatingPointError:
+            values, rows = np.empty(m), np.arange(m)
+        if not len(rows):
+            return values
+        with np.errstate(all="ignore"):
+            values[rows], codes = checked()(points[rows].T)
+        codes = np.broadcast_to(codes, rows.shape)
+        bad = np.flatnonzero(codes >= 0)
+        if len(bad) and strict:
+            reason, node = failures[codes[bad[0]]]
+            raise EvaluationDomainError(reason, to_source(node))
+        values[rows[bad]] = math.nan
         return values
 
     return kernel

@@ -40,6 +40,7 @@ from ksym.expr import (
 )
 from ksym.sections import integrate_section, verify_law_divergence
 from ksym.symmetry import is_invariant_form, is_symmetry, solve_pseudosymmetry
+from scalar_oracle import evaluator
 
 RESULTS: dict[int, tuple[bool, str]] = {}
 
@@ -137,7 +138,7 @@ def test_criterion_04_noether_momenta_match_expected_formulas():
         law = build_noether_law(model.system, model.fields[field_name], points=points)
         origin = np.zeros(model.chart.dimension)
         for comp, source in zip(law.components, formulas):
-            expected = parse_expression(source, model.chart).evaluate
+            expected = evaluator(parse_expression(source, model.chart))
             shift = comp.evaluate(origin) - expected(origin)
             diff = max(
                 abs((comp.evaluate(p) - shift) - expected(p)) for p in points
@@ -166,7 +167,7 @@ def test_criterion_05_main_theorem_end_to_end():
     law = build_bracket_law(system.omega, [S], Y)
     # bilinear expansion of omega_A(Delta, d/dx) gives exactly -v_A
     oracle = [
-        parse_expression(src, model.chart).evaluate
+        evaluator(parse_expression(src, model.chart))
         for src in ("-v_1_1", "-v_2_1")
     ]
     oracle_worst = max(
@@ -229,9 +230,9 @@ def test_criterion_07_oracle_equivalence(fd):
             exprs.extend(comp.expr for comp in law.components)
         points = _points(model.chart, count=16)
         for expr in exprs:
-            fn = expr.evaluate
+            fn = evaluator(expr)
             for i in range(model.chart.dimension):
-                sym = differentiate(expr, i, model.chart).evaluate
+                sym = evaluator(differentiate(expr, i, model.chart))
                 for p in points:
                     expected = sym(p)
                     rel = abs(fd(fn, p, i) - expected) / max(1.0, abs(expected))
@@ -321,7 +322,7 @@ def test_criterion_09_classical_anchor():
 
     X = _family(model, "X")
     grid = integrate_section(X, np.array([1.0, 0.0]), 1.0, 1e-3)
-    energy = system.function.expr.evaluate
+    energy = evaluator(system.function.expr)
     start = energy(grid.values[0])
     drift = max(abs(energy(v) - start) for v in grid.values)
     _record(

@@ -29,6 +29,7 @@ from ksym.expr import (
     sample_points,
     tangent_chart,
 )
+from scalar_oracle import evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ def test_tangent_structure_precompose_picks_fiber_slots():
     # theta_A = (dL o S^A) = dL/dv_A_1 dx_1
     assert theta1.component(chart.base_index(1)) == chart.coordinate("v_1_1")
     for p in sample_points(chart, count=8, seed=3):
-        assert theta2.component(chart.base_index(1)).evaluate(p) == pytest.approx(-p[2])
+        assert evaluate(theta2.component(chart.base_index(1)), p) == pytest.approx(-p[2])
 
 
 def test_vertical_lift_matches_structure_applied_to_tangent_lift():

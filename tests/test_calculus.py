@@ -42,6 +42,7 @@ from ksym.expr import (
     sample_points,
     tangent_chart,
 )
+from scalar_oracle import evaluate
 
 
 def _vf(chart, sources):
@@ -208,7 +209,7 @@ def test_two_form_full_contraction_matches_matrix():
         v = rng.uniform(-1, 1, size=3)
         U = VectorField(chart, tuple(Num(c) for c in u))
         V = VectorField(chart, tuple(Num(c) for c in v))
-        symbolic = apply_form(w, [U, V]).evaluate(p)
+        symbolic = evaluate(apply_form(w, [U, V]), p)
         W = two_form_matrix(w, p)
         assert symbolic == pytest.approx(u @ W @ v, rel=1e-12, abs=1e-12)
 
@@ -219,7 +220,7 @@ def test_apply_form_alternating():
     X = _vf(chart, {"x_1": "x_2", "x_2": "x_3", "x_3": "x_1"})
     same = apply_form(w, [X, X])
     for p in sample_points(chart, count=8, seed=13):
-        assert abs(same.evaluate(p)) <= 1e-14
+        assert abs(evaluate(same, p)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +280,7 @@ def test_lie_derivative_zero_form():
     f = scalar_form(ScalarField(chart, parse_expression("x_1^2", chart)))
     lf = lie_derivative_form(X, f)
     p = [0.5, 2.0]
-    assert lf.component().evaluate(p) == pytest.approx(2.0 * 0.5 * 2.0)
+    assert evaluate(lf.component(), p) == pytest.approx(2.0 * 0.5 * 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def test_potential_gradient_reproduces_form(fd):
     for p in sample_points(chart, count=12, seed=23):
         for index in range(2):
             grad = fd(g, p, index)
-            want = alpha.component(index).evaluate(p)
+            want = evaluate(alpha.component(index), p)
             assert grad == pytest.approx(want, abs=1e-6)
 
 

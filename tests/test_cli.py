@@ -383,10 +383,14 @@ def test_sine_of_an_overflowed_argument_ends_cleanly(tmp_path, capsys):
         ("--box", "nan"), ("--box", "inf"), ("--box", "0"),
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
         ("--seed", "-1"), ("--seed", "1.5"), ("--samples", "0"), ("--samples", "x"),
+        ("--origin", "0,inf,2"), ("--origin", "nan,1,2"), ("--origin", "0,1e400,2"),
+        ("--at", "1e400,2"), ("--at", "0,-inf"), ("--at", "nan,0"),
     ],
 )
 def test_invalid_numeric_flags_are_usage_errors(flag, value, capsys):
     argv = ["verify", "divergence", "--model", "free_particle", "--law", "momenta"]
+    if flag == "--at":
+        argv = ["solve", "evolution", "--model", "oscillator_k1"]
     assert main(argv + [flag, value]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -398,6 +402,48 @@ def one_dimensional_model(tmp_path) -> Path:
     return write_model(
         tmp_path, "[model]\nname = m\nkind = ode\nn = 1\nk = 1\n\n[field F]\nc_x_1 = 1\n"
     )
+
+
+@pytest.mark.parametrize("T, h", [("0", "1"), ("0.01", "0.01")])
+def test_divergence_grid_needs_three_nodes_per_axis(T, h, capsys):
+    argv = ["verify", "divergence", "--model", "free_particle", "--law", "momenta"]
+    code = main(argv + ["--T", T, "--h", h])
+    assert "at least 3 grid nodes per axis" in assert_one_error_line(code, capsys)
+
+
+def lagrangian_model(tmp_path, function: str) -> Path:
+    return write_model(
+        tmp_path, f"[model]\nname = m\nkind = lagrangian\nn = 1\nk = 1\nfunction = {function}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "function",
+    ["(" * 3000 + "x_1" + ")" * 3000, "-" * 3000 + "x_1"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_nesting_over_the_parser_cap_is_a_model_error(function, tmp_path, capsys):
+    path = lagrangian_model(tmp_path, f"v_1_1^2/2 + {function}")
+    assert main(["check", "regularity", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("model error: ") and "nested deeper than" in err
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        "x_1*(1+" * 100 + "x_1" + ")" * 100,  # Horner form nested 100 deep
+        "sin(" * 400 + "x_1" + ")" * 400,
+        " + ".join(f"x_1^{i}" for i in range(1, 3001)),
+    ],
+    ids=["horner-100", "sine-400", "sum-3000"],
+)
+def test_deep_or_wide_functions_reach_a_verdict(function, tmp_path, capsys):
+    path = lagrangian_model(tmp_path, f"v_1_1^2/2 + {function}")
+    code, out = run_cli(["check", "regularity", "--model", str(path), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["checks"][0]["pass"] is True
 
 
 def test_samples_over_the_budget_are_refused_before_sampling(tmp_path, capsys):

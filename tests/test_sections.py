@@ -20,6 +20,7 @@ from ksym.sections import (
     integrate_section,
     verify_law_divergence,
 )
+from scalar_oracle import evaluator
 
 
 def free_particle():
@@ -239,7 +240,7 @@ def per_line_march(X, origin, T, h):
     values = np.empty((m + 1,) * k + (len(origin),))
     values[(0,) * k] = origin
     for a in range(k - 1, -1, -1):
-        comps = [c.evaluate for c in X[a].components]
+        comps = [evaluator(c) for c in X[a].components]
 
         def F(p):
             return np.array([fn(p) for fn in comps])
