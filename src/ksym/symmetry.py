@@ -5,7 +5,7 @@ Four checks, each sampled over a point set and returned as one
 
   * plain symmetry          [X_A, Y] = 0 for every A
   * generalized symmetry    [X_A, Y] = sum_B lambda_A^B Z_B, coefficients
-                            solved pointwise by least squares
+                            solved at every sample by one stacked SVD
   * Cartan symmetry         L_Y omega_A = 0 for every A and Y kills the
                             system's driving scalar
   * invariant form family   L_{X_A} omega_A = 0, paired per copy
@@ -68,35 +68,40 @@ def solve_pseudosymmetry(
     fit_degree: int = FIT_DEGREE,
     fit_tolerance: float = FIT_TOLERANCE,
 ) -> tuple[Check, np.ndarray]:
-    """Solve [X_A, Y] = sum_B lambda_A^B Z_B pointwise by least squares.
+    """Solve [X_A, Y] = sum_B lambda_A^B Z_B at every sample by one SVD of
+    the stacked (m, N, k) Z matrices, for minimum-norm coefficients.
 
     Returns the check and the (m, k, k) sampled coefficients.  A
-    rank-deficient Z at a sample is not an error: the minimum-norm
-    coefficients are still defined (an all-zero Z reduces the check to plain
-    symmetry with lambda = 0).  How many samples were rank deficient is
-    reported.
+    rank-deficient Z at a sample is not an error: the coefficients are still
+    defined (an all-zero Z reduces the check to plain symmetry with
+    lambda = 0).  How many samples were rank deficient is reported.
     """
     if Y.chart != X.chart or Z.chart != X.chart:
         raise ChartMismatchError("fields live on different charts")
-    k = len(X)
-    n_pts = len(points)
     Zmats = np.stack([Zb.evaluate_batch(points) for Zb in Z], axis=-1)  # (m, N, k)
-    rank_deficient = int(np.count_nonzero(np.linalg.matrix_rank(Zmats) < k))
-    brackets = [lie_bracket(Xa, Y).evaluate_batch(points) for Xa in X]  # k of (m, N)
-    lam = np.zeros((n_pts, k, k))
-    residuals = np.zeros(n_pts)
-    # lstsq stays per point: a stacked solve changes lambda in the last bits
-    for pi, Zmat in enumerate(Zmats):
-        worst = 0.0
-        for a, br in enumerate(brackets):
-            sol, *_ = np.linalg.lstsq(Zmat, br[pi], rcond=1e-12)
-            lam[pi, a] = sol
-            worst = max(worst, float(np.max(np.abs(Zmat @ sol - br[pi]))))
-        residuals[pi] = worst
+    rhs = np.stack([lie_bracket(Xa, Y).evaluate_batch(points) for Xa in X], axis=-1)
+    lam_t, residuals, rank_deficient = _stacked_solve(Zmats, rhs)
+    lam = lam_t.transpose(0, 2, 1)  # lam[:, a, b] = lambda_A^B
     extra = _fit_lambda(X.chart, points, lam, fit_degree, fit_tolerance)
     if rank_deficient:
         extra["rank_deficient_points"] = rank_deficient
     return residual_check("pseudosymmetry", residuals, points, tolerance, **extra), lam
+
+
+def _stacked_solve(Zmats: np.ndarray, rhs: np.ndarray):
+    """Minimum-norm solutions of Zmats[i] @ x = rhs[i] over a stack of (N, k)
+    matrices and (N, c) right-hand sides, from one SVD: the (m, k, c)
+    solutions, each sample's worst residual, and how many matrices have a
+    rank below k as ``np.linalg.matrix_rank`` counts it.  Singular values at
+    or below 1e-12 of the largest count as zero, as in ``np.linalg.lstsq``
+    with ``rcond=1e-12``."""
+    U, s, Vt = np.linalg.svd(Zmats, full_matrices=False)
+    s_max = s.max(axis=-1, keepdims=True)
+    rank = np.count_nonzero(s > s_max * max(Zmats.shape[1:]) * np.finfo(float).eps, axis=-1)
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-12 * s_max)
+    sol = Vt.transpose(0, 2, 1) @ (s_inv[..., None] * (U.transpose(0, 2, 1) @ rhs))
+    residuals = np.abs(Zmats @ sol - rhs).max(axis=(1, 2))
+    return sol, residuals, int(np.count_nonzero(rank < Zmats.shape[2]))
 
 
 def is_cartan_symmetry(
@@ -169,31 +174,25 @@ def _render_polynomial(chart: ChartSpace, exponents, coefficients) -> str:
 
 def _fit_lambda(chart, points, lam, degree, fit_tolerance) -> dict:
     """Report entries lambda_fit (rows of polynomial sources, None where the
-    fit misses) and lambda_fit_residual; none for no samples."""
+    fit misses) and lambda_fit_residual; none when the samples cannot fix
+    every coefficient (no samples, or fewer independent ones than monomials)."""
     n_pts, k, _ = lam.shape
-    if n_pts == 0:
-        return {}
     exponents = _monomial_exponents(chart.dimension, degree)
-    pts = np.asarray(points, dtype=float)
-    design = np.empty((n_pts, len(exponents)))
+    pts = np.asarray(points, dtype=float).reshape(n_pts, chart.dimension)
+    design = np.ones((n_pts, len(exponents)))
     for m, exps in enumerate(exponents):
-        col = np.ones(n_pts)
         for i, e in enumerate(exps):
             if e:
-                col = col * pts[:, i] ** e
-        design[:, m] = col
-    rows = []
-    worst = 0.0
-    for a in range(k):
-        row = []
-        for b in range(k):
-            coef, *_ = np.linalg.lstsq(design, lam[:, a, b], rcond=None)
-            deviation = float(np.max(np.abs(design @ coef - lam[:, a, b])))
-            worst = max(worst, deviation)
-            row.append(
-                _render_polynomial(chart, exponents, coef)
-                if deviation <= fit_tolerance
-                else None
-            )
-        rows.append(row)
-    return {"lambda_fit": rows, "lambda_fit_residual": worst}
+                design[:, m] *= pts[:, i] ** e
+    values = lam.reshape(n_pts, k * k)
+    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    if rank < len(exponents):
+        return {}
+    deviation = np.abs(design @ coef - values).max(axis=0).reshape(k, k)
+    coef = coef.reshape(len(exponents), k, k)
+    rows = [
+        [_render_polynomial(chart, exponents, coef[:, a, b])
+         if deviation[a, b] <= fit_tolerance else None for b in range(k)]
+        for a in range(k)
+    ]
+    return {"lambda_fit": rows, "lambda_fit_residual": float(deviation.max())}

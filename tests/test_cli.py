@@ -460,6 +460,22 @@ def test_grid_over_the_budget_is_refused_before_integrating(tmp_path, capsys):
     assert "over the budget" in assert_one_error_line(code, capsys)
 
 
+@pytest.mark.parametrize("samples", ["3", "9"])
+def test_too_few_samples_for_the_lambda_fit_report_no_fit(samples, capsys):
+    # ten monomials of degree <= 2 in three coordinates: fewer samples leave
+    # the fit under-determined, so it is left out as for no samples
+    argv = [
+        "check", "pseudosymmetry", "--model", "free_particle", "--field", "delta",
+        "--against", "ddx,ddx", "--samples", samples, "--format", "json",
+    ]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["pass"] is True
+    assert check["rank_deficient_points"] == int(samples)
+    assert "lambda_fit" not in check and "lambda_fit_residual" not in check
+
+
 def test_failing_check_exits_1(capsys):
     assert main(["check", "symmetry", "--model", "nahm", "--field", "radial"]) == 1
 

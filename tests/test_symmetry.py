@@ -1,8 +1,11 @@
 """Symmetry, pseudosymmetry, Cartan, and invariant-form checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ksym.calculus import (
     ChartMismatchError,
@@ -19,7 +22,9 @@ from ksym.symmetry import (
     is_invariant_form,
     is_symmetry,
     solve_pseudosymmetry,
+    _stacked_solve,
 )
+import lstsq_oracle
 from scalar_oracle import evaluate
 
 
@@ -188,6 +193,59 @@ def test_pseudosymmetry_chart_mismatch():
             KVectorField(other, (zero_vector_field(other),)),
             [np.zeros(3)],
         )
+
+
+@st.composite
+def z_stacks(draw):
+    """(m, N, k) stacks of small-integer Z, scaled by a power of ten, with
+    repeated columns and all-zero Z at drawn samples, and (m, N, k) brackets."""
+    m, n, k = draw(st.integers(0, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    Z = draw(arrays(float, (m, n, k), elements=st.integers(-2, 2).map(float)))
+    repeated = draw(arrays(bool, m))
+    if k > 1:
+        Z[repeated, :, -1] = Z[repeated, :, 0] * draw(st.integers(-2, 2))
+    Z[draw(arrays(bool, m))] = 0.0
+    Z *= 10.0 ** draw(st.integers(-3, 3))
+    return Z, draw(arrays(float, (m, n, k), elements=st.floats(-5, 5)))
+
+
+@given(stack=z_stacks())
+@example(stack=(np.zeros((0, 3, 2)), np.zeros((0, 3, 2))))
+@example(stack=(np.zeros((2, 3, 2)), np.ones((2, 3, 2))))
+@example(stack=(np.array([[[1.0, 1.0], [2.0, 2.0]]]), np.array([[[1.0, 0.0], [0.0, 1.0]]])))
+def test_stacked_solve_matches_the_per_point_lstsq(stack):
+    Zmats, rhs = stack
+    sol, residuals, rank_deficient = _stacked_solve(Zmats, rhs)
+    want_sol, want_residuals, want_deficient = lstsq_oracle.solve(Zmats, rhs)
+    assert sol.shape == want_sol.shape and residuals.shape == want_residuals.shape
+    assert rank_deficient == want_deficient
+    for pi in range(len(Zmats)):
+        s = np.linalg.svd(Zmats[pi], compute_uv=False)
+        kept = s[s > 1e-12 * s[0]]
+        bound = 1.0 + np.abs(rhs[pi]).max()
+        # the forward error of a least-squares solution scales with |b| * cond / s_min
+        scale = bound * kept[0] / kept[-1] ** 2 if len(kept) else 1.0
+        np.testing.assert_allclose(sol[pi], want_sol[pi], rtol=0, atol=1e-12 * scale)
+        assert abs(residuals[pi] - want_residuals[pi]) <= 1e-12 * bound
+
+
+def test_solver_calls_do_not_grow_with_the_sample_count(monkeypatch):
+    calls = Counter()
+    for name in ("lstsq", "svd", "pinv", "matrix_rank"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    ch, family = cyclic_quadratic_family()
+    seen = []
+    for count in (10, 1000):
+        pts = sample_points(ch, count=count, seed=3)
+        calls.clear()
+        solve_pseudosymmetry(family, radial(ch), family, pts)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[0]["svd"] == 1 and "matrix_rank" not in seen[0]
 
 
 @given(
