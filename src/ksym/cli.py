@@ -241,10 +241,14 @@ def load_model(path, overrides: dict | None = None) -> LoadedModel:
             raise ModelFileError(
                 f"parameter {pname!r} needs a numeric value, got {value!r}", line
             ) from None
+        if not math.isfinite(params[pname]):
+            raise ModelFileError(f"parameter {pname!r} must be finite, got {value!r}", line)
     for pname, value in (overrides or {}).items():
         if pname not in params:
             raise ModelFileError(f"cannot override unknown parameter {pname!r}")
         params[pname] = float(value)
+        if not math.isfinite(params[pname]):
+            raise ModelFileError(f"parameter {pname!r} must be finite, got {value!r}")
 
     if kind == "ode":
         chart = base_chart(n, k)
@@ -256,6 +260,15 @@ def load_model(path, overrides: dict | None = None) -> LoadedModel:
         except ExprError as exc:
             raise ModelFileError(f"bad function: {exc}", function_line) from None
         chart = system.chart
+    for pname, (_value, line) in param_items.items():
+        if chart.has_coordinate(pname):  # coordinates win when expressions are parsed
+            raise ModelFileError(f"parameter {pname!r} is a coordinate of the chart", line)
+
+    def expression(key: str, value: str, line: int):
+        try:
+            return parse_expression(value, chart, parameters=params or None)
+        except ExprError as exc:
+            raise ModelFileError(f"bad expression for {key}: {exc}", line) from None
 
     fields: dict[str, VectorField] = {}
     for fname, items in field_items.items():
@@ -267,12 +280,7 @@ def load_model(path, overrides: dict | None = None) -> LoadedModel:
                     f"{', '.join(chart.coordinate_names)}; got {key!r}",
                     line,
                 )
-            try:
-                components[chart.index_of(key[2:])] = parse_expression(
-                    value, chart, parameters=params or None
-                )
-            except ExprError as exc:
-                raise ModelFileError(f"bad expression for {key}: {exc}", line) from None
+            components[chart.index_of(key[2:])] = expression(key, value, line)
         fields[fname] = VectorField(chart, components)
 
     laws: dict[str, ConservationLaw] = {}
@@ -287,13 +295,7 @@ def load_model(path, overrides: dict | None = None) -> LoadedModel:
         for key in wanted:
             if key not in items:
                 raise ModelFileError(f"[law {lname}] is missing {key}")
-            value, line = items[key]
-            try:
-                scalars.append(
-                    ScalarField(chart, parse_expression(value, chart, parameters=params or None))
-                )
-            except ExprError as exc:
-                raise ModelFileError(f"bad expression for {key}: {exc}", line) from None
+            scalars.append(ScalarField(chart, expression(key, *items[key])))
         laws[lname] = user_law(chart, scalars)
 
     return LoadedModel(
@@ -428,12 +430,9 @@ def _parse_overrides(pairs) -> dict:
             overrides[name] = float(value.strip())
         except ValueError:
             raise CliUsageError(f"--param {name!r} needs a numeric value") from None
+        if not math.isfinite(overrides[name]):
+            raise CliUsageError(f"--param {name!r} must be finite, got {value.strip()!r}")
     return overrides
-
-
-def _load_from_args(args) -> LoadedModel:
-    path = resolve_model_path(args.model)
-    return load_model(path, _parse_overrides(args.param) or None)
 
 
 # coordinate values one command may hold in a sample or grid array (80 MB)
@@ -465,29 +464,22 @@ def _require_system(model: LoadedModel, command: str) -> FieldSystem:
     return model.system
 
 
-def _named_field(model: LoadedModel, name: str) -> VectorField:
-    if name not in model.fields:
+def _named(model: LoadedModel, kind: str, name: str):
+    """The model's field or law (``kind``) called ``name``."""
+    table = model.fields if kind == "field" else model.laws
+    if name not in table:
         raise CliUsageError(
-            f"model {model.name!r} has no field {name!r}; available: "
-            f"{', '.join(sorted(model.fields)) or 'none'}"
+            f"model {model.name!r} has no {kind} {name!r}; available: "
+            f"{', '.join(sorted(table)) or 'none'}"
         )
-    return model.fields[name]
-
-
-def _named_law(model: LoadedModel, name: str) -> ConservationLaw:
-    if name not in model.laws:
-        raise CliUsageError(
-            f"model {model.name!r} has no law {name!r}; available: "
-            f"{', '.join(sorted(model.laws)) or 'none'}"
-        )
-    return model.laws[name]
+    return table[name]
 
 
 def _named_family(model: LoadedModel, names_csv: str) -> KVectorField:
     names = [s.strip() for s in names_csv.split(",") if s.strip()]
     if len(names) != model.k:
         raise CliUsageError(f"need {model.k} comma separated field names, got {len(names)}")
-    return KVectorField(model.chart, [_named_field(model, nm) for nm in names])
+    return KVectorField(model.chart, [_named(model, "field", nm) for nm in names])
 
 
 def _default_evolution_names(model: LoadedModel) -> list[str]:
@@ -542,19 +534,19 @@ def _phi_sources(law: ConservationLaw) -> list:
 
 
 def _list_models() -> list:
+    """The bundled models' headers, read without building any of them."""
     rows = []
     for name in bundled_model_names():
-        model = load_model(_BUNDLED_DIR / f"{name}.ksym")
-        rows.append(
-            {
-                "name": model.name,
-                "kind": model.kind,
-                "n": model.n,
-                "k": model.k,
-                "fields": sorted(model.fields),
-                "laws": sorted(model.laws),
-            }
-        )
+        text = (_BUNDLED_DIR / f"{name}.ksym").read_text(encoding="utf-8")
+        model, _params, fields, laws = _read_sections(text)
+        rows.append({
+            "name": model["name"][0],
+            "kind": model["kind"][0],
+            "n": _int_item(*model["n"], key="n"),
+            "k": _int_item(*model["k"], key="k"),
+            "fields": sorted(fields),
+            "laws": sorted(laws),
+        })
     return rows
 
 
@@ -569,7 +561,7 @@ def _cmd_check_regularity(model: LoadedModel, args) -> tuple[list, dict]:
 
 def _cmd_check_symmetry(model: LoadedModel, args) -> tuple[list, dict]:
     family = _evolution_family(model, args.against or args.evolution)
-    Y = _named_field(model, args.field)
+    Y = _named(model, "field", args.field)
     points = _sample(model, args)
     tol = BRACKET_TOLERANCE if args.tol is None else args.tol
     return [(f"symmetry:{args.field}", is_symmetry(family, Y, points, tolerance=tol))], {}
@@ -577,7 +569,7 @@ def _cmd_check_symmetry(model: LoadedModel, args) -> tuple[list, dict]:
 
 def _cmd_check_pseudosymmetry(model: LoadedModel, args) -> tuple[list, dict]:
     family = _evolution_family(model, args.evolution)
-    Y = _named_field(model, args.field)
+    Y = _named(model, "field", args.field)
     Z = _named_family(model, args.against) if args.against else family
     points = _sample(model, args)
     tol = BRACKET_TOLERANCE if args.tol is None else args.tol
@@ -587,7 +579,7 @@ def _cmd_check_pseudosymmetry(model: LoadedModel, args) -> tuple[list, dict]:
 
 def _cmd_check_cartan(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "check cartan")
-    Y = _named_field(model, args.field)
+    Y = _named(model, "field", args.field)
     points = _sample(model, args)
     check = is_cartan_symmetry(system, Y, points, tolerance=args.tol)
     return [(f"cartan:{args.field}", check)], {}
@@ -622,7 +614,7 @@ def _cmd_verify_evolution(model: LoadedModel, args) -> tuple[list, dict]:
 
 
 def _cmd_verify_law(model: LoadedModel, args) -> tuple[list, dict]:
-    law = _named_law(model, args.law)
+    law = _named(model, "law", args.law)
     family = _evolution_family(model, args.against or args.evolution)
     points = _sample(model, args)
     tol = LAW_TOLERANCE if args.tol is None else args.tol
@@ -642,23 +634,16 @@ def _integrate(model: LoadedModel, args):
         raise CliUsageError(str(exc)) from None
 
 
-def _integration_failure(exc: SectionIntegrationError) -> tuple[list, dict]:
-    return [("integration", Check("section", False, math.inf, 0.0, (), {"error": str(exc)}))], {}
-
-
 def _commutation_check(grid, tol: float) -> Check:
     residual = grid.commutation_residual
     return Check("commutation", residual <= tol, residual, tol, grid.origin)
 
 
 def _cmd_verify_divergence(model: LoadedModel, args) -> tuple[list, dict]:
-    law = _named_law(model, args.law)
+    law = _named(model, "law", args.law)
     if args.T / args.h < 1.5:  # round(T / h) + 1 nodes per axis
         raise CliUsageError("verify divergence needs at least 3 grid nodes per axis: --T >= 2 * --h")
-    try:
-        grid = _integrate(model, args)
-    except SectionIntegrationError as exc:
-        return _integration_failure(exc)
+    grid = _integrate(model, args)
     tol = DIVERGENCE_TOLERANCE if args.tol is None else args.tol
     checks = [
         ("commutation", _commutation_check(grid, COMMUTATION_TOLERANCE)),
@@ -668,10 +653,7 @@ def _cmd_verify_divergence(model: LoadedModel, args) -> tuple[list, dict]:
 
 
 def _cmd_integrate_section(model: LoadedModel, args) -> tuple[list, dict]:
-    try:
-        grid = _integrate(model, args)
-    except SectionIntegrationError as exc:
-        return _integration_failure(exc)
+    grid = _integrate(model, args)
     tol = COMMUTATION_TOLERANCE if args.tol is None else args.tol
     extra = {"grid_shape": list(grid.shape)}
     if args.out:
@@ -682,7 +664,7 @@ def _cmd_integrate_section(model: LoadedModel, args) -> tuple[list, dict]:
 
 def _cmd_build_noether(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "build noether")
-    Y = _named_field(model, args.field)
+    Y = _named(model, "field", args.field)
     points = _sample(model, args)
     try:
         law = build_noether_law(system, Y, points=points, tolerance=args.tol)
@@ -699,8 +681,8 @@ def _cmd_build_noether(model: LoadedModel, args) -> tuple[list, dict]:
 def _cmd_build_bracket_law(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "build bracket-law")
     s_names = [s.strip() for s in args.s.split(",") if s.strip()]
-    s_fields = [_named_field(model, nm) for nm in s_names]
-    Y = _named_field(model, args.field)
+    s_fields = [_named(model, "field", nm) for nm in s_names]
+    Y = _named(model, "field", args.field)
     try:
         law = build_bracket_law(system.omega, s_fields, Y)
     except ValueError as exc:
@@ -712,21 +694,6 @@ def _cmd_build_bracket_law(model: LoadedModel, args) -> tuple[list, dict]:
         tol = LAW_TOLERANCE if args.tol is None else args.tol
         checks.append(("conserved-along-evolution", _law_check(family, law, points, tol)))
     return checks, {"phi": _phi_sources(law)}
-
-
-_HANDLERS = {
-    ("check", "regularity"): _cmd_check_regularity,
-    ("check", "symmetry"): _cmd_check_symmetry,
-    ("check", "pseudosymmetry"): _cmd_check_pseudosymmetry,
-    ("check", "cartan"): _cmd_check_cartan,
-    ("solve", "evolution"): _cmd_solve_evolution,
-    ("verify", "evolution"): _cmd_verify_evolution,
-    ("verify", "law"): _cmd_verify_law,
-    ("verify", "divergence"): _cmd_verify_divergence,
-    ("build", "noether"): _cmd_build_noether,
-    ("build", "bracket-law"): _cmd_build_bracket_law,
-    ("integrate", "section"): _cmd_integrate_section,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +718,14 @@ def _number(convert, low: float, strict: bool = False):
     return parse
 
 
+def _halfwidth(text: str) -> float:
+    """An argparse type: a sampling half-width whose box span is finite."""
+    value = _number(float, 0.0, strict=True)(text)
+    if not math.isfinite(2.0 * value):
+        raise argparse.ArgumentTypeError(f"must have a finite span 2 * box, got {text!r}")
+    return value
+
+
 def _coordinates(text: str) -> np.ndarray:
     """An argparse type: comma separated finite numbers."""
     try:
@@ -762,93 +737,116 @@ def _coordinates(text: str) -> np.ndarray:
     return values
 
 
-def _grid_arguments(p) -> None:
-    p.add_argument("--origin", type=_coordinates, help="comma separated start point (default: origin)")
-    p.add_argument("--T", type=_number(float, 0.0), default=0.5, help="integration span per axis")
-    p.add_argument("--h", type=_number(float, 0.0, strict=True), default=1 / 128, help="grid spacing per axis")
+def _flag(name: str, help: str | None = None, **options) -> tuple:
+    return name, dict(options, help=help)
+
+
+def _family(against: str = "comma separated family (default: evolution)") -> tuple:
+    return _flag("--against", against), _flag("--evolution", "override the default evolution fields")
+
+
+_FORMAT = _flag("--format", choices=("table", "json"), default="table")
+_COMMON = (
+    _flag("--model", "bundled model name or path to a .ksym file", required=True),
+    _flag("--seed", "sampling seed", type=_number(int, 0), default=42),
+    _flag("--samples", "number of sample points", type=_number(int, 1), default=64),
+    _flag("--box", "sampling half-width", type=_halfwidth, default=1.0),
+    _flag("--tol", "override the check tolerance", type=_number(float, 0.0), default=None),
+    _flag("--param", "override a model parameter (repeatable)", action="append", default=[],
+          metavar="NAME=VALUE"),
+    _FORMAT,
+)
+_LAW = _flag("--law", "law name from the model file", required=True)
+_GRID = (
+    _flag("--origin", "comma separated start point (default: origin)", type=_coordinates),
+    _flag("--T", "integration span per axis", type=_number(float, 0.0), default=0.5),
+    _flag("--h", "grid spacing per axis", type=_number(float, 0.0, strict=True), default=1 / 128),
+)
+
+
+def _leaf(help: str, handler, *arguments) -> tuple:
+    return help, handler, _COMMON + arguments
+
+
+# {group: (help, {action: (help, handler, arguments)})}, or (help, arguments) without actions
+COMMANDS = {
+    "list-models": ("list bundled models", (_FORMAT,)),
+    "check": ("sampled predicate checks", {
+        "regularity": _leaf("fiber Hessian invertibility", _cmd_check_regularity),
+        "symmetry": _leaf("does a field commute with the evolution", _cmd_check_symmetry,
+                          _flag("--field", "candidate symmetry field", required=True),
+                          *_family("comma separated family to commute with (default: evolution)")),
+        "pseudosymmetry": _leaf(
+            "solve the bracket relation pointwise", _cmd_check_pseudosymmetry,
+            _flag("--field", "candidate pseudosymmetry field", required=True),
+            *_family("comma separated target family (default: the evolution itself)")),
+        "cartan": _leaf("form and function invariance", _cmd_check_cartan,
+                        _flag("--field", "candidate invariance field", required=True)),
+    }),
+    "solve": ("solve the evolution equation", {
+        "evolution": _leaf("minimum-norm solution at a point", _cmd_solve_evolution, _flag(
+            "--at", "comma separated chart point (default: origin)", type=_coordinates)),
+    }),
+    "verify": ("residual checks", {
+        "evolution": _leaf("does a family solve the equation", _cmd_verify_evolution,
+                           *_family("comma separated solution family (default: evolution)")),
+        "law": _leaf("is a law conserved along a family", _cmd_verify_law, _LAW, *_family()),
+        "divergence": _leaf("divergence of a law over a section grid", _cmd_verify_divergence,
+                            _LAW, *_family(), *_GRID),
+    }),
+    "build": ("construct conservation laws", {
+        "noether": _leaf("momentum law of an invariance field", _cmd_build_noether,
+                         _flag("--field", "invariance field", required=True)),
+        "bracket-law": _leaf("contraction law from field arguments", _cmd_build_bracket_law,
+                             _flag("--s", "comma separated slot fields", required=True),
+                             _flag("--field", "final slot field", required=True)),
+    }),
+    "integrate": ("integrate section grids", {
+        "section": _leaf("fill a section grid by composed flows", _cmd_integrate_section,
+                         *_family(), *_GRID, _flag("--out", "write the grid as CSV to this path")),
+    }),
+}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one ``COMMANDS`` entry, which adds the entry's arguments or
+    subcommands only when it parses: the subcommand its first token names, or
+    all of them when that names none, so that help and "invalid choice" errors
+    list every name.  The metavar keeps every name in the usage line anyway."""
+
+    def __init__(self, *args, entry=(None, COMMANDS), dests=("group", "action"), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._body, self._dests = entry[-1], dests
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = _sys.argv[1:] if args is None else list(args)
+        body, self._body = self._body, ()
+        if isinstance(body, dict):
+            sub = self.add_subparsers(dest=self._dests[0], required=True)
+            if args and args[0] in body:
+                sub.metavar = "{" + ",".join(body) + "}"
+                body = {args[0]: body[args[0]]}
+            for name, entry in body.items():
+                sub.add_parser(name, help=entry[0], entry=entry, dests=self._dests[1:])
+        else:
+            for name, options in body:
+                self.add_argument(name, **options)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ksym", description="Field-theory model checks from the command line."
-    )
-    top = parser.add_subparsers(dest="group", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", required=True, help="bundled model name or path to a .ksym file")
-    common.add_argument("--seed", type=_number(int, 0), default=42, help="sampling seed")
-    common.add_argument("--samples", type=_number(int, 1), default=64, help="number of sample points")
-    common.add_argument("--box", type=_number(float, 0.0, strict=True), default=1.0, help="sampling half-width")
-    common.add_argument("--tol", type=_number(float, 0.0), default=None, help="override the check tolerance")
-    common.add_argument(
-        "--param", action="append", default=[], metavar="NAME=VALUE",
-        help="override a model parameter (repeatable)",
-    )
-    common.add_argument("--format", choices=("table", "json"), default="table")
-
-    listing = top.add_parser("list-models", help="list bundled models")
-    listing.add_argument("--format", choices=("table", "json"), default="table")
-
-    check = top.add_parser("check", help="sampled predicate checks")
-    check_sub = check.add_subparsers(dest="action", required=True)
-    check_sub.add_parser("regularity", parents=[common], help="fiber Hessian invertibility")
-    p = check_sub.add_parser("symmetry", parents=[common], help="does a field commute with the evolution")
-    p.add_argument("--field", required=True, help="candidate symmetry field")
-    p.add_argument("--against", help="comma separated family to commute with (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
-    p = check_sub.add_parser(
-        "pseudosymmetry", parents=[common], help="solve the bracket relation pointwise"
-    )
-    p.add_argument("--field", required=True, help="candidate pseudosymmetry field")
-    p.add_argument("--against", help="comma separated target family (default: the evolution itself)")
-    p.add_argument("--evolution", help="override the default evolution fields")
-    p = check_sub.add_parser("cartan", parents=[common], help="form and function invariance")
-    p.add_argument("--field", required=True, help="candidate invariance field")
-
-    solve = top.add_parser("solve", help="solve the evolution equation")
-    solve_sub = solve.add_subparsers(dest="action", required=True)
-    p = solve_sub.add_parser("evolution", parents=[common], help="minimum-norm solution at a point")
-    p.add_argument("--at", type=_coordinates, help="comma separated chart point (default: origin)")
-
-    verify = top.add_parser("verify", help="residual checks")
-    verify_sub = verify.add_subparsers(dest="action", required=True)
-    p = verify_sub.add_parser("evolution", parents=[common], help="does a family solve the equation")
-    p.add_argument("--against", help="comma separated solution family (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
-    p = verify_sub.add_parser("law", parents=[common], help="is a law conserved along a family")
-    p.add_argument("--law", required=True, help="law name from the model file")
-    p.add_argument("--against", help="comma separated family (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
-    p = verify_sub.add_parser("divergence", parents=[common], help="divergence of a law over a section grid")
-    p.add_argument("--law", required=True, help="law name from the model file")
-    p.add_argument("--against", help="comma separated family (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
-    _grid_arguments(p)
-
-    build = top.add_parser("build", help="construct conservation laws")
-    build_sub = build.add_subparsers(dest="action", required=True)
-    p = build_sub.add_parser("noether", parents=[common], help="momentum law of an invariance field")
-    p.add_argument("--field", required=True, help="invariance field")
-    p = build_sub.add_parser("bracket-law", parents=[common], help="contraction law from field arguments")
-    p.add_argument("--s", required=True, help="comma separated slot fields")
-    p.add_argument("--field", required=True, help="final slot field")
-
-    integrate = top.add_parser("integrate", help="integrate section grids")
-    integrate_sub = integrate.add_subparsers(dest="action", required=True)
-    p = integrate_sub.add_parser("section", parents=[common], help="fill a section grid by composed flows")
-    p.add_argument("--against", help="comma separated family (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
-    _grid_arguments(p)
-    p.add_argument("--out", help="write the grid as CSV to this path")
-
-    return parser
+    return _CommandParser(prog="ksym", description="Field-theory model checks from the command line.")
 
 
 def _dispatch(args) -> Report:
     if args.group == "list-models":
         return Report("list-models", None, None, None, [], {"models": _list_models()})
-    model = _load_from_args(args)
-    checks, extra = _HANDLERS[(args.group, args.action)](model, args)
+    model = load_model(resolve_model_path(args.model), _parse_overrides(args.param) or None)
+    try:
+        checks, extra = COMMANDS[args.group][1][args.action][1](model, args)
+    except SectionIntegrationError as exc:  # a section that cannot be built fails its check
+        failed = Check("section", False, math.inf, 0.0, (), {"error": str(exc)})
+        checks, extra = [("integration", failed)], {}
     return Report(f"{args.group} {args.action}", model.label, args.seed, args.samples, checks, extra)
 
 

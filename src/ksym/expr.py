@@ -981,6 +981,8 @@ def sample_points(
     evaluation domain error are discarded and redrawn, up to a 10x
     oversampling budget; the first valid points are kept in draw order.
     """
+    if not math.isfinite(2.0 * halfwidth):
+        raise SamplingError(f"halfwidth {halfwidth!r} spans a box of non-finite width")
     rng = np.random.default_rng(seed)
     kernels = [batch_evaluator(getattr(item, "expr", item)) for item in require]
 

@@ -6,6 +6,7 @@ intentional change: ``python tests/test_cli.py``.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import re
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+import parser_oracle
+from ksym import cli
 from ksym.cli import (
     MAX_ARRAY_VALUES,
     ModelFileError,
@@ -288,6 +291,37 @@ def test_override_of_unknown_parameter_is_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_parameter_in_a_model_file_is_rejected(value, tmp_path):
+    path = write_model(
+        tmp_path,
+        "[model]\nname = m\nkind = lagrangian\nn = 1\nk = 1\nfunction = nu*v_1_1^2/2\n\n"
+        f"[params]\nnu = {value}\n",
+    )
+    with pytest.raises(ModelFileError, match=rf"line 9: parameter 'nu' must be finite, got '{value}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameter_override_is_rejected(value):
+    with pytest.raises(ModelFileError, match="parameter 'nu' must be finite"):
+        load_model(resolve_model_path("navier"), {"nu": value})
+
+
+def test_parameter_named_like_a_coordinate_is_rejected(tmp_path, capsys):
+    # the expression parser resolves coordinates first, so x_1 here would
+    # silently stay a coordinate
+    path = write_model(
+        tmp_path,
+        "[model]\nname = m\nkind = lagrangian\nn = 1\nk = 1\nfunction = x_1*v_1_1^2/2\n\n"
+        "[params]\nx_1 = 2\n",
+    )
+    with pytest.raises(ModelFileError, match="line 9: parameter 'x_1' is a coordinate"):
+        load_model(path)
+    assert main(["check", "regularity", "--model", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("model error: line 9: ")
+
+
 # ---------------------------------------------------------------------------
 # exit codes and usage errors
 # ---------------------------------------------------------------------------
@@ -334,15 +368,14 @@ def test_bad_origin_and_step_exit_2(capsys):
          "--against", "xi1,xi2", "--param", "sigma=nan"],
         ["build", "noether", "--model", "vibrating_string", "--field", "ddx",
          "--param", "sigma=inf"],
+        ["solve", "evolution", "--model", "navier", "--param", "nu=nan"],
+        ["check", "regularity", "--model", "navier", "--param", "nu=1e400"],
+        ["check", "regularity", "--model", "navier", "--param", "nu=-inf"],
     ],
 )
 def test_non_finite_parameters_end_cleanly(argv, capsys):
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code in (1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1
+    err = assert_one_error_line(main(argv), capsys)
+    assert "must be finite" in err
 
 
 def assert_one_error_line(code, capsys):
@@ -380,7 +413,7 @@ def test_sine_of_an_overflowed_argument_ends_cleanly(tmp_path, capsys):
     [
         ("--T", "inf"), ("--T", "nan"), ("--T", "-0.25"),
         ("--h", "0"), ("--h", "-1"), ("--h", "inf"), ("--h", "nan"),
-        ("--box", "nan"), ("--box", "inf"), ("--box", "0"),
+        ("--box", "nan"), ("--box", "inf"), ("--box", "0"), ("--box", "1e308"),
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
         ("--seed", "-1"), ("--seed", "1.5"), ("--samples", "0"), ("--samples", "x"),
         ("--origin", "0,inf,2"), ("--origin", "nan,1,2"), ("--origin", "0,1e400,2"),
@@ -499,6 +532,109 @@ def test_regularity_at_zero_tolerance_stays_strict(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["check", "--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the lazily built parser against the full one it replaced
+# ---------------------------------------------------------------------------
+
+LEAVES = [
+    ["check", "regularity"], ["check", "symmetry"], ["check", "pseudosymmetry"],
+    ["check", "cartan"], ["solve", "evolution"], ["verify", "evolution"], ["verify", "law"],
+    ["verify", "divergence"], ["build", "noether"], ["build", "bracket-law"],
+    ["integrate", "section"],
+]
+HELP_ARGVS = (
+    [["--help"], ["list-models", "--help"]]
+    + [[group, "--help"] for group in ("check", "solve", "verify", "build", "integrate")]
+    + [leaf + ["--help"] for leaf in LEAVES]
+)
+MALFORMED_ARGVS = [
+    [], ["frobnicate"], ["chec", "regularity"], ["check"], ["check", "frob"], ["check", "reg"],
+    ["", "check"], ["check", ""], ["-", "check"], ["-5", "check"],
+    ["--", "check", "regularity", "--model", "vibrating_string"],
+    ["check", "--", "regularity", "--model", "vibrating_string"],
+    ["-h", "check"], ["check", "-h", "regularity"], ["--he"], ["-hx"], ["--help=x"],
+    ["-x", "check", "regularity", "--model", "vibrating_string"],
+    ["-x", "check", "regularity", "-h"], ["check", "-x", "regularity", "-h"],
+    ["--foo=1", "verify", "law", "--model", "free_particle", "--law", "momenta"],
+    ["list-models", "--verbose"], ["list-models", "--format", "xml"],
+    ["list-models", "--form", "json"], ["list-models", "extra"],
+    ["check", "regularity"], ["check", "regularity", "--model"],
+    ["check", "regularity", "--mod", "nahm", "-h"],
+    ["check", "regularity", "--model", "vibrating_string", "--s", "3"],
+    ["check", "regularity", "--model", "vibrating_string", "--bogus"],
+    ["check", "regularity", "--model", "vibrating_string", "extra"],
+    ["check", "regularity", "--model=vibrating_string", "--seed", "-1"],
+    ["check", "regularity", "--model", "vibrating_string", "--samples=3", "--format=json"],
+    ["check", "symmetry", "--model", "free_particle", "--f", "ddx", "--a", "ddx"],
+    ["build", "bracket-law", "--model", "free_particle", "--s", "delta"],
+    ["integrate", "section", "--model", "free_particle", "--T", "x"],
+    ["verify", "divergence", "--model", "free_particle", "--law", "momenta", "--T"],
+    ["solve", "evolution", "--model", "oscillator_k1", "--at", "1,nan"],
+]
+
+
+def run_main(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    HELP_ARGVS + [argv for _, argv, _ in GOLDEN_CASES] + MALFORMED_ARGVS,
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_parser_output_matches_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    actual = run_main(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser", parser_oracle.build_parser)
+    assert actual == run_main(argv, capsys)
+
+
+def count_parsers(monkeypatch) -> list:
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return progs
+
+
+@pytest.mark.parametrize("argv", [leaf + ["--help"] for leaf in LEAVES] + [
+    ["check", "regularity", "--model", "vibrating_string"],
+    ["verify", "law", "--model", "free_particle", "--law", "momenta"],
+])
+def test_a_leaf_command_builds_three_parsers(argv, capsys, monkeypatch):
+    progs = count_parsers(monkeypatch)
+    assert main(argv) in (0, 1)
+    assert progs == ["ksym", f"ksym {argv[0]}", f"ksym {argv[0]} {argv[1]}"]
+
+
+def test_top_level_help_builds_one_parser_per_group(capsys, monkeypatch):
+    progs = count_parsers(monkeypatch)
+    assert main(["--help"]) == 0
+    assert len(progs) == 7
+
+
+def test_list_models_builds_no_model(capsys, monkeypatch):
+    progs = count_parsers(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("list-models built a model")
+
+    monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(cli, "build_system", refuse)
+    code, out = run_cli(["list-models", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["models"] == json.loads(
+        (GOLDEN_DIR / "list_models.json").read_text()
+    )["models"]
+    assert progs == ["ksym", "ksym list-models"]
 
 
 # ---------------------------------------------------------------------------

@@ -517,6 +517,17 @@ def test_sampling_gives_up_after_budget():
         sample_points(chart, count=8, seed=5, require=[e])
 
 
+@pytest.mark.parametrize("halfwidth", [1e308, math.inf, math.nan])
+def test_sampling_refuses_a_box_of_non_finite_width(halfwidth):
+    with pytest.raises(SamplingError, match="non-finite width"):
+        sample_points(base_chart(2), count=4, halfwidth=halfwidth)
+
+
+def test_sampling_accepts_the_widest_finite_box():
+    pts = sample_points(base_chart(2), count=4, halfwidth=8e307)  # 2 * 8e307 is finite
+    assert np.isfinite(pts).all() and np.all(np.abs(pts) <= 8e307)
+
+
 def _sample_row_by_row(chart, count, seed, require):
     """The row-by-row filter sample_points replaced, kept as its reference."""
     rng = np.random.default_rng(seed)

@@ -2,9 +2,16 @@
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import numpy as np
+
+import parser_oracle
+from ksym.cli import build_parser
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_every_traced_target_resolves():
@@ -25,3 +32,19 @@ def test_every_traced_target_resolves():
         else:
             assert callable(holder), name
     assert not missing
+
+
+def parsed(parser, argv) -> dict:
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in vars(parser.parse_args(argv)).items()
+    }
+
+
+def test_benchmark_commands_parse_as_under_the_full_parser():
+    # the benchmark times the parser path a user's command takes
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text())
+    argvs = [command["argv"] for workload in workloads.values() for command in workload["commands"]]
+    assert argvs
+    for argv in argvs:
+        assert parsed(build_parser(), argv) == parsed(parser_oracle.build_parser(), argv), argv
