@@ -14,77 +14,22 @@ Layering, bottom up:
 - ``cli``           model files, bundled models, check reports
 """
 
-from .expr import (
-    ChartSpace,
-    Check,
-    EvaluationDomainError,
-    Expression,
-    ExprError,
-    ExprSyntaxError,
-    NonIntegerExponentError,
-    SamplingError,
-    UnknownIdentifierError,
-    base_chart,
-    cotangent_chart,
-    parse_expression,
-    sample_points,
-    simplify,
-    tangent_chart,
-    to_source,
-)
-from .calculus import (
-    ChartMismatchError,
-    ClosednessError,
-    PForm,
-    ScalarField,
-    VectorField,
-    exterior_derivative,
-    interior_product,
-    lie_bracket,
-    lie_derivative_form,
-    potential_of_exact_one_form,
-)
-from .bundles import cotangent_bundle, first_prolongation, tangent_bundle
-from .dynamics import (
-    FieldSystem,
-    InconsistentSystemError,
-    KVectorField,
-    SingularHessianError,
-    build_system,
-    check_regularity,
-    solve_evolution_hamiltonian,
-    solve_evolution_lagrangian,
-    verify_evolution,
-)
-from .symmetry import (
-    is_cartan_symmetry,
-    is_invariant_form,
-    is_symmetry,
-    solve_pseudosymmetry,
-)
-from .conservation import (
-    ConservationLaw,
-    NotCartanSymmetryError,
-    build_bracket_law,
-    build_noether_law,
-    check_momentum_converse,
-    user_law,
-    verify_law_pointwise,
-)
-from .sections import (
-    SectionGrid,
-    check_integrability,
-    export_grid_csv,
-    integrate_section,
-    verify_law_divergence,
-)
+import importlib
 
 __version__ = "0.1.0"
 
+# the layers above, bottom up; each module's ``__all__`` lists what it exports
+_MODULES = (
+    "expr", "calculus", "bundles", "dynamics", "symmetry", "conservation", "sections", "cli",
+)
+
 
 def __getattr__(name):
-    # loaded on first use, so that ``python -m ksym.cli`` finds ksym.cli unimported
-    if name in ("load_model", "resolve_model_path"):
-        from . import cli
-        return getattr(cli, name)
+    # a module is imported only when one of its names is first asked for, so
+    # ``import ksym`` loads no layer and ``python -m ksym.cli`` finds ksym.cli
+    # unimported
+    for module_name in _MODULES:
+        module = importlib.import_module(f"{__name__}.{module_name}")
+        if name in module.__all__:
+            return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
 """Canonical geometric structures on k-tangent and k-cotangent charts:
 tautological and symplectic form families, the dilation (Liouville) field,
-vertical endomorphisms, coordinate lifts of base vector fields, and first
-prolongations of maps from the parameter space into the base.
+vertical endomorphisms, and first prolongations of maps from the parameter
+space into the base.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from .expr import (
     Num,
     batch_evaluator,
     cotangent_chart,
-    fold,
-    make_add,
-    make_mul,
-    make_neg,
-    rebuild,
     tangent_chart,
 )
 
@@ -40,28 +35,9 @@ __all__ = [
     "TangentStructure",
     "cotangent_bundle",
     "tangent_bundle",
-    "transplant",
-    "canonical_cotangent_lift",
-    "canonical_tangent_lift",
-    "vertical_lift",
     "first_prolongation",
     "SymbolicProlongation",
 ]
-
-
-def transplant(expr: Expression, target: ChartSpace) -> Expression:
-    """Rebuild ``expr`` with coordinate slots resolved by name on ``target``.
-
-    Used to read base-chart expressions on a bundle chart (base coordinates
-    come first with the same names) and vice versa for projections.
-    """
-
-    def rule(e: Expression, children: list) -> Expression:
-        if isinstance(e, Coord):
-            return Coord(target.index_of(e.name), e.name)
-        return rebuild(e, children)
-
-    return fold(expr, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +59,6 @@ class KCotangentChart:
     chart: ChartSpace
     theta: tuple[PForm, ...]
     omega: tuple[PForm, ...]
-    vertical_frame: tuple[VectorField, ...]
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +66,6 @@ def cotangent_bundle(n: int, k: int) -> KCotangentChart:
     chart = cotangent_chart(n, k)
     thetas = []
     omegas = []
-    frame = []
     for A in range(1, k + 1):
         comps = {}
         for i in range(1, n + 1):
@@ -100,15 +74,7 @@ def cotangent_bundle(n: int, k: int) -> KCotangentChart:
         theta = one_form(chart, comps)
         thetas.append(theta)
         omegas.append(form_neg(exterior_derivative(theta)))
-    for A in range(1, k + 1):
-        for i in range(1, n + 1):
-            comps = [Num(0.0)] * chart.dimension
-            comps[chart.fiber_index(A, i)] = Num(1.0)
-            frame.append(VectorField(chart, tuple(comps)))
-    return KCotangentChart(
-        n=n, k=k, chart=chart, theta=tuple(thetas), omega=tuple(omegas),
-        vertical_frame=tuple(frame),
-    )
+    return KCotangentChart(n=n, k=k, chart=chart, theta=tuple(thetas), omega=tuple(omegas))
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +91,6 @@ class TangentStructure:
     A: int
     chart: ChartSpace
     slot_map: tuple[tuple[int, int], ...]  # (x_i slot, v_A_i slot)
-
-    def apply_to_vector(self, V: VectorField) -> VectorField:
-        if V.chart != self.chart:
-            raise ValueError("vector field lives on a different chart")
-        comps = [Num(0.0)] * self.chart.dimension
-        for src, dst in self.slot_map:
-            comps[dst] = V.components[src]
-        return VectorField(self.chart, tuple(comps))
 
     def precompose_one_form(self, alpha: PForm) -> PForm:
         """alpha composed with this endomorphism: (alpha o S)(V) = alpha(S V)."""
@@ -176,88 +134,6 @@ def tangent_bundle(n: int, k: int) -> KTangentChart:
     return KTangentChart(
         n=n, k=k, chart=chart, liouville=liouville, structures=tuple(structures)
     )
-
-
-# ---------------------------------------------------------------------------
-# lifts of base vector fields
-# ---------------------------------------------------------------------------
-
-
-def _require_base(Z: VectorField) -> ChartSpace:
-    if Z.chart.kind != "base":
-        raise ValueError("lifts take a vector field on a base chart")
-    return Z.chart
-
-
-def canonical_cotangent_lift(Z: VectorField, k: int) -> VectorField:
-    """Complete lift to the k-cotangent chart:
-
-    Z^i d/dx_i  ->  Z^i d/dx_i - p_A_j (dZ^j/dx_i) d/dp_A_i for every copy A.
-    """
-    base = _require_base(Z)
-    bundle = cotangent_bundle(base.n, k)
-    chart = bundle.chart
-    comps = [Num(0.0)] * chart.dimension
-    for i in range(1, base.n + 1):
-        comps[chart.base_index(i)] = transplant(Z.components[i - 1], chart)
-    for A in range(1, k + 1):
-        for i in range(1, base.n + 1):
-            terms = []
-            for j in range(1, base.n + 1):
-                dZj = Z.components[j - 1].diff(base.base_index(i))
-                if isinstance(dZj, Num) and dZj.value == 0.0:
-                    continue
-                terms.append(
-                    make_mul(
-                        chart.coordinate(f"p_{A}_{j}"),
-                        transplant(dZj, chart),
-                    )
-                )
-            if terms:
-                comps[chart.fiber_index(A, i)] = make_neg(make_add(*terms))
-    return VectorField(chart, tuple(comps))
-
-
-def canonical_tangent_lift(Z: VectorField, k: int) -> VectorField:
-    """Complete lift to the k-tangent chart:
-
-    Z^i d/dx_i  ->  Z^i d/dx_i + v_A_j (dZ^i/dx_j) d/dv_A_i for every copy A.
-    """
-    base = _require_base(Z)
-    bundle = tangent_bundle(base.n, k)
-    chart = bundle.chart
-    comps = [Num(0.0)] * chart.dimension
-    for i in range(1, base.n + 1):
-        comps[chart.base_index(i)] = transplant(Z.components[i - 1], chart)
-    for A in range(1, k + 1):
-        for i in range(1, base.n + 1):
-            terms = []
-            for j in range(1, base.n + 1):
-                dZi = Z.components[i - 1].diff(base.base_index(j))
-                if isinstance(dZi, Num) and dZi.value == 0.0:
-                    continue
-                terms.append(
-                    make_mul(
-                        chart.coordinate(f"v_{A}_{j}"),
-                        transplant(dZi, chart),
-                    )
-                )
-            if terms:
-                comps[chart.fiber_index(A, i)] = make_add(*terms)
-    return VectorField(chart, tuple(comps))
-
-
-def vertical_lift(Z: VectorField, A: int, k: int) -> VectorField:
-    """Copy the components of a base field into the A-th fiber block."""
-    base = _require_base(Z)
-    if not 1 <= A <= k:
-        raise ValueError(f"copy index {A} out of range 1..{k}")
-    bundle = tangent_bundle(base.n, k)
-    chart = bundle.chart
-    comps = [Num(0.0)] * chart.dimension
-    for i in range(1, base.n + 1):
-        comps[chart.fiber_index(A, i)] = transplant(Z.components[i - 1], chart)
-    return VectorField(chart, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@ alternating forms, Lie brackets and derivatives, and quadrature-backed
 potentials of exact one-forms.
 
 Forms are stored sparsely as maps from strictly increasing index tuples to
-coefficient expressions; wedge products and evaluations expand permutation
-signs on demand.
+coefficient expressions; evaluations expand permutation signs on demand.
 """
 
 from __future__ import annotations
@@ -37,15 +36,12 @@ __all__ = [
     "PForm",
     "scalar_form",
     "one_form",
-    "two_form",
     "zero_form",
-    "coordinate_differential",
     "coordinate_vector_field",
     "zero_vector_field",
     "form_add",
     "form_neg",
     "form_sub",
-    "wedge",
     "apply_form",
     "two_form_matrix",
     "directional_derivative",
@@ -53,7 +49,6 @@ __all__ = [
     "exterior_derivative",
     "interior_product",
     "lie_derivative_form",
-    "lie_derivative_scalar",
     "PotentialEvaluator",
     "potential_of_exact_one_form",
 ]
@@ -120,11 +115,6 @@ class ScalarField:
     def evaluate_batch(self, points) -> np.ndarray:
         return batch_evaluator(self.expr)(points)
 
-    def differentiate(self, coordinate: str | int) -> "ScalarField":
-        if isinstance(coordinate, str):
-            coordinate = self.chart.index_of(coordinate)
-        return ScalarField(self.chart, self.expr.diff(coordinate))
-
     def __str__(self):
         return to_source(self.expr)
 
@@ -151,10 +141,6 @@ class VectorField:
     def evaluate_batch(self, points) -> np.ndarray:
         """Component values at each point, shape (m, N)."""
         return np.stack([batch_evaluator(c)(points) for c in self.components], axis=-1)
-
-    def apply_to(self, f: Expression) -> Expression:
-        """Directional derivative X(f) as an expression."""
-        return directional_derivative(self, f)
 
     def is_zero(self) -> bool:
         return all(isinstance(c, Num) and c.value == 0.0 for c in self.components)
@@ -196,11 +182,6 @@ def directional_derivative(X: VectorField, f: Expression) -> Expression:
             continue
         terms.append(make_mul(comp, f.diff(index)))
     return make_add(*terms) if terms else Num(0.0)
-
-
-def lie_derivative_scalar(X: VectorField, f: ScalarField) -> ScalarField:
-    _same_chart(X, f)
-    return ScalarField(f.chart, directional_derivative(X, f.expr))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -264,15 +245,6 @@ class PForm:
         """Largest |component| at each point; NaN wherever any component is NaN."""
         return max_abs(self.components.values(), points)
 
-    def __add__(self, other):
-        return form_add(self, other)
-
-    def __sub__(self, other):
-        return form_sub(self, other)
-
-    def __neg__(self):
-        return form_neg(self)
-
     def __str__(self):
         if not self.components:
             return "0"
@@ -301,25 +273,6 @@ def one_form(chart: ChartSpace, components: Mapping[int, Expression] | Sequence[
     return PForm(chart, 1, comp)
 
 
-def two_form(chart: ChartSpace, components: Mapping[tuple[int, int], Expression]) -> PForm:
-    """Build a 2-form from possibly unsorted index pairs, folding signs."""
-    acc: dict[tuple[int, int], list[Expression]] = {}
-    for (i, j), expr in components.items():
-        if i == j:
-            continue
-        if i < j:
-            acc.setdefault((i, j), []).append(expr)
-        else:
-            acc.setdefault((j, i), []).append(make_neg(expr))
-    return PForm(chart, 2, {key: make_add(*exprs) for key, exprs in acc.items()})
-
-
-def coordinate_differential(chart: ChartSpace, coordinate: str | int) -> PForm:
-    if isinstance(coordinate, str):
-        coordinate = chart.index_of(coordinate)
-    return PForm(chart, 1, {(coordinate,): Num(1.0)})
-
-
 def form_add(a: PForm, b: PForm) -> PForm:
     chart = _same_chart(a, b)
     if a.degree != b.degree:
@@ -337,36 +290,6 @@ def form_neg(a: PForm) -> PForm:
 
 def form_sub(a: PForm, b: PForm) -> PForm:
     return form_add(a, form_neg(b))
-
-
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
-    """Sort the concatenation of two increasing tuples; None if indices repeat."""
-    merged = list(left + right)
-    if len(set(merged)) != len(merged):
-        return None, 0
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(merged)):
-        j = i
-        while j > 0 and merged[j - 1] > merged[j]:
-            merged[j - 1], merged[j] = merged[j], merged[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(merged), sign
-
-
-def wedge(a: PForm, b: PForm) -> PForm:
-    chart = _same_chart(a, b)
-    degree = a.degree + b.degree
-    acc: dict[tuple[int, ...], list[Expression]] = {}
-    for ka, ea in a.components.items():
-        for kb, eb in b.components.items():
-            key, sign = _merge_sign(ka, kb)
-            if key is None:
-                continue
-            term = make_mul(ea, eb)
-            acc.setdefault(key, []).append(term if sign > 0 else make_neg(term))
-    return PForm(chart, degree, {k: make_add(*v) for k, v in acc.items()})
 
 
 def exterior_derivative(omega: PForm) -> PForm:

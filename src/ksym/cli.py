@@ -861,7 +861,7 @@ def main(argv=None) -> int:
     except ModelFileError as exc:
         print(f"model error: {exc}", file=_sys.stderr)
         return 2
-    except (CliUsageError, FileNotFoundError, SamplingError, EvaluationDomainError) as exc:
+    except (CliUsageError, OSError, SamplingError, EvaluationDomainError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     report.elapsed_ms = int(round((time.perf_counter() - start) * 1000))

@@ -13,7 +13,8 @@ for k = 1 the solution is the unique classical one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .calculus import (
 from .expr import (
     ChartSpace,
     Check,
+    Expression,
     Func,
     batch_evaluator,
     fold,
@@ -121,7 +123,6 @@ class FieldSystem:
     omega: tuple[PForm, ...]
     energy: ScalarField | None  # E_L = Delta(L) - L; None on the Hamiltonian side
     bundle: KCotangentChart | KTangentChart
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def hamiltonian_side(self) -> bool:
@@ -139,8 +140,45 @@ class FieldSystem:
         has_func = fold(self.function.expr, lambda node, kids: isinstance(node, Func) or any(kids))
         return 1e-6 if has_func else 1e-8
 
-    def fiber_slots(self) -> list[int]:
-        return list(self.chart.fiber_indices)
+    # derivative tables, each derived on first use and kept with the system
+
+    @property
+    def fiber_gradient(self) -> list[Expression]:
+        """dL/dv_A_i per fiber slot, read off theta_A(d/dx_i) as build_system derived it."""
+        return [th.component(i) for th in self.theta for i in range(self.n)]
+
+    @cached_property
+    def fiber_hessian(self) -> list[list]:
+        """Evaluators of d^2 L / dv_a dv_b: row a, column b, over the fiber slots."""
+        slots = self.chart.fiber_indices
+        return [[batch_evaluator(da.diff(b)) for b in slots] for da in self.fiber_gradient]
+
+    @cached_property
+    def lagrangian_rows(self) -> tuple[list, dict]:
+        """Evaluators of dL/dx_i, and of d^2 L / dv_A_i dx_j keyed (A, i, j)."""
+        chart, n = self.chart, self.n
+        L = self.function.expr
+        dLdx = [batch_evaluator(L.diff(chart.base_index(i))) for i in range(1, n + 1)]
+        mixed = {}
+        for a, e in enumerate(self.fiber_gradient):
+            A, i = divmod(a, n)
+            for j in range(1, n + 1):
+                mixed[(A + 1, i + 1, j)] = batch_evaluator(e.diff(chart.base_index(j)))
+        return dLdx, mixed
+
+    @cached_property
+    def target_gradient(self) -> list:
+        """Evaluators of the target's partial derivatives, one per chart slot."""
+        expr = self.target.expr
+        return [batch_evaluator(expr.diff(i)) for i in range(self.chart.dimension)]
+
+    @cached_property
+    def omega_entries(self) -> list[list]:
+        """Per copy A: (i, j, evaluator) for each two-form coefficient."""
+        return [
+            [(i, j, batch_evaluator(expr)) for (i, j), expr in omega.components.items()]
+            for omega in self.omega
+        ]
 
 
 def build_system(
@@ -188,17 +226,14 @@ def build_system(
 # ---------------------------------------------------------------------------
 
 
-def _fiber_hessian_evaluators(system: FieldSystem):
-    key = "fiber_hessian"
-    if key not in system._cache:
-        slots = system.fiber_slots()
-        L = system.function.expr
-        rows = []
-        for a in slots:
-            da = L.diff(a)
-            rows.append([batch_evaluator(da.diff(b)) for b in slots])
-        system._cache[key] = rows
-    return system._cache[key]
+def _fiber_hessian_values(system: FieldSystem, points) -> np.ndarray:
+    """The fiber Hessian of L at each of the (m, N) points, shape (m, nk, nk)."""
+    rows = system.fiber_hessian
+    M = np.empty((len(points), len(rows), len(rows)))
+    for a, row in enumerate(rows):
+        for b, fn in enumerate(row):
+            M[:, a, b] = fn(points)
+    return M
 
 
 def check_regularity(
@@ -212,13 +247,8 @@ def check_regularity(
     """
     if system.kind != "lagrangian":
         raise ValueError("regularity applies to Lagrangian systems")
-    rows = _fiber_hessian_evaluators(system)
     points = np.asarray(points, dtype=float)
-    M = np.empty((len(points), len(rows), len(rows)))
-    for a, row in enumerate(rows):
-        for b, fn in enumerate(row):
-            M[:, a, b] = fn(points)
-    dets = np.abs(np.linalg.det(M))
+    dets = np.abs(np.linalg.det(_fiber_hessian_values(system, points)))
     at = int(np.argmin(dets))  # the first NaN, if any
     det = float(dets[at])
     return Check("regularity", det > tolerance, -det, -tolerance, points[at], {"min_abs_det": det})
@@ -227,29 +257,6 @@ def check_regularity(
 # ---------------------------------------------------------------------------
 # evolution solvers
 # ---------------------------------------------------------------------------
-
-
-def _target_gradient_evaluators(system: FieldSystem):
-    key = "target_gradient"
-    if key not in system._cache:
-        expr = system.target.expr
-        system._cache[key] = [
-            batch_evaluator(expr.diff(i)) for i in range(system.chart.dimension)
-        ]
-    return system._cache[key]
-
-
-def _omega_matrix_entries(system: FieldSystem):
-    """Per copy A: list of (i, j, evaluator) for the two-form coefficients."""
-    key = "omega_entries"
-    if key not in system._cache:
-        entries = []
-        for omega in system.omega:
-            entries.append(
-                [(i, j, batch_evaluator(expr)) for (i, j), expr in omega.components.items()]
-            )
-        system._cache[key] = entries
-    return system._cache[key]
 
 
 def solve_evolution_hamiltonian(system: FieldSystem, point) -> np.ndarray:
@@ -268,40 +275,18 @@ def solve_evolution_hamiltonian(system: FieldSystem, point) -> np.ndarray:
 
     # row c of the system: sum_A sum_b W_A[b, c] (X_A)^b = (dH)_c
     M = np.zeros((N, k * N))
-    for A, entries in enumerate(_omega_matrix_entries(system)):
+    for A, entries in enumerate(system.omega_entries):
         for i, j, fn in entries:
             w = fn(batch)[0]
             M[j, A * N + i] += w
             M[i, A * N + j] -= w
-    b = np.array([fn(batch)[0] for fn in _target_gradient_evaluators(system)])
+    b = np.array([fn(batch)[0] for fn in system.target_gradient])
 
     solution, *_ = np.linalg.lstsq(M, b, rcond=RCOND)
     residual = float(np.max(np.abs(M @ solution - b))) if N else 0.0
     if residual > SOLVE_RESIDUAL_TOL:
         raise InconsistentSystemError(residual)
     return solution.reshape(k, N)
-
-
-def _lagrangian_row_evaluators(system: FieldSystem):
-    key = "lagrangian_rows"
-    if key not in system._cache:
-        chart = system.chart
-        n, k = system.n, system.k
-        L = system.function.expr
-        dLdx = [batch_evaluator(L.diff(chart.base_index(i))) for i in range(1, n + 1)]
-        dLdv = {}
-        for A in range(1, k + 1):
-            for i in range(1, n + 1):
-                dLdv[(A, i)] = L.diff(chart.fiber_index(A, i))
-        mixed = {}
-        hess = {}
-        for (A, i), e in dLdv.items():
-            for j in range(1, n + 1):
-                mixed[(A, i, j)] = batch_evaluator(e.diff(chart.base_index(j)))
-                for B in range(1, k + 1):
-                    hess[(A, i, B, j)] = batch_evaluator(e.diff(chart.fiber_index(B, j)))
-        system._cache[key] = (dLdx, mixed, hess)
-    return system._cache[key]
 
 
 def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
@@ -326,7 +311,8 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
             f"(|det| = {regularity.extra['min_abs_det']:.3e})"
         )
 
-    dLdx, mixed, hess = _lagrangian_row_evaluators(system)
+    dLdx, mixed = system.lagrangian_rows
+    hess = _fiber_hessian_values(system, batch)[0]
 
     def unknown(A: int, B: int, j: int) -> int:
         # (Gamma_A)^j_B laid out A-major, then B, then j (all 1-based here)
@@ -344,7 +330,7 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
             for j in range(1, n + 1):
                 rhs -= mixed[(A, i, j)](batch)[0] * point[chart.fiber_index(A, j)]
                 for B in range(1, k + 1):
-                    M[row, unknown(A, B, j)] += hess[(A, i, B, j)](batch)[0]
+                    M[row, unknown(A, B, j)] += hess[(A - 1) * n + i - 1, (B - 1) * n + j - 1]
         b[row] = rhs
 
     row = n

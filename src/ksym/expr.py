@@ -6,10 +6,10 @@ possibly sharing subtrees, over real literals, chart coordinates, the four
 arithmetic operations, unary negation, integer powers, and a small set of
 analytic functions (sqrt, sin, cos, exp, log).
 
-Every walk -- simplifying, printing, differentiating, compiling, moving to
-another chart -- is one iterative ``fold`` that visits each node once,
-after its children; hashing and equality do not recurse either.  Only the
-parser recurses, with its nesting depth capped.
+Every walk -- simplifying, printing, differentiating, compiling -- is one
+iterative ``fold`` that visits each node once, after its children; hashing
+and equality do not recurse either.  Only the parser recurses, with its
+nesting depth capped.
 
 Simplification is deliberately conservative: constant folding, 0/1
 identities, and flattening of nested sums and products.  There is no
@@ -53,7 +53,6 @@ __all__ = [
     "Func",
     "FUNCTIONS",
     "fold",
-    "rebuild",
     "make_add",
     "make_mul",
     "make_div",
@@ -256,50 +255,11 @@ class Expression:
     def diff(self, index: int) -> "Expression":
         return differentiate(self, index)
 
-    # arithmetic sugar so geometric code reads like the formulas it implements
-    def __add__(self, other):
-        return make_add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return make_add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return make_add(self, make_neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return make_add(_coerce(other), make_neg(self))
-
-    def __mul__(self, other):
-        return make_mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return make_mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return make_div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return make_div(_coerce(other), self)
-
-    def __neg__(self):
-        return make_neg(self)
-
-    def __pow__(self, exponent: int):
-        return make_pow(self, exponent)
-
     def __str__(self) -> str:
         return to_source(self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({to_source(self)})"
-
-
-def _coerce(value) -> Expression:
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, (int, float)):
-        return Num(float(value))
-    raise TypeError(f"cannot use {value!r} in an expression")
 
 
 class Num(Expression):
@@ -524,28 +484,26 @@ def make_func(name: str, arg: Expression) -> Expression:
     return Func(name, arg)
 
 
-def rebuild(e: Expression, children, smart: bool = False) -> Expression:
-    """``e`` with its children replaced: through the raw constructors, or
-    through the smart ones when ``smart``.  Leaves come back unchanged."""
-    t = type(e)
-    if t is Add:
-        return make_add(*children) if smart else Add(tuple(children))
-    if t is Mul:
-        return make_mul(*children) if smart else Mul(tuple(children))
-    if t is Div:
-        return (make_div if smart else Div)(*children)
-    if t is Neg:
-        return (make_neg if smart else Neg)(*children)
-    if t is Pow:
-        return (make_pow if smart else Pow)(children[0], e.exponent)
-    if t is Func:
-        return (make_func if smart else Func)(e.name, children[0])
-    return e
-
-
 def simplify(e: Expression) -> Expression:
     """Rebuild through the smart constructors.  Idempotent node-for-node."""
-    return fold(e, lambda node, children: rebuild(node, children, smart=True))
+
+    def rule(node: Expression, kids: list) -> Expression:
+        t = type(node)
+        if t is Add:
+            return make_add(*kids)
+        if t is Mul:
+            return make_mul(*kids)
+        if t is Div:
+            return make_div(*kids)
+        if t is Neg:
+            return make_neg(*kids)
+        if t is Pow:
+            return make_pow(kids[0], node.exponent)
+        if t is Func:
+            return make_func(node.name, kids[0])
+        return node
+
+    return fold(e, rule)
 
 
 def _derivative_rule(index: int) -> Callable:
@@ -980,28 +938,44 @@ def sample_points(
     expressions).  Points where any of them is non-finite or hits an
     evaluation domain error are discarded and redrawn, up to a 10x
     oversampling budget; the first valid points are kept in draw order.
+    Past the budget, the error names the first expression that rejected a
+    draw, why (inf, nan or its domain error), and that point.
     """
     if not math.isfinite(2.0 * halfwidth):
         raise SamplingError(f"halfwidth {halfwidth!r} spans a box of non-finite width")
     rng = np.random.default_rng(seed)
-    kernels = [batch_evaluator(getattr(item, "expr", item)) for item in require]
+    exprs = [getattr(item, "expr", item) for item in require]
 
     accepted = np.empty((0, chart.dimension))
     drawn = 0
     budget = 10 * count
+    rejected = None  # (expression, point) of the first rejected draw
     while len(accepted) < count:
         if drawn >= budget:
             raise SamplingError(
-                f"could not draw {count} valid points within {budget} attempts"
+                f"could not draw {count} valid points within {budget} attempts; "
+                + _rejection(*rejected)
             )
         batch = min(count, budget - drawn)
         pts = rng.uniform(-halfwidth, halfwidth, size=(batch, chart.dimension))
         drawn += batch
         valid = np.ones(batch, dtype=bool)
-        for kernel in kernels:
-            valid &= np.isfinite(kernel(pts, strict=False))
+        for e in exprs:
+            finite = np.isfinite(batch_evaluator(e)(pts, strict=False))
+            if rejected is None and not finite.all():
+                rejected = e, pts[np.argmin(finite)]
+            valid &= finite
         accepted = np.concatenate([accepted, pts[valid][: count - len(accepted)]])
     return accepted
+
+
+def _rejection(e: Expression, point) -> str:
+    """Why ``e`` rejected ``point``, from a strict rerun of that one row."""
+    try:
+        cause = f"is {batch_evaluator(e)(point[None])[0]}"  # inf, -inf or nan
+    except EvaluationDomainError as exc:
+        cause = f"has a domain error, {exc},"
+    return f"'{to_source(e)}' {cause} at {[float(x) for x in point]}"
 
 
 def worst_sample(residuals) -> tuple[float, int]:

@@ -3,32 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ksym.bundles import (
-    canonical_cotangent_lift,
-    canonical_tangent_lift,
-    cotangent_bundle,
-    first_prolongation,
-    tangent_bundle,
-    transplant,
-    vertical_lift,
-)
+from ksym.bundles import cotangent_bundle, first_prolongation, tangent_bundle
 from ksym.calculus import (
     ScalarField,
     exterior_derivative,
-    form_add,
     form_neg,
     lie_derivative_form,
     one_form,
     scalar_form,
     vector_field_from_map,
 )
-from ksym.expr import (
-    Num,
-    base_chart,
-    parse_expression,
-    sample_points,
-    tangent_chart,
-)
+from ksym.expr import Num, base_chart, parse_expression, sample_points, tangent_chart
 from scalar_oracle import evaluate
 
 
@@ -68,14 +53,6 @@ def test_omega_pairs_base_with_matching_momentum():
     assert len(omega1.components) == 2
 
 
-def test_vertical_frame_spans_momenta():
-    cb = cotangent_bundle(2, 2)
-    assert len(cb.vertical_frame) == 4
-    v = cb.vertical_frame[0].evaluate(np.zeros(cb.chart.dimension))
-    assert v[cb.chart.fiber_index(1, 1)] == 1.0
-    assert np.sum(np.abs(v)) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # canonical tangent structures
 # ---------------------------------------------------------------------------
@@ -93,18 +70,20 @@ def test_liouville_field_components():
 
 
 def test_tangent_structure_maps_base_to_fiber():
+    # S_2 sends d/dx_i to d/dv_2_i and kills fiber directions, so alpha o S_2
+    # reads the dv_2_i components of alpha into the dx_i slots and nothing else
     tb = tangent_bundle(2, 2)
     chart = tb.chart
-    V = vector_field_from_map(
-        chart, {"x_1": parse_expression("x_2", chart), "v_1_1": Num(7.0)}
+    alpha = one_form(
+        chart,
+        {
+            chart.base_index(1): Num(3.0),
+            chart.fiber_index(1, 1): Num(7.0),
+            chart.fiber_index(2, 1): chart.coordinate("x_2"),
+        },
     )
-    S2 = tb.structures[1]
-    out = S2.apply_to_vector(V)
-    point = np.array([0.0, 0.5, 0, 0, 0, 0], dtype=float)
-    vals = out.evaluate(point)
-    # base component of V lands in the second fiber block; fiber input ignored
-    assert vals[chart.fiber_index(2, 1)] == 0.5
-    assert np.count_nonzero(vals) == 1
+    out = tb.structures[1].precompose_one_form(alpha)
+    assert out.components == {(chart.base_index(1),): chart.coordinate("x_2")}
 
 
 def test_tangent_structure_precompose_picks_fiber_slots():
@@ -120,103 +99,21 @@ def test_tangent_structure_precompose_picks_fiber_slots():
         assert evaluate(theta2.component(chart.base_index(1)), p) == pytest.approx(-p[2])
 
 
-def test_vertical_lift_matches_structure_applied_to_tangent_lift():
-    base = base_chart(2)
-    Z = vector_field_from_map(
-        base, {"x_1": parse_expression("x_2^2", base), "x_2": parse_expression("x_1", base)}
-    )
-    tb = tangent_bundle(2, 2)
-    lifted = canonical_tangent_lift(Z, 2)
-    for A in (1, 2):
-        vert = vertical_lift(Z, A, 2)
-        via_structure = tb.structures[A - 1].apply_to_vector(lifted)
-        for p in sample_points(tb.chart, count=8, seed=5):
-            assert np.allclose(vert.evaluate(p), via_structure.evaluate(p), atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# lifts
-# ---------------------------------------------------------------------------
-
-
-def test_cotangent_lift_of_translation_is_translation():
-    base = base_chart(1)
-    Z = vector_field_from_map(base, {"x_1": Num(1.0)})
-    lifted = canonical_cotangent_lift(Z, 2)
-    point = np.array([0.4, 1.0, 2.0])
-    assert np.allclose(lifted.evaluate(point), [1.0, 0.0, 0.0])
-
-
-def test_cotangent_lift_of_scaling_field():
-    # Z = x d/dx lifts to x d/dx - p_A d/dp_A on each copy
-    base = base_chart(1)
-    Z = vector_field_from_map(base, {"x_1": base.coordinate("x_1")})
-    lifted = canonical_cotangent_lift(Z, 2)
-    chart = cotangent_bundle(1, 2).chart
-    point = np.array([0.7, 2.0, -3.0])
-    vals = lifted.evaluate(point)
-    assert vals[chart.base_index(1)] == pytest.approx(0.7)
-    assert vals[chart.fiber_index(1, 1)] == pytest.approx(-2.0)
-    assert vals[chart.fiber_index(2, 1)] == pytest.approx(3.0)
-
-
-def test_tangent_lift_of_scaling_field():
-    # Z = x d/dx lifts to x d/dx + v_A d/dv_A
-    base = base_chart(1)
-    Z = vector_field_from_map(base, {"x_1": base.coordinate("x_1")})
-    lifted = canonical_tangent_lift(Z, 2)
-    chart = tangent_bundle(1, 2).chart
-    point = np.array([0.7, 2.0, -3.0])
-    vals = lifted.evaluate(point)
-    assert vals[chart.base_index(1)] == pytest.approx(0.7)
-    assert vals[chart.fiber_index(1, 1)] == pytest.approx(2.0)
-    assert vals[chart.fiber_index(2, 1)] == pytest.approx(-3.0)
-
-
 def test_cotangent_lift_preserves_canonical_forms():
-    rng = np.random.default_rng(8)
-    base = base_chart(2)
-    Z = vector_field_from_map(
-        base,
-        {
-            "x_1": parse_expression("x_1^2 - x_2", base),
-            "x_2": parse_expression("3*x_1*x_2", base),
-        },
-    )
-    lifted = canonical_cotangent_lift(Z, 2)
+    # the complete lift of Z = (x_1^2 - x_2) d/dx_1 + 3 x_1 x_2 d/dx_2, with
+    # -p_A_j dZ^j/dx_i in each d/dp_A_i slot, is a symmetry of every omega_A
     cb = cotangent_bundle(2, 2)
+    sources = {"x_1": "x_1^2 - x_2", "x_2": "3*x_1*x_2"}
+    for A in (1, 2):
+        sources[f"p_{A}_1"] = f"-(2*x_1*p_{A}_1 + 3*x_2*p_{A}_2)"
+        sources[f"p_{A}_2"] = f"p_{A}_1 - 3*x_1*p_{A}_2"
+    lifted = vector_field_from_map(
+        cb.chart, {name: parse_expression(src, cb.chart) for name, src in sources.items()}
+    )
     for omega in cb.omega:
         lie = lie_derivative_form(lifted, omega)
         for p in sample_points(cb.chart, count=16, seed=11):
             assert lie.max_component_at(p) <= 1e-9
-
-
-def test_lift_linearity():
-    base = base_chart(2)
-    Z1 = vector_field_from_map(base, {"x_1": parse_expression("x_2^2", base)})
-    Z2 = vector_field_from_map(base, {"x_2": parse_expression("x_1", base)})
-    combo = vector_field_from_map(
-        base,
-        {
-            "x_1": parse_expression("2*x_2^2", base),
-            "x_2": parse_expression("-3*x_1", base),
-        },
-    )
-    for lift in (canonical_tangent_lift, canonical_cotangent_lift):
-        L1 = lift(Z1, 2)
-        L2 = lift(Z2, 2)
-        Lc = lift(combo, 2)
-        for p in sample_points(L1.chart, count=8, seed=19):
-            lhs = Lc.evaluate(p)
-            rhs = 2.0 * L1.evaluate(p) - 3.0 * L2.evaluate(p)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-def test_transplant_rejects_missing_names():
-    tb = tangent_bundle(1, 1)
-    e = parse_expression("v_1_1", tb.chart)
-    with pytest.raises(KeyError):
-        transplant(e, base_chart(1))
 
 
 # ---------------------------------------------------------------------------

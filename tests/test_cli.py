@@ -397,6 +397,14 @@ def test_domain_error_in_a_sampled_check_exits_2(tmp_path, capsys):
     assert "square root of a negative number in 'sqrt(x_1)'" in err
 
 
+def test_sampling_failure_names_the_rejecting_function(capsys):
+    # the Lagrangian's squares overflow to inf everywhere in so wide a box
+    argv = ["check", "symmetry", "--model", "free_particle", "--field", "ddx", "--box", "1e200"]
+    err = assert_one_error_line(main(argv), capsys)
+    assert "could not draw 64 valid points within 640 attempts; " in err
+    assert "'(v_1_1^2 + v_2_1^2) / 2' is inf at [" in err
+
+
 def test_sine_of_an_overflowed_argument_ends_cleanly(tmp_path, capsys):
     path = write_model(
         tmp_path,
@@ -659,6 +667,15 @@ def test_integrate_section_writes_csv(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "t_1,t_2,x_1,v_1_1,v_2_1"
     assert len(lines) == 10
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    argv = [
+        "integrate", "section", "--model", "free_particle",
+        "--T", "0.0625", "--h", "0.03125", "--out", str(tmp_path),
+    ]
+    err = assert_one_error_line(main(argv), capsys)
+    assert "Is a directory" in err
 
 
 def test_non_commuting_family_fails_the_section_check(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Field systems: construction, regularity, and the evolution solvers."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ksym import expr
 from ksym.calculus import VectorField, two_form_matrix, zero_form
+from ksym.cli import load_model, resolve_model_path
 from ksym.dynamics import (
     FieldSystem,
     InconsistentSystemError,
@@ -354,3 +358,22 @@ def test_verify_evolution_chart_mismatch():
     )
     with pytest.raises(ValueError):
         verify_evolution(sys, family, [np.zeros(3)])
+
+
+@pytest.mark.parametrize("name", ["navier", "vibrating_string", "laplace3", "minimal_surface"])
+def test_lagrangian_derivatives_are_taken_once(name, monkeypatch):
+    system = load_model(resolve_model_path(name)).system
+    taken = Counter()
+    differentiate = expr.differentiate
+
+    def counted(e, coordinate, chart=None):
+        taken[(e, coordinate)] += 1
+        return differentiate(e, coordinate, chart)
+
+    monkeypatch.setattr(expr, "differentiate", counted)
+    point = np.full(system.chart.dimension, 0.5)
+    assert check_regularity(system, point[None]).holds
+    solve_evolution_lagrangian(system, point)
+    assert taken and max(taken.values()) == 1, [
+        (expr.to_source(e), slot) for (e, slot), count in taken.items() if count > 1
+    ]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ksym.bundles import transplant
 from ksym.expr import (
     Add,
     ChartSpace,
@@ -411,7 +411,6 @@ def test_a_5000_deep_tree_stays_within_the_recursion_limit():
     assert simplify(e) == e and hash(simplify(e)) == hash(e)
     text = to_source(e)
     assert text.startswith("x_1 * sin(x_1 * sin(") and text.count("sin(") == 2500
-    assert transplant(e, tangent_chart(1, 1)) == e
     points = np.array([[1.2], [1.5], [1.8]])  # f = x * sin(f) has a stable fixed point f > 0
     f, df = batch_evaluator(e), batch_evaluator(e.diff(0))
     h = 1e-6
@@ -515,6 +514,26 @@ def test_sampling_gives_up_after_budget():
     e = parse_expression("sqrt(-1 - x_1^2)", chart)
     with pytest.raises(SamplingError):
         sample_points(chart, count=8, seed=5, require=[e])
+
+
+@pytest.mark.parametrize(
+    "source, cause",
+    [
+        ("sqrt(-1 - x_1^2)", "has a domain error, square root of a negative number in "),
+        ("exp(1000 + x_1^2)", "is inf"),
+        ("exp(1000 + x_1^2) - exp(1000 + x_1^2)", "is nan"),
+    ],
+)
+def test_sampling_failure_names_the_rejecting_function(source, cause):
+    chart = base_chart(1)
+    e = parse_expression(source, chart)
+    with pytest.raises(SamplingError) as err:
+        sample_points(chart, count=8, seed=5, require=[Num(1.0), e])
+    message = str(err.value)
+    assert message.startswith("could not draw 8 valid points within 80 attempts; ")
+    assert f"'{to_source(e)}' {cause}" in message
+    point = np.array([json.loads(message.rpartition(" at ")[2])])
+    assert point.shape == (1, 1) and not np.isfinite(batch_evaluator(e)(point, strict=False)[0])
 
 
 @pytest.mark.parametrize("halfwidth", [1e308, math.inf, math.nan])

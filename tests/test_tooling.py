@@ -1,17 +1,87 @@
-"""The benchmark harness's traced run against the real package."""
+"""The package surface, the README's library example, and the benchmark
+harness's traced run against the real package."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import os
+import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import ksym
 import parser_oracle
 from ksym.cli import build_parser
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
+
+# every name the package exported when it listed them in ``__init__``
+EXPORTS = """
+    ChartSpace Check EvaluationDomainError Expression ExprError ExprSyntaxError
+    NonIntegerExponentError SamplingError UnknownIdentifierError base_chart
+    cotangent_chart parse_expression sample_points simplify tangent_chart to_source
+    ChartMismatchError ClosednessError PForm ScalarField VectorField exterior_derivative
+    interior_product lie_bracket lie_derivative_form potential_of_exact_one_form
+    cotangent_bundle first_prolongation tangent_bundle
+    FieldSystem InconsistentSystemError KVectorField SingularHessianError build_system
+    check_regularity solve_evolution_hamiltonian solve_evolution_lagrangian verify_evolution
+    is_cartan_symmetry is_invariant_form is_symmetry solve_pseudosymmetry
+    ConservationLaw NotCartanSymmetryError build_bracket_law build_noether_law
+    check_momentum_converse user_law verify_law_pointwise
+    SectionGrid check_integrability export_grid_csv integrate_section verify_law_divergence
+    load_model resolve_model_path
+""".split()
+
+
+def test_former_exports_still_import_from_the_package():
+    namespace = {}
+    exec(f"from ksym import {', '.join(EXPORTS)}", namespace)  # ImportError on a lost name
+    assert len(EXPORTS) == 56 and set(EXPORTS) <= set(namespace)
+
+
+def test_the_package_exports_every_module_all():
+    owners = {}
+    for info in pkgutil.iter_modules(ksym.__path__):
+        module = importlib.import_module(f"ksym.{info.name}")
+        for name in module.__all__:
+            assert name not in owners, f"{name} in both {owners.get(name)} and {info.name}"
+            owners[name] = info.name
+            assert getattr(ksym, name) is getattr(module, name)
+    assert set(EXPORTS) <= set(owners)
+
+
+def test_importing_the_package_loads_no_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(ksym.__file__).parents[1])}
+    code = "import sys, ksym; print(sorted(m for m in sys.modules if m.startswith('ksym.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_readme_library_example_prints_what_it_states():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library example", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    # each print's comment states its output, up to the first ", "
+    stated = [
+        comment.split(", ")[0]
+        for block in blocks
+        for comment in re.findall(r"^print\(.*\)  # (.*)$", block, re.M)
+    ]
+    namespace, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(block, namespace)
+    assert out.getvalue().splitlines() == stated
 
 
 def test_every_traced_target_resolves():
