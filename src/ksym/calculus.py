@@ -23,7 +23,6 @@ from .expr import (
     make_mul,
     make_neg,
     sample_points,
-    to_source,
     validate_on_chart,
     worst_sample,
 )
@@ -115,9 +114,6 @@ class ScalarField:
     def evaluate_batch(self, points) -> np.ndarray:
         return batch_evaluator(self.expr)(points)
 
-    def __str__(self):
-        return to_source(self.expr)
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -144,15 +140,6 @@ class VectorField:
 
     def is_zero(self) -> bool:
         return all(isinstance(c, Num) and c.value == 0.0 for c in self.components)
-
-    def __str__(self):
-        names = self.chart.coordinate_names
-        parts = [
-            f"({to_source(c)}) d/d{names[i]}"
-            for i, c in enumerate(self.components)
-            if not (isinstance(c, Num) and c.value == 0.0)
-        ]
-        return " + ".join(parts) if parts else "0"
 
 
 def zero_vector_field(chart: ChartSpace) -> VectorField:
@@ -244,17 +231,6 @@ class PForm:
     def max_abs(self, points) -> np.ndarray:
         """Largest |component| at each point; NaN wherever any component is NaN."""
         return max_abs(self.components.values(), points)
-
-    def __str__(self):
-        if not self.components:
-            return "0"
-        names = self.chart.coordinate_names
-        parts = []
-        for key, expr in sorted(self.components.items()):
-            basis = " ^ ".join(f"d{names[i]}" for i in key)
-            text = to_source(expr)
-            parts.append(f"({text}) {basis}" if basis else text)
-        return " + ".join(parts)
 
 
 def zero_form(chart: ChartSpace, degree: int) -> PForm:

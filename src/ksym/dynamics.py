@@ -304,15 +304,12 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
     point = np.asarray(point, dtype=float)
     batch = point[None]  # one-row batch for the kernels
 
-    regularity = check_regularity(system, batch)
-    if not regularity.holds:
-        raise SingularHessianError(
-            "fiber Hessian is singular at the point "
-            f"(|det| = {regularity.extra['min_abs_det']:.3e})"
-        )
+    hess = _fiber_hessian_values(system, batch)[0]
+    det = abs(float(np.linalg.det(hess)))
+    if not det > REGULARITY_DET_TOL:  # the verdict of check_regularity, NaN included
+        raise SingularHessianError(f"fiber Hessian is singular at the point (|det| = {det:.3e})")
 
     dLdx, mixed = system.lagrangian_rows
-    hess = _fiber_hessian_values(system, batch)[0]
 
     def unknown(A: int, B: int, j: int) -> int:
         # (Gamma_A)^j_B laid out A-major, then B, then j (all 1-based here)

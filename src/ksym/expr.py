@@ -23,13 +23,18 @@ a one-row batch).  Rows the kernel cannot settle in IEEE arithmetic are
 rerun through a checked copy of the same statements, which names the first
 subexpression, in scalar evaluation order, that left its domain.
 
-Every sampled claim ends in one ``Check``: the worst residual over the
-points, its witness, and whether it is within tolerance.
+Sample points are the stream of numpy's ``default_rng(seed).uniform``,
+reproduced bit for bit in uint64 arithmetic, so sampling never imports
+numpy's random module.  Every sampled claim ends in one ``Check``: the
+worst residual over the points, its witness, and whether it is within
+tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
@@ -757,13 +762,9 @@ def parse_expression(source: str, chart: ChartSpace, parameters: dict | None = N
 # ---------------------------------------------------------------------------
 
 
-def differentiate(e: Expression, coordinate: str | int, chart: ChartSpace | None = None) -> Expression:
-    """Exact partial derivative with respect to a chart coordinate."""
-    if isinstance(coordinate, str):
-        if chart is None:
-            raise ValueError("differentiating by name requires the chart")
-        coordinate = chart.index_of(coordinate)
-    return fold(e, _derivative_rule(coordinate))
+def differentiate(e: Expression, index: int) -> Expression:
+    """Exact partial derivative with respect to the chart coordinate in slot ``index``."""
+    return fold(e, _derivative_rule(index))
 
 
 def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
@@ -924,6 +925,95 @@ def batch_evaluator(e: Expression) -> Callable:
 # seeded sampling
 # ---------------------------------------------------------------------------
 
+_M32, _M64 = 2**32 - 1, 2**64 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BLOCK = 8192  # draws per vectorized step
+
+
+def _hasher(const: int, mult: int) -> Callable:
+    """numpy's SeedSequence hash: each call mixes one uint32 with a running constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_words(seed) -> list[int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)``, as ints."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    words = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _mul_add(x, k: int, add) -> np.ndarray:
+    """x * k + add mod 2^128, x and add as (high, low) uint64 halves along
+    the first axis and k an int; the high half of low * k is taken on 32-bit
+    halves."""
+    hi, lo = x
+    k_lo = k & _M64
+    a1, a0, b1, b0 = lo >> 32, lo & _M32, k_lo >> 32, k_lo & _M32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + hi * k_lo + lo * (k >> 64)
+    lo = lo * k_lo + add[1]
+    return np.array([hi + add[0] + (lo < add[1]), lo])
+
+
+def _halves(a: int, c: int) -> np.ndarray:
+    """The 128-bit ints ``a`` and ``c`` as a (2, 2, 1) array: (high, low) uint64
+    halves along the first axis."""
+    return np.array([[[a >> 64], [c >> 64]], [[a & _M64], [c & _M64]]], dtype=np.uint64)
+
+
+def _uniform_stream(seed) -> Callable:
+    """``draw(low, high, shape)``: the values of successive
+    ``default_rng(seed).uniform(low, high, shape)`` calls on one numpy
+    Generator, bit for bit -- its PCG64 seeded through SeedSequence, stepped
+    here in uint64 blocks -- without importing numpy's random module."""
+    w0, w1, w2, w3 = _seed_words(seed)
+    inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) % 2**128
+    # jumps[h, t, j - 1] is half h (high, low) of A_j = M^j (t = 0) or C_j
+    # (t = 1): j steps from state s reach A_j s + C_j
+    jumps = _halves(_PCG64_MULT, inc)
+
+    def draw(low: float, high: float, shape: tuple) -> np.ndarray:
+        nonlocal state, jumps
+        low, span = float(low), float(high) - float(low)
+        out = np.empty(math.prod(shape))
+        for start in range(0, out.size, _BLOCK):
+            size = min(_BLOCK, out.size - start)
+            while jumps.shape[2] < size:  # A_(n+j) = A_n A_j, C_(n+j) = A_n C_j + C_n
+                a, c = (int(hi) << 64 | int(lo) for hi, lo in jumps[:, :, -1].T)
+                jumps = np.concatenate([jumps, _mul_add(jumps, a, _halves(0, c))], axis=2)
+            hi, lo = _mul_add(jumps[:, 0, :size], state, jumps[:, 1, :size])
+            state = int(hi[-1]) << 64 | int(lo[-1])
+            x, rot = hi ^ lo, hi >> 58  # PCG's XSL-RR output
+            bits = x >> rot | x << (-rot & 63)
+            out[start : start + size] = low + span * ((bits >> 11) * 2.0**-53)
+        return out.reshape(shape)
+
+    return draw
+
 
 def sample_points(
     chart: ChartSpace,
@@ -932,7 +1022,8 @@ def sample_points(
     halfwidth: float = 1.0,
     require: Iterable = (),
 ) -> np.ndarray:
-    """Draw ``count`` points uniformly from [-halfwidth, halfwidth]^N.
+    """Draw ``count`` points uniformly from [-halfwidth, halfwidth]^N, the
+    values ``default_rng(seed).uniform`` gives, row by row.
 
     ``require`` holds expressions (or scalar fields, standing for their
     expressions).  Points where any of them is non-finite or hits an
@@ -943,7 +1034,7 @@ def sample_points(
     """
     if not math.isfinite(2.0 * halfwidth):
         raise SamplingError(f"halfwidth {halfwidth!r} spans a box of non-finite width")
-    rng = np.random.default_rng(seed)
+    draw = _uniform_stream(seed)
     exprs = [getattr(item, "expr", item) for item in require]
 
     accepted = np.empty((0, chart.dimension))
@@ -957,7 +1048,7 @@ def sample_points(
                 + _rejection(*rejected)
             )
         batch = min(count, budget - drawn)
-        pts = rng.uniform(-halfwidth, halfwidth, size=(batch, chart.dimension))
+        pts = draw(-halfwidth, halfwidth, (batch, chart.dimension))
         drawn += batch
         valid = np.ones(batch, dtype=bool)
         for e in exprs:

@@ -366,9 +366,9 @@ def test_lagrangian_derivatives_are_taken_once(name, monkeypatch):
     taken = Counter()
     differentiate = expr.differentiate
 
-    def counted(e, coordinate, chart=None):
-        taken[(e, coordinate)] += 1
-        return differentiate(e, coordinate, chart)
+    def counted(e, index):
+        taken[(e, index)] += 1
+        return differentiate(e, index)
 
     monkeypatch.setattr(expr, "differentiate", counted)
     point = np.full(system.chart.dimension, 0.5)
@@ -377,3 +377,24 @@ def test_lagrangian_derivatives_are_taken_once(name, monkeypatch):
     assert taken and max(taken.values()) == 1, [
         (expr.to_source(e), slot) for (e, slot), count in taken.items() if count > 1
     ]
+
+
+@pytest.mark.parametrize("name", ["navier", "vibrating_string", "laplace3", "minimal_surface"])
+def test_fiber_hessian_is_evaluated_once_per_solve(name, monkeypatch):
+    system = load_model(resolve_model_path(name)).system
+    runs = Counter()
+
+    def counted(slot, kernel):
+        def run(points, *args, **kwargs):
+            runs[slot] += 1
+            return kernel(points, *args, **kwargs)
+
+        return run
+
+    rows = [
+        [counted((a, b), kernel) for b, kernel in enumerate(row)]
+        for a, row in enumerate(system.fiber_hessian)
+    ]
+    monkeypatch.setitem(vars(system), "fiber_hessian", rows)
+    solve_evolution_lagrangian(system, np.full(system.chart.dimension, 0.5))
+    assert len(runs) == sum(map(len, rows)) and set(runs.values()) == {1}, runs

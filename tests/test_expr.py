@@ -39,6 +39,7 @@ from ksym.expr import (
     to_source,
     validate_on_chart,
 )
+from ksym.expr import _BLOCK, _uniform_stream
 from scalar_oracle import evaluate, evaluator
 
 
@@ -545,6 +546,26 @@ def test_sampling_refuses_a_box_of_non_finite_width(halfwidth):
 def test_sampling_accepts_the_widest_finite_box():
     pts = sample_points(base_chart(2), count=4, halfwidth=8e307)  # 2 * 8e307 is finite
     assert np.isfinite(pts).all() and np.all(np.abs(pts) <= 8e307)
+
+
+@given(
+    seed=st.integers(0, 2**128),
+    halfwidth=st.floats(1e-3, 1e300),
+    sizes=st.lists(
+        st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]), min_size=1, max_size=4
+    ),
+)
+def test_sample_stream_is_numpys_uniform_stream(seed, halfwidth, sizes):
+    rng = np.random.default_rng(seed)
+    draw = _uniform_stream(seed)
+    for size in sizes:  # successive draws continue one stream
+        expected = rng.uniform(-halfwidth, halfwidth, size=(size,))
+        assert np.array_equal(draw(-halfwidth, halfwidth, (size,)), expected)
+
+
+def test_sampling_refuses_a_negative_seed():
+    with pytest.raises(ValueError):
+        sample_points(base_chart(2), count=4, seed=-1)
 
 
 def _sample_row_by_row(chart, count, seed, require):

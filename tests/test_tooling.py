@@ -66,6 +66,40 @@ def test_importing_the_package_loads_no_module():
     assert proc.stdout == "[]\n"
 
 
+# runs argv lists read from stdin through one interpreter's ``main``
+RUN_COMMANDS = """
+import contextlib, io, json, sys
+from ksym.cli import main
+argvs = json.load(sys.stdin)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("numpy.random"))]))
+"""
+
+
+def test_no_benchmark_command_loads_numpys_random_module():
+    # sampling reproduces default_rng(seed).uniform without importing it
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text())
+    commands = workloads["golden"]["commands"] + workloads["sampled"]["commands"]
+    assert len(commands) == 30
+    env = {**os.environ, "PYTHONPATH": str(Path(ksym.__file__).parents[1])}
+    argvs = json.dumps([command["argv"] for command in commands])
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_COMMANDS], input=argvs, capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [command["exit"] for command in commands]
+    assert loaded == []
+
+
+def test_the_package_source_never_names_numpys_random_module():
+    sources = sorted(Path(ksym.__file__).parent.glob("*.py"))
+    assert sources
+    named = [p.name for p in sources if re.search(r"\b(np|numpy)\.random\b", p.read_text())]
+    assert named == []
+
+
 def test_readme_library_example_prints_what_it_states():
     text = (ROOT / "README.md").read_text()
     section = text.split("## Library example", 1)[1].split("\n## ", 1)[0]
