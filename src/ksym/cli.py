@@ -6,10 +6,15 @@ constants, and any number of named ``[field ...]`` and ``[law ...]`` sections.
 Every command loads a model (bundled by name, or any path to a ``.ksym``
 file), runs one check family, and emits a report as a table or as JSON.
 
-Exit codes: 0 when every check passes, 1 when any fails, 2 for usage or
-model-file errors.  Numeric flags are checked when parsed, and the point
-arrays a command allocates (samples or grid nodes, times the chart dimension)
-are held to ``MAX_ARRAY_VALUES``.
+Exit codes: 0 when every check passes, 1 when any fails, 2 for usage,
+model-file and (with one ``internal error:`` line) any other errors.  Numeric
+flags are checked when parsed, and the point arrays a command allocates
+(samples or grid nodes, times the chart dimension) are held to
+``MAX_ARRAY_VALUES``.
+
+An argv of exact command names and ``--flag value`` pairs that the flags accept
+is read straight from ``COMMANDS``; argparse (``build_parser``) parses any other
+argv, and so writes every help text, usage line and error message.
 """
 
 from __future__ import annotations
@@ -838,6 +843,37 @@ def build_parser() -> argparse.ArgumentParser:
     return _CommandParser(prog="ksym", description="Field-theory model checks from the command line.")
 
 
+def _table_parse(argv: list) -> argparse.Namespace | None:
+    """The namespace argparse builds for a well-formed ``argv``, read straight
+    from ``COMMANDS``; None for any argv that needs argparse to help or refuse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    names, body, rest = {"group": argv[0]}, COMMANDS[argv[0]][-1], argv[1:]
+    if isinstance(body, dict):
+        if not rest or rest[0] not in body:
+            return None
+        names["action"], body, rest = rest[0], body[rest[0]][2], rest[1:]
+    options, values = dict(body), {flag: option.get("default") for flag, option in body}
+    missing = {flag for flag, option in body if option.get("required")}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        option = options.get(flag)
+        if option is None or text.startswith("-"):
+            return None
+        try:
+            value = option.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+        append = option.get("action") == "append"  # a new list: the default stays []
+        values[flag] = values[flag] + [value] if append else value
+        missing.discard(flag)
+    if missing or len(rest) % 2:
+        return None
+    names.update((flag[2:].replace("-", "_"), value) for flag, value in values.items())
+    return argparse.Namespace(**names)
+
+
 def _dispatch(args) -> Report:
     if args.group == "list-models":
         return Report("list-models", None, None, None, [], {"models": _list_models()})
@@ -851,8 +887,9 @@ def _dispatch(args) -> Report:
 
 
 def main(argv=None) -> int:
+    argv = _sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _table_parse(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     start = time.perf_counter()
@@ -863,6 +900,9 @@ def main(argv=None) -> int:
         return 2
     except (CliUsageError, OSError, SamplingError, EvaluationDomainError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of ksym, never a failed check (exit 1)
+        print(f"internal error: {exc!r}", file=_sys.stderr)
         return 2
     report.elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     print(report.to_json() if args.format == "json" else report.to_table())

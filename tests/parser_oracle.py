@@ -13,6 +13,15 @@ import math
 
 import numpy as np
 
+
+def plain(namespace: argparse.Namespace) -> dict:
+    """A namespace's values with arrays as lists, so that two compare with ``==``."""
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in vars(namespace).items()
+    }
+
+
 def _number(convert, low: float, strict: bool = False):
     """An argparse type: a finite number at least ``low`` (above it if strict)."""
 

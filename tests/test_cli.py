@@ -7,6 +7,8 @@ intentional change: ``python tests/test_cli.py``.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import re
@@ -16,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import parser_oracle
 from ksym import cli
@@ -521,6 +525,15 @@ def test_failing_check_exits_1(capsys):
     assert main(["check", "symmetry", "--model", "nahm", "--field", "radial"]) == 1
 
 
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "load_model", fail)
+    assert main(["check", "regularity", "--model", "vibrating_string"]) == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError('boom\\nsecond line')\n"
+
+
 def test_regularity_at_zero_tolerance_stays_strict(tmp_path, capsys):
     # the fiber Hessian of a Lagrangian linear in velocity vanishes: |det| = 0
     # is not > 0, so the check fails even though -0.0 <= -0.0
@@ -543,7 +556,7 @@ def test_help_exits_0(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the lazily built parser against the full one it replaced
+# the table and the lazily built parser against the full one they replaced
 # ---------------------------------------------------------------------------
 
 LEAVES = [
@@ -597,6 +610,8 @@ def run_main(argv, capsys):
 def test_parser_output_matches_the_full_parser(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     actual = run_main(argv, capsys)
+    # the oracle parses every argv: the table never runs on this side
+    monkeypatch.setattr(cli, "_table_parse", lambda argv: None)
     monkeypatch.setattr(cli, "build_parser", parser_oracle.build_parser)
     assert actual == run_main(argv, capsys)
 
@@ -613,14 +628,22 @@ def count_parsers(monkeypatch) -> list:
     return progs
 
 
-@pytest.mark.parametrize("argv", [leaf + ["--help"] for leaf in LEAVES] + [
+@pytest.mark.parametrize("argv", [leaf + ["--help"] for leaf in LEAVES])
+def test_a_leaf_command_builds_three_parsers(argv, capsys, monkeypatch):
+    # for help, which argparse writes; a well-formed command builds none
+    progs = count_parsers(monkeypatch)
+    assert main(argv) == 0
+    assert progs == ["ksym", f"ksym {argv[0]}", f"ksym {argv[0]} {argv[1]}"]
+
+
+@pytest.mark.parametrize("argv", [
     ["check", "regularity", "--model", "vibrating_string"],
     ["verify", "law", "--model", "free_particle", "--law", "momenta"],
 ])
-def test_a_leaf_command_builds_three_parsers(argv, capsys, monkeypatch):
+def test_a_valid_command_builds_no_parser(argv, capsys, monkeypatch):
     progs = count_parsers(monkeypatch)
     assert main(argv) in (0, 1)
-    assert progs == ["ksym", f"ksym {argv[0]}", f"ksym {argv[0]} {argv[1]}"]
+    assert progs == []
 
 
 def test_top_level_help_builds_one_parser_per_group(capsys, monkeypatch):
@@ -642,7 +665,79 @@ def test_list_models_builds_no_model(capsys, monkeypatch):
     assert json.loads(out)["models"] == json.loads(
         (GOLDEN_DIR / "list_models.json").read_text()
     )["models"]
-    assert progs == ["ksym", "ksym list-models"]
+    assert progs == []
+
+
+PATHS = [
+    [group, *([action] if action else [])]
+    for group, entry in cli.COMMANDS.items()
+    for action in (entry[-1] if isinstance(entry[-1], dict) else [None])
+]
+FLAG_VALUES = [
+    "0", "1", "3", "0.5", "1e-3", "0,1,2", "0.3,0.7", "nan", "inf", "-1", "-1,0", "",
+    "x", "json", "table", "a=1", "free_particle", "ddx", "momenta", "xi1,xi2", "-h", "--seed",
+]
+
+
+def leaf_flags(path) -> tuple:
+    body = cli.COMMANDS[path[0]][-1]
+    return body[path[1]][2] if isinstance(body, dict) else body
+
+
+@st.composite
+def command_lines(draw):
+    """A command path, possibly mangled, its required flags, possibly dropped,
+    then flags of any command (most of its own) with values, in any form."""
+    path = draw(st.sampled_from(PATHS))
+    own = [name for name, _ in leaf_flags(path)]
+    required = [name for name, options in leaf_flags(path) if options.get("required")]
+    flag = st.sampled_from(own * 4 + ["--help", "--bogus", "--against", "--out", "--at"])
+    value = st.sampled_from(FLAG_VALUES + ["1"] * 10)  # "1" passes every flag but --format
+    pairs = st.tuples(flag, value)
+    piece = st.one_of(
+        *[pairs.map(list)] * 4,
+        pairs.map(lambda pair: ["=".join(pair)]),
+        pairs.map(lambda pair: [pair[0][:4], pair[1]]),
+        st.sampled_from([["-h"], ["--help"], ["-1"], ["-1,0"], [""], ["nan"], ["inf"], ["--"]]),
+    )
+    path = draw(st.sampled_from([path] * 4 + [path[:1], path[1:], [path[0][:4], *path[1:]]]))
+    argv = list(path)
+    for name in required:
+        if draw(st.sampled_from([True] * 5 + [False])):
+            argv += [name, draw(st.sampled_from(["free_particle", "ddx", "momenta", "delta"]))]
+    for extra in draw(st.lists(piece, max_size=4)):
+        argv += extra
+    return argv
+
+
+@settings(max_examples=300)
+@example(["verify", "law", "--model", "--law", "--law", "momenta"])
+@example(["check", "regularity", "--model", "-1,0"])
+@given(command_lines())
+def test_the_table_parses_as_the_full_parser_or_defers(argv):
+    table = cli._table_parse(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            oracle = parser_oracle.build_parser().parse_args(argv)
+    except SystemExit:
+        assert table is None
+    else:
+        assert table is None or parser_oracle.plain(table) == parser_oracle.plain(oracle)
+
+
+@pytest.mark.parametrize("argv", [
+    ["list-models"],
+    ["check", "symmetry", "--model", "nahm", "--field", "radial", "--param", "a=1",
+     "--seed", "3", "--param", "b=2", "--seed", "5", "--format", "json", "--box", "2"],
+    ["solve", "evolution", "--model", "oscillator_k1", "--at", "0.3,0.7", "--at", "1,2"],
+    ["verify", "divergence", "--model", "m", "--law", "", "--T", "1", "--h", "0.25"],
+])
+def test_the_table_parses_repeated_flags_as_argparse(argv):
+    table = cli._table_parse(argv)
+    assert table is not None
+    assert parser_oracle.plain(table) == parser_oracle.plain(
+        parser_oracle.build_parser().parse_args(argv)
+    )
 
 
 # ---------------------------------------------------------------------------

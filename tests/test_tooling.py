@@ -1,6 +1,7 @@
 """The package surface, the README's library example, and the benchmark
 harness's traced run against the real package."""
 
+import argparse
 import contextlib
 import importlib
 import importlib.util
@@ -13,11 +14,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import ksym
 import parser_oracle
-from ksym.cli import build_parser
+from ksym import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -138,17 +137,37 @@ def test_every_traced_target_resolves():
     assert not missing
 
 
-def parsed(parser, argv) -> dict:
-    return {
-        key: value.tolist() if isinstance(value, np.ndarray) else value
-        for key, value in vars(parser.parse_args(argv)).items()
-    }
+def benchmark_argvs(monkeypatch, tmp_path) -> list:
+    """Every workload command's argv, with the seed and format ``run.py`` appends."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    argvs = [
+        run.command_argv(spec, 7, tmp_path / "grid.csv")
+        for workload in run.WORKLOADS.values()
+        for spec in workload["commands"]
+    ]
+    assert len(argvs) == 33
+    return argvs
 
 
-def test_benchmark_commands_parse_as_under_the_full_parser():
-    # the benchmark times the parser path a user's command takes
-    workloads = json.loads((PERFBENCH / "workloads.json").read_text())
-    argvs = [command["argv"] for workload in workloads.values() for command in workload["commands"]]
-    assert argvs
-    for argv in argvs:
-        assert parsed(build_parser(), argv) == parsed(parser_oracle.build_parser(), argv), argv
+def test_benchmark_commands_parse_as_under_the_full_parser(monkeypatch, tmp_path):
+    # main parses these with the table, so that is the parse compared
+    for argv in benchmark_argvs(monkeypatch, tmp_path):
+        table = cli._table_parse(argv)
+        assert table is not None, argv
+        assert parser_oracle.plain(table) == parser_oracle.plain(
+            parser_oracle.build_parser().parse_args(argv)
+        ), argv
+
+
+def test_main_parses_every_benchmark_command_without_argparse(monkeypatch, tmp_path, capsys):
+    # a flag or workload change that sent a benchmark command to argparse
+    # would time argparse instead of the table
+    argvs = benchmark_argvs(monkeypatch, tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an argparse parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    monkeypatch.setattr(cli, "_dispatch", lambda args: cli.Report("stub", None, None, None, []))
+    assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
