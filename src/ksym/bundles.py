@@ -6,7 +6,6 @@ space into the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -24,6 +23,7 @@ from .expr import (
     Coord,
     Expression,
     Num,
+    Record,
     batch_evaluator,
     cotangent_chart,
     tangent_chart,
@@ -45,8 +45,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KCotangentChart:
+class KCotangentChart(Record):
     """Chart on the k-fold cotangent bundle with its canonical form families.
 
     theta[A-1] is the A-th tautological one-form sum_i p_A_i dx_i and
@@ -54,11 +53,9 @@ class KCotangentChart:
     numerically.
     """
 
-    n: int
-    k: int
-    chart: ChartSpace
-    theta: tuple[PForm, ...]
-    omega: tuple[PForm, ...]
+    def __init__(self, n: int, k: int, chart: ChartSpace, theta: tuple[PForm, ...],
+                 omega: tuple[PForm, ...]):
+        self._set(n=n, k=k, chart=chart, theta=theta, omega=omega)
 
 
 @lru_cache(maxsize=None)
@@ -82,15 +79,13 @@ def cotangent_bundle(n: int, k: int) -> KCotangentChart:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TangentStructure:
+class TangentStructure(Record):
     """The A-th vertical endomorphism: sends d/dx_i to d/dv_A_i and kills
     fiber directions.  Stored as a sparse map from base slots to fiber slots.
     """
 
-    A: int
-    chart: ChartSpace
-    slot_map: tuple[tuple[int, int], ...]  # (x_i slot, v_A_i slot)
+    def __init__(self, A: int, chart: ChartSpace, slot_map: tuple[tuple[int, int], ...]):
+        self._set(A=A, chart=chart, slot_map=slot_map)  # slot_map: (x_i slot, v_A_i slot) pairs
 
     def precompose_one_form(self, alpha: PForm) -> PForm:
         """alpha composed with this endomorphism: (alpha o S)(V) = alpha(S V)."""
@@ -104,16 +99,13 @@ class TangentStructure:
         return one_form(self.chart, comps)
 
 
-@dataclass(frozen=True)
-class KTangentChart:
+class KTangentChart(Record):
     """Chart on the k-fold tangent bundle with the dilation field and the
     family of vertical endomorphisms."""
 
-    n: int
-    k: int
-    chart: ChartSpace
-    liouville: VectorField
-    structures: tuple[TangentStructure, ...]
+    def __init__(self, n: int, k: int, chart: ChartSpace, liouville: VectorField,
+                 structures: tuple[TangentStructure, ...]):
+        self._set(n=n, k=k, chart=chart, liouville=liouville, structures=structures)
 
 
 @lru_cache(maxsize=None)
@@ -141,18 +133,17 @@ def tangent_bundle(n: int, k: int) -> KTangentChart:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolicProlongation:
+class SymbolicProlongation(Record):
     """First prolongation of a closed-form map from the k-dimensional
     parameter chart (coordinates x_1..x_k read as the parameters t^A) into
     an n-dimensional base.  Calling it returns the point on the k-tangent
-    chart: base values first, then the A-th partial derivatives per block.
+    chart: base values first, then the A-th partial derivatives per block
+    (``fiber_exprs`` grouped by A, then i).
     """
 
-    n: int
-    k: int
-    base_exprs: tuple[Expression, ...]
-    fiber_exprs: tuple[Expression, ...]  # grouped by A, then i
+    def __init__(self, n: int, k: int, base_exprs: tuple[Expression, ...],
+                 fiber_exprs: tuple[Expression, ...]):
+        self._set(n=n, k=k, base_exprs=base_exprs, fiber_exprs=fiber_exprs)
 
     def __call__(self, t) -> np.ndarray:
         row = np.asarray(t, dtype=float)[None]

@@ -9,7 +9,6 @@ coefficient expressions; evaluations expand permutation signs on demand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,6 +17,7 @@ from .expr import (
     ChartSpace,
     Expression,
     Num,
+    Record,
     batch_evaluator,
     make_add,
     make_mul,
@@ -98,15 +98,12 @@ def _same_chart(*objects) -> ChartSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Record):
     """A real-valued function of the chart coordinates."""
 
-    chart: ChartSpace
-    expr: Expression
-
-    def __post_init__(self):
-        validate_on_chart(self.expr, self.chart)
+    def __init__(self, chart: ChartSpace, expr: Expression):
+        validate_on_chart(expr, chart)
+        self._set(chart=chart, expr=expr)
 
     def evaluate(self, point) -> float:
         return float(self.evaluate_batch(_one_row(point))[0])
@@ -115,21 +112,16 @@ class ScalarField:
         return batch_evaluator(self.expr)(points)
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record):
     """A vector field written in the coordinate frame; one component per
     chart coordinate."""
 
-    chart: ChartSpace
-    components: tuple[Expression, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.chart.dimension:
-            raise ValueError(
-                f"expected {self.chart.dimension} components, got {len(self.components)}"
-            )
-        for comp in self.components:
-            validate_on_chart(comp, self.chart)
+    def __init__(self, chart: ChartSpace, components: tuple[Expression, ...]):
+        if len(components) != chart.dimension:
+            raise ValueError(f"expected {chart.dimension} components, got {len(components)}")
+        for comp in components:
+            validate_on_chart(comp, chart)
+        self._set(chart=chart, components=components)
 
     def evaluate(self, point) -> np.ndarray:
         return self.evaluate_batch(_one_row(point))[0]
@@ -191,33 +183,28 @@ def _is_zero_expr(e: Expression) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
 
-@dataclass(frozen=True)
-class PForm:
+class PForm(Record):
     """Sparse alternating p-form.  Components are keyed by strictly
     increasing coordinate-index tuples; degree 0 uses the empty key."""
 
-    chart: ChartSpace
-    degree: int
-    components: dict
-
-    def __post_init__(self):
+    def __init__(self, chart: ChartSpace, degree: int, components: dict):
         # degrees above the chart dimension are allowed but force the zero
         # form: no strictly increasing key of that length exists
-        if self.degree < 0:
-            raise ValueError(f"negative degree {self.degree}")
+        if degree < 0:
+            raise ValueError(f"negative degree {degree}")
         cleaned = {}
-        for key, expr in self.components.items():
+        for key, expr in components.items():
             key = tuple(int(i) for i in key)
-            if len(key) != self.degree:
-                raise ValueError(f"key {key} has wrong length for degree {self.degree}")
-            if any(not 0 <= i < self.chart.dimension for i in key):
+            if len(key) != degree:
+                raise ValueError(f"key {key} has wrong length for degree {degree}")
+            if any(not 0 <= i < chart.dimension for i in key):
                 raise ValueError(f"key {key} out of coordinate range")
             if any(key[a] >= key[a + 1] for a in range(len(key) - 1)):
                 raise ValueError(f"key {key} is not strictly increasing")
-            validate_on_chart(expr, self.chart)
+            validate_on_chart(expr, chart)
             if not _is_zero_expr(expr):
                 cleaned[key] = expr
-        object.__setattr__(self, "components", cleaned)
+        self._set(chart=chart, degree=degree, components=cleaned)
 
     def component(self, *key: int) -> Expression:
         return self.components.get(tuple(key), Num(0.0))

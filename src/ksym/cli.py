@@ -7,27 +7,28 @@ Every command loads a model (bundled by name, or any path to a ``.ksym``
 file), runs one check family, and emits a report as a table or as JSON.
 
 Exit codes: 0 when every check passes, 1 when any fails, 2 for usage,
-model-file and (with one ``internal error:`` line) any other errors.  Numeric
-flags are checked when parsed, and the point arrays a command allocates
-(samples or grid nodes, times the chart dimension) are held to
-``MAX_ARRAY_VALUES``.
+model-file and (with one ``internal error:`` line) any other errors, and for
+a report that cannot be written to a closed stdout.  Numeric flags are checked
+when parsed, and the point arrays a command allocates (samples or grid nodes,
+times the chart dimension) are held to ``MAX_ARRAY_VALUES``.
 
 An argv of exact command names and ``--flag value`` pairs that the flags accept
 is read straight from ``COMMANDS``; argparse (``build_parser``) parses any other
-argv, and so writes every help text, usage line and error message.
+argv, and so writes every help text, usage line and error message.  Only then
+is argparse imported, so a valid command never loads it.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys as _sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .expr import (
     EvaluationDomainError,
     ExprError,
     Num,
+    Record,
     SamplingError,
     base_chart,
     parse_expression,
@@ -118,21 +120,14 @@ class ModelFileError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LoadedModel:
+class LoadedModel(Record, eq=False):
     """A parsed model file: chart, optional field system, named extras."""
 
-    name: str
-    kind: str
-    n: int
-    k: int
-    chart: ChartSpace
-    system: FieldSystem | None
-    params: dict
-    fields: dict
-    laws: dict
-    digest: str
-    path: Path
+    def __init__(self, name: str, kind: str, n: int, k: int, chart: ChartSpace,
+                 system: FieldSystem | None, params: dict, fields: dict, laws: dict,
+                 digest: str, path: Path):
+        self._set(name=name, kind=kind, n=n, k=k, chart=chart, system=system, params=params,
+                  fields=fields, laws=laws, digest=digest, path=path)
 
     @property
     def label(self) -> str:
@@ -368,17 +363,14 @@ def _check_entry(name: str, check: Check) -> dict:
     return entry
 
 
-@dataclass
-class Report:
-    """Everything one command run produced, in a fixed key order."""
+class Report(Record, frozen=False):
+    """Everything one command run produced, in a fixed key order; ``checks``
+    holds (name, Check) pairs."""
 
-    command: str
-    model: str | None
-    seed: int | None
-    samples: int | None
-    checks: list  # (name, Check) pairs
-    extra: dict = field(default_factory=dict)
-    elapsed_ms: int = 0
+    def __init__(self, command: str, model: str | None, seed: int | None, samples: int | None,
+                 checks: list, extra: dict | None = None, elapsed_ms: int = 0):
+        self._set(command=command, model=model, seed=seed, samples=samples, checks=checks,
+                  extra={} if extra is None else extra, elapsed_ms=elapsed_ms)
 
     @property
     def exit_code(self) -> int:
@@ -706,6 +698,14 @@ def _cmd_build_bracket_law(model: LoadedModel, args) -> tuple[list, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _type_error(message: str) -> Exception:
+    """The error an argparse type raises for a refused value, printed as given;
+    argparse is first imported here or in ``build_parser``."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _number(convert, low: float, strict: bool = False):
     """An argparse type: a finite number at least ``low`` (above it if strict)."""
 
@@ -713,11 +713,11 @@ def _number(convert, low: float, strict: bool = False):
         try:
             value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+            raise _type_error(f"invalid value {text!r}") from None
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
             bound = f"> {low:g}" if strict else f">= {low:g}"
             finite = "finite and " if convert is float else ""
-            raise argparse.ArgumentTypeError(f"must be {finite}{bound}, got {text!r}")
+            raise _type_error(f"must be {finite}{bound}, got {text!r}")
         return value
 
     return parse
@@ -727,7 +727,7 @@ def _halfwidth(text: str) -> float:
     """An argparse type: a sampling half-width whose box span is finite."""
     value = _number(float, 0.0, strict=True)(text)
     if not math.isfinite(2.0 * value):
-        raise argparse.ArgumentTypeError(f"must have a finite span 2 * box, got {text!r}")
+        raise _type_error(f"must have a finite span 2 * box, got {text!r}")
     return value
 
 
@@ -736,9 +736,9 @@ def _coordinates(text: str) -> np.ndarray:
     try:
         values = np.array([float(s) for s in text.split(",")])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"wants comma separated numbers, got {text!r}") from None
+        raise _type_error(f"wants comma separated numbers, got {text!r}") from None
     if not np.isfinite(values).all():
-        raise argparse.ArgumentTypeError(f"must be finite numbers, got {text!r}")
+        raise _type_error(f"must be finite numbers, got {text!r}")
     return values
 
 
@@ -813,39 +813,44 @@ COMMANDS = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """The parser of one ``COMMANDS`` entry, which adds the entry's arguments or
-    subcommands only when it parses: the subcommand its first token names, or
-    all of them when that names none, so that help and "invalid choice" errors
-    list every name.  The metavar keeps every name in the usage line anyway."""
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for the argv ``_table_parse`` leaves
+    to it: only help, usage and errors import argparse."""
+    import argparse
 
-    def __init__(self, *args, entry=(None, COMMANDS), dests=("group", "action"), **kwargs):
-        super().__init__(*args, **kwargs)
-        self._body, self._dests = entry[-1], dests
+    class CommandParser(argparse.ArgumentParser):
+        """The parser of one ``COMMANDS`` entry, which adds the entry's arguments
+        or subcommands only when it parses: the subcommand its first token
+        names, or all of them when that names none, so that help and "invalid
+        choice" errors list every name.  The metavar keeps every name in the
+        usage line anyway."""
 
-    def parse_known_args(self, args=None, namespace=None):
-        args = _sys.argv[1:] if args is None else list(args)
-        body, self._body = self._body, ()
-        if isinstance(body, dict):
-            sub = self.add_subparsers(dest=self._dests[0], required=True)
-            if args and args[0] in body:
-                sub.metavar = "{" + ",".join(body) + "}"
-                body = {args[0]: body[args[0]]}
-            for name, entry in body.items():
-                sub.add_parser(name, help=entry[0], entry=entry, dests=self._dests[1:])
-        else:
-            for name, options in body:
-                self.add_argument(name, **options)
-        return super().parse_known_args(args, namespace)
+        def __init__(self, *args, entry=(None, COMMANDS), dests=("group", "action"), **kwargs):
+            super().__init__(*args, **kwargs)
+            self._body, self._dests = entry[-1], dests
+
+        def parse_known_args(self, args=None, namespace=None):
+            args = _sys.argv[1:] if args is None else list(args)
+            body, self._body = self._body, ()
+            if isinstance(body, dict):
+                sub = self.add_subparsers(dest=self._dests[0], required=True)
+                if args and args[0] in body:
+                    sub.metavar = "{" + ",".join(body) + "}"
+                    body = {args[0]: body[args[0]]}
+                for name, entry in body.items():
+                    sub.add_parser(name, help=entry[0], entry=entry, dests=self._dests[1:])
+            else:
+                for name, options in body:
+                    self.add_argument(name, **options)
+            return super().parse_known_args(args, namespace)
+
+    return CommandParser(prog="ksym", description="Field-theory model checks from the command line.")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _CommandParser(prog="ksym", description="Field-theory model checks from the command line.")
-
-
-def _table_parse(argv: list) -> argparse.Namespace | None:
-    """The namespace argparse builds for a well-formed ``argv``, read straight
-    from ``COMMANDS``; None for any argv that needs argparse to help or refuse."""
+def _table_parse(argv: list) -> SimpleNamespace | None:
+    """The names and values argparse parses from a well-formed ``argv``, read
+    straight from ``COMMANDS``; None for any argv that needs argparse to help
+    or refuse."""
     if not argv or argv[0] not in COMMANDS:
         return None
     names, body, rest = {"group": argv[0]}, COMMANDS[argv[0]][-1], argv[1:]
@@ -861,7 +866,7 @@ def _table_parse(argv: list) -> argparse.Namespace | None:
             return None
         try:
             value = option.get("type", str)(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except Exception:  # argparse refuses the value too, or raises the same error
             return None
         if "choices" in option and value not in option["choices"]:
             return None
@@ -871,7 +876,7 @@ def _table_parse(argv: list) -> argparse.Namespace | None:
     if missing or len(rest) % 2:
         return None
     names.update((flag[2:].replace("-", "_"), value) for flag, value in values.items())
-    return argparse.Namespace(**names)
+    return SimpleNamespace(**names)
 
 
 def _dispatch(args) -> Report:
@@ -890,8 +895,8 @@ def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
     try:
         args = _table_parse(argv) or build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    except SystemExit as exc:  # argparse has written help, or usage and an error
+        return _finish(0 if exc.code in (0, None) else 2)
     start = time.perf_counter()
     try:
         report = _dispatch(args)
@@ -905,8 +910,24 @@ def main(argv=None) -> int:
         print(f"internal error: {exc!r}", file=_sys.stderr)
         return 2
     report.elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    print(report.to_json() if args.format == "json" else report.to_table())
-    return report.exit_code
+    text = report.to_json() if args.format == "json" else report.to_table()
+    return _finish(report.exit_code, text + "\n")
+
+
+def _finish(code: int, text: str = "") -> int:
+    """Write ``text`` to stdout and flush it: ``code``, or 2 with one ``error:``
+    line when stdout is closed, never the exit 1 of a failed check nor the 120
+    of a failed flush at exit."""
+    try:
+        _sys.stdout.write(text)
+        _sys.stdout.flush()
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)  # the flush at exit drops what is left
+        os.dup2(null, _sys.stdout.fileno())
+        os.close(null)
+        print(f"error: cannot write to stdout: {exc}", file=_sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

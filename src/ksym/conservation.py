@@ -23,7 +23,6 @@ theta_A)(X_A) and d Phi_A = d(theta_A(Y)) - L_Y theta_A, both symbolic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,8 +45,8 @@ from .calculus import (
 )
 from .dynamics import FieldSystem, KVectorField
 from .expr import (
-    ChartSpace, Check, Num, batch_evaluator, make_add, make_neg, residual_check, sample_points,
-    worst_sample,
+    ChartSpace, Check, Num, Record, batch_evaluator, make_add, make_neg, residual_check,
+    sample_points, worst_sample,
 )
 from .symmetry import is_cartan_symmetry
 
@@ -77,13 +76,11 @@ class NotCartanSymmetryError(ValueError):
         self.verdict = verdict
 
 
-@dataclass(frozen=True)
-class NumericLawComponent:
+class NumericLawComponent(Record):
     """theta_A(Y) minus a quadrature-backed potential of L_Y theta_A."""
 
-    chart: ChartSpace
-    symbolic: ScalarField
-    potential: PotentialEvaluator
+    def __init__(self, chart: ChartSpace, symbolic: ScalarField, potential: PotentialEvaluator):
+        self._set(chart=chart, symbolic=symbolic, potential=potential)
 
     def evaluate(self, point) -> float:
         return self.symbolic.evaluate(point) - self.potential.evaluate(point)
@@ -92,23 +89,18 @@ class NumericLawComponent:
         return self.symbolic.evaluate_batch(points) - self.potential.evaluate_batch(points)
 
 
-@dataclass(frozen=True, eq=False)
-class ConservationLaw:
-    chart: ChartSpace
-    components: tuple
-    provenance: str
-    ingredients: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if len(self.components) != self.chart.k:
-            raise ValueError(
-                f"expected {self.chart.k} components on this chart, got {len(self.components)}"
-            )
-        for comp in self.components:
-            if comp.chart != self.chart:
+class ConservationLaw(Record, eq=False):
+    def __init__(self, chart: ChartSpace, components: tuple, provenance: str,
+                 ingredients: Mapping | None = None):
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        if len(components) != chart.k:
+            raise ValueError(f"expected {chart.k} components on this chart, got {len(components)}")
+        for comp in components:
+            if comp.chart != chart:
                 raise ChartMismatchError("law component lives on a different chart")
+        self._set(chart=chart, components=components, provenance=provenance,
+                  ingredients={} if ingredients is None else ingredients)
 
     @property
     def symbolic(self) -> bool:

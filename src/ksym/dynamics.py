@@ -13,7 +13,6 @@ for k = 1 the solution is the unique classical one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +35,7 @@ from .expr import (
     Check,
     Expression,
     Func,
+    Record,
     batch_evaluator,
     fold,
     make_add,
@@ -77,21 +77,16 @@ class InconsistentSystemError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class KVectorField:
+class KVectorField(Record):
     """An ordered family (X_1, ..., X_k) of vector fields on one chart."""
 
-    chart: ChartSpace
-    fields: tuple[VectorField, ...]
-
-    def __post_init__(self):
-        if len(self.fields) != self.chart.k:
-            raise ValueError(
-                f"expected {self.chart.k} component fields, got {len(self.fields)}"
-            )
-        for f in self.fields:
-            if f.chart != self.chart:
+    def __init__(self, chart: ChartSpace, fields: tuple[VectorField, ...]):
+        if len(fields) != chart.k:
+            raise ValueError(f"expected {chart.k} component fields, got {len(fields)}")
+        for f in fields:
+            if f.chart != chart:
                 raise ValueError("component fields must share the chart")
+        self._set(chart=chart, fields=fields)
 
     @classmethod
     def repeat(cls, Y: VectorField, k: int | None = None) -> "KVectorField":
@@ -110,19 +105,16 @@ class KVectorField:
         return self.fields[index]
 
 
-@dataclass
-class FieldSystem:
-    """A Hamiltonian or Lagrangian field model on its bundle chart."""
+class FieldSystem(Record, frozen=False):
+    """A Hamiltonian or Lagrangian field model on its bundle chart: ``function``
+    is H on the cotangent side and L on the tangent side, ``energy`` is
+    E_L = Delta(L) - L, None on the Hamiltonian side."""
 
-    kind: str
-    n: int
-    k: int
-    chart: ChartSpace
-    function: ScalarField  # H on the cotangent side, L on the tangent side
-    theta: tuple[PForm, ...]
-    omega: tuple[PForm, ...]
-    energy: ScalarField | None  # E_L = Delta(L) - L; None on the Hamiltonian side
-    bundle: KCotangentChart | KTangentChart
+    def __init__(self, kind: str, n: int, k: int, chart: ChartSpace, function: ScalarField,
+                 theta: tuple[PForm, ...], omega: tuple[PForm, ...], energy: ScalarField | None,
+                 bundle: KCotangentChart | KTangentChart):
+        self._set(kind=kind, n=n, k=k, chart=chart, function=function, theta=theta,
+                  omega=omega, energy=energy, bundle=bundle)
 
     @property
     def hamiltonian_side(self) -> bool:

@@ -36,7 +36,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from typing import Callable, Iterable
 
@@ -131,14 +130,62 @@ class SamplingError(ExprError):
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+
+class Record:
+    """Base of the package's record classes.  Each subclass writes its own
+    ``__init__``, whose parameters are the record's fields, in order, and
+    which stores them with ``_set``: unlike a dataclass, nothing is generated
+    and compiled at import.  ``repr``, ``==`` and ``hash`` read the fields,
+    and records of different classes are never equal.  As with a dataclass,
+    a subclass may pass ``eq=False`` (identity equality) or ``frozen=False``
+    (assignable, and unhashable unless ``eq=False``); a frozen record refuses
+    assignment with AttributeError."""
+
+    def __init_subclass__(cls, eq: bool = True, frozen: bool = True):
+        init = cls.__init__.__code__
+        cls._fields = init.co_varnames[1:init.co_argcount]
+        # the field values as a tuple, since every record has two fields or more
+        cls._values = property(operator.attrgetter(*cls._fields))
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        elif not frozen:
+            cls.__hash__ = None
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # chart spaces
 # ---------------------------------------------------------------------------
 
 CHART_KINDS = ("base", "k-tangent", "k-cotangent")
 
 
-@dataclass(frozen=True)
-class ChartSpace:
+class ChartSpace(Record):
     """A named global coordinate chart.
 
     Coordinates are ordered base first (x_1 .. x_n), then fiber blocks
@@ -147,16 +194,12 @@ class ChartSpace:
     1-based unpadded decimal indices.
     """
 
-    n: int
-    k: int
-    kind: str
-    coordinate_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.kind not in CHART_KINDS:
-            raise ValueError(f"unknown chart kind {self.kind!r}")
-        if self.n < 1 or self.k < 1:
+    def __init__(self, n: int, k: int, kind: str, coordinate_names: tuple[str, ...]):
+        if kind not in CHART_KINDS:
+            raise ValueError(f"unknown chart kind {kind!r}")
+        if n < 1 or k < 1:
             raise ValueError("chart requires n >= 1 and k >= 1")
+        self._set(n=n, k=k, kind=kind, coordinate_names=coordinate_names)
 
     @property
     def dimension(self) -> int:
@@ -627,11 +670,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | 'op' | 'end'
-    text: str
-    offset: int
+class _Token(Record):
+    def __init__(self, kind: str, text: str, offset: int):  # kind: num, ident, op or end
+        self._set(kind=kind, text=text, offset=offset)
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -1079,20 +1120,14 @@ def worst_sample(residuals) -> tuple[float, int]:
     return float(residuals[at]), at
 
 
-@dataclass(frozen=True, eq=False)
-class Check:
+class Check(Record, eq=False):
     """The verdict on one claim: its worst residual against a tolerance, the
     point where it occurs, and the extra report entries, as printed."""
 
-    kind: str
-    holds: bool
-    max_residual: float
-    tolerance: float
-    witness: np.ndarray
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "witness", np.asarray(self.witness, dtype=float))
+    def __init__(self, kind: str, holds: bool, max_residual: float, tolerance: float,
+                 witness: np.ndarray, extra: dict | None = None):
+        self._set(kind=kind, holds=holds, max_residual=max_residual, tolerance=tolerance,
+                  witness=np.asarray(witness, dtype=float), extra={} if extra is None else extra)
 
 
 def residual_check(kind: str, residuals, points, tolerance: float, **extra) -> Check:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,8 @@ from .calculus import ChartMismatchError, lie_bracket, max_abs
 from .conservation import ConservationLaw
 from .dynamics import KVectorField
 from .expr import (
-    ChartSpace, Check, EvaluationDomainError, batch_evaluator, residual_check, worst_sample,
+    ChartSpace, Check, EvaluationDomainError, Record, batch_evaluator, residual_check,
+    worst_sample,
 )
 
 __all__ = [
@@ -51,17 +51,14 @@ class SectionIntegrationError(RuntimeError):
     """A flow left the expression domain or blew up mid-integration."""
 
 
-@dataclass(frozen=True, eq=False)
-class SectionGrid:
+class SectionGrid(Record, eq=False):
     """A rectangular grid of section values psi(t), including t = 0."""
 
-    chart: ChartSpace
-    origin: np.ndarray
-    ranges: tuple[float, ...]
-    steps: tuple[float, ...]
-    axes: tuple[np.ndarray, ...]
-    values: np.ndarray
-    commutation_residual: float
+    def __init__(self, chart: ChartSpace, origin: np.ndarray, ranges: tuple[float, ...],
+                 steps: tuple[float, ...], axes: tuple[np.ndarray, ...], values: np.ndarray,
+                 commutation_residual: float):
+        self._set(chart=chart, origin=origin, ranges=ranges, steps=steps, axes=axes,
+                  values=values, commutation_residual=commutation_residual)
 
     @property
     def k(self) -> int:

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -800,6 +801,31 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["command"] == "list-models"
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["check", "regularity", "--model", "navier", "--samples", "3"], True),
+    (["check", "regularity", "--model", "navier", "--samples", "3"], False),
+    (["--help"], False),  # unbuffered, argparse drops the failed write of help
+], ids=["report-unbuffered", "report-buffered", "help-buffered"])
+def test_a_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    # unbuffered, the write fails; buffered, the flush does, and unflushed at
+    # exit it would end in "Exception ignored" and exit 120
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ksym.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
 
 
 def test_package_exports_load_model_lazily():

@@ -2,7 +2,9 @@
 harness's traced run against the real package."""
 
 import argparse
+import ast
 import contextlib
+import functools
 import importlib
 import importlib.util
 import io
@@ -65,31 +67,82 @@ def test_importing_the_package_loads_no_module():
     assert proc.stdout == "[]\n"
 
 
-# runs argv lists read from stdin through one interpreter's ``main``
+# runs batches of argv lists, read from stdin, through one interpreter's
+# ``main``; prints each batch's exit codes and the modules loaded after it
 RUN_COMMANDS = """
 import contextlib, io, json, sys
 from ksym.cli import main
-argvs = json.load(sys.stdin)
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in argvs]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("numpy.random"))]))
+batches = []
+for argvs in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes = [main(argv) for argv in argvs]
+    batches.append([codes, sorted(sys.modules)])
+print(json.dumps(batches))
 """
+WORKLOAD_COMMANDS = [
+    command
+    for workload in ("golden", "sampled")
+    for command in json.loads((PERFBENCH / "workloads.json").read_text())[workload]["commands"]
+]
+
+
+def run_in_one_interpreter(*batches) -> list:
+    """Per batch of argvs, run in order in one fresh interpreter: the exit
+    codes, and the set of modules loaded once the batch has run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ksym.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_COMMANDS], input=json.dumps(batches), capture_output=True,
+        text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [(codes, set(modules)) for codes, modules in json.loads(proc.stdout)]
+
+
+@functools.cache
+def workload_run() -> tuple:
+    """The golden and sampled commands' exit codes and loaded modules, run in
+    one fresh interpreter."""
+    [(codes, loaded)] = run_in_one_interpreter([command["argv"] for command in WORKLOAD_COMMANDS])
+    return codes, loaded
 
 
 def test_no_benchmark_command_loads_numpys_random_module():
     # sampling reproduces default_rng(seed).uniform without importing it
-    workloads = json.loads((PERFBENCH / "workloads.json").read_text())
-    commands = workloads["golden"]["commands"] + workloads["sampled"]["commands"]
-    assert len(commands) == 30
-    env = {**os.environ, "PYTHONPATH": str(Path(ksym.__file__).parents[1])}
-    argvs = json.dumps([command["argv"] for command in commands])
-    proc = subprocess.run(
-        [sys.executable, "-c", RUN_COMMANDS], input=argvs, capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout)
-    assert codes == [command["exit"] for command in commands]
-    assert loaded == []
+    assert len(WORKLOAD_COMMANDS) == 30
+    codes, loaded = workload_run()
+    assert codes == [command["exit"] for command in WORKLOAD_COMMANDS]
+    assert [m for m in loaded if m.startswith("numpy.random")] == []
+
+
+def test_a_valid_command_loads_neither_argparse_nor_dataclasses():
+    # the records are written out by hand, and argparse writes only help,
+    # usage and errors: for help, an ambiguous flag and a refused value
+    codes, loaded = workload_run()
+    assert codes == [command["exit"] for command in WORKLOAD_COMMANDS]
+    assert {"argparse", "dataclasses"} & loaded == set()
+    for argv, code in [
+        (["check", "regularity", "--help"], 0),
+        (["check", "regularity", "--model", "navier", "--s", "3"], 2),
+        (["check", "regularity", "--model", "navier", "--samples", "0"], 2),
+    ]:
+        [(codes, loaded)] = run_in_one_interpreter([argv])
+        assert codes == [code] and "argparse" in loaded, argv
+
+
+def imported_modules(path: Path) -> list:
+    """(module name, top-level function it is imported in, or None) per import."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            scope = top.name if isinstance(top, ast.FunctionDef) else None
+            found += [(name, scope) for name in names]
+    return found
 
 
 def test_the_package_source_never_names_numpys_random_module():
@@ -97,6 +150,17 @@ def test_the_package_source_never_names_numpys_random_module():
     assert sources
     named = [p.name for p in sources if re.search(r"\b(np|numpy)\.random\b", p.read_text())]
     assert named == []
+
+
+def test_the_package_imports_argparse_only_for_help_and_errors():
+    sources = sorted(Path(ksym.__file__).parent.glob("*.py"))
+    imports = {p.name: imported_modules(p) for p in sources}
+    assert ("numpy", None) in imports["cli.py"]  # the scan sees module-level imports
+    assert [(n, name) for n, found in imports.items() for name, _ in found
+            if name == "dataclasses"] == []
+    argparse_scopes = {(n, scope) for n, found in imports.items() for name, scope in found
+                       if name == "argparse"}
+    assert argparse_scopes == {("cli.py", "build_parser"), ("cli.py", "_type_error")}
 
 
 def test_readme_library_example_prints_what_it_states():
