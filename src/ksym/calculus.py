@@ -22,7 +22,6 @@ from .expr import (
     make_add,
     make_mul,
     make_neg,
-    sample_points,
     validate_on_chart,
     worst_sample,
 )
@@ -62,7 +61,8 @@ class ClosednessError(ValueError):
 
     def __init__(self, max_residual: float, witness):
         super().__init__(
-            f"one-form is not closed: max |d alpha| = {max_residual:.3e} at {list(witness)}"
+            f"one-form is not closed: max |d alpha| = {max_residual:.3e} at "
+            f"{[float(x) for x in witness]}"
         )
         self.max_residual = max_residual
         self.witness = np.asarray(witness, dtype=float)
@@ -364,22 +364,25 @@ def two_form_matrix(omega: PForm, point) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+QUADRATURE_NODES = 64
+
+
 class PotentialEvaluator:
     """Scalar potential g with dg = alpha along radial segments from a base
-    point, computed with fixed-order Gauss-Legendre quadrature.
+    point, computed with ``QUADRATURE_NODES``-point Gauss-Legendre quadrature.
 
     g(q) = integral_0^1 alpha_{base + t (q - base)} (q - base) dt, so
     g(base) = 0 by construction.
     """
 
-    def __init__(self, alpha: PForm, base_point, nodes: int = 64):
+    def __init__(self, alpha: PForm, base_point):
         if alpha.degree != 1:
             raise ValueError("potential is defined for one-forms")
         self.alpha = alpha
         self.base_point = np.asarray(base_point, dtype=float)
         if self.base_point.shape != (alpha.chart.dimension,):
             raise ValueError("base point has wrong dimension")
-        ts, ws = np.polynomial.legendre.leggauss(nodes)
+        ts, ws = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
         self._ts = 0.5 * (ts + 1.0)
         self._ws = 0.5 * ws
         self._comps = [(key[0], batch_evaluator(expr)) for key, expr in alpha.components.items()]
@@ -402,33 +405,19 @@ class PotentialEvaluator:
 
 
 def potential_of_exact_one_form(
-    alpha: PForm,
-    base_point,
-    *,
-    samples: int = 64,
-    seed: int = 42,
-    halfwidth: float = 1.0,
-    tolerance: float = 1e-8,
-    nodes: int = 64,
+    alpha: PForm, base_point, points, tolerance: float = 1e-8
 ) -> PotentialEvaluator:
     """Poincare-lemma potential of a closed one-form.
 
-    Closedness of ``alpha`` is tested at seeded sample points first; the
-    maximal component of d(alpha) above ``tolerance`` raises
+    Closedness of ``alpha`` is tested at the (m, N) ``points`` first; the
+    maximal component of d(alpha) above ``tolerance`` (or NaN) raises
     ``ClosednessError`` with the worst offending point.
     """
     if alpha.degree != 1:
         raise ValueError("expected a one-form")
     d_alpha = exterior_derivative(alpha)
     if not d_alpha.is_zero():
-        pts = sample_points(
-            alpha.chart,
-            count=samples,
-            seed=seed,
-            halfwidth=halfwidth,
-            require=list(alpha.components.values()) + list(d_alpha.components.values()),
-        )
-        worst, at = worst_sample(d_alpha.max_abs(pts))
+        worst, at = worst_sample(d_alpha.max_abs(points))
         if not worst <= tolerance:
-            raise ClosednessError(worst, pts[at])
-    return PotentialEvaluator(alpha, base_point, nodes=nodes)
+            raise ClosednessError(worst, points[at])
+    return PotentialEvaluator(alpha, base_point)

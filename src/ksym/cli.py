@@ -8,19 +8,23 @@ file), runs one check family, and emits a report as a table or as JSON.
 
 Exit codes: 0 when every check passes, 1 when any fails, 2 for usage,
 model-file and (with one ``internal error:`` line) any other errors, and for
-a report that cannot be written to a closed stdout.  Numeric flags are checked
-when parsed, and the point arrays a command allocates (samples or grid nodes,
-times the chart dimension) are held to ``MAX_ARRAY_VALUES``.
+a report or help text that cannot be written to a closed stdout.  Numeric
+flags are checked when parsed, and the point arrays a command allocates
+(samples or grid nodes, times the chart dimension) are held to
+``MAX_ARRAY_VALUES``.
 
 An argv of exact command names and ``--flag value`` pairs that the flags accept
 is read straight from ``COMMANDS``; argparse (``build_parser``) parses any other
-argv, and so writes every help text, usage line and error message.  Only then
-is argparse imported, so a valid command never loads it.
+argv, and so writes every usage line and error message, and every help text,
+which ``main`` writes out like a report.  Only then is argparse imported, so a
+valid command never loads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -664,7 +668,7 @@ def _cmd_build_noether(model: LoadedModel, args) -> tuple[list, dict]:
     Y = _named(model, "field", args.field)
     points = _sample(model, args)
     try:
-        law = build_noether_law(system, Y, points=points, tolerance=args.tol)
+        law = build_noether_law(system, Y, points, args.tol)
     except NotCartanSymmetryError as exc:
         return [(f"cartan:{args.field}", exc.verdict)], {}
     checks = [(f"cartan:{args.field}", law.ingredients["cartan"])]
@@ -818,33 +822,20 @@ def build_parser():
     to it: only help, usage and errors import argparse."""
     import argparse
 
-    class CommandParser(argparse.ArgumentParser):
-        """The parser of one ``COMMANDS`` entry, which adds the entry's arguments
-        or subcommands only when it parses: the subcommand its first token
-        names, or all of them when that names none, so that help and "invalid
-        choice" errors list every name.  The metavar keeps every name in the
-        usage line anyway."""
+    def add(parser, body, dests):
+        if isinstance(body, dict):
+            sub = parser.add_subparsers(dest=dests[0], required=True)
+            for name, entry in body.items():
+                add(sub.add_parser(name, help=entry[0]), entry[-1], dests[1:])
+        else:
+            for name, options in body:
+                parser.add_argument(name, **options)
+        return parser
 
-        def __init__(self, *args, entry=(None, COMMANDS), dests=("group", "action"), **kwargs):
-            super().__init__(*args, **kwargs)
-            self._body, self._dests = entry[-1], dests
-
-        def parse_known_args(self, args=None, namespace=None):
-            args = _sys.argv[1:] if args is None else list(args)
-            body, self._body = self._body, ()
-            if isinstance(body, dict):
-                sub = self.add_subparsers(dest=self._dests[0], required=True)
-                if args and args[0] in body:
-                    sub.metavar = "{" + ",".join(body) + "}"
-                    body = {args[0]: body[args[0]]}
-                for name, entry in body.items():
-                    sub.add_parser(name, help=entry[0], entry=entry, dests=self._dests[1:])
-            else:
-                for name, options in body:
-                    self.add_argument(name, **options)
-            return super().parse_known_args(args, namespace)
-
-    return CommandParser(prog="ksym", description="Field-theory model checks from the command line.")
+    parser = argparse.ArgumentParser(
+        prog="ksym", description="Field-theory model checks from the command line."
+    )
+    return add(parser, COMMANDS, ("group", "action"))
 
 
 def _table_parse(argv: list) -> SimpleNamespace | None:
@@ -893,10 +884,14 @@ def _dispatch(args) -> Report:
 
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _table_parse(argv) or build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has written help, or usage and an error
-        return _finish(0 if exc.code in (0, None) else 2)
+    args = _table_parse(argv)
+    if args is None:
+        help_text = io.StringIO()  # argparse would drop a failed write of it
+        try:
+            with contextlib.redirect_stdout(help_text):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # help, or usage and an error written to stderr
+            return _finish(0 if exc.code in (0, None) else 2, help_text.getvalue())
     start = time.perf_counter()
     try:
         report = _dispatch(args)

@@ -9,11 +9,13 @@ constructors:
                         that Y is a symmetry or the forms invariant, so the
                         verifier can demonstrate which hypotheses matter.
   * build_noether_law   Phi_A = theta_A(Y) - f_A for a Cartan symmetry Y,
-                        where df_A = L_Y theta_A.  When that derivative
-                        vanishes on the samples f_A is taken to be zero and
-                        the law stays symbolic; otherwise f_A is recovered
-                        by line-integral quadrature, pinned to 0 at the
-                        base point.
+                        where df_A = L_Y theta_A.  The Cartan gate, the
+                        vanishing test below and the closedness of
+                        L_Y theta_A all run on the caller's one point set.
+                        When that derivative vanishes on the points f_A is
+                        taken to be zero and the law stays symbolic;
+                        otherwise f_A is recovered by line-integral
+                        quadrature, pinned to 0 at the chart origin.
 
 Verification differentiates every component exactly.  A quadrature-backed
 component needs no finite difference: its potential satisfies df_A =
@@ -46,7 +48,7 @@ from .calculus import (
 from .dynamics import FieldSystem, KVectorField
 from .expr import (
     ChartSpace, Check, Num, Record, batch_evaluator, make_add, make_neg, residual_check,
-    sample_points, worst_sample,
+    worst_sample,
 )
 from .symmetry import is_cartan_symmetry
 
@@ -147,18 +149,10 @@ def build_bracket_law(
 
 
 def build_noether_law(
-    sys: FieldSystem,
-    Y: VectorField,
-    base_point=None,
-    *,
-    points=None,
-    samples: int = 64,
-    seed: int = 42,
-    halfwidth: float = 1.0,
-    tolerance: float | None = None,
-    nodes: int = 64,
+    sys: FieldSystem, Y: VectorField, points, tolerance: float | None = None
 ) -> ConservationLaw:
-    """Momentum law of a Cartan symmetry: Phi_A = theta_A(Y) - f_A.
+    """Momentum law of a Cartan symmetry: Phi_A = theta_A(Y) - f_A, with every
+    hypothesis checked at the (m, N) ``points``.
 
     Raises NotCartanSymmetryError when Y fails the gate, and the closedness
     error of the potential constructor when L_Y theta_A is not exact.
@@ -166,16 +160,9 @@ def build_noether_law(
     if Y.chart != sys.chart:
         raise ChartMismatchError("field lives on a different chart")
     tol = sys.default_tolerance if tolerance is None else tolerance
-    if points is None:
-        points = sample_points(sys.chart, count=samples, seed=seed, halfwidth=halfwidth)
     verdict = is_cartan_symmetry(sys, Y, points, tol)
     if not verdict.holds:
         raise NotCartanSymmetryError(verdict)
-    base = (
-        np.zeros(sys.chart.dimension)
-        if base_point is None
-        else np.asarray(base_point, dtype=float)
-    )
     components = []
     potentials = []
     for theta in sys.theta:
@@ -185,15 +172,7 @@ def build_noether_law(
             potentials.append(ScalarField(sys.chart, Num(0.0)))
             components.append(pairing)
         else:
-            f = potential_of_exact_one_form(
-                derivative,
-                base,
-                samples=samples,
-                seed=seed,
-                halfwidth=halfwidth,
-                tolerance=tol,
-                nodes=nodes,
-            )
+            f = potential_of_exact_one_form(derivative, np.zeros(sys.chart.dimension), points, tol)
             potentials.append(f)
             components.append(NumericLawComponent(sys.chart, pairing, f))
     return ConservationLaw(

@@ -137,19 +137,13 @@ def _march(kernels, lines: np.ndarray, h: float, axis_label: str) -> None:
     )
 
 
-def integrate_section(
-    X: KVectorField,
-    origin,
-    ranges,
-    steps,
-    tolerance: float = COMMUTATION_TOLERANCE,
-) -> SectionGrid:
+def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
     """Fill the section grid over [0, T_A] with spacing h_A per axis.
 
     Each T_A must be an integer multiple of h_A (to 1e-9 relative).  The
     pairwise commutation residual is evaluated over the finished grid; a
-    warning is issued when it exceeds the tolerance, since the flow
-    composition order then matters.
+    warning is issued when it exceeds ``COMMUTATION_TOLERANCE``, since the
+    flow composition order then matters.
     """
     chart = X.chart
     k = len(X)
@@ -185,7 +179,7 @@ def integrate_section(
         _march(kernels, lines, h[a], f"axis {a + 1}")
 
     residual = worst_sample(_commutation_residuals(X, values.reshape(-1, chart.dimension)))[0]
-    if not residual <= tolerance:
+    if not residual <= COMMUTATION_TOLERANCE:
         warnings.warn(
             f"component fields do not commute (residual {residual:.3e}); "
             "the section depends on flow order",

@@ -60,13 +60,7 @@ def is_symmetry(
 
 
 def solve_pseudosymmetry(
-    X: KVectorField,
-    Y: VectorField,
-    Z: KVectorField,
-    points,
-    tolerance: float = BRACKET_TOLERANCE,
-    fit_degree: int = FIT_DEGREE,
-    fit_tolerance: float = FIT_TOLERANCE,
+    X: KVectorField, Y: VectorField, Z: KVectorField, points, tolerance: float = BRACKET_TOLERANCE
 ) -> tuple[Check, np.ndarray]:
     """Solve [X_A, Y] = sum_B lambda_A^B Z_B at every sample by one SVD of
     the stacked (m, N, k) Z matrices, for minimum-norm coefficients.
@@ -82,7 +76,7 @@ def solve_pseudosymmetry(
     rhs = np.stack([lie_bracket(Xa, Y).evaluate_batch(points) for Xa in X], axis=-1)
     lam_t, residuals, rank_deficient = _stacked_solve(Zmats, rhs)
     lam = lam_t.transpose(0, 2, 1)  # lam[:, a, b] = lambda_A^B
-    extra = _fit_lambda(X.chart, points, lam, fit_degree, fit_tolerance)
+    extra = _fit_lambda(X.chart, points, lam)
     if rank_deficient:
         extra["rank_deficient_points"] = rank_deficient
     return residual_check("pseudosymmetry", residuals, points, tolerance, **extra), lam
@@ -172,12 +166,13 @@ def _render_polynomial(chart: ChartSpace, exponents, coefficients) -> str:
     return to_source(make_add(*terms)) if terms else "0"
 
 
-def _fit_lambda(chart, points, lam, degree, fit_tolerance) -> dict:
-    """Report entries lambda_fit (rows of polynomial sources, None where the
-    fit misses) and lambda_fit_residual; none when the samples cannot fix
-    every coefficient (no samples, or fewer independent ones than monomials)."""
+def _fit_lambda(chart, points, lam) -> dict:
+    """Report entries lambda_fit (rows of degree-``FIT_DEGREE`` polynomial
+    sources, None where the fit misses ``FIT_TOLERANCE``) and
+    lambda_fit_residual; none when the samples cannot fix every coefficient
+    (no samples, or fewer independent ones than monomials)."""
     n_pts, k, _ = lam.shape
-    exponents = _monomial_exponents(chart.dimension, degree)
+    exponents = _monomial_exponents(chart.dimension, FIT_DEGREE)
     pts = np.asarray(points, dtype=float).reshape(n_pts, chart.dimension)
     design = np.ones((n_pts, len(exponents)))
     for m, exps in enumerate(exponents):
@@ -192,7 +187,7 @@ def _fit_lambda(chart, points, lam, degree, fit_tolerance) -> dict:
     coef = coef.reshape(len(exponents), k, k)
     rows = [
         [_render_polynomial(chart, exponents, coef[:, a, b])
-         if deviation[a, b] <= fit_tolerance else None for b in range(k)]
+         if deviation[a, b] <= FIT_TOLERANCE else None for b in range(k)]
         for a in range(k)
     ]
     return {"lambda_fit": rows, "lambda_fit_residual": float(deviation.max())}

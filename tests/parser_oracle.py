@@ -1,6 +1,7 @@
 """The ``ksym`` argument parser as it was when every command built all of it,
-kept as the reference that the lazily built parser of ``ksym.cli`` is tested
-against: the same help, usage errors and parsed namespaces, byte for byte.
+kept as the reference that the parser ``ksym.cli`` builds from its command
+table is tested against: the same help, usage errors and parsed namespaces,
+byte for byte.
 
 The argparse types are copied with it, so the reference stays fixed when the
 package's own types change.

@@ -279,7 +279,8 @@ def test_lie_derivative_zero_form():
 
 def test_potential_of_coordinate_differential():
     chart = base_chart(2)
-    g = potential_of_exact_one_form(one_form(chart, {0: Num(1.0)}), [0.0, 0.0])
+    alpha = one_form(chart, {0: Num(1.0)})
+    g = potential_of_exact_one_form(alpha, [0.0, 0.0], sample_points(chart))
     assert g([0.7, -0.3]) == pytest.approx(0.7, abs=1e-13)
     assert g([0.0, 0.0]) == 0.0
 
@@ -288,7 +289,7 @@ def test_potential_of_radial_one_form():
     # alpha = x1 dx1 + x2 dx2 has potential (x1^2 + x2^2)/2
     chart = base_chart(2)
     alpha = one_form(chart, {0: chart.coordinate("x_1"), 1: chart.coordinate("x_2")})
-    g = potential_of_exact_one_form(alpha, [0.0, 0.0])
+    g = potential_of_exact_one_form(alpha, [0.0, 0.0], sample_points(chart))
     for p in sample_points(chart, count=16, seed=17):
         assert g(p) == pytest.approx(0.5 * (p[0] ** 2 + p[1] ** 2), abs=1e-12)
 
@@ -302,7 +303,7 @@ def test_potential_gradient_reproduces_form(fd):
             1: parse_expression("sin(x_1)", chart),
         },
     )
-    g = potential_of_exact_one_form(alpha, [0.0, 0.0])
+    g = potential_of_exact_one_form(alpha, [0.0, 0.0], sample_points(chart))
     for p in sample_points(chart, count=12, seed=23):
         for index in range(2):
             grad = fd(g, p, index)
@@ -313,7 +314,7 @@ def test_potential_gradient_reproduces_form(fd):
 def test_potential_base_point_respected():
     chart = base_chart(1)
     alpha = one_form(chart, {0: parse_expression("2*x_1", chart)})
-    g = potential_of_exact_one_form(alpha, [0.5])
+    g = potential_of_exact_one_form(alpha, [0.5], sample_points(chart))
     assert g([0.5]) == 0.0
     assert g([1.0]) == pytest.approx(1.0 - 0.25, abs=1e-12)
 
@@ -322,13 +323,14 @@ def test_potential_rejects_non_closed_form():
     chart = base_chart(2)
     alpha = one_form(chart, {0: chart.coordinate("x_2")})  # d(alpha) = -dx1^dx2 != 0
     with pytest.raises(ClosednessError) as err:
-        potential_of_exact_one_form(alpha, [0.0, 0.0])
+        potential_of_exact_one_form(alpha, [0.0, 0.0], sample_points(chart))
     assert err.value.max_residual >= 0.9
     assert err.value.witness.shape == (2,)
+    assert str(err.value).endswith(f" at {err.value.witness.tolist()}")  # plain floats
 
 
 def test_potential_of_zero_form_is_zero():
     chart = tangent_chart(1, 2)
     zero = one_form(chart, {})
-    g = potential_of_exact_one_form(zero, [0.0, 0.0, 0.0])
+    g = potential_of_exact_one_form(zero, [0.0, 0.0, 0.0], sample_points(chart))
     assert g([0.3, -0.2, 0.9]) == 0.0

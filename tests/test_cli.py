@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parser_oracle
-from ksym import cli
+from ksym import cli, expr
 from ksym.cli import (
     MAX_ARRAY_VALUES,
     ModelFileError,
@@ -551,13 +551,33 @@ def test_regularity_at_zero_tolerance_stays_strict(tmp_path, capsys):
     assert math.copysign(1.0, check["tol"]) == math.copysign(1.0, check["max_residual"]) == -1.0
 
 
+def test_noether_checks_closedness_on_the_command_samples(tmp_path, capsys, monkeypatch):
+    # the Cartan gate and the closedness of L_Y theta hold to --tol at the one
+    # point drawn, and no check draws points of its own
+    path = write_model(
+        tmp_path,
+        "[model]\nname = oscillator_k1\nkind = hamiltonian\nn = 1\nk = 1\n"
+        "function = (p_1_1^2 + x_1^2)/2\n\n"
+        "[field X]\nc_x_1 = p_1_1\nc_p_1_1 = -x_1\n\n"
+        "[field Y]\nc_x_1 = (x_1 - 0.5)^2\n",
+    )
+    streams = []
+    stream = expr._uniform_stream
+    monkeypatch.setattr(expr, "_uniform_stream", lambda seed: streams.append(seed) or stream(seed))
+    code = main([
+        "build", "noether", "--model", str(path), "--field", "Y",
+        "--samples", "1", "--tol", "0.1", "--box", "2", "--seed", "327",
+    ])
+    assert (code, capsys.readouterr().err, streams) == (0, "", [327])
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["check", "--help"]) == 0
 
 
 # ---------------------------------------------------------------------------
-# the table and the lazily built parser against the full one they replaced
+# the table and the parser built from it against the full one they replaced
 # ---------------------------------------------------------------------------
 
 LEAVES = [
@@ -629,14 +649,6 @@ def count_parsers(monkeypatch) -> list:
     return progs
 
 
-@pytest.mark.parametrize("argv", [leaf + ["--help"] for leaf in LEAVES])
-def test_a_leaf_command_builds_three_parsers(argv, capsys, monkeypatch):
-    # for help, which argparse writes; a well-formed command builds none
-    progs = count_parsers(monkeypatch)
-    assert main(argv) == 0
-    assert progs == ["ksym", f"ksym {argv[0]}", f"ksym {argv[0]} {argv[1]}"]
-
-
 @pytest.mark.parametrize("argv", [
     ["check", "regularity", "--model", "vibrating_string"],
     ["verify", "law", "--model", "free_particle", "--law", "momenta"],
@@ -647,10 +659,15 @@ def test_a_valid_command_builds_no_parser(argv, capsys, monkeypatch):
     assert progs == []
 
 
-def test_top_level_help_builds_one_parser_per_group(capsys, monkeypatch):
+def test_help_builds_one_parser_per_command_entry(capsys, monkeypatch):
     progs = count_parsers(monkeypatch)
     assert main(["--help"]) == 0
-    assert len(progs) == 7
+    expected = ["ksym"]
+    for group, (_, body) in cli.COMMANDS.items():
+        expected.append(f"ksym {group}")
+        if isinstance(body, dict):
+            expected += [f"ksym {group} {action}" for action in body]
+    assert progs == expected
 
 
 def test_list_models_builds_no_model(capsys, monkeypatch):
@@ -806,8 +823,9 @@ def test_module_entry_point_runs():
 @pytest.mark.parametrize("argv, unbuffered", [
     (["check", "regularity", "--model", "navier", "--samples", "3"], True),
     (["check", "regularity", "--model", "navier", "--samples", "3"], False),
-    (["--help"], False),  # unbuffered, argparse drops the failed write of help
-], ids=["report-unbuffered", "report-buffered", "help-buffered"])
+    (["--help"], True),  # argparse alone would drop the failed write of help
+    (["--help"], False),
+], ids=["report-unbuffered", "report-buffered", "help-unbuffered", "help-buffered"])
 def test_a_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
     # unbuffered, the write fails; buffered, the flush does, and unflushed at
     # exit it would end in "Exception ignored" and exit 120

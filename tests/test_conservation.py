@@ -153,7 +153,7 @@ def test_bracket_law_rejects_bad_ingredients():
 def test_noether_law_string_momenta():
     sys = string_system(sigma=2.0, tau=3.0)
     ch = sys.chart
-    law = build_noether_law(sys, coordinate_vector_field(ch, "x_1"))
+    law = build_noether_law(sys, coordinate_vector_field(ch, "x_1"), sample_points(ch))
     assert law.provenance == "noether"
     assert law.symbolic
     v1, v2 = ch.index_of("v_1_1"), ch.index_of("v_2_1")
@@ -164,16 +164,16 @@ def test_noether_law_string_momenta():
 
 def test_noether_law_conserved_along_string_evolution():
     sys = string_system()
-    law = build_noether_law(sys, coordinate_vector_field(sys.chart, "x_1"))
-    family = string_sopde(sys.chart)
     pts = sample_points(sys.chart, count=64, seed=42)
+    law = build_noether_law(sys, coordinate_vector_field(sys.chart, "x_1"), pts)
+    family = string_sopde(sys.chart)
     assert verify_law_pointwise(family, law, pts) <= 1e-9
 
 
 def test_noether_law_sqrt_model():
     sys = build_system("lagrangian", 1, 2, "sqrt(1 + v_1_1^2 + v_2_1^2)")
     ch = sys.chart
-    law = build_noether_law(sys, coordinate_vector_field(ch, "x_1"))
+    law = build_noether_law(sys, coordinate_vector_field(ch, "x_1"), sample_points(ch))
     v1, v2 = ch.index_of("v_1_1"), ch.index_of("v_2_1")
     for p in sample_points(ch, count=16, seed=26):
         w = np.sqrt(1.0 + p[v1] ** 2 + p[v2] ** 2)
@@ -184,7 +184,7 @@ def test_noether_law_sqrt_model():
 def test_noether_law_three_copy_model():
     sys = build_system("lagrangian", 1, 3, "(v_1_1^2 + v_2_1^2 + v_3_1^2)/2")
     ch = sys.chart
-    law = build_noether_law(sys, coordinate_vector_field(ch, "x_1"))
+    law = build_noether_law(sys, coordinate_vector_field(ch, "x_1"), sample_points(ch))
     for p in sample_points(ch, count=8, seed=27):
         for A in (1, 2, 3):
             idx = ch.index_of(f"v_{A}_1")
@@ -206,7 +206,7 @@ def test_noether_law_coupled_quadratic_model():
             for name in ch.coordinate_names
         ),
     )
-    law = build_noether_law(sys, Y)
+    law = build_noether_law(sys, Y, sample_points(ch))
     for p in sample_points(ch, count=16, seed=28):
         v = {name: p[ch.index_of(name)] for name in ("v_1_1", "v_1_2", "v_2_1", "v_2_2")}
         phi1 = (lam + 2 * nu) * v["v_1_1"] + nu * v["v_1_2"] + (lam + nu) * v["v_2_2"]
@@ -218,7 +218,7 @@ def test_noether_law_coupled_quadratic_model():
 def test_noether_gate_rejects_non_cartan_field():
     sys = string_system()
     with pytest.raises(NotCartanSymmetryError) as info:
-        build_noether_law(sys, sys.bundle.liouville)
+        build_noether_law(sys, sys.bundle.liouville, sample_points(sys.chart))
     assert info.value.verdict.max_residual > 0.5
 
 
@@ -230,7 +230,7 @@ def test_noether_gate_rejects_non_cartan_field():
 def test_noether_quadrature_branch_recovers_energy():
     sys, rotation, evolution = oscillator()
     ch = sys.chart
-    law = build_noether_law(sys, rotation)
+    law = build_noether_law(sys, rotation, sample_points(ch))
     assert not law.symbolic
     assert isinstance(law.components[0], NumericLawComponent)
     # the rotation drags theta into x dx - p dp, whose potential is
@@ -247,7 +247,7 @@ def test_noether_quadrature_branch_recovers_energy():
 
 def test_noether_quadrature_component_recomposition():
     sys, rotation, _ = oscillator()
-    law = build_noether_law(sys, rotation)
+    law = build_noether_law(sys, rotation, sample_points(sys.chart))
     comp = law.components[0]
     for p in sample_points(sys.chart, count=8, seed=31):
         assert comp.evaluate(p) == comp.symbolic.evaluate(p) - comp.potential.evaluate(p)
@@ -255,7 +255,7 @@ def test_noether_quadrature_component_recomposition():
 
 def test_noether_quadrature_law_verifies_along_flow():
     sys, rotation, evolution = oscillator()
-    law = build_noether_law(sys, rotation)
+    law = build_noether_law(sys, rotation, sample_points(sys.chart))
     pts = sample_points(sys.chart, count=32, seed=32)
     # X(Phi) = X(theta(Y)) - alpha(X) exactly, so only round-off remains
     assert verify_law_pointwise(evolution, law, pts) <= 1e-14
@@ -360,7 +360,7 @@ def test_verification_residual_is_sublinear(a, b):
 
 def test_converse_recognizes_noether_induced_law():
     sys, rotation, evolution = oscillator()
-    law = build_noether_law(sys, rotation)
+    law = build_noether_law(sys, rotation, sample_points(sys.chart))
     pts = sample_points(sys.chart, count=32, seed=35)
     pairing, conserved, cartan = check_momentum_converse(sys, rotation, law, evolution, pts)
     assert (pairing.kind, conserved.kind, cartan.kind) == ("pairing", "law-pointwise", "cartan")
@@ -373,7 +373,7 @@ def test_converse_on_string_translation_law():
     sys = string_system()
     ch = sys.chart
     dx = coordinate_vector_field(ch, "x_1")
-    law = build_noether_law(sys, dx)
+    law = build_noether_law(sys, dx, sample_points(ch))
     family = string_sopde(ch)
     pts = sample_points(ch, count=32, seed=36)
     checks = check_momentum_converse(sys, dx, law, family, pts)
