@@ -825,7 +825,10 @@ def test_module_entry_point_runs():
     (["check", "regularity", "--model", "navier", "--samples", "3"], False),
     (["--help"], True),  # argparse alone would drop the failed write of help
     (["--help"], False),
-], ids=["report-unbuffered", "report-buffered", "help-unbuffered", "help-buffered"])
+    # a leaf's help is written by its own subparser, deepest in the tree
+    *[(leaf + ["--help"], True) for leaf in LEAVES],
+], ids=["report-unbuffered", "report-buffered", "help-unbuffered", "help-buffered"]
+    + ["help-unbuffered-" + "-".join(leaf) for leaf in LEAVES])
 def test_a_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
     # unbuffered, the write fails; buffered, the flush does, and unflushed at
     # exit it would end in "Exception ignored" and exit 120
