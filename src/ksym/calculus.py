@@ -8,6 +8,7 @@ coefficient expressions; evaluations expand permutation signs on demand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Mapping, Sequence
 
@@ -372,7 +373,9 @@ class PotentialEvaluator:
     point, computed with ``QUADRATURE_NODES``-point Gauss-Legendre quadrature.
 
     g(q) = integral_0^1 alpha_{base + t (q - base)} (q - base) dt, so
-    g(base) = 0 by construction.
+    g(base) = 0 by construction.  The nodes and the component kernels are
+    built on the first evaluation, so a potential that is never evaluated
+    costs nothing.
     """
 
     def __init__(self, alpha: PForm, base_point):
@@ -382,21 +385,25 @@ class PotentialEvaluator:
         self.base_point = np.asarray(base_point, dtype=float)
         if self.base_point.shape != (alpha.chart.dimension,):
             raise ValueError("base point has wrong dimension")
+
+    @functools.cached_property
+    def _quadrature(self) -> tuple:
+        """(nodes on [0, 1], their weights, (index, kernel) per component)."""
         ts, ws = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-        self._ts = 0.5 * (ts + 1.0)
-        self._ws = 0.5 * ws
-        self._comps = [(key[0], batch_evaluator(expr)) for key, expr in alpha.components.items()]
+        comps = [(key[0], batch_evaluator(expr)) for key, expr in self.alpha.components.items()]
+        return 0.5 * (ts + 1.0), 0.5 * ws, comps
 
     def evaluate(self, point) -> float:
         return float(self.evaluate_batch(_one_row(point))[0])
 
     def evaluate_batch(self, points) -> np.ndarray:
+        ts, ws, comps = self._quadrature
         delta = np.asarray(points, dtype=float) - self.base_point
         total = np.zeros(len(delta))
-        for t, w in zip(self._ts, self._ws):
+        for t, w in zip(ts, ws):
             x = self.base_point + t * delta
             pairing = 0.0
-            for idx, fn in self._comps:
+            for idx, fn in comps:
                 pairing = pairing + fn(x) * delta[:, idx]
             total += w * pairing
         return total

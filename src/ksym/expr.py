@@ -966,9 +966,10 @@ def batch_evaluator(e: Expression) -> Callable:
 # seeded sampling
 # ---------------------------------------------------------------------------
 
-_M32, _M64 = 2**32 - 1, 2**64 - 1
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _BLOCK = 8192  # draws per vectorized step
+_LANES = 128  # jumps in one row of the jump table
 
 
 def _hasher(const: int, mult: int) -> Callable:
@@ -1005,37 +1006,55 @@ def _seed_words(seed) -> list[int]:
     return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def _mul_add(x, k: int, add) -> np.ndarray:
-    """x * k + add mod 2^128, x and add as (high, low) uint64 halves along
-    the first axis and k an int; the high half of low * k is taken on 32-bit
-    halves."""
-    hi, lo = x
-    k_lo = k & _M64
+def _mul_add(x, k, add) -> np.ndarray:
+    """x * k + add mod 2^128 on (high, low) uint64 halves along the first axis
+    of each, broadcast against each other; the high half of the low halves'
+    product is taken on 32-bit halves."""
+    (hi, lo), (k_hi, k_lo) = x, k
     a1, a0, b1, b0 = lo >> 32, lo & _M32, k_lo >> 32, k_lo & _M32
     p01, p10 = a0 * b1, a1 * b0
     mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + hi * k_lo + lo * (k >> 64)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + hi * k_lo + lo * k_hi
     lo = lo * k_lo + add[1]
     return np.array([hi + add[0] + (lo < add[1]), lo])
 
 
-def _halves(a: int, c: int) -> np.ndarray:
-    """The 128-bit ints ``a`` and ``c`` as a (2, 2, 1) array: (high, low) uint64
-    halves along the first axis."""
-    return np.array([[[a >> 64], [c >> 64]], [[a & _M64], [c & _M64]]], dtype=np.uint64)
+def _halves(ints) -> np.ndarray:
+    """128-bit ints as a (2, len(ints)) array of (high, low) uint64 halves."""
+    return np.array([[i >> 64 for i in ints], [i & _M64 for i in ints]], dtype=np.uint64)
+
+
+def _jump_table(inc: int, size: int) -> np.ndarray:
+    """jumps[h, t, j - 1], j = 1 .. n >= size: half h (high, low) of A_j = M^j
+    (t = 0) or C_j (t = 1), so that j steps from state s reach A_j s + C_j.
+    It is the product of the first _LANES jumps and the jumps by whole rows
+    of lanes, taken as Python ints: A_(Lr+j) = A_j A_Lr, C_(Lr+j) = A_j C_Lr + C_j."""
+    def then(first, second):  # the jump by ``first``, then by ``second``
+        return first[0] * second[0] & _M128, (first[1] * second[0] + second[1]) & _M128
+
+    lanes, rows = [(_PCG64_MULT, inc)], [(1, 0)]
+    while len(lanes) < _LANES:
+        lanes.append(then(lanes[-1], lanes[0]))
+    while len(rows) * _LANES < size:
+        rows.append(then(rows[-1], lanes[-1]))
+    (lane_a, lane_c), (row_a, row_c) = zip(*lanes), zip(*rows)
+    table = _mul_add(_halves(row_a + row_c).reshape(2, 2, -1, 1),
+                     _halves(lane_a).reshape(2, 1, 1, _LANES),
+                     _halves((0,) * _LANES + lane_c).reshape(2, 2, 1, _LANES))
+    return table.reshape(2, 2, -1)
 
 
 def _uniform_stream(seed) -> Callable:
     """``draw(low, high, shape)``: the values of successive
     ``default_rng(seed).uniform(low, high, shape)`` calls on one numpy
     Generator, bit for bit -- its PCG64 seeded through SeedSequence, stepped
-    here in uint64 blocks -- without importing numpy's random module."""
+    here in blocks of up to _BLOCK states, each a jump from the block's
+    start read off a lane x row table -- without importing numpy's random
+    module.  The table covers the largest block drawn so far."""
     w0, w1, w2, w3 = _seed_words(seed)
-    inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
-    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) % 2**128
-    # jumps[h, t, j - 1] is half h (high, low) of A_j = M^j (t = 0) or C_j
-    # (t = 1): j steps from state s reach A_j s + C_j
-    jumps = _halves(_PCG64_MULT, inc)
+    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128
+    jumps = np.empty((2, 2, 0), dtype=np.uint64)
 
     def draw(low: float, high: float, shape: tuple) -> np.ndarray:
         nonlocal state, jumps
@@ -1043,10 +1062,9 @@ def _uniform_stream(seed) -> Callable:
         out = np.empty(math.prod(shape))
         for start in range(0, out.size, _BLOCK):
             size = min(_BLOCK, out.size - start)
-            while jumps.shape[2] < size:  # A_(n+j) = A_n A_j, C_(n+j) = A_n C_j + C_n
-                a, c = (int(hi) << 64 | int(lo) for hi, lo in jumps[:, :, -1].T)
-                jumps = np.concatenate([jumps, _mul_add(jumps, a, _halves(0, c))], axis=2)
-            hi, lo = _mul_add(jumps[:, 0, :size], state, jumps[:, 1, :size])
+            if jumps.shape[2] < size:
+                jumps = _jump_table(inc, size)
+            hi, lo = _mul_add(jumps[:, 0, :size], _halves([state]), jumps[:, 1, :size])
             state = int(hi[-1]) << 64 | int(lo[-1])
             x, rot = hi ^ lo, hi >> 58  # PCG's XSL-RR output
             bits = x >> rot | x << (-rot & 63)
@@ -1078,11 +1096,10 @@ def sample_points(
     draw = _uniform_stream(seed)
     exprs = [getattr(item, "expr", item) for item in require]
 
-    accepted = np.empty((0, chart.dimension))
-    drawn = 0
+    accepted, kept, drawn = [], 0, 0  # each batch's valid rows, copied only if some are not
     budget = 10 * count
     rejected = None  # (expression, point) of the first rejected draw
-    while len(accepted) < count:
+    while kept < count:
         if drawn >= budget:
             raise SamplingError(
                 f"could not draw {count} valid points within {budget} attempts; "
@@ -1097,8 +1114,11 @@ def sample_points(
             if rejected is None and not finite.all():
                 rejected = e, pts[np.argmin(finite)]
             valid &= finite
-        accepted = np.concatenate([accepted, pts[valid][: count - len(accepted)]])
-    return accepted
+        accepted.append((pts if valid.all() else pts[valid])[: count - kept])
+        kept += len(accepted[-1])
+    if len(accepted) == 1:
+        return accepted[0]
+    return np.concatenate([np.empty((0, chart.dimension)), *accepted])  # none for count 0
 
 
 def _rejection(e: Expression, point) -> str:

@@ -22,7 +22,6 @@ the divergence of a law over a grid are each returned as one
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 
@@ -141,9 +140,9 @@ def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
     """Fill the section grid over [0, T_A] with spacing h_A per axis.
 
     Each T_A must be an integer multiple of h_A (to 1e-9 relative).  The
-    pairwise commutation residual is evaluated over the finished grid; a
-    warning is issued when it exceeds ``COMMUTATION_TOLERANCE``, since the
-    flow composition order then matters.
+    pairwise commutation residual is evaluated over the finished grid and
+    kept as ``commutation_residual``: where it is not small, the flow
+    composition order matters, and the commutation check reports it.
     """
     chart = X.chart
     k = len(X)
@@ -179,22 +178,9 @@ def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
         _march(kernels, lines, h[a], f"axis {a + 1}")
 
     residual = worst_sample(_commutation_residuals(X, values.reshape(-1, chart.dimension)))[0]
-    if not residual <= COMMUTATION_TOLERANCE:
-        warnings.warn(
-            f"component fields do not commute (residual {residual:.3e}); "
-            "the section depends on flow order",
-            stacklevel=2,
-        )
     axes = tuple(np.arange(m + 1) * h[a] for a, m in enumerate(counts))
-    return SectionGrid(
-        chart=chart,
-        origin=origin,
-        ranges=T,
-        steps=h,
-        axes=axes,
-        values=values,
-        commutation_residual=residual,
-    )
+    return SectionGrid(chart=chart, origin=origin, ranges=T, steps=h, axes=axes, values=values,
+                       commutation_residual=residual)
 
 
 def verify_law_divergence(
@@ -220,12 +206,8 @@ def verify_law_divergence(
 
     total = np.zeros(tuple(m - 2 for m in shape))
     for A in range(k):
-        upper = tuple(
-            slice(2, None) if a == A else slice(1, -1) for a in range(k)
-        )
-        lower = tuple(
-            slice(0, -2) if a == A else slice(1, -1) for a in range(k)
-        )
+        upper = tuple(slice(2, None) if a == A else slice(1, -1) for a in range(k))
+        lower = tuple(slice(0, -2) if a == A else slice(1, -1) for a in range(k))
         total += (phi[A][upper] - phi[A][lower]) / (2.0 * grid.steps[A])
 
     residual = np.abs(total)
@@ -248,9 +230,12 @@ def export_grid_csv(grid: SectionGrid, target) -> None:
     """Write the grid row-major: columns t_1..t_k then the chart coordinates.
 
     ``target`` is a path (str, bytes or path-like) or an open text file.
+    A path is opened here: given one, ``np.savetxt`` would load numpy's
+    compressed-file openers, and write gzip to a name ending in ``.gz``.
     """
     if isinstance(target, (str, bytes, os.PathLike)):
-        target = os.fsdecode(target)  # np.savetxt takes no bytes paths
+        with open(target, "w", encoding="utf-8") as fh:
+            return export_grid_csv(grid, fh)
     header = [f"t_{a + 1}" for a in range(grid.k)] + list(grid.chart.coordinate_names)
     times = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)
     rows = np.concatenate([times, grid.values], axis=-1).reshape(-1, len(header))

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ksym
 from ksym.calculus import (
     ChartMismatchError,
     ClosednessError,
@@ -327,6 +332,40 @@ def test_potential_rejects_non_closed_form():
     assert err.value.max_residual >= 0.9
     assert err.value.witness.shape == (2,)
     assert str(err.value).endswith(f" at {err.value.witness.tolist()}")  # plain floats
+
+
+def test_potential_is_the_64_node_gauss_legendre_quadrature():
+    chart = base_chart(2)
+    sources = ["cos(x_1)*x_2", "sin(x_1)"]
+    alpha = one_form(chart, {i: parse_expression(src, chart) for i, src in enumerate(sources)})
+    base = np.array([0.25, -0.5])
+    pts = sample_points(chart, count=16, seed=19)
+    ts, ws = np.polynomial.legendre.leggauss(64)
+    delta = pts - base
+    expected = np.zeros(len(pts))
+    for t, w in zip(0.5 * (ts + 1.0), 0.5 * ws):
+        x = base + t * delta
+        expected += w * (np.cos(x[:, 0]) * x[:, 1] * delta[:, 0] + np.sin(x[:, 0]) * delta[:, 1])
+    actual = PotentialEvaluator(alpha, base).evaluate_batch(pts)
+    assert actual.tobytes() == expected.tobytes()
+
+
+def test_building_a_potential_imports_nothing():
+    # the quadrature nodes and kernels wait for the first evaluation
+    code = "\n".join([
+        "import sys",
+        "from ksym.calculus import PotentialEvaluator, one_form",
+        "from ksym.expr import base_chart, parse_expression",
+        "chart = base_chart(2)",
+        "alpha = one_form(chart, {0: parse_expression('sin(x_1)', chart)})",
+        "before = set(sys.modules)",
+        "g = PotentialEvaluator(alpha, [0.0, 0.0])",
+        "print(sorted(set(sys.modules) - before), sorted(vars(g)))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(ksym.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] ['alpha', 'base_point']\n"
 
 
 def test_potential_of_zero_form_is_zero():

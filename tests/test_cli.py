@@ -16,6 +16,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -791,20 +792,34 @@ def test_out_naming_a_directory_exits_2(tmp_path, capsys):
     assert "Is a directory" in err
 
 
+SHEAR_MODEL = (
+    "[model]\nname = shear\nkind = ode\nn = 2\nk = 2\n\n"
+    "[field X1]\nc_x_1 = 1\n\n[field X2]\nc_x_2 = x_1\n"
+)
+SHEAR_SECTION = ["integrate", "section", "--against", "X1,X2", "--origin", "0,0", "--T", "0.5",
+                 "--h", "0.25"]
+
+
 def test_non_commuting_family_fails_the_section_check(tmp_path, capsys):
-    path = write_model(
-        tmp_path,
-        "[model]\nname = shear\nkind = ode\nn = 2\nk = 2\n\n"
-        "[field X1]\nc_x_1 = 1\n\n[field X2]\nc_x_2 = x_1\n",
-    )
-    with pytest.warns(UserWarning, match="do not commute"):
-        code = main(
-            [
-                "integrate", "section", "--model", str(path),
-                "--origin", "0,0", "--T", "0.5", "--h", "0.25",
-            ]
-        )
+    path = write_model(tmp_path, SHEAR_MODEL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(SHEAR_SECTION + ["--model", str(path)])
     assert code == 1
+    assert "FAIL commutation" in capsys.readouterr().out
+
+
+def test_a_wide_tolerance_passes_the_section_check_without_a_warning(tmp_path):
+    # the commutation check reports the residual; nothing else is written
+    path = write_model(tmp_path, SHEAR_MODEL)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ksym.cli", *SHEAR_SECTION, "--model", str(path), "--tol", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert "PASS commutation" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_module_entry_point_runs():

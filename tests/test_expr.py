@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ksym.expr import (
@@ -39,7 +39,7 @@ from ksym.expr import (
     to_source,
     validate_on_chart,
 )
-from ksym.expr import _BLOCK, _uniform_stream
+from ksym.expr import _BLOCK, _LANES, _uniform_stream
 from scalar_oracle import evaluate, evaluator
 
 
@@ -552,15 +552,37 @@ def test_sampling_accepts_the_widest_finite_box():
     seed=st.integers(0, 2**128),
     halfwidth=st.floats(1e-3, 1e300),
     sizes=st.lists(
-        st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]), min_size=1, max_size=4
+        st.sampled_from(
+            [0, 1, _LANES - 1, _LANES, _LANES + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+        ),
+        min_size=1,
+        max_size=4,
     ),
 )
+# a small draw, then larger ones: the jump table regrows mid-stream
+@example(seed=7, halfwidth=1.0, sizes=[0, 1, _LANES - 1, _LANES + 1])
+@example(seed=8, halfwidth=1.0, sizes=[_LANES, _BLOCK - 1, 2 * _BLOCK + 3, 1])
 def test_sample_stream_is_numpys_uniform_stream(seed, halfwidth, sizes):
     rng = np.random.default_rng(seed)
     draw = _uniform_stream(seed)
     for size in sizes:  # successive draws continue one stream
         expected = rng.uniform(-halfwidth, halfwidth, size=(size,))
         assert np.array_equal(draw(-halfwidth, halfwidth, (size,)), expected)
+
+
+@pytest.mark.parametrize("count", [1, 64, 20_000])
+def test_unfiltered_sample_is_numpys_uniform_sample(count):
+    expected = np.random.default_rng(11).uniform(-0.5, 0.5, (count, 3))
+    actual = sample_points(base_chart(3), count=count, seed=11, halfwidth=0.5)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("require", [[], ["log(x_1)"]])
+def test_sampling_no_points_gives_an_empty_row_block(require):
+    chart = base_chart(2)
+    pts = sample_points(chart, count=0, require=[parse_expression(e, chart) for e in require])
+    assert pts.shape == (0, 2)
 
 
 def test_sampling_refuses_a_negative_seed():

@@ -2,6 +2,7 @@
 
 import io
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from ksym.conservation import build_bracket_law, user_law
 from ksym.dynamics import KVectorField, build_system
 from ksym.expr import Num, base_chart, parse_expression, sample_points
 from ksym.sections import (
+    COMMUTATION_TOLERANCE,
     SectionIntegrationError,
     check_integrability,
     export_grid_csv,
@@ -168,11 +170,13 @@ def test_commuting_flows_permute():
     )
 
 
-def test_non_commuting_family_warns():
+def test_non_commuting_family_reports_its_residual_without_a_warning():
     ch, family = non_commuting_family()
-    with pytest.warns(UserWarning, match="do not commute"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         grid = integrate_section(family, np.zeros(3), ranges=0.25, steps=1 / 8)
     assert grid.commutation_residual == pytest.approx(1.0)
+    assert not check_integrability(family, grid.values.reshape(-1, 3)).holds
 
 
 def test_range_must_be_multiple_of_step():
@@ -277,14 +281,16 @@ def test_front_march_is_bit_identical_on_polynomial_families(family, origin, T, 
     assert np.array_equal(grid.values, reference)
 
 
-@pytest.mark.filterwarnings("ignore:component fields do not commute")
 def test_front_march_matches_per_line_march_on_a_transcendental_flow():
     ch = base_chart(2, 2)
     X1 = VectorField(ch, (parse_expression("sin(x_1 + x_2)", ch), parse_expression("cos(x_1)/2", ch)))
     X2 = VectorField(ch, (parse_expression("exp(-x_2)", ch), parse_expression("1 + sin(3*x_1)", ch)))
     family = KVectorField(ch, (X1, X2))
     origin = np.array([0.2, -0.4])
-    grid = integrate_section(family, origin, ranges=0.5, steps=1 / 32)
+    with warnings.catch_warnings():  # the fields do not commute; that is no warning
+        warnings.simplefilter("error")
+        grid = integrate_section(family, origin, ranges=0.5, steps=1 / 32)
+    assert not grid.commutation_residual <= COMMUTATION_TOLERANCE
     np.testing.assert_array_max_ulp(grid.values, per_line_march(family, origin, 0.5, 1 / 32), maxulp=4)
 
 

@@ -129,6 +129,17 @@ def test_a_valid_command_loads_neither_argparse_nor_dataclasses():
         assert codes == [code] and "argparse" in loaded, argv
 
 
+def test_no_golden_command_imports_a_module():
+    # every module a command needs is loaded with ksym.cli; the quadrature
+    # nodes of a potential that is never evaluated are never built
+    from test_cli import GOLDEN_CASES
+
+    argvs = [argv + ["--format", "json"] for _, argv, _ in GOLDEN_CASES]
+    [(_, imported), (codes, loaded)] = run_in_one_interpreter([], argvs)
+    assert codes == [code for _, _, code in GOLDEN_CASES]
+    assert sorted(loaded - imported) == []
+
+
 def imported_modules(path: Path) -> list:
     """(module name, top-level function it is imported in, or None) per import."""
     found = []
