@@ -637,7 +637,7 @@ def _integrate(model: LoadedModel, args):
 
 def _commutation_check(grid, tol: float) -> Check:
     residual = grid.commutation_residual
-    return Check("commutation", residual <= tol, residual, tol, grid.origin)
+    return Check("commutation", residual <= tol, residual, tol, grid.commutation_witness)
 
 
 def _cmd_verify_divergence(model: LoadedModel, args) -> tuple[list, dict]:

@@ -6,9 +6,13 @@ and the k families of one- and two-forms that turn the evolution condition
     sum_A  i_{X_A} omega_A = d(H)        (Hamiltonian side)
     sum_A  i_{X_A} omega_A = d(E_L)      (Lagrangian side)
 
-into pointwise linear algebra.  Solvers return the minimum-norm
-least-squares representative when the system is underdetermined (k > 1);
-for k = 1 the solution is the unique classical one.
+into pointwise linear algebra.  Both sides assemble one linear system from
+the coefficients of omega_A and the gradient of the target; the Lagrangian
+solver fixes the base components to the velocities and keeps the base rows,
+and the fiber Hessian it gates on (like the regularity check) is read off
+omega_A.  Solvers return the minimum-norm least-squares representative when
+the system is underdetermined (k > 1); for k = 1 the solution is the unique
+classical one.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .calculus import (
 from .expr import (
     ChartSpace,
     Check,
-    Expression,
     Func,
+    Num,
     Record,
     batch_evaluator,
     fold,
@@ -70,10 +74,10 @@ class SingularHessianError(ValueError):
 
 
 class InconsistentSystemError(ValueError):
-    """The pointwise linear system has no solution within tolerance."""
+    """The pointwise linear system is not finite or has no solution within tolerance."""
 
-    def __init__(self, residual: float):
-        super().__init__(f"evolution system inconsistent: residual {residual:.3e}")
+    def __init__(self, residual: float, reason: str | None = None):
+        super().__init__(reason or f"evolution system inconsistent: residual {residual:.3e}")
         self.residual = residual
 
 
@@ -132,31 +136,17 @@ class FieldSystem(Record, frozen=False):
         has_func = fold(self.function.expr, lambda node, kids: isinstance(node, Func) or any(kids))
         return 1e-6 if has_func else 1e-8
 
-    # derivative tables, each derived on first use and kept with the system
-
-    @property
-    def fiber_gradient(self) -> list[Expression]:
-        """dL/dv_A_i per fiber slot, read off theta_A(d/dx_i) as build_system derived it."""
-        return [th.component(i) for th in self.theta for i in range(self.n)]
+    # evaluator tables, each built on first use and kept with the system
 
     @cached_property
     def fiber_hessian(self) -> list[list]:
-        """Evaluators of d^2 L / dv_a dv_b: row a, column b, over the fiber slots."""
-        slots = self.chart.fiber_indices
-        return [[batch_evaluator(da.diff(b)) for b in slots] for da in self.fiber_gradient]
-
-    @cached_property
-    def lagrangian_rows(self) -> tuple[list, dict]:
-        """Evaluators of dL/dx_i, and of d^2 L / dv_A_i dx_j keyed (A, i, j)."""
-        chart, n = self.chart, self.n
-        L = self.function.expr
-        dLdx = [batch_evaluator(L.diff(chart.base_index(i))) for i in range(1, n + 1)]
-        mixed = {}
-        for a, e in enumerate(self.fiber_gradient):
-            A, i = divmod(a, n)
-            for j in range(1, n + 1):
-                mixed[(A + 1, i + 1, j)] = batch_evaluator(e.diff(chart.base_index(j)))
-        return dLdx, mixed
+        """Evaluators of d^2 L / dv_A_i dv_B_j: row (A, i), column (B, j), read off
+        omega_A's (x_i, v_B_j) coefficient, since omega_A = -d(dL/dv_A_i dx_i)."""
+        chart, zero = self.chart, Num(0.0)
+        return [
+            [batch_evaluator(omega.components.get((i, b), zero)) for b in chart.fiber_indices]
+            for omega in self.omega for i in range(self.n)
+        ]
 
     @cached_property
     def target_gradient(self) -> list:
@@ -218,16 +208,6 @@ def build_system(
 # ---------------------------------------------------------------------------
 
 
-def _fiber_hessian_values(system: FieldSystem, points) -> np.ndarray:
-    """The fiber Hessian of L at each of the (m, N) points, shape (m, nk, nk)."""
-    rows = system.fiber_hessian
-    M = np.empty((len(points), len(rows), len(rows)))
-    for a, row in enumerate(rows):
-        for b, fn in enumerate(row):
-            M[:, a, b] = fn(points)
-    return M
-
-
 def check_regularity(
     system: FieldSystem, points, tolerance: float = REGULARITY_DET_TOL
 ) -> Check:
@@ -240,7 +220,8 @@ def check_regularity(
     if system.kind != "lagrangian":
         raise ValueError("regularity applies to Lagrangian systems")
     points = np.asarray(points, dtype=float)
-    dets = np.abs(np.linalg.det(_fiber_hessian_values(system, points)))
+    hess = np.array([[fn(points) for fn in row] for row in system.fiber_hessian])
+    dets = np.abs(np.linalg.det(np.moveaxis(hess, -1, 0)))  # one (nk, nk) matrix per point
     at = int(np.argmin(dets))  # the first NaN, if any
     det = float(dets[at])
     return Check("regularity", det > tolerance, -det, -tolerance, points[at], {"min_abs_det": det})
@@ -251,98 +232,76 @@ def check_regularity(
 # ---------------------------------------------------------------------------
 
 
-def solve_evolution_hamiltonian(system: FieldSystem, point) -> np.ndarray:
-    """Solve sum_A i_{X_A} omega_A = dH at one point.
-
-    Returns a (k, N) array of components, the minimum-norm least-squares
-    representative; the base rows reproduce dH/dp_A_i exactly, which is the
-    determined part of the system.
-    """
-    if system.kind != "hamiltonian":
-        raise ValueError("expected a Hamiltonian system")
-    chart = system.chart
-    N = chart.dimension
-    k = system.k
-    batch = np.asarray(point, dtype=float)[None]  # one-row batch for the kernels
-
-    # row c of the system: sum_A sum_b W_A[b, c] (X_A)^b = (dH)_c
-    M = np.zeros((N, k * N))
+def _evolution_system(system: FieldSystem, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row c of sum_A i_{X_A} omega_A = d(target) at one point: the (N, kN)
+    matrix with sum_A sum_b W_A[b, c] (X_A)^b on row c, and (d target)_c."""
+    N = system.chart.dimension
+    batch = point[None]  # one-row batch for the kernels
+    M = np.zeros((N, system.k * N))
     for A, entries in enumerate(system.omega_entries):
         for i, j, fn in entries:
             w = fn(batch)[0]
             M[j, A * N + i] += w
             M[i, A * N + j] -= w
-    b = np.array([fn(batch)[0] for fn in system.target_gradient])
+    return M, np.array([fn(batch)[0] for fn in system.target_gradient])
 
+
+def _least_squares(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of M x = b, refused when M or b
+    is not finite or the residual exceeds SOLVE_RESIDUAL_TOL."""
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
+        raise InconsistentSystemError(np.nan, "evolution system has non-finite entries at the point")
     solution, *_ = np.linalg.lstsq(M, b, rcond=RCOND)
-    residual = float(np.max(np.abs(M @ solution - b))) if N else 0.0
+    residual = float(np.max(np.abs(M @ solution - b), initial=0.0))
     if residual > SOLVE_RESIDUAL_TOL:
         raise InconsistentSystemError(residual)
-    return solution.reshape(k, N)
+    return solution
+
+
+def solve_evolution_hamiltonian(system: FieldSystem, point) -> np.ndarray:
+    """Solve sum_A i_{X_A} omega_A = dH at one point.
+
+    Returns a (k, N) array of components, the minimum-norm least-squares
+    representative.  The base rows are the determined part of the system:
+    they reproduce dH/dp_A_i up to the round-off of the solve.
+    """
+    if system.kind != "hamiltonian":
+        raise ValueError("expected a Hamiltonian system")
+    M, b = _evolution_system(system, np.asarray(point, dtype=float))
+    return _least_squares(M, b).reshape(system.k, -1)
 
 
 def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
-    """Solve the second-order evolution condition at one point.
+    """Solve sum_A i_{X_A} omega_A = dE_L at one point as a second-order system.
 
-    The base components are fixed structurally to the fiber velocities; the
-    remaining nk^2 second components are the minimum-norm least-squares
-    solution of the n dynamic equations together with the symmetry
-    constraints (Gamma_A)^i_B = (Gamma_B)^i_A.
+    The base components are fixed to the velocities, (X_A)^{x_i} = v_A_i, and
+    moved to the right-hand side.  The nk^2 fiber components are the
+    minimum-norm least-squares solution of the n base rows, negated into the
+    Euler-Lagrange equations with the fiber Hessian as their fiber block,
+    together with the symmetry constraints (X_A)^{v_B_j} = (X_B)^{v_A_j}.
     """
     if system.kind != "lagrangian":
         raise ValueError("expected a Lagrangian system")
-    chart = system.chart
     n, k = system.n, system.k
     point = np.asarray(point, dtype=float)
-    batch = point[None]  # one-row batch for the kernels
-
-    hess = _fiber_hessian_values(system, batch)[0]
-    det = abs(float(np.linalg.det(hess)))
+    M, b = _evolution_system(system, point)
+    rows = M[:n].reshape(n, k, -1)  # base row i, copy A, slot
+    el = -rows[:, :, n:]  # the Euler-Lagrange rows: d^2 L / dv_A_i dv_B_j at [i, A, (B, j)]
+    det = abs(float(np.linalg.det(el.transpose(1, 0, 2).reshape(n * k, n * k))))
     if not det > REGULARITY_DET_TOL:  # the verdict of check_regularity, NaN included
         raise SingularHessianError(f"fiber Hessian is singular at the point (|det| = {det:.3e})")
 
-    dLdx, mixed = system.lagrangian_rows
-
-    def unknown(A: int, B: int, j: int) -> int:
-        # (Gamma_A)^j_B laid out A-major, then B, then j (all 1-based here)
-        return ((A - 1) * k + (B - 1)) * n + (j - 1)
-
-    n_unknowns = n * k * k
-    sym_rows = n * k * (k - 1) // 2
-    M = np.zeros((n + sym_rows, n_unknowns))
-    b = np.zeros(n + sym_rows)
-
-    for i in range(1, n + 1):
-        row = i - 1
-        rhs = dLdx[i - 1](batch)[0]
-        for A in range(1, k + 1):
-            for j in range(1, n + 1):
-                rhs -= mixed[(A, i, j)](batch)[0] * point[chart.fiber_index(A, j)]
-                for B in range(1, k + 1):
-                    M[row, unknown(A, B, j)] += hess[(A - 1) * n + i - 1, (B - 1) * n + j - 1]
-        b[row] = rhs
-
-    row = n
-    for A in range(1, k + 1):
-        for B in range(A + 1, k + 1):
-            for j in range(1, n + 1):
-                M[row, unknown(A, B, j)] = 1.0
-                M[row, unknown(B, A, j)] = -1.0
-                row += 1
-
-    solution, *_ = np.linalg.lstsq(M, b, rcond=RCOND)
-    residual = float(np.max(np.abs(M @ solution - b)))
-    if residual > SOLVE_RESIDUAL_TOL:
-        raise InconsistentSystemError(residual)
-
-    out = np.zeros((k, chart.dimension))
-    for A in range(1, k + 1):
-        for i in range(1, n + 1):
-            out[A - 1, chart.base_index(i)] = point[chart.fiber_index(A, i)]
-        for B in range(1, k + 1):
-            for j in range(1, n + 1):
-                out[A - 1, chart.fiber_index(B, j)] = solution[unknown(A, B, j)]
-    return out
+    # fiber unknowns (X_A)^{v_B_j} in A, B, j order; a symmetry row per A < B and j
+    unknown = np.arange(n * k * k).reshape(k, k, n)
+    A, B = np.triu_indices(k, 1)
+    eye = np.eye(n * k * k)
+    sym = eye[unknown[A, B].ravel()] - eye[unknown[B, A].ravel()]
+    velocities = point[n:]  # v_A_i, A-major like the base columns
+    fibers = _least_squares(
+        np.vstack([el.reshape(n, -1), sym]),
+        np.concatenate([rows[:, :, :n].reshape(n, -1) @ velocities - b[:n], np.zeros(len(sym))]),
+    )
+    return np.hstack([velocities.reshape(k, n), fibers.reshape(k, k * n)])
 
 
 def _evolution_residual_form(system: FieldSystem, X: KVectorField) -> PForm:

@@ -55,9 +55,10 @@ class SectionGrid(Record, eq=False):
 
     def __init__(self, chart: ChartSpace, origin: np.ndarray, ranges: tuple[float, ...],
                  steps: tuple[float, ...], axes: tuple[np.ndarray, ...], values: np.ndarray,
-                 commutation_residual: float):
+                 commutation_residual: float, commutation_witness: np.ndarray):
         self._set(chart=chart, origin=origin, ranges=ranges, steps=steps, axes=axes,
-                  values=values, commutation_residual=commutation_residual)
+                  values=values, commutation_residual=commutation_residual,
+                  commutation_witness=commutation_witness)
 
     @property
     def k(self) -> int:
@@ -141,8 +142,9 @@ def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
 
     Each T_A must be an integer multiple of h_A (to 1e-9 relative).  The
     pairwise commutation residual is evaluated over the finished grid and
-    kept as ``commutation_residual``: where it is not small, the flow
-    composition order matters, and the commutation check reports it.
+    kept as ``commutation_residual``, and the first node where it peaks as
+    ``commutation_witness``: where it is not small, the flow composition
+    order matters, and the commutation check reports it.
     """
     chart = X.chart
     k = len(X)
@@ -177,10 +179,11 @@ def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
         lines = values[(0,) * a].reshape(shape[a], -1, chart.dimension)
         _march(kernels, lines, h[a], f"axis {a + 1}")
 
-    residual = worst_sample(_commutation_residuals(X, values.reshape(-1, chart.dimension)))[0]
+    nodes = values.reshape(-1, chart.dimension)
+    residual, at = worst_sample(_commutation_residuals(X, nodes))
     axes = tuple(np.arange(m + 1) * h[a] for a, m in enumerate(counts))
     return SectionGrid(chart=chart, origin=origin, ranges=T, steps=h, axes=axes, values=values,
-                       commutation_residual=residual)
+                       commutation_residual=residual, commutation_witness=nodes[at])
 
 
 def verify_law_divergence(

@@ -422,6 +422,54 @@ def test_sine_of_an_overflowed_argument_ends_cleanly(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def run_ksym(argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so LAPACK's own messages reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "ksym.cli", *argv], capture_output=True,
+                          text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "kind, function, at",
+    [
+        ("lagrangian", "1e999 * v_1_1^2", "0.1,0.2"),
+        ("lagrangian", "1e300 * v_1_1^2 * 1e300", "0.1,0.2"),
+        ("hamiltonian", "(p_1_1^2 + x_1^4)/2", "1e120,0"),
+    ],
+)
+def test_a_non_finite_evolution_system_fails_the_solve_check(kind, function, at, tmp_path):
+    path = write_model(
+        tmp_path, f"[model]\nname = m\nkind = {kind}\nn = 1\nk = 1\nfunction = {function}\n"
+    )
+    proc = run_ksym(["solve", "evolution", "--model", str(path), "--at", at, "--format", "json"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    body = json.loads(proc.stdout)
+    assert "solution" not in body
+    (check,) = body["checks"]
+    assert check["name"] == "solve" and not check["pass"]
+    assert check["error"] == "evolution system has non-finite entries at the point"
+
+
+STRING_DUAL_MODEL = (
+    "[model]\nname = string_dual\nkind = hamiltonian\nn = 1\nk = 2\n"
+    "function = p_1_1^2/2 - p_2_1^2/2\n\n"
+    "[field ddx]\nc_x_1 = 1\n\n[field xi1]\nc_x_1 = p_1_1\n\n[field xi2]\nc_x_1 = -p_2_1\n"
+)
+
+
+def test_the_string_dual_solves_verifies_and_builds_its_momenta(tmp_path, capsys):
+    # the Legendre dual of vibrating_string: the Hamiltonian side at k = 2
+    model = ["--model", str(write_model(tmp_path, STRING_DUAL_MODEL)), "--format", "json"]
+    code, out = run_cli(["solve", "evolution", "--at", "0.2,0.7,-0.4", *model], capsys)
+    assert code == 0
+    # base rows dH/dp_1_1 = 0.7 and dH/dp_2_1 = 0.4, fibers all zero
+    assert sum(json.loads(out)["solution"], []) == pytest.approx([0.7, 0, 0, 0.4, 0, 0], abs=1e-12)
+    code, out = run_cli(["verify", "evolution", "--against", "xi1,xi2", *model], capsys)
+    assert code == 0 and json.loads(out)["checks"][0]["pass"]
+    code, out = run_cli(["build", "noether", "--field", "ddx", *model], capsys)
+    assert code == 0 and json.loads(out)["phi"] == ["p_1_1", "p_2_1"]
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -812,14 +860,19 @@ def test_non_commuting_family_fails_the_section_check(tmp_path, capsys):
 def test_a_wide_tolerance_passes_the_section_check_without_a_warning(tmp_path):
     # the commutation check reports the residual; nothing else is written
     path = write_model(tmp_path, SHEAR_MODEL)
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ksym.cli", *SHEAR_SECTION, "--model", str(path), "--tol", "2"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_ksym([*SHEAR_SECTION, "--model", str(path), "--tol", "2"])
     assert proc.returncode == 0
     assert "PASS commutation" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_the_commutation_witness_is_the_node_where_the_residual_peaks(tmp_path, capsys):
+    # |[X1, X2]| = 2 x_1 peaks where the X1 flow has carried x_1 to 0.5
+    path = write_model(tmp_path, SHEAR_MODEL.replace("c_x_2 = x_1", "c_x_2 = x_1^2"))
+    code, out = run_cli(SHEAR_SECTION + ["--model", str(path), "--format", "json"], capsys)
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert (check["max_residual"], check["witness"]) == (1.0, [0.5, 0.0])
 
 
 def test_module_entry_point_runs():

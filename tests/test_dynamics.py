@@ -4,8 +4,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import lagrangian_oracle
 from ksym import expr
 from ksym.calculus import VectorField, two_form_matrix, zero_form
 from ksym.cli import load_model, resolve_model_path
@@ -21,7 +22,7 @@ from ksym.dynamics import (
     solve_evolution_lagrangian,
     verify_evolution,
 )
-from ksym.expr import Num, make_add, parse_expression, sample_points
+from ksym.expr import Num, batch_evaluator, make_add, parse_expression, sample_points
 from scalar_oracle import evaluate
 
 
@@ -300,6 +301,50 @@ def test_singular_hessian_raises():
         solve_evolution_lagrangian(sys, np.zeros(2))
 
 
+weights = st.floats(-2, 2).map(lambda c: round(c, 3))
+
+
+@st.composite
+def polynomial_lagrangians(draw, with_x: bool):
+    """(n, k, source): a diagonally dominant quadratic form in the velocities
+    (diagonal at least 1/2 in size, couplings at most 0.1), plus terms linear
+    in the velocities and a potential, x-dependent when ``with_x``."""
+    n, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    xs = [f"x_{i}" for i in range(1, n + 1)]
+    vs = [f"v_{A}_{i}" for A in range(1, k + 1) for i in range(1, n + 1)]
+    x_monomial = st.builds(lambda x, p: f"{x}^{p}", st.sampled_from(xs), st.integers(1, 3))
+    factor = x_monomial if with_x else st.just("1")
+    terms = []
+    for v in vs:
+        size = draw(st.floats(0.5, 2).map(lambda c: round(c, 3)))
+        terms.append(f"({draw(st.sampled_from([size, -size]))})*{v}^2/2")
+    for a, v in enumerate(vs):
+        for w in vs[a + 1:]:
+            weight = draw(st.floats(-0.1, 0.1).map(lambda c: round(c, 3)))
+            terms.append(f"({weight})*{draw(factor)}*{v}*{w}")
+        terms.append(f"({draw(weights)})*{draw(factor)}*{v}")
+    if with_x:
+        terms.append(f"({draw(weights)})*{draw(x_monomial)}*{draw(x_monomial)}")
+    return n, k, " + ".join(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), with_x=st.booleans())
+def test_lagrangian_solver_matches_the_euler_lagrange_oracle(data, with_x):
+    n, k, source = data.draw(polynomial_lagrangians(with_x))
+    system = build_system("lagrangian", n, k, source)
+    N = system.chart.dimension
+    point = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=N, max_size=N)))
+    X = solve_evolution_lagrangian(system, point)
+    expected = lagrangian_oracle.solve(system, point)
+    if with_x:
+        assert np.max(np.abs(X - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+    else:
+        assert X.tobytes() == expected.tobytes()
+    family = constant_family(system.chart, X)
+    assert evolution_residuals(system, family, [point])[0] <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # symbolic verification
 # ---------------------------------------------------------------------------
@@ -360,6 +405,31 @@ def test_verify_evolution_chart_mismatch():
         verify_evolution(sys, family, [np.zeros(3)])
 
 
+BUNDLED_LAGRANGIANS = ["free_particle", "laplace3", "minimal_surface", "navier", "vibrating_string"]
+AD_HOC_LAGRANGIANS = {
+    "x_dependent": (2, 1, "(1 + x_1^2)*v_1_1^2/2 + x_2*v_1_1*v_1_2 + v_1_2^2 - x_1*x_2*v_1_2"),
+    "exp_log": (1, 2, "exp(x_1*v_1_1) + log(2 + v_2_1^2) - x_1^2"),
+    "singular": (1, 2, "(v_1_1 + v_2_1)^2/2 + x_1*v_1_1"),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED_LAGRANGIANS + list(AD_HOC_LAGRANGIANS))
+def test_fiber_hessian_is_read_off_omega(name):
+    if name in AD_HOC_LAGRANGIANS:
+        system = build_system("lagrangian", *AD_HOC_LAGRANGIANS[name])
+    else:
+        system = load_model(resolve_model_path(name)).system
+    chart, n = system.chart, system.n
+    assert len(system.fiber_hessian) == n * system.k
+    for a, row in enumerate(system.fiber_hessian):
+        A, i = divmod(a, n)
+        for slot, kernel in zip(chart.fiber_indices, row, strict=True):
+            coefficient = system.omega[A].components.get((i, slot), Num(0.0))
+            # the entry d/dv_B_j of theta_A(d/dx_i) = dL/dv_A_i, as it would be derived
+            assert coefficient == system.theta[A].component(i).diff(slot)
+            assert kernel is batch_evaluator(coefficient)
+
+
 @pytest.mark.parametrize("name", ["navier", "vibrating_string", "laplace3", "minimal_surface"])
 def test_lagrangian_derivatives_are_taken_once(name, monkeypatch):
     system = load_model(resolve_model_path(name)).system
@@ -377,10 +447,14 @@ def test_lagrangian_derivatives_are_taken_once(name, monkeypatch):
     assert taken and max(taken.values()) == 1, [
         (expr.to_source(e), slot) for (e, slot), count in taken.items() if count > 1
     ]
+    # only the energy's gradient is differentiated; L and theta_A never are
+    assert {e for e, _ in taken} == {system.energy.expr}
 
 
 @pytest.mark.parametrize("name", ["navier", "vibrating_string", "laplace3", "minimal_surface"])
 def test_fiber_hessian_is_evaluated_once_per_solve(name, monkeypatch):
+    # the solve reads the Hessian off omega_A's (x_i, v_B_j) entries, so each
+    # omega kernel, the Hessian's among them, runs once and fiber_hessian not at all
     system = load_model(resolve_model_path(name)).system
     runs = Counter()
 
@@ -391,10 +465,13 @@ def test_fiber_hessian_is_evaluated_once_per_solve(name, monkeypatch):
 
         return run
 
-    rows = [
-        [counted((a, b), kernel) for b, kernel in enumerate(row)]
-        for a, row in enumerate(system.fiber_hessian)
+    entries = [
+        [(i, j, counted((A, i, j), kernel)) for i, j, kernel in copy]
+        for A, copy in enumerate(system.omega_entries)
     ]
-    monkeypatch.setitem(vars(system), "fiber_hessian", rows)
+    monkeypatch.setitem(vars(system), "omega_entries", entries)
     solve_evolution_lagrangian(system, np.full(system.chart.dimension, 0.5))
-    assert len(runs) == sum(map(len, rows)) and set(runs.values()) == {1}, runs
+    hessian = {(A, i, j) for A, copy in enumerate(entries) for i, j, _ in copy if i < system.n <= j}
+    assert hessian <= set(runs) and len(runs) == sum(map(len, entries)), runs
+    assert set(runs.values()) == {1}, runs
+    assert "fiber_hessian" not in vars(system)

@@ -58,7 +58,7 @@ def fields_of() -> dict:
                               ingredients={"field": "ddx"}),
         SectionGrid: dict(chart=chart, origin=np.zeros(2), ranges=(0.5,), steps=(0.25,),
                           axes=(np.linspace(0.0, 0.5, 3),), values=np.zeros((3, 2)),
-                          commutation_residual=0.0),
+                          commutation_residual=0.0, commutation_witness=np.zeros(2)),
         LoadedModel: {name: getattr(model, name) for name in (
             "name", "kind", "n", "k", "chart", "system", "params", "fields", "laws", "digest",
             "path")},
