@@ -1,15 +1,11 @@
 """Canonical geometric structures on k-tangent and k-cotangent charts:
-tautological and symplectic form families, the dilation (Liouville) field,
-vertical endomorphisms, and first prolongations of maps from the parameter
-space into the base.
+tautological and symplectic form families, the dilation (Liouville) field
+and the vertical endomorphisms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
-
-import numpy as np
 
 from .calculus import (
     PForm,
@@ -18,16 +14,7 @@ from .calculus import (
     form_neg,
     one_form,
 )
-from .expr import (
-    ChartSpace,
-    Coord,
-    Expression,
-    Num,
-    Record,
-    batch_evaluator,
-    cotangent_chart,
-    tangent_chart,
-)
+from .expr import ChartSpace, Coord, Num, Record, cotangent_chart, tangent_chart
 
 __all__ = [
     "KCotangentChart",
@@ -35,8 +22,6 @@ __all__ = [
     "TangentStructure",
     "cotangent_bundle",
     "tangent_bundle",
-    "first_prolongation",
-    "SymbolicProlongation",
 ]
 
 
@@ -127,73 +112,3 @@ def tangent_bundle(n: int, k: int) -> KTangentChart:
         n=n, k=k, chart=chart, liouville=liouville, structures=tuple(structures)
     )
 
-
-# ---------------------------------------------------------------------------
-# first prolongation
-# ---------------------------------------------------------------------------
-
-
-class SymbolicProlongation(Record):
-    """First prolongation of a closed-form map from the k-dimensional
-    parameter chart (coordinates x_1..x_k read as the parameters t^A) into
-    an n-dimensional base.  Calling it returns the point on the k-tangent
-    chart: base values first, then the A-th partial derivatives per block
-    (``fiber_exprs`` grouped by A, then i).
-    """
-
-    def __init__(self, n: int, k: int, base_exprs: tuple[Expression, ...],
-                 fiber_exprs: tuple[Expression, ...]):
-        self._set(n=n, k=k, base_exprs=base_exprs, fiber_exprs=fiber_exprs)
-
-    def __call__(self, t) -> np.ndarray:
-        row = np.asarray(t, dtype=float)[None]
-        return np.array([batch_evaluator(e)(row)[0] for e in self.base_exprs + self.fiber_exprs])
-
-
-def first_prolongation(phi, *, steps: Sequence[float] | None = None):
-    """First prolongation of a map from parameter space into the base.
-
-    Closed-form path: ``phi`` is a sequence of ScalarFields on ``base_chart(k)``
-    (parameter chart); the prolongation is exact, with symbolic derivatives.
-
-    Grid path: ``phi`` is an array of shape (m_1, ..., m_k, n) of sampled
-    values with ``steps`` the per-axis spacings; derivatives use second-order
-    central differences with one-sided stencils at the boundaries, and each
-    axis needs at least 3 nodes.
-    """
-    if isinstance(phi, np.ndarray):
-        if steps is None:
-            raise ValueError("grid prolongation requires the per-axis steps")
-        k = phi.ndim - 1
-        if k < 1:
-            raise ValueError("grid must have at least one parameter axis")
-        if len(steps) != k:
-            raise ValueError(f"expected {k} steps, got {len(steps)}")
-        shape = phi.shape[:-1]
-        if any(m < 3 for m in shape):
-            raise ValueError("each parameter axis needs at least 3 nodes")
-        n = phi.shape[-1]
-        out = np.empty(shape + (n * (1 + k),))
-        out[..., :n] = phi
-        for A in range(k):
-            block = np.gradient(phi, steps[A], axis=A, edge_order=2)
-            out[..., n * (1 + A): n * (2 + A)] = block
-        return out
-
-    fields = list(phi)
-    if not fields:
-        raise ValueError("empty map")
-    chart = fields[0].chart
-    if chart.kind != "base":
-        raise ValueError("closed-form prolongation expects fields on the parameter chart")
-    k = chart.n
-    for f in fields:
-        if f.chart != chart:
-            raise ValueError("all components must share the parameter chart")
-    n = len(fields)
-    base_exprs = tuple(f.expr for f in fields)
-    fiber = []
-    for A in range(k):
-        for f in fields:
-            fiber.append(f.expr.diff(A))
-    return SymbolicProlongation(n=n, k=k, base_exprs=base_exprs, fiber_exprs=tuple(fiber))

@@ -38,14 +38,16 @@ import numpy as np
 
 from .calculus import ScalarField, VectorField
 from .conservation import (
+    LAW_TOLERANCE,
     ConservationLaw,
     NotCartanSymmetryError,
     build_bracket_law,
     build_noether_law,
-    law_residuals,
     user_law,
+    verify_law_pointwise,
 )
 from .dynamics import (
+    EVOLUTION_TOLERANCE,
     REGULARITY_DET_TOL,
     FieldSystem,
     InconsistentSystemError,
@@ -53,9 +55,9 @@ from .dynamics import (
     SingularHessianError,
     build_system,
     check_regularity,
-    evolution_residuals,
     solve_evolution_hamiltonian,
     solve_evolution_lagrangian,
+    verify_evolution,
 )
 from .expr import (
     ChartSpace,
@@ -67,7 +69,6 @@ from .expr import (
     SamplingError,
     base_chart,
     parse_expression,
-    residual_check,
     sample_points,
     to_source,
 )
@@ -75,6 +76,7 @@ from .sections import (
     COMMUTATION_TOLERANCE,
     DIVERGENCE_TOLERANCE,
     SectionIntegrationError,
+    check_integrability,
     export_grid_csv,
     integrate_section,
     verify_law_divergence,
@@ -98,8 +100,6 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("lagrangian", "hamiltonian", "ode")
-EVOLUTION_TOLERANCE = 1e-9
-LAW_TOLERANCE = 1e-9
 
 _BUNDLED_DIR = Path(__file__).resolve().parent / "models"
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -518,10 +518,6 @@ def _point(values: np.ndarray | None, chart: ChartSpace, flag: str) -> np.ndarra
     return values
 
 
-def _law_check(X: KVectorField, law: ConservationLaw, points, tol: float) -> Check:
-    return residual_check("law-pointwise", law_residuals(X, law, points), points, tol)
-
-
 def _phi_sources(law: ConservationLaw) -> list:
     return [
         to_source(comp.expr) if isinstance(comp, ScalarField) else None
@@ -600,8 +596,7 @@ def _cmd_solve_evolution(model: LoadedModel, args) -> tuple[list, dict]:
         model.chart,
         [VectorField(model.chart, [Num(float(c)) for c in row]) for row in solution],
     )
-    residuals = evolution_residuals(system, family, [at])
-    check = residual_check("evolution-residual", residuals, [at], tol)
+    check = verify_evolution(system, family, [at], tol)
     return [("solve", check)], {"at": [float(c) for c in at], "solution": solution.tolist()}
 
 
@@ -610,8 +605,7 @@ def _cmd_verify_evolution(model: LoadedModel, args) -> tuple[list, dict]:
     family = _evolution_family(model, args.against or args.evolution)
     points = _sample(model, args)
     tol = EVOLUTION_TOLERANCE if args.tol is None else args.tol
-    residuals = evolution_residuals(system, family, points)
-    return [("evolution", residual_check("evolution-residual", residuals, points, tol))], {}
+    return [("evolution", verify_evolution(system, family, points, tol))], {}
 
 
 def _cmd_verify_law(model: LoadedModel, args) -> tuple[list, dict]:
@@ -619,10 +613,11 @@ def _cmd_verify_law(model: LoadedModel, args) -> tuple[list, dict]:
     family = _evolution_family(model, args.against or args.evolution)
     points = _sample(model, args)
     tol = LAW_TOLERANCE if args.tol is None else args.tol
-    return [(f"law:{args.law}", _law_check(family, law, points, tol))], {}
+    return [(f"law:{args.law}", verify_law_pointwise(family, law, points, tol))], {}
 
 
-def _integrate(model: LoadedModel, args):
+def _integrate(model: LoadedModel, args, tol: float):
+    """The section grid and its commutation check, run on the grid's nodes."""
     family = _evolution_family(model, args.against or args.evolution)
     origin = _point(args.origin, model.chart, "--origin")
     values = float(model.chart.dimension)
@@ -630,37 +625,33 @@ def _integrate(model: LoadedModel, args):
         values *= args.T / args.h + 1.0  # overflows to inf, never raises
     _check_budget(f"a grid with --T {args.T:g} --h {args.h:g}", values)
     try:
-        return integrate_section(family, origin, args.T, args.h)
+        grid = integrate_section(family, origin, args.T, args.h)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from None
-
-
-def _commutation_check(grid, tol: float) -> Check:
-    residual = grid.commutation_residual
-    return Check("commutation", residual <= tol, residual, tol, grid.commutation_witness)
+    return grid, check_integrability(family, grid.values.reshape(-1, model.chart.dimension), tol)
 
 
 def _cmd_verify_divergence(model: LoadedModel, args) -> tuple[list, dict]:
     law = _named(model, "law", args.law)
     if args.T / args.h < 1.5:  # round(T / h) + 1 nodes per axis
         raise CliUsageError("verify divergence needs at least 3 grid nodes per axis: --T >= 2 * --h")
-    grid = _integrate(model, args)
+    grid, commutation = _integrate(model, args, COMMUTATION_TOLERANCE)
     tol = DIVERGENCE_TOLERANCE if args.tol is None else args.tol
     checks = [
-        ("commutation", _commutation_check(grid, COMMUTATION_TOLERANCE)),
+        ("commutation", commutation),
         (f"divergence:{args.law}", verify_law_divergence(law, grid, tol)),
     ]
     return checks, {"grid_shape": list(grid.shape)}
 
 
 def _cmd_integrate_section(model: LoadedModel, args) -> tuple[list, dict]:
-    grid = _integrate(model, args)
     tol = COMMUTATION_TOLERANCE if args.tol is None else args.tol
+    grid, commutation = _integrate(model, args, tol)
     extra = {"grid_shape": list(grid.shape)}
     if args.out:
         export_grid_csv(grid, args.out)
         extra["csv_rows"] = int(np.prod(grid.shape))
-    return [("commutation", _commutation_check(grid, tol))], extra
+    return [("commutation", commutation)], extra
 
 
 def _cmd_build_noether(model: LoadedModel, args) -> tuple[list, dict]:
@@ -675,7 +666,7 @@ def _cmd_build_noether(model: LoadedModel, args) -> tuple[list, dict]:
     family = _maybe_evolution(model)
     if family is not None:
         tol = system.default_tolerance if args.tol is None else args.tol
-        checks.append(("conserved-along-evolution", _law_check(family, law, points, tol)))
+        checks.append(("conserved-along-evolution", verify_law_pointwise(family, law, points, tol)))
     return checks, {"phi": _phi_sources(law)}
 
 
@@ -693,7 +684,7 @@ def _cmd_build_bracket_law(model: LoadedModel, args) -> tuple[list, dict]:
     if family is not None:
         points = _sample(model, args)
         tol = LAW_TOLERANCE if args.tol is None else args.tol
-        checks.append(("conserved-along-evolution", _law_check(family, law, points, tol)))
+        checks.append(("conserved-along-evolution", verify_law_pointwise(family, law, points, tol)))
     return checks, {"phi": _phi_sources(law)}
 
 

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 PROVENANCES = ("bracket-law", "noether", "user")
+LAW_TOLERANCE = 1e-9
 
 
 class NotCartanSymmetryError(ValueError):
@@ -214,9 +215,11 @@ def law_residuals(X: KVectorField, law: ConservationLaw, points) -> np.ndarray:
     ))
 
 
-def verify_law_pointwise(X: KVectorField, law: ConservationLaw, points) -> float:
-    """Max over samples of |sum_A X_A(Phi_A)|; NaN if any sample gives NaN."""
-    return worst_sample(law_residuals(X, law, points))[0]
+def verify_law_pointwise(
+    X: KVectorField, law: ConservationLaw, points, tolerance: float = LAW_TOLERANCE
+) -> Check:
+    """The "law-pointwise" check: max over samples of |sum_A X_A(Phi_A)|."""
+    return residual_check("law-pointwise", law_residuals(X, law, points), points, tolerance)
 
 
 def _differential(comp) -> PForm:
@@ -253,5 +256,5 @@ def check_momentum_converse(
     ]
     exprs = [e for form in pairing_forms for e in form.components.values()]
     pairing = residual_check("pairing", max_abs(exprs, points), points, tol)
-    conserved = residual_check("law-pointwise", law_residuals(X, law, points), points, tol)
+    conserved = verify_law_pointwise(X, law, points, tol)
     return pairing, conserved, is_cartan_symmetry(sys, X_single, points, tol)

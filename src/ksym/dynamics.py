@@ -26,13 +26,13 @@ from .calculus import (
     PForm,
     ScalarField,
     VectorField,
-    directional_derivative,
     exterior_derivative,
     form_add,
     form_neg,
     form_sub,
     interior_product,
     scalar_form,
+    two_form_matrix,
 )
 from .expr import (
     ChartSpace,
@@ -45,7 +45,7 @@ from .expr import (
     make_add,
     make_neg,
     parse_expression,
-    worst_sample,
+    residual_check,
 )
 
 __all__ = [
@@ -67,6 +67,7 @@ SYSTEM_KINDS = ("hamiltonian", "lagrangian")
 RCOND = 1e-12
 SOLVE_RESIDUAL_TOL = 1e-9
 REGULARITY_DET_TOL = 1e-10
+EVOLUTION_TOLERANCE = 1e-9
 
 
 class SingularHessianError(ValueError):
@@ -149,18 +150,15 @@ class FieldSystem(Record, frozen=False):
         ]
 
     @cached_property
-    def target_gradient(self) -> list:
-        """Evaluators of the target's partial derivatives, one per chart slot."""
-        expr = self.target.expr
-        return [batch_evaluator(expr.diff(i)) for i in range(self.chart.dimension)]
+    def target_differential(self) -> PForm:
+        """d(target), derived once for the solvers and the residual."""
+        return exterior_derivative(scalar_form(self.target))
 
     @cached_property
-    def omega_entries(self) -> list[list]:
-        """Per copy A: (i, j, evaluator) for each two-form coefficient."""
-        return [
-            [(i, j, batch_evaluator(expr)) for (i, j), expr in omega.components.items()]
-            for omega in self.omega
-        ]
+    def target_gradient(self) -> list:
+        """Evaluators of the target's partial derivatives, one per chart slot."""
+        d = self.target_differential
+        return [batch_evaluator(d.component(i)) for i in range(self.chart.dimension)]
 
 
 def build_system(
@@ -175,7 +173,7 @@ def build_system(
     Parameters are substituted as literals while parsing.  On the Lagrangian
     side the one-form family is dL composed with each vertical endomorphism,
     the two-form family is minus its exterior derivative, and the energy is
-    Delta(L) - L.
+    Delta(L) - L with Delta(L) = i_Delta dL.
     """
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
@@ -193,9 +191,7 @@ def build_system(
     dL = exterior_derivative(scalar_form(L))
     thetas = tuple(S.precompose_one_form(dL) for S in bundle.structures)
     omegas = tuple(form_neg(exterior_derivative(th)) for th in thetas)
-    energy_expr = make_add(
-        directional_derivative(bundle.liouville, L.expr), make_neg(L.expr)
-    )
+    energy_expr = make_add(interior_product(bundle.liouville, dL).component(), make_neg(L.expr))
     energy = ScalarField(chart, energy_expr)
     return FieldSystem(
         kind=kind, n=n, k=k, chart=chart, function=L,
@@ -221,7 +217,9 @@ def check_regularity(
         raise ValueError("regularity applies to Lagrangian systems")
     points = np.asarray(points, dtype=float)
     hess = np.array([[fn(points) for fn in row] for row in system.fiber_hessian])
-    dets = np.abs(np.linalg.det(np.moveaxis(hess, -1, 0)))  # one (nk, nk) matrix per point
+    # an infinite entry makes det NaN and huge ones overflow it: verdicts, not warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        dets = np.abs(np.linalg.det(np.moveaxis(hess, -1, 0)))  # one (nk, nk) matrix per point
     at = int(np.argmin(dets))  # the first NaN, if any
     det = float(dets[at])
     return Check("regularity", det > tolerance, -det, -tolerance, points[at], {"min_abs_det": det})
@@ -235,15 +233,8 @@ def check_regularity(
 def _evolution_system(system: FieldSystem, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row c of sum_A i_{X_A} omega_A = d(target) at one point: the (N, kN)
     matrix with sum_A sum_b W_A[b, c] (X_A)^b on row c, and (d target)_c."""
-    N = system.chart.dimension
-    batch = point[None]  # one-row batch for the kernels
-    M = np.zeros((N, system.k * N))
-    for A, entries in enumerate(system.omega_entries):
-        for i, j, fn in entries:
-            w = fn(batch)[0]
-            M[j, A * N + i] += w
-            M[i, A * N + j] -= w
-    return M, np.array([fn(batch)[0] for fn in system.target_gradient])
+    M = np.hstack([two_form_matrix(omega, point).T for omega in system.omega])
+    return M, np.array([fn(point[None])[0] for fn in system.target_gradient])
 
 
 def _least_squares(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -287,7 +278,8 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
     M, b = _evolution_system(system, point)
     rows = M[:n].reshape(n, k, -1)  # base row i, copy A, slot
     el = -rows[:, :, n:]  # the Euler-Lagrange rows: d^2 L / dv_A_i dv_B_j at [i, A, (B, j)]
-    det = abs(float(np.linalg.det(el.transpose(1, 0, 2).reshape(n * k, n * k))))
+    with np.errstate(invalid="ignore", over="ignore"):  # as in check_regularity
+        det = abs(float(np.linalg.det(el.transpose(1, 0, 2).reshape(n * k, n * k))))
     if not det > REGULARITY_DET_TOL:  # the verdict of check_regularity, NaN included
         raise SingularHessianError(f"fiber Hessian is singular at the point (|det| = {det:.3e})")
 
@@ -311,7 +303,7 @@ def _evolution_residual_form(system: FieldSystem, X: KVectorField) -> PForm:
     for Xa, omega in zip(X.fields, system.omega):
         term = interior_product(Xa, omega)
         total = term if total is None else form_add(total, term)
-    return form_sub(total, exterior_derivative(scalar_form(system.target)))
+    return form_sub(total, system.target_differential)
 
 
 def evolution_residuals(system: FieldSystem, X: KVectorField, points) -> np.ndarray:
@@ -319,6 +311,11 @@ def evolution_residuals(system: FieldSystem, X: KVectorField, points) -> np.ndar
     return _evolution_residual_form(system, X).max_abs(points)
 
 
-def verify_evolution(system: FieldSystem, X: KVectorField, points) -> float:
-    """Max over samples of the sup-norm of sum_A i_{X_A} omega_A - d(target)."""
-    return worst_sample(evolution_residuals(system, X, points))[0]
+def verify_evolution(
+    system: FieldSystem, X: KVectorField, points, tolerance: float = EVOLUTION_TOLERANCE
+) -> Check:
+    """The "evolution-residual" check: max over samples of the sup-norm of
+    sum_A i_{X_A} omega_A - d(target)."""
+    return residual_check(
+        "evolution-residual", evolution_residuals(system, X, points), points, tolerance
+    )

@@ -12,11 +12,11 @@ axis advance together as one front through the batched kernels, so each
 node is computed exactly once.
 
 For commuting component fields the composition order is immaterial up to
-integration error; the pairwise commutation residual is attached to every
-grid so downstream tolerances can widen when it is not.  Integrability and
-the divergence of a law over a grid are each returned as one
-``expr.Check``; ``export_grid_csv`` writes a grid with a single
-``np.savetxt`` over the stacked (t, values) rows.
+integration error; ``check_integrability`` is the commutation verdict, run
+on a grid's nodes (or any points) to tell whether it is.  It and the
+divergence of a law over a grid are each returned as one ``expr.Check``;
+``export_grid_csv`` writes a grid with a single ``np.savetxt`` over the
+stacked (t, values) rows.
 """
 
 from __future__ import annotations
@@ -54,11 +54,8 @@ class SectionGrid(Record, eq=False):
     """A rectangular grid of section values psi(t), including t = 0."""
 
     def __init__(self, chart: ChartSpace, origin: np.ndarray, ranges: tuple[float, ...],
-                 steps: tuple[float, ...], axes: tuple[np.ndarray, ...], values: np.ndarray,
-                 commutation_residual: float, commutation_witness: np.ndarray):
-        self._set(chart=chart, origin=origin, ranges=ranges, steps=steps, axes=axes,
-                  values=values, commutation_residual=commutation_residual,
-                  commutation_witness=commutation_witness)
+                 steps: tuple[float, ...], axes: tuple[np.ndarray, ...], values: np.ndarray):
+        self._set(chart=chart, origin=origin, ranges=ranges, steps=steps, axes=axes, values=values)
 
     @property
     def k(self) -> int:
@@ -69,18 +66,14 @@ class SectionGrid(Record, eq=False):
         return self.values.shape[:-1]
 
 
-def _commutation_residuals(X: KVectorField, points) -> np.ndarray:
-    """Largest |[X_A, X_B]| component, A < B, at each point."""
-    k = len(X)
-    brackets = [lie_bracket(X[a], X[b]) for a in range(k) for b in range(a + 1, k)]
-    return max_abs((c for br in brackets for c in br.components), points)
-
-
 def check_integrability(
     X: KVectorField, points, tolerance: float = COMMUTATION_TOLERANCE
 ) -> Check:
     """Max over samples of |[X_A, X_B]| components, A < B."""
-    return residual_check("commutation", _commutation_residuals(X, points), points, tolerance)
+    k = len(X)
+    brackets = [lie_bracket(X[a], X[b]) for a in range(k) for b in range(a + 1, k)]
+    residuals = max_abs((c for br in brackets for c in br.components), points)
+    return residual_check("commutation", residuals, points, tolerance)
 
 
 def _per_axis(value, k: int, name: str) -> tuple[float, ...]:
@@ -140,11 +133,9 @@ def _march(kernels, lines: np.ndarray, h: float, axis_label: str) -> None:
 def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
     """Fill the section grid over [0, T_A] with spacing h_A per axis.
 
-    Each T_A must be an integer multiple of h_A (to 1e-9 relative).  The
-    pairwise commutation residual is evaluated over the finished grid and
-    kept as ``commutation_residual``, and the first node where it peaks as
-    ``commutation_witness``: where it is not small, the flow composition
-    order matters, and the commutation check reports it.
+    Each T_A must be an integer multiple of h_A (to 1e-9 relative).  Where
+    the fields do not commute the flow composition order matters:
+    ``check_integrability`` on ``values.reshape(-1, N)`` tells.
     """
     chart = X.chart
     k = len(X)
@@ -179,11 +170,8 @@ def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
         lines = values[(0,) * a].reshape(shape[a], -1, chart.dimension)
         _march(kernels, lines, h[a], f"axis {a + 1}")
 
-    nodes = values.reshape(-1, chart.dimension)
-    residual, at = worst_sample(_commutation_residuals(X, nodes))
     axes = tuple(np.arange(m + 1) * h[a] for a, m in enumerate(counts))
-    return SectionGrid(chart=chart, origin=origin, ranges=T, steps=h, axes=axes, values=values,
-                       commutation_residual=residual, commutation_witness=nodes[at])
+    return SectionGrid(chart=chart, origin=origin, ranges=T, steps=h, axes=axes, values=values)
 
 
 def verify_law_divergence(

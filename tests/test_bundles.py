@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ksym.bundles import cotangent_bundle, first_prolongation, tangent_bundle
+from ksym.bundles import cotangent_bundle, tangent_bundle
 from ksym.calculus import (
     ScalarField,
     exterior_derivative,
@@ -13,7 +13,7 @@ from ksym.calculus import (
     scalar_form,
     vector_field_from_map,
 )
-from ksym.expr import Num, base_chart, parse_expression, sample_points, tangent_chart
+from ksym.expr import Num, parse_expression, sample_points
 from scalar_oracle import evaluate
 
 
@@ -115,66 +115,3 @@ def test_cotangent_lift_preserves_canonical_forms():
         for p in sample_points(cb.chart, count=16, seed=11):
             assert lie.max_component_at(p) <= 1e-9
 
-
-# ---------------------------------------------------------------------------
-# first prolongation
-# ---------------------------------------------------------------------------
-
-
-def test_symbolic_prolongation_of_affine_map():
-    # phi(t1, t2) = (a + b t1 + c t2) -> fibers are the constant slopes
-    params = base_chart(2)
-    phi = [ScalarField(params, parse_expression("1 + 2*x_1 - 3*x_2", params))]
-    section = first_prolongation(phi)
-    out = section([0.5, 0.25])
-    assert out == pytest.approx([1 + 1.0 - 0.75, 2.0, -3.0])
-
-
-def test_symbolic_prolongation_orders_fibers_by_copy():
-    params = base_chart(2)
-    phi = [
-        ScalarField(params, parse_expression("x_1^2", params)),
-        ScalarField(params, parse_expression("x_1*x_2", params)),
-    ]
-    section = first_prolongation(phi)
-    t = np.array([0.5, 2.0])
-    out = section(t)
-    chart = tangent_chart(2, 2)
-    assert out[chart.base_index(1)] == pytest.approx(0.25)
-    assert out[chart.base_index(2)] == pytest.approx(1.0)
-    assert out[chart.fiber_index(1, 1)] == pytest.approx(1.0)  # d(t1^2)/dt1
-    assert out[chart.fiber_index(1, 2)] == pytest.approx(2.0)  # d(t1 t2)/dt1
-    assert out[chart.fiber_index(2, 1)] == pytest.approx(0.0)
-    assert out[chart.fiber_index(2, 2)] == pytest.approx(0.5)
-
-
-def test_grid_prolongation_matches_symbolic_to_second_order():
-    params = base_chart(2)
-    phi = [ScalarField(params, parse_expression("sin(x_1)*cos(x_2)", params))]
-    section = first_prolongation(phi)
-    h = 1.0 / 64
-    m = 33
-    t1 = np.arange(m) * h
-    t2 = np.arange(m) * h
-    grid = np.empty((m, m, 1))
-    for i, a in enumerate(t1):
-        for j, b in enumerate(t2):
-            grid[i, j, 0] = np.sin(a) * np.cos(b)
-    prolonged = first_prolongation(grid, steps=[h, h])
-    worst = 0.0
-    for i in (0, m // 2, m - 1):
-        for j in (0, m // 2, m - 1):
-            exact = section([t1[i], t2[j]])
-            worst = max(worst, np.max(np.abs(prolonged[i, j] - exact)))
-    assert worst <= 5 * h**2
-
-
-def test_grid_prolongation_requires_three_nodes():
-    grid = np.zeros((2, 4, 1))
-    with pytest.raises(ValueError):
-        first_prolongation(grid, steps=[0.1, 0.1])
-
-
-def test_grid_prolongation_requires_steps():
-    with pytest.raises(ValueError):
-        first_prolongation(np.zeros((4, 4, 1)))

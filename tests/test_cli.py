@@ -450,6 +450,39 @@ def test_a_non_finite_evolution_system_fails_the_solve_check(kind, function, at,
     assert check["error"] == "evolution system has non-finite entries at the point"
 
 
+HUGE_HESSIAN = "1e300*v_1_1^2 + 1e300*v_2_1^2 + 1e300*v_1_1*v_2_1"
+
+
+@pytest.mark.parametrize(
+    "function, argv, code, verdict",
+    [
+        ("1e999*v_1_1*v_2_1 + v_1_1^2 + 1e999*v_2_1^2", ["solve", "evolution", "--at", "0.1,0.2,0.3"],
+         1, {"pass": False, "error": "fiber Hessian is singular at the point (|det| = nan)"}),
+        (HUGE_HESSIAN, ["check", "regularity", "--samples", "4"],
+         0, {"pass": True, "min_abs_det": math.inf}),
+        (HUGE_HESSIAN, ["solve", "evolution", "--at", "0.1,0.2,0.3"],
+         0, {"pass": True, "max_residual": 0.0}),
+    ],
+    ids=["nan-det-solve", "overflowing-det-regularity", "overflowing-det-solve"],
+)
+def test_a_non_finite_hessian_determinant_warns_nothing(function, argv, code, verdict, tmp_path):
+    # an infinite Hessian entry makes det NaN, and huge finite ones overflow it
+    path = write_model(
+        tmp_path, f"[model]\nname = m\nkind = lagrangian\nn = 1\nk = 2\nfunction = {function}\n"
+    )
+    proc = run_ksym([*argv, "--model", str(path), "--format", "json"])
+    assert (proc.returncode, proc.stderr) == (code, "")
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert {key: check[key] for key in verdict} == verdict
+
+
+def test_the_cli_builds_no_sampled_verdict_itself():
+    # every check it reports comes whole from the library verifier for that job
+    verdict_parts = {"residual_check", "law_residuals", "evolution_residuals", "worst_sample",
+                     "max_abs"}
+    assert not verdict_parts & set(vars(cli))
+
+
 STRING_DUAL_MODEL = (
     "[model]\nname = string_dual\nkind = hamiltonian\nn = 1\nk = 2\n"
     "function = p_1_1^2/2 - p_2_1^2/2\n\n"

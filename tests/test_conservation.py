@@ -105,7 +105,8 @@ def test_bracket_law_free_particle_yields_momenta():
     for p in sample_points(ch, count=16, seed=21):
         assert law.components[0].evaluate(p) == pytest.approx(-p[v1], abs=1e-12)
         assert law.components[1].evaluate(p) == pytest.approx(-p[v2], abs=1e-12)
-    assert verify_law_pointwise(family, law, sample_points(ch, count=32, seed=22)) <= 1e-9
+    check = verify_law_pointwise(family, law, sample_points(ch, count=32, seed=22))
+    assert check.max_residual <= 1e-9
 
 
 def test_bracket_law_with_repeated_field_vanishes():
@@ -130,7 +131,7 @@ def test_bracket_law_classical_pairing():
     flow = KVectorField(
         ch, (VectorField(ch, (parse_expression("p_1_1", ch), Num(0.0))),)
     )
-    assert verify_law_pointwise(flow, law, pts) <= 1e-12
+    assert verify_law_pointwise(flow, law, pts).max_residual <= 1e-12
 
 
 def test_bracket_law_rejects_bad_ingredients():
@@ -167,7 +168,7 @@ def test_noether_law_conserved_along_string_evolution():
     pts = sample_points(sys.chart, count=64, seed=42)
     law = build_noether_law(sys, coordinate_vector_field(sys.chart, "x_1"), pts)
     family = string_sopde(sys.chart)
-    assert verify_law_pointwise(family, law, pts) <= 1e-9
+    assert verify_law_pointwise(family, law, pts).max_residual <= 1e-9
 
 
 def test_noether_law_sqrt_model():
@@ -258,7 +259,7 @@ def test_noether_quadrature_law_verifies_along_flow():
     law = build_noether_law(sys, rotation, sample_points(sys.chart))
     pts = sample_points(sys.chart, count=32, seed=32)
     # X(Phi) = X(theta(Y)) - alpha(X) exactly, so only round-off remains
-    assert verify_law_pointwise(evolution, law, pts) <= 1e-14
+    assert verify_law_pointwise(evolution, law, pts).max_residual <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def test_wave_flux_law_is_conserved():
     )
     family = string_sopde(ch)
     pts = sample_points(ch, count=64, seed=42)
-    assert verify_law_pointwise(family, law, pts) <= 1e-9
+    assert verify_law_pointwise(family, law, pts).max_residual <= 1e-9
 
 
 def test_constant_law_has_zero_residual():
@@ -288,7 +289,8 @@ def test_constant_law_has_zero_residual():
         (ScalarField(sys.chart, Num(3.0)), ScalarField(sys.chart, Num(-1.0))),
     )
     family = string_sopde(sys.chart)
-    assert verify_law_pointwise(family, law, sample_points(sys.chart, count=8, seed=33)) == 0.0
+    check = verify_law_pointwise(family, law, sample_points(sys.chart, count=8, seed=33))
+    assert check.max_residual == 0.0
 
 
 def test_energy_tuple_is_not_conserved_for_string():
@@ -297,7 +299,7 @@ def test_energy_tuple_is_not_conserved_for_string():
     law = user_law(ch, (sys.energy, sys.energy))
     family = string_sopde(ch)
     pts = sample_points(ch, count=64, seed=42)
-    residual = verify_law_pointwise(family, law, pts)
+    residual = verify_law_pointwise(family, law, pts).max_residual
     assert residual > 0.1
     # the residual expands to (v1 + v2)^2 (v1 - v2)
     v1, v2 = ch.index_of("v_1_1"), ch.index_of("v_2_1")
@@ -325,8 +327,8 @@ def test_nan_residual_is_not_folded_into_a_pass():
         ch, (ScalarField(ch, parse_expression("exp(1000*x_1) - exp(1000*x_1) + 5*x_1", ch)),)
     )
     clean = np.array([0.0, 0.2])
-    assert verify_law_pointwise(evolution, law, [clean]) == pytest.approx(1.0)
-    residual = verify_law_pointwise(evolution, law, [clean, np.array([0.9, 0.3])])
+    assert verify_law_pointwise(evolution, law, [clean]).max_residual == pytest.approx(1.0)
+    residual = verify_law_pointwise(evolution, law, [clean, np.array([0.9, 0.3])]).max_residual
     assert np.isnan(residual)
     assert not residual <= 1e-8
 
@@ -347,9 +349,9 @@ def test_verification_residual_is_sublinear(a, b):
             for ca, cb in zip(law_a.components, law_b.components)
         ),
     )
-    ra = verify_law_pointwise(family, law_a, pts)
-    rb = verify_law_pointwise(family, law_b, pts)
-    rm = verify_law_pointwise(family, mixed, pts)
+    ra = verify_law_pointwise(family, law_a, pts).max_residual
+    rb = verify_law_pointwise(family, law_b, pts).max_residual
+    rm = verify_law_pointwise(family, mixed, pts).max_residual
     assert rm <= abs(a) * ra + abs(b) * rb + 1e-9
 
 
@@ -413,7 +415,7 @@ def test_verified_hypotheses_imply_conservation():
     assert solve_pseudosymmetry(family, delta, KVectorField.repeat(dx), pts)[0].holds
     assert is_invariant_form(family, sys.omega, pts).holds
     law = build_bracket_law(sys.omega, [delta], dx)
-    assert verify_law_pointwise(family, law, pts) <= 1e-6
+    assert verify_law_pointwise(family, law, pts).max_residual <= 1e-6
 
 
 # ---------------------------------------------------------------------------

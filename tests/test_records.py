@@ -12,7 +12,6 @@ import pytest
 from ksym.bundles import (
     KCotangentChart,
     KTangentChart,
-    SymbolicProlongation,
     TangentStructure,
     cotangent_bundle,
     tangent_bundle,
@@ -49,7 +48,6 @@ def fields_of() -> dict:
         TangentStructure: dict(A=1, chart=tb.chart, slot_map=((0, 2), (1, 3))),
         KTangentChart: dict(n=2, k=1, chart=tb.chart, liouville=tb.liouville,
                             structures=tb.structures),
-        SymbolicProlongation: dict(n=1, k=1, base_exprs=(Num(1.0),), fiber_exprs=(Num(0.0),)),
         KVectorField: dict(chart=tb.chart, fields=(tb.liouville,)),
         FieldSystem: {name: getattr(system, name) for name in (
             "kind", "n", "k", "chart", "function", "theta", "omega", "energy", "bundle")},
@@ -57,8 +55,7 @@ def fields_of() -> dict:
         ConservationLaw: dict(chart=chart, components=(one,), provenance="user",
                               ingredients={"field": "ddx"}),
         SectionGrid: dict(chart=chart, origin=np.zeros(2), ranges=(0.5,), steps=(0.25,),
-                          axes=(np.linspace(0.0, 0.5, 3),), values=np.zeros((3, 2)),
-                          commutation_residual=0.0, commutation_witness=np.zeros(2)),
+                          axes=(np.linspace(0.0, 0.5, 3),), values=np.zeros((3, 2))),
         LoadedModel: {name: getattr(model, name) for name in (
             "name", "kind", "n", "k", "chart", "system", "params", "fields", "laws", "digest",
             "path")},
@@ -69,14 +66,14 @@ def fields_of() -> dict:
 
 RECORDS = [
     ChartSpace, _Token, Check, ScalarField, VectorField, PForm, KCotangentChart, TangentStructure,
-    KTangentChart, SymbolicProlongation, KVectorField, FieldSystem, NumericLawComponent,
+    KTangentChart, KVectorField, FieldSystem, NumericLawComponent,
     ConservationLaw, SectionGrid, LoadedModel, Report,
 ]
 by_class = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 
 
 def test_every_record_class_is_listed():
-    assert len(RECORDS) == 17 and set(RECORDS) == set(fields_of())
+    assert len(RECORDS) == 16 and set(RECORDS) == set(fields_of())
 
 
 @by_class

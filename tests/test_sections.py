@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ksym.bundles import first_prolongation, tangent_bundle
+from ksym.bundles import tangent_bundle
 from ksym.calculus import ScalarField, VectorField, coordinate_vector_field
 from ksym.cli import load_model, resolve_model_path
 from ksym.conservation import build_bracket_law, user_law
@@ -113,7 +113,7 @@ def test_free_particle_section_is_affine_and_exact():
     origin = np.array([0.0, 1.0, 2.0])
     grid = integrate_section(family, origin, ranges=0.5, steps=1 / 8)
     assert grid.shape == (5, 5)
-    assert grid.commutation_residual == 0.0
+    assert check_integrability(family, grid.values.reshape(-1, 3)).max_residual == 0.0
     np.testing.assert_allclose(grid.values[0, 0], origin)
     for i, t1 in enumerate(grid.axes[0]):
         for j, t2 in enumerate(grid.axes[1]):
@@ -175,8 +175,9 @@ def test_non_commuting_family_reports_its_residual_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = integrate_section(family, np.zeros(3), ranges=0.25, steps=1 / 8)
-    assert grid.commutation_residual == pytest.approx(1.0)
-    assert not check_integrability(family, grid.values.reshape(-1, 3)).holds
+        check = check_integrability(family, grid.values.reshape(-1, 3))
+    assert check.max_residual == pytest.approx(1.0)
+    assert not check.holds
 
 
 def test_range_must_be_multiple_of_step():
@@ -290,7 +291,8 @@ def test_front_march_matches_per_line_march_on_a_transcendental_flow():
     with warnings.catch_warnings():  # the fields do not commute; that is no warning
         warnings.simplefilter("error")
         grid = integrate_section(family, origin, ranges=0.5, steps=1 / 32)
-    assert not grid.commutation_residual <= COMMUTATION_TOLERANCE
+        commutation = check_integrability(family, grid.values.reshape(-1, 2))
+    assert not commutation.max_residual <= COMMUTATION_TOLERANCE
     np.testing.assert_array_max_ulp(grid.values, per_line_march(family, origin, 0.5, 1 / 32), maxulp=4)
 
 
@@ -351,7 +353,7 @@ def test_cubic_law_divergence_shrinks_at_second_order():
     from ksym.conservation import verify_law_pointwise
 
     pts = sample_points(ch, count=32, seed=43)
-    assert verify_law_pointwise(family, law, pts) <= 1e-9
+    assert verify_law_pointwise(family, law, pts).max_residual <= 1e-9
     origin = np.array([0.0, 1.0, 2.0])
     residuals = []
     for h in (1 / 32, 1 / 64, 1 / 128):
@@ -383,7 +385,8 @@ def test_prolongation_of_base_track_recovers_fibers():
     h = 1 / 64
     grid = integrate_section(family, origin, ranges=0.25, steps=h)
     base_track = grid.values[..., :1]
-    prolonged = first_prolongation(base_track, steps=grid.steps)
+    fibers = [np.gradient(base_track, grid.steps[A], axis=A, edge_order=2) for A in range(grid.k)]
+    prolonged = np.concatenate([base_track, *fibers], axis=-1)
     np.testing.assert_allclose(prolonged, grid.values, atol=1e-4)
 
 

@@ -31,7 +31,7 @@ EXPORTS = """
     cotangent_chart parse_expression sample_points simplify tangent_chart to_source
     ChartMismatchError ClosednessError PForm ScalarField VectorField exterior_derivative
     interior_product lie_bracket lie_derivative_form potential_of_exact_one_form
-    cotangent_bundle first_prolongation tangent_bundle
+    cotangent_bundle tangent_bundle
     FieldSystem InconsistentSystemError KVectorField SingularHessianError build_system
     check_regularity solve_evolution_hamiltonian solve_evolution_lagrangian verify_evolution
     is_cartan_symmetry is_invariant_form is_symmetry solve_pseudosymmetry
@@ -45,7 +45,7 @@ EXPORTS = """
 def test_former_exports_still_import_from_the_package():
     namespace = {}
     exec(f"from ksym import {', '.join(EXPORTS)}", namespace)  # ImportError on a lost name
-    assert len(EXPORTS) == 56 and set(EXPORTS) <= set(namespace)
+    assert len(EXPORTS) == 55 and set(EXPORTS) <= set(namespace)
 
 
 def test_the_package_exports_every_module_all():
@@ -246,3 +246,38 @@ def test_main_parses_every_benchmark_command_without_argparse(monkeypatch, tmp_p
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
     monkeypatch.setattr(cli, "_dispatch", lambda args: cli.Report("stub", None, None, None, []))
     assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
+
+
+# the traced targets that no workload command calls: they read 0 in every run
+UNREACHED_BY_WORKLOADS = {
+    "calculus.PForm.max_component_at",
+    "calculus.PotentialEvaluator.evaluate",
+    "calculus.ScalarField.evaluate",
+    "calculus.VectorField.evaluate",
+}
+
+# run.py's traced child, minus the span file: install the recorder, run argvs
+TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+import ksym.cli
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+recorder = spans.Recorder(0)
+recorder.install({name: module for name, module in sys.modules.items()
+                  if name == "ksym" or name.startswith("ksym.")})
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        ksym.cli.main(argv)
+called = {spans.SPAN_NAMES[i] for i in recorder.names}
+print(json.dumps(sorted(set(spans.SPAN_NAMES) - called)))
+"""
+
+
+def test_the_workloads_reach_every_traced_target_but_four(monkeypatch, tmp_path):
+    argvs = benchmark_argvs(monkeypatch, tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(SPANS), json.dumps(argvs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == UNREACHED_BY_WORKLOADS
