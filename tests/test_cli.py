@@ -908,6 +908,15 @@ def test_the_commutation_witness_is_the_node_where_the_residual_peaks(tmp_path, 
     assert (check["max_residual"], check["witness"]) == (1.0, [0.5, 0.0])
 
 
+def test_a_domain_error_in_the_commutation_check_leaves_no_csv(tmp_path, capsys):
+    # the X2 flow evaluates x_1*sqrt(x_1) at x_1 = 0; only [X1, X2] divides by sqrt(x_1)
+    path = write_model(tmp_path, SHEAR_MODEL.replace("c_x_2 = x_1", "c_x_2 = x_1*sqrt(x_1)"))
+    target = tmp_path / "grid.csv"
+    code = main(SHEAR_SECTION + ["--model", str(path), "--out", str(target)])
+    err = assert_one_error_line(code, capsys)
+    assert "division by zero in '1 / (2 * sqrt(x_1))'" in err
+    assert not target.exists()
+
 def test_module_entry_point_runs():
     # runpy warns when the package import has already loaded ksym.cli
     proc = subprocess.run(

@@ -13,6 +13,7 @@ from ksym.calculus import (
     zero_vector_field,
 )
 from ksym.conservation import (
+    LAW_TOLERANCE,
     ConservationLaw,
     NotCartanSymmetryError,
     NumericLawComponent,
@@ -306,6 +307,23 @@ def test_energy_tuple_is_not_conserved_for_string():
     expected = max(abs((p[v1] + p[v2]) ** 2 * (p[v1] - p[v2])) for p in pts)
     assert residual == pytest.approx(expected, rel=1e-9)
 
+
+def test_verify_law_pointwise_reports_the_worst_sample_as_its_check():
+    sys = string_system()
+    ch = sys.chart
+    law = user_law(ch, (sys.energy, sys.energy))
+    family = string_sopde(ch)
+    pts = sample_points(ch, count=64, seed=42)
+    v1, v2 = ch.index_of("v_1_1"), ch.index_of("v_2_1")
+    expected = [abs((p[v1] + p[v2]) ** 2 * (p[v1] - p[v2])) for p in pts]
+    worst = int(np.argmax(expected))
+    check = verify_law_pointwise(family, law, pts)
+    assert (check.kind, check.holds, check.tolerance) == ("law-pointwise", False, LAW_TOLERANCE)
+    assert check.max_residual == pytest.approx(expected[worst], rel=1e-9)
+    assert np.array_equal(check.witness, pts[worst])
+    wide = verify_law_pointwise(family, law, pts, tolerance=check.max_residual)
+    assert wide.holds and wide.tolerance == check.max_residual
+    assert wide.max_residual == check.max_residual
 
 def test_verify_law_chart_and_arity_errors():
     sys = string_system()

@@ -11,6 +11,7 @@ from ksym import calculus, expr
 from ksym.calculus import VectorField, two_form_matrix, zero_form
 from ksym.cli import load_model, resolve_model_path
 from ksym.dynamics import (
+    EVOLUTION_TOLERANCE,
     FieldSystem,
     InconsistentSystemError,
     KVectorField,
@@ -394,6 +395,24 @@ def test_verify_evolution_flags_perturbation():
     assert residuals.min() >= 0.09
     assert verify_evolution(sys, perturbed, pts).max_residual >= 0.09
 
+
+def test_verify_evolution_reports_the_worst_sample_as_its_check():
+    sys = string_system()
+    family = quadratic_string_sopde(sys.chart)
+    pts = sample_points(sys.chart, count=64, seed=42)
+    check = verify_evolution(sys, family, pts)
+    assert (check.kind, check.holds, check.tolerance) == (
+        "evolution-residual", True, EVOLUTION_TOLERANCE)
+    bumped = VectorField(sys.chart, (family[0].components[0],
+                                     make_add(family[0].components[1], Num(0.1)),
+                                     family[0].components[2]))
+    perturbed = KVectorField(sys.chart, (bumped, family[1]))
+    residuals = evolution_residuals(sys, perturbed, pts)
+    check = verify_evolution(sys, perturbed, pts)
+    assert not check.holds and check.max_residual == residuals.max()
+    assert np.array_equal(check.witness, pts[int(np.argmax(residuals))])
+    wide = verify_evolution(sys, perturbed, pts, tolerance=check.max_residual)
+    assert wide.holds and wide.tolerance == check.max_residual
 
 def test_verify_evolution_chart_mismatch():
     sys = string_system()
