@@ -4,6 +4,8 @@ potentials of exact one-forms.
 
 Forms are stored sparsely as maps from strictly increasing index tuples to
 coefficient expressions; evaluations expand permutation signs on demand.
+Fields and potentials ``evaluate``, forms ``max_component_at``, an (m, N)
+array of chart points: one row per point is the only evaluation path.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class ClosednessError(ValueError):
         self.witness = np.asarray(witness, dtype=float)
 
 
-def _one_row(point) -> np.ndarray:
-    return np.asarray(point, dtype=float)[None]
-
-
 def max_abs(exprs: Iterable[Expression], points) -> np.ndarray:
     """Running maximum of |e| over ``exprs`` at each of the (m, N) points,
     starting from 0; NaN propagates, so no NaN ever passes a tolerance."""
@@ -106,10 +104,8 @@ class ScalarField(Record):
         validate_on_chart(expr, chart)
         self._set(chart=chart, expr=expr)
 
-    def evaluate(self, point) -> float:
-        return float(self.evaluate_batch(_one_row(point))[0])
-
-    def evaluate_batch(self, points) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
+        """Values at each of the (m, N) points, shape (m,)."""
         return batch_evaluator(self.expr)(points)
 
 
@@ -124,11 +120,8 @@ class VectorField(Record):
             validate_on_chart(comp, chart)
         self._set(chart=chart, components=components)
 
-    def evaluate(self, point) -> np.ndarray:
-        return self.evaluate_batch(_one_row(point))[0]
-
-    def evaluate_batch(self, points) -> np.ndarray:
-        """Component values at each point, shape (m, N)."""
+    def evaluate(self, points) -> np.ndarray:
+        """Component values at each of the (m, N) points, shape (m, N)."""
         return np.stack([batch_evaluator(c)(points) for c in self.components], axis=-1)
 
     def is_zero(self) -> bool:
@@ -213,11 +206,8 @@ class PForm(Record):
     def is_zero(self) -> bool:
         return not self.components
 
-    def max_component_at(self, point) -> float:
-        return float(self.max_abs(_one_row(point))[0])
-
-    def max_abs(self, points) -> np.ndarray:
-        """Largest |component| at each point; NaN wherever any component is NaN."""
+    def max_component_at(self, points) -> np.ndarray:
+        """Largest |component| at each of the (m, N) points; NaN where one is NaN."""
         return max_abs(self.components.values(), points)
 
 
@@ -353,8 +343,9 @@ def two_form_matrix(omega: PForm, point) -> np.ndarray:
         raise ValueError("expected a 2-form")
     dim = omega.chart.dimension
     W = np.zeros((dim, dim))
+    row = np.asarray(point, dtype=float)[None]
     for (i, j), expr in omega.components.items():
-        value = batch_evaluator(expr)(_one_row(point))[0]
+        value = batch_evaluator(expr)(row)[0]
         W[i, j] += value
         W[j, i] -= value
     return W
@@ -393,10 +384,8 @@ class PotentialEvaluator:
         comps = [(key[0], batch_evaluator(expr)) for key, expr in self.alpha.components.items()]
         return 0.5 * (ts + 1.0), 0.5 * ws, comps
 
-    def evaluate(self, point) -> float:
-        return float(self.evaluate_batch(_one_row(point))[0])
-
-    def evaluate_batch(self, points) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
+        """g at each of the (m, N) points, shape (m,)."""
         ts, ws, comps = self._quadrature
         delta = np.asarray(points, dtype=float) - self.base_point
         total = np.zeros(len(delta))
@@ -407,8 +396,6 @@ class PotentialEvaluator:
                 pairing = pairing + fn(x) * delta[:, idx]
             total += w * pairing
         return total
-
-    __call__ = evaluate
 
 
 def potential_of_exact_one_form(
@@ -424,7 +411,7 @@ def potential_of_exact_one_form(
         raise ValueError("expected a one-form")
     d_alpha = exterior_derivative(alpha)
     if not d_alpha.is_zero():
-        worst, at = worst_sample(d_alpha.max_abs(points))
+        worst, at = worst_sample(d_alpha.max_component_at(points))
         if not worst <= tolerance:
             raise ClosednessError(worst, points[at])
     return PotentialEvaluator(alpha, base_point)

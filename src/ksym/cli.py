@@ -352,6 +352,17 @@ def _json_value(value):
     return value
 
 
+def _strict_json(value):
+    """``value`` with each non-finite float as a string: RFC 8259 has no number for it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    return value
+
+
 def _check_entry(name: str, check: Check) -> dict:
     """One report entry; passing means the check holds."""
     entry = {
@@ -394,7 +405,7 @@ class Report(Record, frozen=False):
         return body
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(_strict_json(self.to_dict()), indent=2, allow_nan=False)
 
     def to_table(self) -> str:
         lines = [f"command: {self.command}"]

@@ -85,11 +85,9 @@ class NumericLawComponent(Record):
     def __init__(self, chart: ChartSpace, symbolic: ScalarField, potential: PotentialEvaluator):
         self._set(chart=chart, symbolic=symbolic, potential=potential)
 
-    def evaluate(self, point) -> float:
-        return self.symbolic.evaluate(point) - self.potential.evaluate(point)
-
-    def evaluate_batch(self, points) -> np.ndarray:
-        return self.symbolic.evaluate_batch(points) - self.potential.evaluate_batch(points)
+    def evaluate(self, points) -> np.ndarray:
+        """Values at each of the (m, N) points, shape (m,)."""
+        return self.symbolic.evaluate(points) - self.potential.evaluate(points)
 
 
 class ConservationLaw(Record, eq=False):
@@ -109,8 +107,9 @@ class ConservationLaw(Record, eq=False):
     def symbolic(self) -> bool:
         return all(isinstance(c, ScalarField) for c in self.components)
 
-    def evaluate(self, point) -> np.ndarray:
-        return np.array([c.evaluate(point) for c in self.components])
+    def evaluate(self, points) -> np.ndarray:
+        """Phi_1..Phi_k at each of the (m, N) points, shape (k, m)."""
+        return np.stack([c.evaluate(points) for c in self.components])
 
 
 def user_law(chart: ChartSpace, components: Sequence) -> ConservationLaw:
@@ -169,7 +168,7 @@ def build_noether_law(
     for theta in sys.theta:
         pairing = ScalarField(sys.chart, apply_form(theta, [Y]))
         derivative = lie_derivative_form(Y, theta)
-        if worst_sample(derivative.max_abs(points))[0] <= tol:
+        if worst_sample(derivative.max_component_at(points))[0] <= tol:
             potentials.append(ScalarField(sys.chart, Num(0.0)))
             components.append(pairing)
         else:
@@ -209,10 +208,11 @@ def law_residuals(X: KVectorField, law: ConservationLaw, points) -> np.ndarray:
         raise ChartMismatchError("family lives on a different chart")
     if len(X) != len(law.components):
         raise ValueError("family and law have different lengths")
-    return np.abs(sum(
-        batch_evaluator(_directional_derivative(Xa, comp))(points)
-        for Xa, comp in zip(X, law.components)
-    ))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN verdict
+        return np.abs(sum(
+            batch_evaluator(_directional_derivative(Xa, comp))(points)
+            for Xa, comp in zip(X, law.components)
+        ))
 
 
 def verify_law_pointwise(

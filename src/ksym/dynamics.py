@@ -154,12 +154,6 @@ class FieldSystem(Record, frozen=False):
         """d(target), derived once for the solvers and the residual."""
         return exterior_derivative(scalar_form(self.target))
 
-    @cached_property
-    def target_gradient(self) -> list:
-        """Evaluators of the target's partial derivatives, one per chart slot."""
-        d = self.target_differential
-        return [batch_evaluator(d.component(i)) for i in range(self.chart.dimension)]
-
 
 def build_system(
     kind: str,
@@ -234,7 +228,10 @@ def _evolution_system(system: FieldSystem, point: np.ndarray) -> tuple[np.ndarra
     """Row c of sum_A i_{X_A} omega_A = d(target) at one point: the (N, kN)
     matrix with sum_A sum_b W_A[b, c] (X_A)^b on row c, and (d target)_c."""
     M = np.hstack([two_form_matrix(omega, point).T for omega in system.omega])
-    return M, np.array([fn(point[None])[0] for fn in system.target_gradient])
+    b = np.zeros(system.chart.dimension)
+    for (c,), expr in system.target_differential.components.items():
+        b[c] = batch_evaluator(expr)(point[None])[0]
+    return M, b
 
 
 def _least_squares(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -308,7 +305,7 @@ def _evolution_residual_form(system: FieldSystem, X: KVectorField) -> PForm:
 
 def evolution_residuals(system: FieldSystem, X: KVectorField, points) -> np.ndarray:
     """Sup-norm of the evolution one-form residual at each sample point."""
-    return _evolution_residual_form(system, X).max_abs(points)
+    return _evolution_residual_form(system, X).max_component_at(points)
 
 
 def verify_evolution(

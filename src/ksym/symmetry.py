@@ -72,8 +72,8 @@ def solve_pseudosymmetry(
     """
     if Y.chart != X.chart or Z.chart != X.chart:
         raise ChartMismatchError("fields live on different charts")
-    Zmats = np.stack([Zb.evaluate_batch(points) for Zb in Z], axis=-1)  # (m, N, k)
-    rhs = np.stack([lie_bracket(Xa, Y).evaluate_batch(points) for Xa in X], axis=-1)
+    Zmats = np.stack([Zb.evaluate(points) for Zb in Z], axis=-1)  # (m, N, k)
+    rhs = np.stack([lie_bracket(Xa, Y).evaluate(points) for Xa in X], axis=-1)
     lam_t, residuals, rank_deficient = _stacked_solve(Zmats, rhs)
     lam = lam_t.transpose(0, 2, 1)  # lam[:, a, b] = lambda_A^B
     extra = _fit_lambda(X.chart, points, lam)
@@ -93,8 +93,9 @@ def _stacked_solve(Zmats: np.ndarray, rhs: np.ndarray):
     s_max = s.max(axis=-1, keepdims=True)
     rank = np.count_nonzero(s > s_max * max(Zmats.shape[1:]) * np.finfo(float).eps, axis=-1)
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-12 * s_max)
-    sol = Vt.transpose(0, 2, 1) @ (s_inv[..., None] * (U.transpose(0, 2, 1) @ rhs))
-    residuals = np.abs(Zmats @ sol - rhs).max(axis=(1, 2))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite Z gives NaN residuals
+        sol = Vt.transpose(0, 2, 1) @ (s_inv[..., None] * (U.transpose(0, 2, 1) @ rhs))
+        residuals = np.abs(Zmats @ sol - rhs).max(axis=(1, 2))
     return sol, residuals, int(np.count_nonzero(rank < Zmats.shape[2]))
 
 

@@ -20,7 +20,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import parser_oracle
@@ -453,27 +453,51 @@ def test_a_non_finite_evolution_system_fails_the_solve_check(kind, function, at,
 HUGE_HESSIAN = "1e300*v_1_1^2 + 1e300*v_2_1^2 + 1e300*v_1_1*v_2_1"
 
 
+def refuse_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
 @pytest.mark.parametrize(
     "function, argv, code, verdict",
     [
         ("1e999*v_1_1*v_2_1 + v_1_1^2 + 1e999*v_2_1^2", ["solve", "evolution", "--at", "0.1,0.2,0.3"],
-         1, {"pass": False, "error": "fiber Hessian is singular at the point (|det| = nan)"}),
+         1, {"pass": False, "error": "fiber Hessian is singular at the point (|det| = nan)",
+             "max_residual": "Infinity"}),
         (HUGE_HESSIAN, ["check", "regularity", "--samples", "4"],
-         0, {"pass": True, "min_abs_det": math.inf}),
+         0, {"pass": True, "min_abs_det": "Infinity", "max_residual": "-Infinity"}),
         (HUGE_HESSIAN, ["solve", "evolution", "--at", "0.1,0.2,0.3"],
          0, {"pass": True, "max_residual": 0.0}),
     ],
     ids=["nan-det-solve", "overflowing-det-regularity", "overflowing-det-solve"],
 )
 def test_a_non_finite_hessian_determinant_warns_nothing(function, argv, code, verdict, tmp_path):
-    # an infinite Hessian entry makes det NaN, and huge finite ones overflow it
+    # an infinite Hessian entry makes det NaN, and huge finite ones overflow it;
+    # the report stays strict JSON, its non-finite values written as strings
     path = write_model(
         tmp_path, f"[model]\nname = m\nkind = lagrangian\nn = 1\nk = 2\nfunction = {function}\n"
     )
     proc = run_ksym([*argv, "--model", str(path), "--format", "json"])
     assert (proc.returncode, proc.stderr) == (code, "")
-    (check,) = json.loads(proc.stdout)["checks"]
+    (check,) = json.loads(proc.stdout, parse_constant=refuse_constant)["checks"]
     assert {key: check[key] for key in verdict} == verdict
+
+
+def test_every_non_finite_float_of_a_report_is_a_string_in_json_only():
+    check = expr.Check("k", False, math.nan, math.inf, [0.5, -math.inf],
+                       {"spread": [1.0, math.nan], "deep": {"det": -math.inf}})
+    report = cli.Report("c", None, None, None, [("c", check)], {"at": [math.inf]})
+    body = json.loads(report.to_json(), parse_constant=refuse_constant)
+    (entry,) = body["checks"]
+    assert (entry["max_residual"], entry["tol"], entry["witness"]) == ("NaN", "Infinity",
+                                                                       [0.5, "-Infinity"])
+    assert entry["spread"] == [1.0, "NaN"] and entry["deep"] == {"det": "-Infinity"}
+    assert body["at"] == ["Infinity"]
+    assert report.to_table().splitlines()[1:] == [
+        "at: [Infinity]",
+        "FAIL c [k] max_residual=nan tol=inf",
+        '  deep: {"det": -Infinity}',
+        "  spread: [1.0, NaN]",
+    ]
 
 
 def test_the_cli_builds_no_sampled_verdict_itself():
@@ -486,21 +510,28 @@ def test_the_cli_builds_no_sampled_verdict_itself():
 STRING_DUAL_MODEL = (
     "[model]\nname = string_dual\nkind = hamiltonian\nn = 1\nk = 2\n"
     "function = p_1_1^2/2 - p_2_1^2/2\n\n"
-    "[field ddx]\nc_x_1 = 1\n\n[field xi1]\nc_x_1 = p_1_1\n\n[field xi2]\nc_x_1 = -p_2_1\n"
+    "[field ddx]\nc_x_1 = 1\n\n[field X1]\nc_x_1 = p_1_1\n\n[field X2]\nc_x_1 = -p_2_1\n"
 )
 
 
 def test_the_string_dual_solves_verifies_and_builds_its_momenta(tmp_path, capsys):
-    # the Legendre dual of vibrating_string: the Hamiltonian side at k = 2
+    # the Legendre dual of vibrating_string: the Hamiltonian side at k = 2,
+    # with X1, X2 as its default evolution
     model = ["--model", str(write_model(tmp_path, STRING_DUAL_MODEL)), "--format", "json"]
     code, out = run_cli(["solve", "evolution", "--at", "0.2,0.7,-0.4", *model], capsys)
     assert code == 0
     # base rows dH/dp_1_1 = 0.7 and dH/dp_2_1 = 0.4, fibers all zero
     assert sum(json.loads(out)["solution"], []) == pytest.approx([0.7, 0, 0, 0.4, 0, 0], abs=1e-12)
-    code, out = run_cli(["verify", "evolution", "--against", "xi1,xi2", *model], capsys)
+    code, out = run_cli(["verify", "evolution", "--against", "X1,X2", *model], capsys)
     assert code == 0 and json.loads(out)["checks"][0]["pass"]
+    for argv in (["check", "cartan", "--field", "ddx"], ["verify", "evolution"],
+                 ["solve", "evolution", "--at", "0.1,0.2,0.3"]):
+        assert run_cli([*argv, *model], capsys)[0] == 0, argv
     code, out = run_cli(["build", "noether", "--field", "ddx", *model], capsys)
     assert code == 0 and json.loads(out)["phi"] == ["p_1_1", "p_2_1"]
+    assert [(c["name"], c["pass"]) for c in json.loads(out)["checks"]] == [
+        ("cartan:ddx", True), ("conserved-along-evolution", True)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -838,6 +869,153 @@ def test_the_table_parses_repeated_flags_as_argparse(argv):
     assert parser_oracle.plain(table) == parser_oracle.plain(
         parser_oracle.build_parser().parse_args(argv)
     )
+
+
+# ---------------------------------------------------------------------------
+# the exit contract under fuzzed command lines and model files
+# ---------------------------------------------------------------------------
+
+INVALID_TOKENS = ["", "-1", "nan", "1e999", "abc"]
+TMP = "{tmp}/"  # an argument naming a file in the test's tmp_path
+BUNDLED_TEXTS = {name: resolve_model_path(name).read_text() for name in bundled_model_names()}
+BUNDLED_MODELS = {name: load_model(resolve_model_path(name)) for name in bundled_model_names()}
+
+
+def small_values(model_ref: str, model) -> dict:
+    """Valid values of each flag, all tiny: at most 64 samples and, as --T is at
+    most 0.5 and --h at least 0.0625, at most 8 steps per grid axis."""
+    fields = st.sampled_from(sorted(model.fields))
+    family = st.lists(fields, min_size=model.k, max_size=model.k).map(",".join)
+    coordinate = st.sampled_from(["0", "0.1", "0.4", "1"])
+    point = st.one_of(
+        st.lists(coordinate, min_size=model.chart.dimension, max_size=model.chart.dimension),
+        st.lists(coordinate, min_size=1, max_size=3),
+    ).map(",".join)
+    choices = {
+        "--model": [model_ref], "--law": sorted(model.laws) or ["momenta"],
+        "--seed": ["0", "7"], "--samples": ["1", "4", "64"], "--box": ["0.5", "1"],
+        "--tol": ["0", "1e-6", "1"], "--param": [f"{p}=2" for p in model.params] or ["a=1"],
+        "--format": ["json", "table"], "--T": ["0", "0.25", "0.5"],
+        "--h": ["0.0625", "0.125", "0.25"], "--out": [TMP + "grid.csv"],
+    }
+    values = {flag: st.sampled_from(options) for flag, options in choices.items()}
+    values.update({"--field": fields, "--s": fields, "--against": family, "--evolution": family,
+                   "--origin": point, "--at": point})
+    return values
+
+
+@st.composite
+def contract_argvs(draw, model_ref: str, model, swaps: int = 2):
+    """A command of ``COMMANDS`` with its required flags and up to three more of
+    its own, each with a valid value, then up to ``swaps`` of those values
+    swapped for one of ``INVALID_TOKENS``; JSON output."""
+    path = draw(st.sampled_from(PATHS))
+    flags = dict(leaf_flags(path))
+    valid = small_values(model_ref, model)
+    argv = list(path)
+    if "--T" in flags:  # the defaults would take 64 steps per axis
+        argv += ["--T", "0.25", "--h", "0.125"]
+    chosen = [flag for flag, options in flags.items() if options.get("required")]
+    chosen += draw(st.lists(st.sampled_from(sorted(flags)), max_size=3))
+    for flag in chosen:
+        argv += [flag, draw(valid[flag])]
+    values = range(len(argv) - 2 * len(chosen) + 1, len(argv), 2)
+    for at in draw(st.lists(st.sampled_from(values), max_size=swaps, unique=True) if values else
+                   st.just([])):
+        token = draw(st.sampled_from(INVALID_TOKENS))
+        argv[at] = TMP + token if argv[at - 1] == "--out" else token  # no stray files
+    return argv + ["--format", "json"]
+
+
+@st.composite
+def bundled_commands(draw):
+    name = draw(st.sampled_from(sorted(BUNDLED_MODELS)))
+    return draw(contract_argvs(name, BUNDLED_MODELS[name]))
+
+
+@st.composite
+def mutated_model_commands(draw):
+    """A bundled model's text with one line deleted, duplicated or given one of
+    ``INVALID_TOKENS`` as its value, and a command on it whose flag values are
+    all valid, so that what breaks is the model file."""
+    name = draw(st.sampled_from(sorted(BUNDLED_TEXTS)))
+    lines = BUNDLED_TEXTS[name].splitlines()
+    at = draw(st.sampled_from(
+        [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+    ))
+    edit = draw(st.sampled_from(["delete", "duplicate"] + ["value"] * ("=" in lines[at])))
+    if edit == "delete":
+        del lines[at]
+    elif edit == "duplicate":
+        lines.insert(at, lines[at])
+    else:
+        lines[at] = f"{lines[at].partition('=')[0]}= {draw(st.sampled_from(INVALID_TOKENS))}"
+    argv = draw(contract_argvs(TMP + "model.ksym", BUNDLED_MODELS[name], swaps=0))
+    return "\n".join(lines) + "\n", argv
+
+
+def assert_exit_contract(argv, tmp_path):
+    argv = [str(tmp_path / a[len(TMP):]) if a.startswith(TMP) else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    assert "internal error:" not in err.getvalue(), (argv, err.getvalue())
+    if out.getvalue().startswith("{"):
+        checks = json.loads(out.getvalue(), parse_constant=refuse_constant)["checks"]
+        for check in checks:
+            assert not (check["pass"] and check["max_residual"] in ("NaN", "Infinity")), (
+                argv, check
+            )
+        assert code == (0 if all(check["pass"] for check in checks) else 1), argv
+
+
+FUZZ_SETTINGS = settings(
+    suppress_health_check=[*settings.default.suppress_health_check,
+                           HealthCheck.function_scoped_fixture],
+)
+
+
+@FUZZ_SETTINGS
+# a grid step whose square underflows to 0 divided the scale constant by zero
+@example(argv=["verify", "divergence", "--model", "free_particle", "--law", "momenta",
+               "--T", "1e-300", "--h", "5e-301", "--format", "json"])
+@given(argv=bundled_commands())
+def test_any_command_line_keeps_the_exit_contract(argv, tmp_path):
+    assert_exit_contract(argv, tmp_path)
+
+
+@FUZZ_SETTINGS
+# an infinite law component made the divergence stencil warn inf - inf
+@example(case=(
+    BUNDLED_TEXTS["vibrating_string"].replace(
+        "[law energy_tuple]\nPhi_1 = (sigma/2)*v_1_1^2 - (tau/2)*v_2_1^2",
+        "[law energy_tuple]\nPhi_1 = 1e999",
+    ),
+    ["verify", "divergence", "--T", "0.25", "--h", "0.125", "--model", TMP + "model.ksym",
+     "--law", "energy_tuple", "--against", "ddx,ddx", "--format", "json"],
+))
+# an infinite Z made the stacked pseudosymmetry solve warn in its matmul
+@example(case=(
+    BUNDLED_TEXTS["nahm"].replace("[field radial]\nc_x_1 = x_1", "[field radial]\nc_x_1 = 1e999"),
+    ["check", "pseudosymmetry", "--model", TMP + "model.ksym", "--field", "X",
+     "--against", "radial", "--format", "json"],
+))
+# two lines changed: X_1(Phi_1) = inf and X_2(Phi_2) = -inf made the law's sum warn
+@example(case=(
+    BUNDLED_TEXTS["free_particle"].replace("Phi_1 = -v_1_1\nPhi_2 = -v_2_1",
+                                           "Phi_1 = 1e999*x_1\nPhi_2 = -1e999*x_1"),
+    ["verify", "law", "--model", TMP + "model.ksym", "--law", "momenta",
+     "--against", "ddx,ddx", "--format", "json"],
+))
+@given(case=mutated_model_commands())
+def test_a_mutated_model_file_keeps_the_exit_contract(case, tmp_path):
+    text, argv = case
+    (tmp_path / "model.ksym").write_text(text)
+    assert_exit_contract(argv, tmp_path)
 
 
 # ---------------------------------------------------------------------------

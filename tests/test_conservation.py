@@ -89,11 +89,12 @@ def test_bracket_law_matches_matrix_contraction_oracle():
     law = build_bracket_law(sys.omega, [delta], dx)
     assert law.provenance == "bracket-law"
     assert law.symbolic
-    for p in sample_points(ch, count=16, seed=20):
-        s_val, y_val = delta.evaluate(p), dx.evaluate(p)
-        for comp, omega in zip(law.components, sys.omega):
+    pts = sample_points(ch, count=16, seed=20)
+    phis = law.evaluate(pts).T
+    for p, s_val, y_val, phi in zip(pts, delta.evaluate(pts), dx.evaluate(pts), phis):
+        for value, omega in zip(phi, sys.omega):
             oracle = float(s_val @ two_form_matrix(omega, p) @ y_val)
-            assert comp.evaluate(p) == pytest.approx(oracle, abs=1e-12)
+            assert value == pytest.approx(oracle, abs=1e-12)
 
 
 def test_bracket_law_free_particle_yields_momenta():
@@ -103,9 +104,10 @@ def test_bracket_law_free_particle_yields_momenta():
         sys.omega, [sys.bundle.liouville], coordinate_vector_field(ch, "x_1")
     )
     v1, v2 = ch.index_of("v_1_1"), ch.index_of("v_2_1")
-    for p in sample_points(ch, count=16, seed=21):
-        assert law.components[0].evaluate(p) == pytest.approx(-p[v1], abs=1e-12)
-        assert law.components[1].evaluate(p) == pytest.approx(-p[v2], abs=1e-12)
+    pts = sample_points(ch, count=16, seed=21)
+    for p, phi1, phi2 in zip(pts, *law.evaluate(pts)):
+        assert phi1 == pytest.approx(-p[v1], abs=1e-12)
+        assert phi2 == pytest.approx(-p[v2], abs=1e-12)
     check = verify_law_pointwise(family, law, sample_points(ch, count=32, seed=22))
     assert check.max_residual <= 1e-9
 
@@ -114,8 +116,8 @@ def test_bracket_law_with_repeated_field_vanishes():
     sys, _ = free_particle()
     dx = coordinate_vector_field(sys.chart, "x_1")
     law = build_bracket_law(sys.omega, [dx], dx)
-    for p in sample_points(sys.chart, count=8, seed=23):
-        np.testing.assert_allclose(law.evaluate(p), 0.0, atol=1e-15)
+    np.testing.assert_allclose(law.evaluate(sample_points(sys.chart, count=8, seed=23)), 0.0,
+                               atol=1e-15)
 
 
 def test_bracket_law_classical_pairing():
@@ -127,8 +129,8 @@ def test_bracket_law_classical_pairing():
     law = build_bracket_law(sys.omega, [scaling], coordinate_vector_field(ch, "x_1"))
     p_idx = ch.index_of("p_1_1")
     pts = sample_points(ch, count=16, seed=24)
-    for p in pts:
-        assert law.components[0].evaluate(p) == pytest.approx(-p[p_idx], abs=1e-12)
+    for p, phi in zip(pts, law.components[0].evaluate(pts)):
+        assert phi == pytest.approx(-p[p_idx], abs=1e-12)
     flow = KVectorField(
         ch, (VectorField(ch, (parse_expression("p_1_1", ch), Num(0.0))),)
     )
@@ -159,9 +161,10 @@ def test_noether_law_string_momenta():
     assert law.provenance == "noether"
     assert law.symbolic
     v1, v2 = ch.index_of("v_1_1"), ch.index_of("v_2_1")
-    for p in sample_points(ch, count=16, seed=25):
-        assert law.components[0].evaluate(p) == pytest.approx(2.0 * p[v1], abs=1e-12)
-        assert law.components[1].evaluate(p) == pytest.approx(-3.0 * p[v2], abs=1e-12)
+    pts = sample_points(ch, count=16, seed=25)
+    for p, phi1, phi2 in zip(pts, *law.evaluate(pts)):
+        assert phi1 == pytest.approx(2.0 * p[v1], abs=1e-12)
+        assert phi2 == pytest.approx(-3.0 * p[v2], abs=1e-12)
 
 
 def test_noether_law_conserved_along_string_evolution():
@@ -177,20 +180,22 @@ def test_noether_law_sqrt_model():
     ch = sys.chart
     law = build_noether_law(sys, coordinate_vector_field(ch, "x_1"), sample_points(ch))
     v1, v2 = ch.index_of("v_1_1"), ch.index_of("v_2_1")
-    for p in sample_points(ch, count=16, seed=26):
+    pts = sample_points(ch, count=16, seed=26)
+    for p, phi1, phi2 in zip(pts, *law.evaluate(pts)):
         w = np.sqrt(1.0 + p[v1] ** 2 + p[v2] ** 2)
-        assert law.components[0].evaluate(p) == pytest.approx(p[v1] / w, abs=1e-12)
-        assert law.components[1].evaluate(p) == pytest.approx(p[v2] / w, abs=1e-12)
+        assert phi1 == pytest.approx(p[v1] / w, abs=1e-12)
+        assert phi2 == pytest.approx(p[v2] / w, abs=1e-12)
 
 
 def test_noether_law_three_copy_model():
     sys = build_system("lagrangian", 1, 3, "(v_1_1^2 + v_2_1^2 + v_3_1^2)/2")
     ch = sys.chart
     law = build_noether_law(sys, coordinate_vector_field(ch, "x_1"), sample_points(ch))
-    for p in sample_points(ch, count=8, seed=27):
+    pts = sample_points(ch, count=8, seed=27)
+    for p, phi in zip(pts, law.evaluate(pts).T):
         for A in (1, 2, 3):
             idx = ch.index_of(f"v_{A}_1")
-            assert law.components[A - 1].evaluate(p) == pytest.approx(p[idx], abs=1e-12)
+            assert phi[A - 1] == pytest.approx(p[idx], abs=1e-12)
 
 
 def test_noether_law_coupled_quadratic_model():
@@ -209,12 +214,13 @@ def test_noether_law_coupled_quadratic_model():
         ),
     )
     law = build_noether_law(sys, Y, sample_points(ch))
-    for p in sample_points(ch, count=16, seed=28):
+    pts = sample_points(ch, count=16, seed=28)
+    for p, value1, value2 in zip(pts, *law.evaluate(pts)):
         v = {name: p[ch.index_of(name)] for name in ("v_1_1", "v_1_2", "v_2_1", "v_2_2")}
         phi1 = (lam + 2 * nu) * v["v_1_1"] + nu * v["v_1_2"] + (lam + nu) * v["v_2_2"]
         phi2 = (lam + nu) * v["v_1_1"] + nu * v["v_2_1"] + (lam + 2 * nu) * v["v_2_2"]
-        assert law.components[0].evaluate(p) == pytest.approx(phi1, abs=1e-12)
-        assert law.components[1].evaluate(p) == pytest.approx(phi2, abs=1e-12)
+        assert value1 == pytest.approx(phi1, abs=1e-12)
+        assert value2 == pytest.approx(phi2, abs=1e-12)
 
 
 def test_noether_gate_rejects_non_cartan_field():
@@ -238,21 +244,23 @@ def test_noether_quadrature_branch_recovers_energy():
     # the rotation drags theta into x dx - p dp, whose potential is
     # (x^2 - p^2)/2; the law collapses to minus the energy
     H = sys.function
-    assert law.components[0].evaluate(np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
-    for p in sample_points(ch, count=32, seed=29):
-        assert law.components[0].evaluate(p) == pytest.approx(-H.evaluate(p), abs=1e-6)
+    assert law.components[0].evaluate(np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-12)
+    pts = sample_points(ch, count=32, seed=29)
+    for phi, energy in zip(law.components[0].evaluate(pts), H.evaluate(pts)):
+        assert phi == pytest.approx(-energy, abs=1e-6)
     f = law.ingredients["f"][0]
     x, q = ch.index_of("x_1"), ch.index_of("p_1_1")
-    for p in sample_points(ch, count=8, seed=30):
-        assert f.evaluate(p) == pytest.approx((p[x] ** 2 - p[q] ** 2) / 2, abs=1e-10)
+    pts = sample_points(ch, count=8, seed=30)
+    for p, value in zip(pts, f.evaluate(pts)):
+        assert value == pytest.approx((p[x] ** 2 - p[q] ** 2) / 2, abs=1e-10)
 
 
 def test_noether_quadrature_component_recomposition():
     sys, rotation, _ = oscillator()
     law = build_noether_law(sys, rotation, sample_points(sys.chart))
     comp = law.components[0]
-    for p in sample_points(sys.chart, count=8, seed=31):
-        assert comp.evaluate(p) == comp.symbolic.evaluate(p) - comp.potential.evaluate(p)
+    pts = sample_points(sys.chart, count=8, seed=31)
+    assert (comp.evaluate(pts) == comp.symbolic.evaluate(pts) - comp.potential.evaluate(pts)).all()
 
 
 def test_noether_quadrature_law_verifies_along_flow():

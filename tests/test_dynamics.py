@@ -67,19 +67,22 @@ def test_build_lagrangian_string_forms():
     # theta_A = dL . S^A, omega_A = -d theta_A
     assert sys.omega[0].components == {(x, v1): Num(2.0)}
     assert sys.omega[1].components == {(x, v2): Num(-3.0)}
-    for p in sample_points(ch, count=16, seed=3):
+    pts = sample_points(ch, count=16, seed=3)
+    rows = zip(pts, sys.energy.evaluate(pts), sys.function.evaluate(pts))
+    for p, energy, function in rows:
         assert evaluate(sys.theta[0].component(x), p) == pytest.approx(2.0 * p[v1])
         assert evaluate(sys.theta[1].component(x), p) == pytest.approx(-3.0 * p[v2])
         # homogeneous quadratic Lagrangian: the energy coincides with L
-        assert sys.energy.evaluate(p) == pytest.approx(sys.function.evaluate(p))
+        assert energy == pytest.approx(function)
 
 
 def test_energy_of_nonhomogeneous_lagrangian():
     sys = build_system("lagrangian", 1, 1, "v_1_1^2/2 - x_1^2")
     ch = sys.chart
-    for p in sample_points(ch, count=16, seed=4):
+    pts = sample_points(ch, count=16, seed=4)
+    for p, energy in zip(pts, sys.energy.evaluate(pts)):
         x, v = p[ch.index_of("x_1")], p[ch.index_of("v_1_1")]
-        assert sys.energy.evaluate(p) == pytest.approx(v * v / 2 + x * x, abs=1e-12)
+        assert energy == pytest.approx(v * v / 2 + x * x, abs=1e-12)
 
 
 def test_build_system_rejects_unknown_kind():

@@ -150,7 +150,7 @@ def test_string_section_satisfies_defining_pde():
             lower = tuple(slice(0, -2) if b == a else slice(1, -1) for b in (0, 1))
             mid = tuple(slice(1, -1) for _ in (0, 1))
             deriv = (vals[upper] - vals[lower]) / (2.0 * h)
-            expected = np.apply_along_axis(family[a].evaluate, -1, vals[mid])
+            expected = family[a].evaluate(vals[mid].reshape(-1, 3)).reshape(vals[mid].shape)
             worst = max(worst, float(np.max(np.abs(deriv - expected))))
         return worst
 

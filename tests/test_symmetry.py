@@ -103,9 +103,9 @@ def test_radial_field_is_not_symmetry_of_cyclic_system():
     verdict = is_symmetry(family, radial(ch), pts)
     assert not verdict.holds
     # the bracket is -X, so the worst residual is the largest |X| sample
-    expected = max(float(np.max(np.abs(family[0].evaluate(p)))) for p in pts)
+    expected = max(float(np.max(np.abs(row))) for row in family[0].evaluate(pts))
     assert verdict.max_residual == pytest.approx(expected, rel=1e-12)
-    assert np.max(np.abs(family[0].evaluate(verdict.witness))) == pytest.approx(
+    assert np.max(np.abs(family[0].evaluate(verdict.witness[None]))) == pytest.approx(
         verdict.max_residual
     )
 
@@ -321,7 +321,7 @@ def test_dilation_fails_cartan_on_string():
     assert not verdict.holds
     # scaling doubles the quadratic energy, so the energy residual alone
     # reaches 2|E| at the witness
-    energy = abs(2.0 * sys.energy.evaluate(verdict.witness))
+    energy = abs(2.0 * sys.energy.evaluate(verdict.witness[None])[0])
     assert verdict.max_residual >= energy - 1e-12
     assert verdict.max_residual > 0.5
 

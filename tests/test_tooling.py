@@ -249,12 +249,7 @@ def test_main_parses_every_benchmark_command_without_argparse(monkeypatch, tmp_p
 
 
 # the traced targets that no workload command calls: they read 0 in every run
-UNREACHED_BY_WORKLOADS = {
-    "calculus.PForm.max_component_at",
-    "calculus.PotentialEvaluator.evaluate",
-    "calculus.ScalarField.evaluate",
-    "calculus.VectorField.evaluate",
-}
+UNREACHED_BY_WORKLOADS = {"calculus.PotentialEvaluator.evaluate"}
 
 # run.py's traced child, minus the span file: install the recorder, run argvs
 TRACED_RUN = """
@@ -274,7 +269,7 @@ print(json.dumps(sorted(set(spans.SPAN_NAMES) - called)))
 """
 
 
-def test_the_workloads_reach_every_traced_target_but_four(monkeypatch, tmp_path):
+def test_the_workloads_reach_every_traced_target_but_the_potential(monkeypatch, tmp_path):
     argvs = benchmark_argvs(monkeypatch, tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(SPANS), json.dumps(argvs)],
