@@ -10,6 +10,7 @@ from functools import lru_cache
 from .calculus import (
     PForm,
     VectorField,
+    _same_chart,
     exterior_derivative,
     form_neg,
     one_form,
@@ -74,8 +75,9 @@ class TangentStructure(Record):
 
     def precompose_one_form(self, alpha: PForm) -> PForm:
         """alpha composed with this endomorphism: (alpha o S)(V) = alpha(S V)."""
-        if alpha.chart != self.chart or alpha.degree != 1:
-            raise ValueError("expected a one-form on the same chart")
+        _same_chart(self, alpha)
+        if alpha.degree != 1:
+            raise ValueError("expected a one-form")
         comps = {}
         for src, dst in self.slot_map:
             entry = alpha.components.get((dst,))

@@ -3,7 +3,7 @@ alternating forms, Lie brackets and derivatives, and quadrature-backed
 potentials of exact one-forms.
 
 Forms are stored sparsely as maps from strictly increasing index tuples to
-coefficient expressions; evaluations expand permutation signs on demand.
+coefficient expressions; contraction is iterated interior products.
 Fields and potentials ``evaluate``, forms ``max_component_at``, an (m, N)
 array of chart points: one row per point is the only evaluation path.
 """
@@ -11,7 +11,6 @@ array of chart points: one row per point is the only evaluation path.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,15 +80,21 @@ def max_abs(exprs: Iterable[Expression], points) -> np.ndarray:
     return out
 
 
-def _same_chart(*objects) -> ChartSpace:
-    chart = objects[0].chart
-    for obj in objects[1:]:
-        if obj.chart != chart:
+def _same_chart(*operands) -> ChartSpace:
+    """The one chart of ``operands``, each a chart or an object on one; the
+    first that differs raises ``ChartMismatchError``."""
+    chart, *rest = (op if isinstance(op, ChartSpace) else op.chart for op in operands)
+    for other in rest:
+        if other != chart:
             raise ChartMismatchError(
-                f"chart mismatch: {obj.chart.kind}({obj.chart.n},{obj.chart.k}) vs "
+                f"chart mismatch: {other.kind}({other.n},{other.k}) vs "
                 f"{chart.kind}({chart.n},{chart.k})"
             )
     return chart
+
+
+def _is_zero_expr(e: Expression) -> bool:
+    return isinstance(e, Num) and e.value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +130,7 @@ class VectorField(Record):
         return np.stack([batch_evaluator(c)(points) for c in self.components], axis=-1)
 
     def is_zero(self) -> bool:
-        return all(isinstance(c, Num) and c.value == 0.0 for c in self.components)
+        return all(_is_zero_expr(c) for c in self.components)
 
 
 def zero_vector_field(chart: ChartSpace) -> VectorField:
@@ -151,7 +156,7 @@ def vector_field_from_map(chart: ChartSpace, nonzero: Mapping[str, Expression]) 
 def directional_derivative(X: VectorField, f: Expression) -> Expression:
     terms = []
     for index, comp in enumerate(X.components):
-        if isinstance(comp, Num) and comp.value == 0.0:
+        if _is_zero_expr(comp):
             continue
         terms.append(make_mul(comp, f.diff(index)))
     return make_add(*terms) if terms else Num(0.0)
@@ -171,10 +176,6 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 # alternating forms
 # ---------------------------------------------------------------------------
-
-
-def _is_zero_expr(e: Expression) -> bool:
-    return isinstance(e, Num) and e.value == 0.0
 
 
 class PForm(Record):
@@ -282,11 +283,9 @@ def interior_product(X: VectorField, omega: PForm) -> PForm:
 
 
 def lie_derivative_form(X: VectorField, omega: PForm) -> PForm:
-    """Cartan's identity L_X = i_X d + d i_X; reduces to X(f) on 0-forms."""
-    _same_chart(X, omega)
+    """Cartan's identity L_X = i_X d + d i_X; i_X f = 0 on 0-forms."""
     if omega.degree == 0:
-        f = omega.components.get((), Num(0.0))
-        return PForm(omega.chart, 0, {(): directional_derivative(X, f)})
+        return interior_product(X, exterior_derivative(omega))
     return form_add(
         interior_product(X, exterior_derivative(omega)),
         exterior_derivative(interior_product(X, omega)),
@@ -294,47 +293,12 @@ def lie_derivative_form(X: VectorField, omega: PForm) -> PForm:
 
 
 def apply_form(omega: PForm, fields: Sequence[VectorField]) -> Expression:
-    """Symbolic full contraction omega(V_1, ..., V_p)."""
+    """Symbolic full contraction omega(V_1, ..., V_p) = i_{V_p} ... i_{V_1} omega."""
     if len(fields) != omega.degree:
         raise ValueError(f"degree-{omega.degree} form applied to {len(fields)} fields")
-    for f in fields:
-        _same_chart(f, omega)
-    if omega.degree == 0:
-        return omega.components.get((), Num(0.0))
-    terms = []
-    for key, coeff in omega.components.items():
-        for perm in itertools.permutations(range(len(key))):
-            sign = _permutation_sign(perm)
-            factors = [coeff]
-            zero = False
-            for row, col in enumerate(perm):
-                comp = fields[row].components[key[col]]
-                if _is_zero_expr(comp):
-                    zero = True
-                    break
-                factors.append(comp)
-            if zero:
-                continue
-            term = make_mul(*factors)
-            terms.append(term if sign > 0 else make_neg(term))
-    return make_add(*terms) if terms else Num(0.0)
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    for V in fields:
+        omega = interior_product(V, omega)
+    return omega.component()
 
 
 def two_form_matrix(omega: PForm, point) -> np.ndarray:
@@ -389,12 +353,13 @@ class PotentialEvaluator:
         ts, ws, comps = self._quadrature
         delta = np.asarray(points, dtype=float) - self.base_point
         total = np.zeros(len(delta))
-        for t, w in zip(ts, ws):
-            x = self.base_point + t * delta
-            pairing = 0.0
-            for idx, fn in comps:
-                pairing = pairing + fn(x) * delta[:, idx]
-            total += w * pairing
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite alpha gives NaN or inf
+            for t, w in zip(ts, ws):
+                x = self.base_point + t * delta
+                pairing = 0.0
+                for idx, fn in comps:
+                    pairing = pairing + fn(x) * delta[:, idx]
+                total += w * pairing
         return total
 
 

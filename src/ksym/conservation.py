@@ -30,11 +30,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calculus import (
-    ChartMismatchError,
     PForm,
     PotentialEvaluator,
     ScalarField,
     VectorField,
+    _same_chart,
     apply_form,
     directional_derivative,
     exterior_derivative,
@@ -87,7 +87,8 @@ class NumericLawComponent(Record):
 
     def evaluate(self, points) -> np.ndarray:
         """Values at each of the (m, N) points, shape (m,)."""
-        return self.symbolic.evaluate(points) - self.potential.evaluate(points)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN value
+            return self.symbolic.evaluate(points) - self.potential.evaluate(points)
 
 
 class ConservationLaw(Record, eq=False):
@@ -97,9 +98,7 @@ class ConservationLaw(Record, eq=False):
             raise ValueError(f"unknown provenance {provenance!r}")
         if len(components) != chart.k:
             raise ValueError(f"expected {chart.k} components on this chart, got {len(components)}")
-        for comp in components:
-            if comp.chart != chart:
-                raise ChartMismatchError("law component lives on a different chart")
+        _same_chart(chart, *components)
         self._set(chart=chart, components=components, provenance=provenance,
                   ingredients={} if ingredients is None else ingredients)
 
@@ -122,26 +121,16 @@ def build_bracket_law(
     """Phi_A = omega_A(S_1, ..., S_{p-1}, Y), expanded symbolically."""
     if not omegas:
         raise ValueError("need at least one form")
-    chart = Y.chart
-    degrees = {w.degree for w in omegas}
-    if len(degrees) != 1:
-        raise ValueError(f"forms have mixed degrees {sorted(degrees)}")
-    p = degrees.pop()
+    p = omegas[0].degree
     if len(s_fields) != p - 1:
         raise ValueError(
             f"degree-{p} forms need {p - 1} companion fields, got {len(s_fields)}"
         )
-    for w in omegas:
-        if w.chart != chart:
-            raise ChartMismatchError("form lives on a different chart")
-    for S in s_fields:
-        if S.chart != chart:
-            raise ChartMismatchError("field lives on a different chart")
     components = tuple(
-        ScalarField(chart, apply_form(w, list(s_fields) + [Y])) for w in omegas
+        ScalarField(Y.chart, apply_form(w, list(s_fields) + [Y])) for w in omegas
     )
     return ConservationLaw(
-        chart,
+        Y.chart,
         components,
         "bracket-law",
         {"omega": tuple(omegas), "S": tuple(s_fields), "Y": Y},
@@ -157,8 +146,7 @@ def build_noether_law(
     Raises NotCartanSymmetryError when Y fails the gate, and the closedness
     error of the potential constructor when L_Y theta_A is not exact.
     """
-    if Y.chart != sys.chart:
-        raise ChartMismatchError("field lives on a different chart")
+    _same_chart(sys, Y)
     tol = sys.default_tolerance if tolerance is None else tolerance
     verdict = is_cartan_symmetry(sys, Y, points, tol)
     if not verdict.holds:
@@ -204,10 +192,7 @@ def law_residuals(X: KVectorField, law: ConservationLaw, points) -> np.ndarray:
     Quadrature-backed components are differentiated exactly, through the
     one-form alpha_A = df_A their potential integrates.
     """
-    if X.chart != law.chart:
-        raise ChartMismatchError("family lives on a different chart")
-    if len(X) != len(law.components):
-        raise ValueError("family and law have different lengths")
+    _same_chart(law, X)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN verdict
         return np.abs(sum(
             batch_evaluator(_directional_derivative(Xa, comp))(points)
@@ -248,8 +233,7 @@ def check_momentum_converse(
     X_single is a Cartan symmetry of the system.  The law is induced by
     X_single (Noether-induced) iff all three hold.
     """
-    if X_single.chart != sys.chart or law.chart != sys.chart:
-        raise ChartMismatchError("ingredients live on different charts")
+    _same_chart(sys, X_single, law)
     tol = sys.default_tolerance if tolerance is None else tolerance
     pairing_forms = [
         _pairing_form(X_single, comp, omega) for comp, omega in zip(law.components, sys.omega)

@@ -17,7 +17,7 @@ classical one.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .calculus import (
     PForm,
     ScalarField,
     VectorField,
+    _same_chart,
     exterior_derivative,
     form_add,
     form_neg,
@@ -88,9 +89,7 @@ class KVectorField(Record):
     def __init__(self, chart: ChartSpace, fields: tuple[VectorField, ...]):
         if len(fields) != chart.k:
             raise ValueError(f"expected {chart.k} component fields, got {len(fields)}")
-        for f in fields:
-            if f.chart != chart:
-                raise ValueError("component fields must share the chart")
+        _same_chart(chart, *fields)
         self._set(chart=chart, fields=fields)
 
     @classmethod
@@ -294,12 +293,8 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
 
 
 def _evolution_residual_form(system: FieldSystem, X: KVectorField) -> PForm:
-    if X.chart != system.chart:
-        raise ValueError("field family lives on a different chart")
-    total = None
-    for Xa, omega in zip(X.fields, system.omega):
-        term = interior_product(Xa, omega)
-        total = term if total is None else form_add(total, term)
+    _same_chart(system, X)
+    total = reduce(form_add, map(interior_product, X, system.omega))
     return form_sub(total, system.target_differential)
 
 

@@ -25,7 +25,7 @@ import os
 
 import numpy as np
 
-from .calculus import ChartMismatchError, lie_bracket, max_abs
+from .calculus import _same_chart, lie_bracket, max_abs
 from .conservation import ConservationLaw
 from .dynamics import KVectorField
 from .expr import (
@@ -184,8 +184,7 @@ def verify_law_divergence(
     is reported as scale_constant = residual / max(h)^2, beside the grid
     times witness_t of the witness node.
     """
-    if law.chart != grid.chart:
-        raise ChartMismatchError("law lives on a different chart")
+    _same_chart(grid, law)
     k = grid.k
     if len(law.components) != k:
         raise ValueError("law length does not match the grid")

@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .calculus import (
-    ChartMismatchError,
     PForm,
     VectorField,
+    _same_chart,
     directional_derivative,
     lie_bracket,
     lie_derivative_form,
@@ -52,8 +52,7 @@ def is_symmetry(
     X: KVectorField, Y: VectorField, points, tolerance: float = BRACKET_TOLERANCE
 ) -> Check:
     """Does Y commute with every component field of X on the samples?"""
-    if Y.chart != X.chart:
-        raise ChartMismatchError("field lives on a different chart")
+    _same_chart(X, Y)
     brackets = [lie_bracket(Xa, Y) for Xa in X]
     residuals = max_abs((c for br in brackets for c in br.components), points)
     return residual_check("symmetry", residuals, points, tolerance)
@@ -70,8 +69,7 @@ def solve_pseudosymmetry(
     defined (an all-zero Z reduces the check to plain symmetry with
     lambda = 0).  How many samples were rank deficient is reported.
     """
-    if Y.chart != X.chart or Z.chart != X.chart:
-        raise ChartMismatchError("fields live on different charts")
+    _same_chart(X, Y, Z)
     Zmats = np.stack([Zb.evaluate(points) for Zb in Z], axis=-1)  # (m, N, k)
     rhs = np.stack([lie_bracket(Xa, Y).evaluate(points) for Xa in X], axis=-1)
     lam_t, residuals, rank_deficient = _stacked_solve(Zmats, rhs)
@@ -103,8 +101,7 @@ def is_cartan_symmetry(
     sys: FieldSystem, Y: VectorField, points, tolerance: float | None = None
 ) -> Check:
     """Does Y preserve every two-form of the system and its driving scalar?"""
-    if Y.chart != sys.chart:
-        raise ChartMismatchError("field lives on a different chart")
+    _same_chart(sys, Y)
     if tolerance is None:
         tolerance = sys.default_tolerance
     lies = [lie_derivative_form(Y, w) for w in sys.omega]
@@ -124,9 +121,7 @@ def is_invariant_form(
         raise ValueError(
             f"expected {len(X)} forms to pair with the field family, got {len(omegas)}"
         )
-    for w in omegas:
-        if w.chart != X.chart:
-            raise ChartMismatchError("form lives on a different chart")
+    _same_chart(X, *omegas)
     lies = [lie_derivative_form(Xa, w) for Xa, w in zip(X, omegas)]
     residuals = max_abs((e for form in lies for e in form.components.values()), points)
     return residual_check("invariant-form", residuals, points, tolerance)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -38,6 +39,7 @@ from ksym.expr import (
     Coord,
     Num,
     base_chart,
+    batch_evaluator,
     make_add,
     make_mul,
     make_neg,
@@ -45,6 +47,7 @@ from ksym.expr import (
     sample_points,
     tangent_chart,
 )
+import form_oracle
 from scalar_oracle import evaluate
 
 
@@ -206,6 +209,23 @@ def test_two_form_full_contraction_matches_matrix():
         assert symbolic == pytest.approx(u @ W @ v, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_apply_form_matches_the_permutation_expansion(degree):
+    chart = base_chart(4)
+    rng = np.random.default_rng(40 + degree)
+    a, b, i, j = (rng.integers(lo, hi, size=6) for lo, hi in [(-3, 4), (1, 4), (1, 5), (1, 5)])
+    omega = PForm(chart, degree, {
+        key: parse_expression(f"{a[n]} + {b[n]}*x_{i[n]}*x_{j[n]}", chart)
+        for n, key in enumerate(itertools.combinations(range(4), degree))
+    })
+    fields = [_random_poly_field(chart, rng) for _ in range(degree)]
+    points = sample_points(chart, count=16, seed=41)
+    actual = batch_evaluator(apply_form(omega, fields))(points)
+    expected = batch_evaluator(form_oracle.apply_form(omega, fields))(points)
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
+    assert np.abs(expected).max() > 0.1  # the contraction is not trivially zero
+
+
 def test_apply_form_alternating():
     chart = base_chart(3)
     w = PForm(chart, 2, {(0, 1): Num(1.0), (1, 2): parse_expression("x_1", chart)})
@@ -350,6 +370,13 @@ def test_potential_is_the_64_node_gauss_legendre_quadrature():
         expected += w * (np.cos(x[:, 0]) * x[:, 1] * delta[:, 0] + np.sin(x[:, 0]) * delta[:, 1])
     actual = PotentialEvaluator(alpha, base).evaluate(pts)
     assert actual.tobytes() == expected.tobytes()
+
+
+def test_a_non_finite_one_form_gives_a_non_finite_potential_without_a_warning():
+    chart = base_chart(2)
+    alpha = one_form(chart, {0: Num(1e999), 1: chart.coordinate("x_1")})
+    values = PotentialEvaluator(alpha, [0, 0]).evaluate([[0, 0.5], [1, 0]])
+    assert np.isnan(values[0]) and values[1] == math.inf  # inf * 0 and inf * 1
 
 
 def test_building_a_potential_imports_nothing():

@@ -392,6 +392,13 @@ def assert_one_error_line(code, capsys):
     return err
 
 
+def test_bracket_law_refuses_a_wrong_companion_count(capsys):
+    argv = ["build", "bracket-law", "--model", "free_particle", "--s", "delta,ddx",
+            "--field", "ddx"]
+    err = assert_one_error_line(main(argv), capsys)
+    assert err == "error: degree-2 forms need 1 companion fields, got 2\n"
+
+
 def test_domain_error_in_a_sampled_check_exits_2(tmp_path, capsys):
     path = write_model(
         tmp_path,

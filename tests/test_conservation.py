@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from ksym.calculus import (
     ChartMismatchError,
+    PotentialEvaluator,
     ScalarField,
     VectorField,
     coordinate_vector_field,
+    one_form,
     two_form_matrix,
     zero_vector_field,
 )
@@ -34,6 +36,13 @@ def free_particle():
     g1 = VectorField(ch, (parse_expression("v_1_1", ch), Num(0.0), Num(0.0)))
     g2 = VectorField(ch, (parse_expression("v_2_1", ch), Num(0.0), Num(0.0)))
     return sys, KVectorField(ch, (g1, g2))
+
+
+def test_a_non_finite_quadrature_component_evaluates_to_nan_without_a_warning():
+    ch = base_chart(1)
+    potential = PotentialEvaluator(one_form(ch, {0: Num(1e999)}), [0.0])
+    component = NumericLawComponent(ch, ScalarField(ch, Num(1e999)), potential)
+    assert np.isnan(component.evaluate([[1.0]])).tolist() == [True]  # inf - inf
 
 
 def string_system(sigma=1.0, tau=1.0):

@@ -162,13 +162,13 @@ def _bad_records():
          "key (1, 0) is not strictly increasing"),
         (lambda: KVectorField(tb.chart, (tb.liouville, tb.liouville)), ValueError,
          "expected 1 component fields, got 2"),
-        (lambda: KVectorField(tangent_bundle(2, 1).chart, (tb.liouville,)), ValueError,
-         "component fields must share the chart"),
+        (lambda: KVectorField(tangent_bundle(2, 1).chart, (tb.liouville,)), ChartMismatchError,
+         "chart mismatch: k-tangent(1,1) vs k-tangent(2,1)"),
         (lambda: ConservationLaw(chart, (one,), "guess"), ValueError, "unknown provenance 'guess'"),
         (lambda: ConservationLaw(chart, (one, one), "user"), ValueError,
          "expected 1 components on this chart, got 2"),
         (lambda: ConservationLaw(other, (one, one), "user"), ChartMismatchError,
-         "law component lives on a different chart"),
+         "chart mismatch: base(2,1) vs base(2,2)"),
     ]
 
 

@@ -163,6 +163,19 @@ def test_the_package_source_never_names_numpys_random_module():
     assert named == []
 
 
+def test_only_same_chart_compares_charts_or_raises_a_chart_mismatch():
+    found = []
+    for path in sorted(Path(ksym.__file__).parent.glob("*.py")):
+        lines = path.read_text().splitlines(keepends=True)
+        if path.name == "calculus.py":  # cut out the one implementation
+            same = next(node for node in ast.parse("".join(lines)).body
+                        if isinstance(node, ast.FunctionDef) and node.name == "_same_chart")
+            lines = lines[:same.lineno - 1] + lines[same.end_lineno:]
+        pattern = r"\.chart\s*[!=]=|[!=]=\s*[\w.]+\.chart\b|(?<!class )\bChartMismatchError\("
+        found += [(path.name, m.group()) for m in re.finditer(pattern, "".join(lines))]
+    assert found == []
+
+
 def test_the_package_imports_argparse_only_for_help_and_errors():
     sources = sorted(Path(ksym.__file__).parent.glob("*.py"))
     imports = {p.name: imported_modules(p) for p in sources}
