@@ -11,7 +11,8 @@ Layering, bottom up:
 - ``symmetry``      symmetry / pseudosymmetry / invariance checks
 - ``conservation``  conserved-quantity constructors and verifiers
 - ``sections``      integral-section grids and divergence checks
-- ``cli``           model files, bundled models, check reports
+- ``models``        model files and the bundled models
+- ``cli``           the command table, dispatch and check reports
 """
 
 import importlib
@@ -20,7 +21,8 @@ __version__ = "0.1.0"
 
 # the layers above, bottom up; each module's ``__all__`` lists what it exports
 _MODULES = (
-    "expr", "calculus", "bundles", "dynamics", "symmetry", "conservation", "sections", "cli",
+    "expr", "calculus", "bundles", "dynamics", "symmetry", "conservation", "sections", "models",
+    "cli",
 )
 
 

@@ -21,6 +21,7 @@ from .expr import (
     Num,
     Record,
     batch_evaluator,
+    differentiate,
     make_add,
     make_mul,
     make_neg,
@@ -36,9 +37,6 @@ __all__ = [
     "PForm",
     "scalar_form",
     "one_form",
-    "zero_form",
-    "coordinate_vector_field",
-    "zero_vector_field",
     "form_add",
     "form_neg",
     "form_sub",
@@ -129,36 +127,13 @@ class VectorField(Record):
         """Component values at each of the (m, N) points, shape (m, N)."""
         return np.stack([batch_evaluator(c)(points) for c in self.components], axis=-1)
 
-    def is_zero(self) -> bool:
-        return all(_is_zero_expr(c) for c in self.components)
-
-
-def zero_vector_field(chart: ChartSpace) -> VectorField:
-    return VectorField(chart, tuple(Num(0.0) for _ in range(chart.dimension)))
-
-
-def coordinate_vector_field(chart: ChartSpace, coordinate: str | int) -> VectorField:
-    """The frame field d/d(coordinate)."""
-    if isinstance(coordinate, str):
-        coordinate = chart.index_of(coordinate)
-    comps = [Num(0.0)] * chart.dimension
-    comps[coordinate] = Num(1.0)
-    return VectorField(chart, tuple(comps))
-
-
-def vector_field_from_map(chart: ChartSpace, nonzero: Mapping[str, Expression]) -> VectorField:
-    comps = [Num(0.0)] * chart.dimension
-    for name, expr in nonzero.items():
-        comps[chart.index_of(name)] = expr
-    return VectorField(chart, tuple(comps))
-
 
 def directional_derivative(X: VectorField, f: Expression) -> Expression:
     terms = []
     for index, comp in enumerate(X.components):
         if _is_zero_expr(comp):
             continue
-        terms.append(make_mul(comp, f.diff(index)))
+        terms.append(make_mul(comp, differentiate(f, index)))
     return make_add(*terms) if terms else Num(0.0)
 
 
@@ -212,10 +187,6 @@ class PForm(Record):
         return max_abs(self.components.values(), points)
 
 
-def zero_form(chart: ChartSpace, degree: int) -> PForm:
-    return PForm(chart, degree, {})
-
-
 def scalar_form(f: ScalarField) -> PForm:
     return PForm(f.chart, 0, {(): f.expr})
 
@@ -255,7 +226,7 @@ def exterior_derivative(omega: PForm) -> PForm:
         for j in range(chart.dimension):
             if j in key:
                 continue
-            deriv = expr.diff(j)
+            deriv = differentiate(expr, j)
             if _is_zero_expr(deriv):
                 continue
             smaller = sum(1 for i in key if i < j)

@@ -1,10 +1,9 @@
 """Command line front end.
 
-Models live in a line-oriented text format: a ``[model]`` section naming the
-chart and generating function, an optional ``[params]`` section of numeric
-constants, and any number of named ``[field ...]`` and ``[law ...]`` sections.
-Every command loads a model (bundled by name, or any path to a ``.ksym``
-file), runs one check family, and emits a report as a table or as JSON.
+Every command loads a model (``ksym.models``: bundled by name, or any path to
+a ``.ksym`` file), runs one check family, and emits a report as a table or as
+JSON.  This module holds the command table, argument parsing, dispatch and
+the report.
 
 Exit codes: 0 when every check passes, 1 when any fails, 2 for usage,
 model-file and (with one ``internal error:`` line) any other errors, and for
@@ -23,37 +22,30 @@ valid command never loads it.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import math
 import os
-import re
 import sys as _sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .calculus import ScalarField, VectorField
 from .conservation import (
-    LAW_TOLERANCE,
     ConservationLaw,
     NotCartanSymmetryError,
     build_bracket_law,
     build_noether_law,
-    user_law,
     verify_law_pointwise,
 )
 from .dynamics import (
     EVOLUTION_TOLERANCE,
-    REGULARITY_DET_TOL,
     FieldSystem,
     InconsistentSystemError,
     KVectorField,
     SingularHessianError,
-    build_system,
     check_regularity,
     solve_evolution_hamiltonian,
     solve_evolution_lagrangian,
@@ -63,18 +55,22 @@ from .expr import (
     ChartSpace,
     Check,
     EvaluationDomainError,
-    ExprError,
     Num,
     Record,
     SamplingError,
-    base_chart,
-    parse_expression,
     sample_points,
     to_source,
 )
+from .models import (
+    CliUsageError,
+    LoadedModel,
+    ModelFileError,
+    bundled_model_names,  # noqa: F401  (still imported from ksym.cli)
+    bundled_model_rows,
+    load_model,
+    resolve_model_path,
+)
 from .sections import (
-    COMMUTATION_TOLERANCE,
-    DIVERGENCE_TOLERANCE,
     SectionIntegrationError,
     check_integrability,
     export_grid_csv,
@@ -82,258 +78,12 @@ from .sections import (
     verify_law_divergence,
 )
 from .symmetry import (
-    BRACKET_TOLERANCE,
     is_cartan_symmetry,
     is_symmetry,
     solve_pseudosymmetry,
 )
 
-__all__ = [
-    "CliUsageError",
-    "LoadedModel",
-    "ModelFileError",
-    "Report",
-    "bundled_model_names",
-    "load_model",
-    "main",
-    "resolve_model_path",
-]
-
-MODEL_KINDS = ("lagrangian", "hamiltonian", "ode")
-
-_BUNDLED_DIR = Path(__file__).resolve().parent / "models"
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_SECTION = re.compile(r"\[([^\[\]]+)\]\Z")
-
-
-class CliUsageError(Exception):
-    """Bad flags or names; the command cannot even start."""
-
-
-class ModelFileError(ValueError):
-    """Malformed model file; carries the offending line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
-
-
-# ---------------------------------------------------------------------------
-# model files
-# ---------------------------------------------------------------------------
-
-
-class LoadedModel(Record, eq=False):
-    """A parsed model file: chart, optional field system, named extras."""
-
-    def __init__(self, name: str, kind: str, n: int, k: int, chart: ChartSpace,
-                 system: FieldSystem | None, params: dict, fields: dict, laws: dict,
-                 digest: str, path: Path):
-        self._set(name=name, kind=kind, n=n, k=k, chart=chart, system=system, params=params,
-                  fields=fields, laws=laws, digest=digest, path=path)
-
-    @property
-    def label(self) -> str:
-        return f"{self.name}:{self.digest[:12]}"
-
-
-def _read_sections(text: str):
-    """Split the format into its sections, keeping line numbers for errors."""
-    model: dict | None = None
-    params: dict = {}
-    fields: dict[str, dict] = {}
-    laws: dict[str, dict] = {}
-    current: dict | None = None
-    params_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        header = _SECTION.match(line)
-        if header:
-            parts = header.group(1).split()
-            if parts == ["model"]:
-                if model is not None:
-                    raise ModelFileError("duplicate [model] section", lineno)
-                model = {}
-                current = model
-            elif parts == ["params"]:
-                if params_seen:
-                    raise ModelFileError("duplicate [params] section", lineno)
-                params_seen = True
-                current = params
-            elif len(parts) == 2 and parts[0] in ("field", "law"):
-                kind, name = parts
-                if not _IDENT.match(name):
-                    raise ModelFileError(f"bad {kind} name {name!r}", lineno)
-                table = fields if kind == "field" else laws
-                if name in table:
-                    raise ModelFileError(f"duplicate [{kind} {name}] section", lineno)
-                table[name] = {}
-                current = table[name]
-            else:
-                raise ModelFileError(
-                    f"unrecognized section header [{header.group(1)}]", lineno
-                )
-            continue
-        if current is None:
-            raise ModelFileError("assignment before any section header", lineno)
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not key or not value:
-            raise ModelFileError("expected 'key = value'", lineno)
-        if key in current:
-            raise ModelFileError(f"duplicate key {key!r}", lineno)
-        current[key] = (value, lineno)
-    if model is None:
-        raise ModelFileError("missing [model] section")
-    return model, params, fields, laws
-
-
-def _int_item(value: str, line: int, key: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ModelFileError(f"{key} must be a positive integer, got {value!r}", line) from None
-    if parsed < 1:
-        raise ModelFileError(f"{key} must be a positive integer, got {value!r}", line)
-    return parsed
-
-
-def load_model(path, overrides: dict | None = None) -> LoadedModel:
-    """Parse a model file, applying numeric parameter overrides first."""
-    p = Path(path)
-    raw = p.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFileError(f"not valid UTF-8: {exc}") from None
-    model_items, param_items, field_items, law_items = _read_sections(text)
-
-    for key, (_value, line) in model_items.items():
-        if key not in ("name", "kind", "n", "k", "function"):
-            raise ModelFileError(f"unknown [model] key {key!r}", line)
-
-    def need(key: str):
-        if key not in model_items:
-            raise ModelFileError(f"[model] is missing {key!r}")
-        return model_items[key]
-
-    name, name_line = need("name")
-    if not _IDENT.match(name):
-        raise ModelFileError(f"bad model name {name!r}", name_line)
-    kind, kind_line = need("kind")
-    if kind not in MODEL_KINDS:
-        raise ModelFileError(f"kind must be one of {', '.join(MODEL_KINDS)}", kind_line)
-    n = _int_item(*need("n"), key="n")
-    k = _int_item(*need("k"), key="k")
-    if kind == "ode" and "function" in model_items:
-        raise ModelFileError(
-            "a plain dynamical system takes no function", model_items["function"][1]
-        )
-
-    params: dict[str, float] = {}
-    for pname, (value, line) in param_items.items():
-        if not _IDENT.match(pname):
-            raise ModelFileError(f"bad parameter name {pname!r}", line)
-        try:
-            params[pname] = float(value)
-        except ValueError:
-            raise ModelFileError(
-                f"parameter {pname!r} needs a numeric value, got {value!r}", line
-            ) from None
-        if not math.isfinite(params[pname]):
-            raise ModelFileError(f"parameter {pname!r} must be finite, got {value!r}", line)
-    for pname, value in (overrides or {}).items():
-        if pname not in params:
-            raise ModelFileError(f"cannot override unknown parameter {pname!r}")
-        params[pname] = float(value)
-        if not math.isfinite(params[pname]):
-            raise ModelFileError(f"parameter {pname!r} must be finite, got {value!r}")
-
-    if kind == "ode":
-        chart = base_chart(n, k)
-        system = None
-    else:
-        function, function_line = need("function")
-        try:
-            system = build_system(kind, n, k, function, parameters=params or None)
-        except ExprError as exc:
-            raise ModelFileError(f"bad function: {exc}", function_line) from None
-        chart = system.chart
-    for pname, (_value, line) in param_items.items():
-        if chart.has_coordinate(pname):  # coordinates win when expressions are parsed
-            raise ModelFileError(f"parameter {pname!r} is a coordinate of the chart", line)
-
-    def expression(key: str, value: str, line: int):
-        try:
-            return parse_expression(value, chart, parameters=params or None)
-        except ExprError as exc:
-            raise ModelFileError(f"bad expression for {key}: {exc}", line) from None
-
-    fields: dict[str, VectorField] = {}
-    for fname, items in field_items.items():
-        components = [Num(0.0)] * chart.dimension
-        for key, (value, line) in items.items():
-            if not key.startswith("c_") or not chart.has_coordinate(key[2:]):
-                raise ModelFileError(
-                    f"field components look like c_<coordinate> with one of "
-                    f"{', '.join(chart.coordinate_names)}; got {key!r}",
-                    line,
-                )
-            components[chart.index_of(key[2:])] = expression(key, value, line)
-        fields[fname] = VectorField(chart, components)
-
-    laws: dict[str, ConservationLaw] = {}
-    for lname, items in law_items.items():
-        wanted = [f"Phi_{A}" for A in range(1, k + 1)]
-        for key, (_value, line) in items.items():
-            if key not in wanted:
-                raise ModelFileError(
-                    f"law components are {', '.join(wanted)}; got {key!r}", line
-                )
-        scalars = []
-        for key in wanted:
-            if key not in items:
-                raise ModelFileError(f"[law {lname}] is missing {key}")
-            scalars.append(ScalarField(chart, expression(key, *items[key])))
-        laws[lname] = user_law(chart, scalars)
-
-    return LoadedModel(
-        name=name,
-        kind=kind,
-        n=n,
-        k=k,
-        chart=chart,
-        system=system,
-        params=params,
-        fields=fields,
-        laws=laws,
-        digest=digest,
-        path=p,
-    )
-
-
-def bundled_model_names() -> tuple[str, ...]:
-    return tuple(sorted(p.stem for p in _BUNDLED_DIR.glob("*.ksym")))
-
-
-def resolve_model_path(ref: str) -> Path:
-    """A path that exists wins; otherwise fall back to the bundled models."""
-    direct = Path(ref)
-    if direct.is_file():
-        return direct
-    stem = ref if ref.endswith(".ksym") else f"{ref}.ksym"
-    bundled = _BUNDLED_DIR / stem
-    if bundled.is_file():
-        return bundled
-    raise CliUsageError(
-        f"no model named {ref!r}; bundled models: {', '.join(bundled_model_names())}"
-    )
-
+__all__ = ["Report", "main"]
 
 # ---------------------------------------------------------------------------
 # reports
@@ -447,6 +197,11 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
+def _tolerance(args) -> dict:
+    """``tolerance=--tol`` when it is given: each verifier owns its default."""
+    return {} if args.tol is None else {"tolerance": args.tol}
+
+
 # coordinate values one command may hold in a sample or grid array (80 MB)
 MAX_ARRAY_VALUES = 10_000_000
 
@@ -489,13 +244,13 @@ def _named(model: LoadedModel, kind: str, name: str):
 
 def _named_family(model: LoadedModel, names_csv: str) -> KVectorField:
     names = [s.strip() for s in names_csv.split(",") if s.strip()]
-    if len(names) != model.k:
-        raise CliUsageError(f"need {model.k} comma separated field names, got {len(names)}")
+    if model.chart.k != len(names):
+        raise CliUsageError(f"need {model.chart.k} comma separated field names, got {len(names)}")
     return KVectorField(model.chart, [_named(model, "field", nm) for nm in names])
 
 
 def _default_evolution_names(model: LoadedModel) -> list[str]:
-    return ["X"] if model.k == 1 else [f"X{A}" for A in range(1, model.k + 1)]
+    return ["X"] if model.chart.k == 1 else [f"X{A}" for A in range(1, model.chart.k + 1)]
 
 
 def _maybe_evolution(model: LoadedModel) -> KVectorField | None:
@@ -541,38 +296,19 @@ def _phi_sources(law: ConservationLaw) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _list_models() -> list:
-    """The bundled models' headers, read without building any of them."""
-    rows = []
-    for name in bundled_model_names():
-        text = (_BUNDLED_DIR / f"{name}.ksym").read_text(encoding="utf-8")
-        model, _params, fields, laws = _read_sections(text)
-        rows.append({
-            "name": model["name"][0],
-            "kind": model["kind"][0],
-            "n": _int_item(*model["n"], key="n"),
-            "k": _int_item(*model["k"], key="k"),
-            "fields": sorted(fields),
-            "laws": sorted(laws),
-        })
-    return rows
-
-
 def _cmd_check_regularity(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "check regularity")
     if not model.kind == "lagrangian":
         raise CliUsageError("check regularity applies to lagrangian models only")
     points = _sample(model, args)
-    tol = REGULARITY_DET_TOL if args.tol is None else args.tol
-    return [("regularity", check_regularity(system, points, tol))], {}
+    return [("regularity", check_regularity(system, points, **_tolerance(args)))], {}
 
 
 def _cmd_check_symmetry(model: LoadedModel, args) -> tuple[list, dict]:
     family = _evolution_family(model, args.against or args.evolution)
     Y = _named(model, "field", args.field)
     points = _sample(model, args)
-    tol = BRACKET_TOLERANCE if args.tol is None else args.tol
-    return [(f"symmetry:{args.field}", is_symmetry(family, Y, points, tolerance=tol))], {}
+    return [(f"symmetry:{args.field}", is_symmetry(family, Y, points, **_tolerance(args)))], {}
 
 
 def _cmd_check_pseudosymmetry(model: LoadedModel, args) -> tuple[list, dict]:
@@ -580,8 +316,7 @@ def _cmd_check_pseudosymmetry(model: LoadedModel, args) -> tuple[list, dict]:
     Y = _named(model, "field", args.field)
     Z = _named_family(model, args.against) if args.against else family
     points = _sample(model, args)
-    tol = BRACKET_TOLERANCE if args.tol is None else args.tol
-    check, _lam = solve_pseudosymmetry(family, Y, Z, points, tolerance=tol)
+    check, _lam = solve_pseudosymmetry(family, Y, Z, points, **_tolerance(args))
     return [(f"pseudosymmetry:{args.field}", check)], {}
 
 
@@ -615,20 +350,20 @@ def _cmd_verify_evolution(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "verify evolution")
     family = _evolution_family(model, args.against or args.evolution)
     points = _sample(model, args)
-    tol = EVOLUTION_TOLERANCE if args.tol is None else args.tol
-    return [("evolution", verify_evolution(system, family, points, tol))], {}
+    return [("evolution", verify_evolution(system, family, points, **_tolerance(args)))], {}
 
 
 def _cmd_verify_law(model: LoadedModel, args) -> tuple[list, dict]:
     law = _named(model, "law", args.law)
     family = _evolution_family(model, args.against or args.evolution)
     points = _sample(model, args)
-    tol = LAW_TOLERANCE if args.tol is None else args.tol
-    return [(f"law:{args.law}", verify_law_pointwise(family, law, points, tol))], {}
+    check = verify_law_pointwise(family, law, points, **_tolerance(args))
+    return [(f"law:{args.law}", check)], {}
 
 
-def _integrate(model: LoadedModel, args, tol: float):
-    """The section grid and its commutation check, run on the grid's nodes."""
+def _integrate(model: LoadedModel, args, tolerance: dict):
+    """The section grid and its commutation check, run on the grid's nodes
+    with the ``tolerance`` keywords."""
     family = _evolution_family(model, args.against or args.evolution)
     origin = _point(args.origin, model.chart, "--origin")
     values = float(model.chart.dimension)
@@ -639,25 +374,24 @@ def _integrate(model: LoadedModel, args, tol: float):
         grid = integrate_section(family, origin, args.T, args.h)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from None
-    return grid, check_integrability(family, grid.values.reshape(-1, model.chart.dimension), tol)
+    points = grid.values.reshape(-1, model.chart.dimension)
+    return grid, check_integrability(family, points, **tolerance)
 
 
 def _cmd_verify_divergence(model: LoadedModel, args) -> tuple[list, dict]:
     law = _named(model, "law", args.law)
     if args.T / args.h < 1.5:  # round(T / h) + 1 nodes per axis
         raise CliUsageError("verify divergence needs at least 3 grid nodes per axis: --T >= 2 * --h")
-    grid, commutation = _integrate(model, args, COMMUTATION_TOLERANCE)
-    tol = DIVERGENCE_TOLERANCE if args.tol is None else args.tol
+    grid, commutation = _integrate(model, args, {})  # --tol is the divergence's alone
     checks = [
         ("commutation", commutation),
-        (f"divergence:{args.law}", verify_law_divergence(law, grid, tol)),
+        (f"divergence:{args.law}", verify_law_divergence(law, grid, **_tolerance(args))),
     ]
     return checks, {"grid_shape": list(grid.shape)}
 
 
 def _cmd_integrate_section(model: LoadedModel, args) -> tuple[list, dict]:
-    tol = COMMUTATION_TOLERANCE if args.tol is None else args.tol
-    grid, commutation = _integrate(model, args, tol)
+    grid, commutation = _integrate(model, args, _tolerance(args))
     extra = {"grid_shape": list(grid.shape)}
     if args.out:
         export_grid_csv(grid, args.out)
@@ -694,8 +428,8 @@ def _cmd_build_bracket_law(model: LoadedModel, args) -> tuple[list, dict]:
     family = _maybe_evolution(model)
     if family is not None:
         points = _sample(model, args)
-        tol = LAW_TOLERANCE if args.tol is None else args.tol
-        checks.append(("conserved-along-evolution", verify_law_pointwise(family, law, points, tol)))
+        check = verify_law_pointwise(family, law, points, **_tolerance(args))
+        checks.append(("conserved-along-evolution", check))
     return checks, {"phi": _phi_sources(law)}
 
 
@@ -874,7 +608,7 @@ def _table_parse(argv: list) -> SimpleNamespace | None:
 
 def _dispatch(args) -> Report:
     if args.group == "list-models":
-        return Report("list-models", None, None, None, [], {"models": _list_models()})
+        return Report("list-models", None, None, None, [], {"models": bundled_model_rows()})
     model = load_model(resolve_model_path(args.model), _parse_overrides(args.param) or None)
     try:
         checks, extra = COMMANDS[args.group][1][args.action][1](model, args)

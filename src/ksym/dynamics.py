@@ -92,13 +92,6 @@ class KVectorField(Record):
         _same_chart(chart, *fields)
         self._set(chart=chart, fields=fields)
 
-    @classmethod
-    def repeat(cls, Y: VectorField, k: int | None = None) -> "KVectorField":
-        """The constant tuple (Y, ..., Y)."""
-        if k is None:
-            k = Y.chart.k
-        return cls(Y.chart, tuple([Y] * k))
-
     def __len__(self):
         return len(self.fields)
 

@@ -300,9 +300,6 @@ class Expression:
             pending.extend(zip(ca, cb))
         return True
 
-    def diff(self, index: int) -> "Expression":
-        return differentiate(self, index)
-
     def __str__(self) -> str:
         return to_source(self)
 

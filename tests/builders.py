@@ -1,0 +1,48 @@
+"""Shorthand constructors that only the tests use, built on the package's
+public ones: frame and zero fields, a field from its nonzero components, the
+zero form, and a constant k-vector field.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+from ksym.calculus import PForm, VectorField
+from ksym.dynamics import KVectorField
+from ksym.expr import ChartSpace, Expression, Num
+
+
+def zero_vector_field(chart: ChartSpace) -> VectorField:
+    return VectorField(chart, tuple(Num(0.0) for _ in range(chart.dimension)))
+
+
+def coordinate_vector_field(chart: ChartSpace, coordinate: str | int) -> VectorField:
+    """The frame field d/d(coordinate)."""
+    if isinstance(coordinate, str):
+        coordinate = chart.index_of(coordinate)
+    comps = [Num(0.0)] * chart.dimension
+    comps[coordinate] = Num(1.0)
+    return VectorField(chart, tuple(comps))
+
+
+def vector_field_from_map(chart: ChartSpace, nonzero: Mapping[str, Expression]) -> VectorField:
+    comps = [Num(0.0)] * chart.dimension
+    for name, expr in nonzero.items():
+        comps[chart.index_of(name)] = expr
+    return VectorField(chart, tuple(comps))
+
+
+def is_zero_field(X: VectorField) -> bool:
+    """Is every component of X the literal 0?"""
+    return all(isinstance(c, Num) and c.value == 0.0 for c in X.components)
+
+
+def zero_form(chart: ChartSpace, degree: int) -> PForm:
+    return PForm(chart, degree, {})
+
+
+def repeat(Y: VectorField, k: int | None = None) -> KVectorField:
+    """The constant tuple (Y, ..., Y), k = Y.chart.k by default."""
+    if k is None:
+        k = Y.chart.k
+    return KVectorField(Y.chart, tuple([Y] * k))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ksym.dynamics import InconsistentSystemError, SingularHessianError
-from ksym.expr import batch_evaluator
+from ksym.expr import batch_evaluator, differentiate
 
 
 def solve(system, point) -> np.ndarray:
@@ -36,8 +36,8 @@ def solve(system, point) -> np.ndarray:
     def unknown(A: int, B: int, j: int) -> int:  # (X_A)^{v_B_j}, 1-based
         return ((A - 1) * k + (B - 1)) * n + (j - 1)
 
-    dLdv = {(A, i): L.diff(fiber(A, i)) for A in range(1, k + 1) for i in range(1, n + 1)}
-    hess = np.array([[value(dLdv[a].diff(fiber(*b))) for b in dLdv] for a in dLdv])
+    dLdv = {(A, i): differentiate(L, fiber(A, i)) for A in range(1, k + 1) for i in range(1, n + 1)}
+    hess = np.array([[value(differentiate(dLdv[a], fiber(*b))) for b in dLdv] for a in dLdv])
     det = abs(float(np.linalg.det(hess)))
     if not det > 1e-10:
         raise SingularHessianError(f"fiber Hessian is singular at the point (|det| = {det:.3e})")
@@ -46,10 +46,10 @@ def solve(system, point) -> np.ndarray:
     M = np.zeros((n + sym_rows, n * k * k))
     b = np.zeros(n + sym_rows)
     for i in range(1, n + 1):
-        rhs = value(L.diff(chart.base_index(i)))
+        rhs = value(differentiate(L, chart.base_index(i)))
         for A in range(1, k + 1):
             for j in range(1, n + 1):
-                rhs -= value(dLdv[(A, i)].diff(chart.base_index(j))) * point[fiber(A, j)]
+                rhs -= value(differentiate(dLdv[(A, i)], chart.base_index(j))) * point[fiber(A, j)]
                 for B in range(1, k + 1):
                     M[i - 1, unknown(A, B, j)] += hess[(A - 1) * n + i - 1, (B - 1) * n + j - 1]
         b[i - 1] = rhs

@@ -40,6 +40,7 @@ from ksym.expr import (
 )
 from ksym.sections import integrate_section, verify_law_divergence
 from ksym.symmetry import is_invariant_form, is_symmetry, solve_pseudosymmetry
+from builders import repeat
 from scalar_oracle import evaluator
 
 RESULTS: dict[int, tuple[bool, str]] = {}
@@ -161,7 +162,7 @@ def test_criterion_05_main_theorem_end_to_end():
     points = _points(model.chart)
 
     symmetry = is_symmetry(X, Y, points, tolerance=1e-10)
-    pseudo, _lam = solve_pseudosymmetry(X, S, KVectorField.repeat(Y, 2), points, tolerance=1e-9)
+    pseudo, _lam = solve_pseudosymmetry(X, S, repeat(Y, 2), points, tolerance=1e-9)
     forms = is_invariant_form(X, system.omega, points, tolerance=1e-10)
 
     law = build_bracket_law(system.omega, [S], Y)

@@ -11,9 +11,9 @@ from ksym.calculus import (
     lie_derivative_form,
     one_form,
     scalar_form,
-    vector_field_from_map,
 )
 from ksym.expr import Num, parse_expression, sample_points
+from builders import vector_field_from_map
 from scalar_oracle import evaluate
 
 

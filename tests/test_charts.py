@@ -11,7 +11,6 @@ from ksym.calculus import (
     PForm,
     ScalarField,
     apply_form,
-    coordinate_vector_field,
     form_add,
     interior_product,
     lie_bracket,
@@ -36,6 +35,7 @@ from ksym.symmetry import (
     is_symmetry,
     solve_pseudosymmetry,
 )
+from builders import coordinate_vector_field
 
 MESSAGE = r"^chart mismatch: [a-z-]+\(\d+,\d+\) vs [a-z-]+\(\d+,\d+\)$"
 

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import parser_oracle
-from ksym import cli, expr
+from ksym import cli, expr, models
 from ksym.cli import (
     MAX_ARRAY_VALUES,
     ModelFileError,
@@ -177,7 +177,7 @@ def test_bundled_models_are_discoverable():
 def test_load_model_exposes_parsed_structure():
     model = load_model(resolve_model_path("vibrating_string"))
     assert model.kind == "lagrangian"
-    assert (model.n, model.k) == (1, 2)
+    assert (model.chart.n, model.chart.k) == (1, 2)
     assert model.params == {"sigma": 1.0, "tau": 1.0}
     assert set(model.fields) == {"ddx", "xi1", "xi2"}
     assert set(model.laws) == {"wave_flux", "energy_tuple"}
@@ -797,13 +797,28 @@ def test_list_models_builds_no_model(capsys, monkeypatch):
         raise AssertionError("list-models built a model")
 
     monkeypatch.setattr(cli, "load_model", refuse)
-    monkeypatch.setattr(cli, "build_system", refuse)
+    monkeypatch.setattr(models, "build_system", refuse)
     code, out = run_cli(["list-models", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["models"] == json.loads(
         (GOLDEN_DIR / "list_models.json").read_text()
     )["models"]
     assert progs == []
+
+
+@pytest.mark.parametrize("header", [
+    "name = odd\nkind = weird\nn = 1\nk = 1\n",
+    "kind = ode\nn = 1\nk = 1\n",
+], ids=["unknown-kind", "no-name"])
+def test_list_models_checks_each_header_as_load_model_does(header, tmp_path, capsys, monkeypatch):
+    path = write_model(tmp_path, "[model]\n" + header)
+    with pytest.raises(ModelFileError) as refused:
+        load_model(path)
+    monkeypatch.setattr(models, "_BUNDLED_DIR", tmp_path)
+    assert bundled_model_names() == ("model",)
+    assert main(["list-models"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"model error: {refused.value}\n")
 
 
 PATHS = [
@@ -892,7 +907,7 @@ def small_values(model_ref: str, model) -> dict:
     """Valid values of each flag, all tiny: at most 64 samples and, as --T is at
     most 0.5 and --h at least 0.0625, at most 8 steps per grid axis."""
     fields = st.sampled_from(sorted(model.fields))
-    family = st.lists(fields, min_size=model.k, max_size=model.k).map(",".join)
+    family = st.lists(fields, min_size=model.chart.k, max_size=model.chart.k).map(",".join)
     coordinate = st.sampled_from(["0", "0.1", "0.4", "1"])
     point = st.one_of(
         st.lists(coordinate, min_size=model.chart.dimension, max_size=model.chart.dimension),

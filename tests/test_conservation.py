@@ -9,10 +9,8 @@ from ksym.calculus import (
     PotentialEvaluator,
     ScalarField,
     VectorField,
-    coordinate_vector_field,
     one_form,
     two_form_matrix,
-    zero_vector_field,
 )
 from ksym.conservation import (
     LAW_TOLERANCE,
@@ -28,6 +26,7 @@ from ksym.conservation import (
 from ksym.dynamics import KVectorField, build_system
 from ksym.expr import Num, base_chart, make_add, make_mul, parse_expression, sample_points
 from ksym.symmetry import is_invariant_form, is_symmetry, solve_pseudosymmetry
+from builders import coordinate_vector_field, repeat, zero_vector_field
 
 
 def free_particle():
@@ -447,7 +446,7 @@ def test_verified_hypotheses_imply_conservation():
     delta = sys.bundle.liouville
     pts = sample_points(ch, count=48, seed=42)
     assert is_symmetry(family, dx, pts).holds
-    assert solve_pseudosymmetry(family, delta, KVectorField.repeat(dx), pts)[0].holds
+    assert solve_pseudosymmetry(family, delta, repeat(dx), pts)[0].holds
     assert is_invariant_form(family, sys.omega, pts).holds
     law = build_bracket_law(sys.omega, [delta], dx)
     assert verify_law_pointwise(family, law, pts).max_residual <= 1e-6

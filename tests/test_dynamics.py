@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import lagrangian_oracle
 from ksym import calculus, expr
-from ksym.calculus import VectorField, two_form_matrix, zero_form
+from ksym.calculus import VectorField, two_form_matrix
 from ksym.cli import load_model, resolve_model_path
 from ksym.dynamics import (
     EVOLUTION_TOLERANCE,
@@ -23,7 +23,15 @@ from ksym.dynamics import (
     solve_evolution_lagrangian,
     verify_evolution,
 )
-from ksym.expr import Num, batch_evaluator, make_add, parse_expression, sample_points
+from ksym.expr import (
+    Num,
+    batch_evaluator,
+    differentiate,
+    make_add,
+    parse_expression,
+    sample_points,
+)
+from builders import repeat, zero_form
 from scalar_oracle import evaluate
 
 
@@ -102,7 +110,7 @@ def test_kvector_field_arity_and_repeat():
     dx = VectorField(ch, (Num(1.0), Num(0.0), Num(0.0)))
     with pytest.raises(ValueError):
         KVectorField(ch, (dx,))
-    family = KVectorField.repeat(dx)
+    family = repeat(dx)
     assert len(family) == 2
     assert all(f is dx for f in family)
     assert family[1] is dx
@@ -420,7 +428,7 @@ def test_verify_evolution_reports_the_worst_sample_as_its_check():
 def test_verify_evolution_chart_mismatch():
     sys = string_system()
     other = build_system("hamiltonian", 1, 2, "p_1_1^2/2 + p_2_1^2/2")
-    family = KVectorField.repeat(
+    family = repeat(
         VectorField(other.chart, (Num(0.0), Num(0.0), Num(0.0))), 2
     )
     with pytest.raises(ValueError):
@@ -448,7 +456,7 @@ def test_fiber_hessian_is_read_off_omega(name):
         for slot, kernel in zip(chart.fiber_indices, row, strict=True):
             coefficient = system.omega[A].components.get((i, slot), Num(0.0))
             # the entry d/dv_B_j of theta_A(d/dx_i) = dL/dv_A_i, as it would be derived
-            assert coefficient == system.theta[A].component(i).diff(slot)
+            assert coefficient == differentiate(system.theta[A].component(i), slot)
             assert kernel is batch_evaluator(coefficient)
 
 
@@ -463,7 +471,7 @@ def test_lagrangian_derivatives_are_taken_once(name, monkeypatch):
         taken[(e, index)] += 1
         return differentiate(e, index)
 
-    monkeypatch.setattr(expr, "differentiate", counted)
+    monkeypatch.setattr(calculus, "differentiate", counted)  # its one caller in ksym
     system = load_model(resolve_model_path(name)).system
     built = set(taken)
     point = np.full(system.chart.dimension, 0.5)

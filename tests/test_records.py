@@ -57,8 +57,7 @@ def fields_of() -> dict:
         SectionGrid: dict(chart=chart, origin=np.zeros(2), ranges=(0.5,), steps=(0.25,),
                           axes=(np.linspace(0.0, 0.5, 3),), values=np.zeros((3, 2))),
         LoadedModel: {name: getattr(model, name) for name in (
-            "name", "kind", "n", "k", "chart", "system", "params", "fields", "laws", "digest",
-            "path")},
+            "name", "kind", "chart", "system", "params", "fields", "laws", "label")},
         Report: dict(command="check regularity", model="m", seed=7, samples=64, checks=[],
                      extra={"note": 1}, elapsed_ms=5),
     }

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ksym.bundles import tangent_bundle
-from ksym.calculus import ScalarField, VectorField, coordinate_vector_field
+from ksym.calculus import ScalarField, VectorField
 from ksym.cli import load_model, resolve_model_path
 from ksym.conservation import build_bracket_law, user_law
 from ksym.dynamics import KVectorField, build_system
@@ -22,6 +22,7 @@ from ksym.sections import (
     integrate_section,
     verify_law_divergence,
 )
+from builders import coordinate_vector_field
 from scalar_oracle import evaluator
 
 

@@ -10,9 +10,6 @@ from hypothesis.extra.numpy import arrays
 from ksym.calculus import (
     ChartMismatchError,
     VectorField,
-    coordinate_vector_field,
-    vector_field_from_map,
-    zero_vector_field,
 )
 from ksym.bundles import tangent_bundle
 from ksym.dynamics import KVectorField, build_system
@@ -24,6 +21,7 @@ from ksym.symmetry import (
     solve_pseudosymmetry,
     _stacked_solve,
 )
+from builders import coordinate_vector_field, repeat, vector_field_from_map, zero_vector_field
 import lstsq_oracle
 from scalar_oracle import evaluate
 
@@ -140,7 +138,7 @@ def test_liouville_brackets_into_span_of_translation_tuple():
     pts = sample_points(ch, count=48, seed=5)
     delta = sys.bundle.liouville
     dx = coordinate_vector_field(ch, "x_1")
-    verdict, lam = solve_pseudosymmetry(family, delta, KVectorField.repeat(dx), pts)
+    verdict, lam = solve_pseudosymmetry(family, delta, repeat(dx), pts)
     assert verdict.holds
     assert verdict.max_residual <= 1e-9
     # the shortest coefficients split -v_A evenly across the two copies

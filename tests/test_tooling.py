@@ -187,6 +187,23 @@ def test_the_package_imports_argparse_only_for_help_and_errors():
     assert argparse_scopes == {("cli.py", "build_parser"), ("cli.py", "_type_error")}
 
 
+def test_the_model_format_lives_in_models_alone():
+    package = Path(ksym.__file__).parent
+    from_cli = []
+    for node in ast.walk(ast.parse((package / "models.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = {f"{module}.{alias.name}".lstrip(".") for alias in node.names}
+            if module in ("cli", "ksym.cli") or names & {"cli", "ksym.cli"}:
+                from_cli.append(ast.unparse(node))
+    assert from_cli == []
+    cli_tree = ast.parse((package / "cli.py").read_text())
+    defined = {node.name for node in ast.walk(cli_tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"load_model", "_read_sections", "resolve_model_path"} == set()
+    assert {name for name, _ in imported_modules(package / "cli.py")} & {"hashlib", "re"} == set()
+
+
 def test_readme_library_example_prints_what_it_states():
     text = (ROOT / "README.md").read_text()
     section = text.split("## Library example", 1)[1].split("\n## ", 1)[0]
