@@ -1,9 +1,10 @@
 """Command line front end.
 
-Every command loads a model (``ksym.models``: bundled by name, or any path to
-a ``.ksym`` file), runs one check family, and emits a report as a table or as
-JSON.  This module holds the command table, argument parsing, dispatch and
-the report.
+Every command but ``list-models`` loads a model (``ksym.models``: bundled by
+name, or any path to a ``.ksym`` file), runs one check family, and emits a
+report as a table or as JSON.  Each takes ``--model``, ``--tol``, ``--param``
+and ``--format``; only the eight that draw sample points take ``--seed``,
+``--samples`` and ``--box``, and report a seed and a sample count.
 
 Exit codes: 0 when every check passes, 1 when any fails, 2 for usage,
 model-file and (with one ``internal error:`` line) any other errors, and for
@@ -12,11 +13,10 @@ flags are checked when parsed, and the point arrays a command allocates
 (samples or grid nodes, times the chart dimension) are held to
 ``MAX_ARRAY_VALUES``.
 
-An argv of exact command names and ``--flag value`` pairs that the flags accept
-is read straight from ``COMMANDS``; argparse (``build_parser``) parses any other
-argv, and so writes every usage line and error message, and every help text,
-which ``main`` writes out like a report.  Only then is argparse imported, so a
-valid command never loads it.
+An argv of exact command names and ``--flag value`` pairs that the flags
+accept is read straight from the command table ``COMMANDS``; argparse
+(``build_parser``) parses any other argv and writes every help text, usage
+line and error.  Only then is it imported, so a valid command never loads it.
 """
 
 from __future__ import annotations
@@ -260,15 +260,14 @@ def _maybe_evolution(model: LoadedModel) -> KVectorField | None:
     return None
 
 
-def _evolution_family(model: LoadedModel, names_csv: str | None) -> KVectorField:
+def _evolution_family(model: LoadedModel, names_csv: str | None, flag: str) -> KVectorField:
     if names_csv:
         return _named_family(model, names_csv)
     family = _maybe_evolution(model)
     if family is None:
         raise CliUsageError(
             f"model {model.name!r} bundles no default evolution fields "
-            f"({', '.join(_default_evolution_names(model))}); name them with "
-            "--against or --evolution"
+            f"({', '.join(_default_evolution_names(model))}); name them with {flag}"
         )
     return family
 
@@ -305,14 +304,14 @@ def _cmd_check_regularity(model: LoadedModel, args) -> tuple[list, dict]:
 
 
 def _cmd_check_symmetry(model: LoadedModel, args) -> tuple[list, dict]:
-    family = _evolution_family(model, args.against or args.evolution)
+    family = _evolution_family(model, args.against, "--against")
     Y = _named(model, "field", args.field)
     points = _sample(model, args)
     return [(f"symmetry:{args.field}", is_symmetry(family, Y, points, **_tolerance(args)))], {}
 
 
 def _cmd_check_pseudosymmetry(model: LoadedModel, args) -> tuple[list, dict]:
-    family = _evolution_family(model, args.evolution)
+    family = _evolution_family(model, args.evolution, "--evolution")
     Y = _named(model, "field", args.field)
     Z = _named_family(model, args.against) if args.against else family
     points = _sample(model, args)
@@ -324,7 +323,7 @@ def _cmd_check_cartan(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "check cartan")
     Y = _named(model, "field", args.field)
     points = _sample(model, args)
-    check = is_cartan_symmetry(system, Y, points, tolerance=args.tol)
+    check = is_cartan_symmetry(system, Y, points, **_tolerance(args))
     return [(f"cartan:{args.field}", check)], {}
 
 
@@ -348,14 +347,14 @@ def _cmd_solve_evolution(model: LoadedModel, args) -> tuple[list, dict]:
 
 def _cmd_verify_evolution(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "verify evolution")
-    family = _evolution_family(model, args.against or args.evolution)
+    family = _evolution_family(model, args.against, "--against")
     points = _sample(model, args)
     return [("evolution", verify_evolution(system, family, points, **_tolerance(args)))], {}
 
 
 def _cmd_verify_law(model: LoadedModel, args) -> tuple[list, dict]:
     law = _named(model, "law", args.law)
-    family = _evolution_family(model, args.against or args.evolution)
+    family = _evolution_family(model, args.against, "--against")
     points = _sample(model, args)
     check = verify_law_pointwise(family, law, points, **_tolerance(args))
     return [(f"law:{args.law}", check)], {}
@@ -364,7 +363,7 @@ def _cmd_verify_law(model: LoadedModel, args) -> tuple[list, dict]:
 def _integrate(model: LoadedModel, args, tolerance: dict):
     """The section grid and its commutation check, run on the grid's nodes
     with the ``tolerance`` keywords."""
-    family = _evolution_family(model, args.against or args.evolution)
+    family = _evolution_family(model, args.against, "--against")
     origin = _point(args.origin, model.chart, "--origin")
     values = float(model.chart.dimension)
     for _ in family:
@@ -486,22 +485,21 @@ def _flag(name: str, help: str | None = None, **options) -> tuple:
     return name, dict(options, help=help)
 
 
-def _family(against: str = "comma separated family (default: evolution)") -> tuple:
-    return _flag("--against", against), _flag("--evolution", "override the default evolution fields")
-
-
 _FORMAT = _flag("--format", choices=("table", "json"), default="table")
 _COMMON = (
     _flag("--model", "bundled model name or path to a .ksym file", required=True),
-    _flag("--seed", "sampling seed", type=_number(int, 0), default=42),
-    _flag("--samples", "number of sample points", type=_number(int, 1), default=64),
-    _flag("--box", "sampling half-width", type=_halfwidth, default=1.0),
     _flag("--tol", "override the check tolerance", type=_number(float, 0.0), default=None),
     _flag("--param", "override a model parameter (repeatable)", action="append", default=[],
           metavar="NAME=VALUE"),
     _FORMAT,
 )
+_SAMPLING = (  # taken, and reported, only by the commands that draw sample points
+    _flag("--seed", "sampling seed", type=_number(int, 0), default=42),
+    _flag("--samples", "number of sample points", type=_number(int, 1), default=64),
+    _flag("--box", "sampling half-width", type=_halfwidth, default=1.0),
+)
 _LAW = _flag("--law", "law name from the model file", required=True)
+_AGAINST = _flag("--against", "comma separated family (default: evolution)")
 _GRID = (
     _flag("--origin", "comma separated start point (default: origin)", type=_coordinates),
     _flag("--T", "integration span per axis", type=_number(float, 0.0), default=0.5),
@@ -517,15 +515,15 @@ def _leaf(help: str, handler, *arguments) -> tuple:
 COMMANDS = {
     "list-models": ("list bundled models", (_FORMAT,)),
     "check": ("sampled predicate checks", {
-        "regularity": _leaf("fiber Hessian invertibility", _cmd_check_regularity),
-        "symmetry": _leaf("does a field commute with the evolution", _cmd_check_symmetry,
-                          _flag("--field", "candidate symmetry field", required=True),
-                          *_family("comma separated family to commute with (default: evolution)")),
+        "regularity": _leaf("fiber Hessian invertibility", _cmd_check_regularity, *_SAMPLING),
+        "symmetry": _leaf("does a field commute with the evolution", _cmd_check_symmetry, *_SAMPLING,
+                          _flag("--field", "candidate symmetry field", required=True), _AGAINST),
         "pseudosymmetry": _leaf(
-            "solve the bracket relation pointwise", _cmd_check_pseudosymmetry,
+            "solve the bracket relation pointwise", _cmd_check_pseudosymmetry, *_SAMPLING,
             _flag("--field", "candidate pseudosymmetry field", required=True),
-            *_family("comma separated target family (default: the evolution itself)")),
-        "cartan": _leaf("form and function invariance", _cmd_check_cartan,
+            _flag("--against", "comma separated target family (default: the evolution itself)"),
+            _flag("--evolution", "override the default evolution fields")),
+        "cartan": _leaf("form and function invariance", _cmd_check_cartan, *_SAMPLING,
                         _flag("--field", "candidate invariance field", required=True)),
     }),
     "solve": ("solve the evolution equation", {
@@ -533,22 +531,23 @@ COMMANDS = {
             "--at", "comma separated chart point (default: origin)", type=_coordinates)),
     }),
     "verify": ("residual checks", {
-        "evolution": _leaf("does a family solve the equation", _cmd_verify_evolution,
-                           *_family("comma separated solution family (default: evolution)")),
-        "law": _leaf("is a law conserved along a family", _cmd_verify_law, _LAW, *_family()),
+        "evolution": _leaf("does a family solve the equation", _cmd_verify_evolution, *_SAMPLING,
+                           _AGAINST),
+        "law": _leaf("is a law conserved along a family", _cmd_verify_law, *_SAMPLING, _LAW,
+                     _AGAINST),
         "divergence": _leaf("divergence of a law over a section grid", _cmd_verify_divergence,
-                            _LAW, *_family(), *_GRID),
+                            _LAW, _AGAINST, *_GRID),
     }),
     "build": ("construct conservation laws", {
-        "noether": _leaf("momentum law of an invariance field", _cmd_build_noether,
+        "noether": _leaf("momentum law of an invariance field", _cmd_build_noether, *_SAMPLING,
                          _flag("--field", "invariance field", required=True)),
         "bracket-law": _leaf("contraction law from field arguments", _cmd_build_bracket_law,
-                             _flag("--s", "comma separated slot fields", required=True),
+                             *_SAMPLING, _flag("--s", "comma separated slot fields", required=True),
                              _flag("--field", "final slot field", required=True)),
     }),
     "integrate": ("integrate section grids", {
         "section": _leaf("fill a section grid by composed flows", _cmd_integrate_section,
-                         *_family(), *_GRID, _flag("--out", "write the grid as CSV to this path")),
+                         _AGAINST, *_GRID, _flag("--out", "write the grid as CSV to this path")),
     }),
 }
 
@@ -615,7 +614,8 @@ def _dispatch(args) -> Report:
     except SectionIntegrationError as exc:  # a section that cannot be built fails its check
         failed = Check("section", False, math.inf, 0.0, (), {"error": str(exc)})
         checks, extra = [("integration", failed)], {}
-    return Report(f"{args.group} {args.action}", model.label, args.seed, args.samples, checks, extra)
+    return Report(f"{args.group} {args.action}", model.label, getattr(args, "seed", None),
+                  getattr(args, "samples", None), checks, extra)
 
 
 def main(argv=None) -> int:

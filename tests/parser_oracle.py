@@ -1,5 +1,5 @@
-"""The ``ksym`` argument parser as it was when every command built all of it,
-kept as the reference that the parser ``ksym.cli`` builds from its command
+"""The ``ksym`` argument parser written out in full with argparse, one command
+after another, kept as the reference that the parser ``ksym.cli`` builds from its command
 table is tested against: the same help, usage errors and parsed namespaces,
 byte for byte.
 
@@ -65,33 +65,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True, help="bundled model name or path to a .ksym file")
-    common.add_argument("--seed", type=_number(int, 0), default=42, help="sampling seed")
-    common.add_argument("--samples", type=_number(int, 1), default=64, help="number of sample points")
-    common.add_argument("--box", type=_number(float, 0.0, strict=True), default=1.0, help="sampling half-width")
     common.add_argument("--tol", type=_number(float, 0.0), default=None, help="override the check tolerance")
     common.add_argument(
         "--param", action="append", default=[], metavar="NAME=VALUE",
         help="override a model parameter (repeatable)",
     )
     common.add_argument("--format", choices=("table", "json"), default="table")
+    # only the commands that draw sample points take these
+    sampled = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampled.add_argument("--seed", type=_number(int, 0), default=42, help="sampling seed")
+    sampled.add_argument("--samples", type=_number(int, 1), default=64, help="number of sample points")
+    sampled.add_argument("--box", type=_number(float, 0.0, strict=True), default=1.0, help="sampling half-width")
 
     listing = top.add_parser("list-models", help="list bundled models")
     listing.add_argument("--format", choices=("table", "json"), default="table")
 
     check = top.add_parser("check", help="sampled predicate checks")
     check_sub = check.add_subparsers(dest="action", required=True)
-    check_sub.add_parser("regularity", parents=[common], help="fiber Hessian invertibility")
-    p = check_sub.add_parser("symmetry", parents=[common], help="does a field commute with the evolution")
+    check_sub.add_parser("regularity", parents=[sampled], help="fiber Hessian invertibility")
+    p = check_sub.add_parser("symmetry", parents=[sampled], help="does a field commute with the evolution")
     p.add_argument("--field", required=True, help="candidate symmetry field")
-    p.add_argument("--against", help="comma separated family to commute with (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
+    p.add_argument("--against", help="comma separated family (default: evolution)")
     p = check_sub.add_parser(
-        "pseudosymmetry", parents=[common], help="solve the bracket relation pointwise"
+        "pseudosymmetry", parents=[sampled], help="solve the bracket relation pointwise"
     )
     p.add_argument("--field", required=True, help="candidate pseudosymmetry field")
     p.add_argument("--against", help="comma separated target family (default: the evolution itself)")
     p.add_argument("--evolution", help="override the default evolution fields")
-    p = check_sub.add_parser("cartan", parents=[common], help="form and function invariance")
+    p = check_sub.add_parser("cartan", parents=[sampled], help="form and function invariance")
     p.add_argument("--field", required=True, help="candidate invariance field")
 
     solve = top.add_parser("solve", help="solve the evolution equation")
@@ -101,24 +102,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = top.add_parser("verify", help="residual checks")
     verify_sub = verify.add_subparsers(dest="action", required=True)
-    p = verify_sub.add_parser("evolution", parents=[common], help="does a family solve the equation")
-    p.add_argument("--against", help="comma separated solution family (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
-    p = verify_sub.add_parser("law", parents=[common], help="is a law conserved along a family")
+    p = verify_sub.add_parser("evolution", parents=[sampled], help="does a family solve the equation")
+    p.add_argument("--against", help="comma separated family (default: evolution)")
+    p = verify_sub.add_parser("law", parents=[sampled], help="is a law conserved along a family")
     p.add_argument("--law", required=True, help="law name from the model file")
     p.add_argument("--against", help="comma separated family (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
     p = verify_sub.add_parser("divergence", parents=[common], help="divergence of a law over a section grid")
     p.add_argument("--law", required=True, help="law name from the model file")
     p.add_argument("--against", help="comma separated family (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
     _grid_arguments(p)
 
     build = top.add_parser("build", help="construct conservation laws")
     build_sub = build.add_subparsers(dest="action", required=True)
-    p = build_sub.add_parser("noether", parents=[common], help="momentum law of an invariance field")
+    p = build_sub.add_parser("noether", parents=[sampled], help="momentum law of an invariance field")
     p.add_argument("--field", required=True, help="invariance field")
-    p = build_sub.add_parser("bracket-law", parents=[common], help="contraction law from field arguments")
+    p = build_sub.add_parser("bracket-law", parents=[sampled], help="contraction law from field arguments")
     p.add_argument("--s", required=True, help="comma separated slot fields")
     p.add_argument("--field", required=True, help="final slot field")
 
@@ -126,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     integrate_sub = integrate.add_subparsers(dest="action", required=True)
     p = integrate_sub.add_parser("section", parents=[common], help="fill a section grid by composed flows")
     p.add_argument("--against", help="comma separated family (default: evolution)")
-    p.add_argument("--evolution", help="override the default evolution fields")
     _grid_arguments(p)
     p.add_argument("--out", help="write the grid as CSV to this path")
 

@@ -356,9 +356,22 @@ def test_variational_commands_reject_plain_systems(capsys):
     assert main(["check", "regularity", "--model", "oscillator_k1"]) == 2
 
 
-def test_missing_default_evolution_exits_2(capsys):
-    assert main(["verify", "evolution", "--model", "minimal_surface"]) == 2
-    assert "--against" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "symmetry", "--field", "ddx"], "--against"),
+    (["verify", "evolution"], "--against"),
+    (["verify", "law", "--law", "momenta"], "--against"),
+    (["verify", "divergence", "--law", "momenta"], "--against"),
+    (["integrate", "section"], "--against"),
+    # there --against names the target family, and --evolution the evolution
+    (["check", "pseudosymmetry", "--field", "ddx", "--against", "ddx,ddx"], "--evolution"),
+])
+def test_missing_default_evolution_exits_2(argv, flag, tmp_path, capsys):
+    text = resolve_model_path("free_particle").read_text().replace("[field X", "[field Y")
+    code = main(argv + ["--model", str(write_model(tmp_path, text))])
+    assert assert_one_error_line(code, capsys) == (
+        "error: model 'free_particle' bundles no default evolution fields (X1, X2); "
+        f"name them with {flag}\n"
+    )
 
 
 def test_bad_origin_and_step_exit_2(capsys):
@@ -557,10 +570,48 @@ def test_invalid_numeric_flags_are_usage_errors(flag, value, capsys):
     argv = ["verify", "divergence", "--model", "free_particle", "--law", "momenta"]
     if flag == "--at":
         argv = ["solve", "evolution", "--model", "oscillator_k1"]
+    if flag in ("--box", "--seed", "--samples"):  # flags of the commands that sample
+        argv = ["verify", "law", "--model", "free_particle", "--law", "momenta"]
     assert main(argv + [flag, value]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"argument {flag}: " in err
+
+
+# the commands that draw no sample point
+NO_SAMPLE_ARGVS = [
+    ["solve", "evolution", "--model", "oscillator_k1", "--at", "0.3,0.7"],
+    ["verify", "divergence", "--model", "free_particle", "--law", "momenta", "--T", "0.25",
+     "--h", "0.125"],
+    ["integrate", "section", "--model", "free_particle", "--T", "0.25", "--h", "0.125"],
+]
+# the commands whose --against names the evolution family
+AGAINST_ARGVS = [
+    ["check", "symmetry", "--model", "free_particle", "--field", "ddx", "--against", "delta,ddx"],
+    ["verify", "evolution", "--model", "vibrating_string", "--against", "xi1,xi2"],
+    ["verify", "law", "--model", "free_particle", "--law", "momenta"],
+    *NO_SAMPLE_ARGVS[1:],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *[argv + [flag, "3"] for argv in NO_SAMPLE_ARGVS for flag in ("--seed", "--samples", "--box")],
+    *[argv + ["--evolution", "ddx,ddx"] for argv in AGAINST_ARGVS],
+], ids=" ".join)
+def test_a_command_refuses_a_flag_it_does_not_take(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"ksym: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+@pytest.mark.parametrize("argv", NO_SAMPLE_ARGVS, ids=" ".join)
+def test_a_command_that_draws_no_sample_reports_no_seed(argv, capsys):
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    report = json.loads(out)
+    assert code == 0 and (report["seed"], report["samples"]) == (None, None)
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and "\nseed: " not in out
 
 
 def one_dimensional_model(tmp_path) -> Path:
@@ -891,6 +942,48 @@ def test_the_table_parses_repeated_flags_as_argparse(argv):
     assert parser_oracle.plain(table) == parser_oracle.plain(
         parser_oracle.build_parser().parse_args(argv)
     )
+
+
+class RecordedReads:
+    """A parsed namespace that records each name read from it."""
+
+    def __init__(self, namespace):
+        self.namespace, self.names = namespace, set()
+
+    def __getattr__(self, name):
+        value = getattr(self.namespace, name)
+        self.names.add(name)
+        return value
+
+
+# one command line per command that makes the command read every flag it takes
+READING_ARGVS = {
+    "list-models": [],
+    "check regularity": ["--model", "vibrating_string"],
+    "check symmetry": ["--model", "free_particle", "--field", "ddx"],
+    "check pseudosymmetry": ["--model", "nahm", "--field", "radial", "--against", "X"],
+    "check cartan": ["--model", "vibrating_string", "--field", "ddx"],
+    "solve evolution": ["--model", "oscillator_k1", "--at", "0.3,0.7"],
+    "verify evolution": ["--model", "vibrating_string", "--against", "xi1,xi2"],
+    "verify law": ["--model", "free_particle", "--law", "momenta"],
+    "verify divergence": ["--model", "free_particle", "--law", "momenta", "--T", "0.25",
+                          "--h", "0.125"],
+    "build noether": ["--model", "vibrating_string", "--field", "ddx"],
+    "build bracket-law": ["--model", "free_particle", "--s", "delta", "--field", "ddx"],
+    "integrate section": ["--model", "free_particle", "--T", "0.25", "--h", "0.125",
+                          "--out", "{tmp}/grid.csv"],
+}
+
+
+@pytest.mark.parametrize("path", PATHS, ids=" ".join)
+def test_every_flag_a_command_takes_is_read(path, tmp_path):
+    argv = path + [arg.replace("{tmp}", str(tmp_path)) for arg in READING_ARGVS[" ".join(path)]]
+    namespace = cli._table_parse(argv)
+    assert namespace is not None
+    args = RecordedReads(namespace)
+    cli._dispatch(args)
+    read = args.names - {"group", "action"} | {"format"}  # main reads the format
+    assert read == {flag[2:] for flag, _ in leaf_flags(path)}
 
 
 # ---------------------------------------------------------------------------
