@@ -36,12 +36,11 @@ class KCotangentChart(Record):
 
     theta[A-1] is the A-th tautological one-form sum_i p_A_i dx_i and
     omega[A-1] = -d(theta[A-1]); the two are tied structurally, not merely
-    numerically.
+    numerically.  n and k are the chart's.
     """
 
-    def __init__(self, n: int, k: int, chart: ChartSpace, theta: tuple[PForm, ...],
-                 omega: tuple[PForm, ...]):
-        self._set(n=n, k=k, chart=chart, theta=theta, omega=omega)
+    def __init__(self, chart: ChartSpace, theta: tuple[PForm, ...], omega: tuple[PForm, ...]):
+        self._set(chart=chart, theta=theta, omega=omega)
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +56,7 @@ def cotangent_bundle(n: int, k: int) -> KCotangentChart:
         theta = one_form(chart, comps)
         thetas.append(theta)
         omegas.append(form_neg(exterior_derivative(theta)))
-    return KCotangentChart(n=n, k=k, chart=chart, theta=tuple(thetas), omega=tuple(omegas))
+    return KCotangentChart(chart=chart, theta=tuple(thetas), omega=tuple(omegas))
 
 
 # ---------------------------------------------------------------------------
@@ -67,32 +66,32 @@ def cotangent_bundle(n: int, k: int) -> KCotangentChart:
 
 class TangentStructure(Record):
     """The A-th vertical endomorphism: sends d/dx_i to d/dv_A_i and kills
-    fiber directions.  Stored as a sparse map from base slots to fiber slots.
+    fiber directions; the chart's slot indices are its whole matrix.
     """
 
-    def __init__(self, A: int, chart: ChartSpace, slot_map: tuple[tuple[int, int], ...]):
-        self._set(A=A, chart=chart, slot_map=slot_map)  # slot_map: (x_i slot, v_A_i slot) pairs
+    def __init__(self, A: int, chart: ChartSpace):
+        self._set(A=A, chart=chart)
 
     def precompose_one_form(self, alpha: PForm) -> PForm:
         """alpha composed with this endomorphism: (alpha o S)(V) = alpha(S V)."""
         _same_chart(self, alpha)
         if alpha.degree != 1:
             raise ValueError("expected a one-form")
-        comps = {}
-        for src, dst in self.slot_map:
-            entry = alpha.components.get((dst,))
+        chart, comps = self.chart, {}
+        for i in range(1, chart.n + 1):
+            entry = alpha.components.get((chart.fiber_index(self.A, i),))
             if entry is not None:
-                comps[src] = entry
-        return one_form(self.chart, comps)
+                comps[chart.base_index(i)] = entry
+        return one_form(chart, comps)
 
 
 class KTangentChart(Record):
     """Chart on the k-fold tangent bundle with the dilation field and the
-    family of vertical endomorphisms."""
+    family of vertical endomorphisms; n and k are the chart's."""
 
-    def __init__(self, n: int, k: int, chart: ChartSpace, liouville: VectorField,
+    def __init__(self, chart: ChartSpace, liouville: VectorField,
                  structures: tuple[TangentStructure, ...]):
-        self._set(n=n, k=k, chart=chart, liouville=liouville, structures=structures)
+        self._set(chart=chart, liouville=liouville, structures=structures)
 
 
 @lru_cache(maxsize=None)
@@ -104,13 +103,6 @@ def tangent_bundle(n: int, k: int) -> KTangentChart:
             slot = chart.fiber_index(A, i)
             comps[slot] = Coord(slot, chart.coordinate_names[slot])
     liouville = VectorField(chart, tuple(comps))
-    structures = []
-    for A in range(1, k + 1):
-        slot_map = tuple(
-            (chart.base_index(i), chart.fiber_index(A, i)) for i in range(1, n + 1)
-        )
-        structures.append(TangentStructure(A=A, chart=chart, slot_map=slot_map))
-    return KTangentChart(
-        n=n, k=k, chart=chart, liouville=liouville, structures=tuple(structures)
-    )
+    structures = tuple(TangentStructure(A=A, chart=chart) for A in range(1, k + 1))
+    return KTangentChart(chart=chart, liouville=liouville, structures=structures)
 

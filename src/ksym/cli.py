@@ -296,11 +296,10 @@ def _phi_sources(law: ConservationLaw) -> list:
 
 
 def _cmd_check_regularity(model: LoadedModel, args) -> tuple[list, dict]:
-    system = _require_system(model, "check regularity")
-    if not model.kind == "lagrangian":
+    if model.kind != "lagrangian":
         raise CliUsageError("check regularity applies to lagrangian models only")
     points = _sample(model, args)
-    return [("regularity", check_regularity(system, points, **_tolerance(args)))], {}
+    return [("regularity", check_regularity(model.system, points, **_tolerance(args)))], {}
 
 
 def _cmd_check_symmetry(model: LoadedModel, args) -> tuple[list, dict]:
@@ -331,7 +330,8 @@ def _cmd_solve_evolution(model: LoadedModel, args) -> tuple[list, dict]:
     system = _require_system(model, "solve evolution")
     at = _point(args.at, model.chart, "--at")
     tol = EVOLUTION_TOLERANCE if args.tol is None else args.tol
-    solver = solve_evolution_hamiltonian if system.hamiltonian_side else solve_evolution_lagrangian
+    hamiltonian = system.kind == "hamiltonian"
+    solver = solve_evolution_hamiltonian if hamiltonian else solve_evolution_lagrangian
     try:
         solution = solver(system, at)
     except (SingularHessianError, InconsistentSystemError) as exc:
@@ -409,7 +409,7 @@ def _cmd_build_noether(model: LoadedModel, args) -> tuple[list, dict]:
     checks = [(f"cartan:{args.field}", law.ingredients["cartan"])]
     family = _maybe_evolution(model)
     if family is not None:
-        tol = system.default_tolerance if args.tol is None else args.tol
+        tol = law.ingredients["cartan"].tolerance
         checks.append(("conserved-along-evolution", verify_law_pointwise(family, law, points, tol)))
     return checks, {"phi": _phi_sources(law)}
 

@@ -40,7 +40,6 @@ from .calculus import (
     exterior_derivative,
     form_sub,
     interior_product,
-    lie_derivative_form,
     max_abs,
     potential_of_exact_one_form,
     scalar_form,
@@ -153,9 +152,10 @@ def build_noether_law(
         raise NotCartanSymmetryError(verdict)
     components = []
     potentials = []
-    for theta in sys.theta:
+    for theta, omega in zip(sys.theta, sys.omega):
         pairing = ScalarField(sys.chart, apply_form(theta, [Y]))
-        derivative = lie_derivative_form(Y, theta)
+        # Cartan's formula on the forms the system holds: omega_A = -d theta_A
+        derivative = form_sub(exterior_derivative(scalar_form(pairing)), interior_product(Y, omega))
         if worst_sample(derivative.max_component_at(points))[0] <= tol:
             potentials.append(ScalarField(sys.chart, Num(0.0)))
             components.append(pairing)

@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .bundles import KCotangentChart, KTangentChart, cotangent_bundle, tangent_bundle
+from .bundles import cotangent_bundle, tangent_bundle
 from .calculus import (
     PForm,
     ScalarField,
@@ -39,7 +39,6 @@ from .expr import (
     ChartSpace,
     Check,
     Func,
-    Num,
     Record,
     batch_evaluator,
     fold,
@@ -103,24 +102,19 @@ class KVectorField(Record):
 
 
 class FieldSystem(Record, frozen=False):
-    """A Hamiltonian or Lagrangian field model on its bundle chart: ``function``
-    is H on the cotangent side and L on the tangent side, ``energy`` is
-    E_L = Delta(L) - L, None on the Hamiltonian side."""
+    """A Hamiltonian or Lagrangian field model on its bundle chart, the one owner
+    of n and k: ``function`` is H on the cotangent side and L on the tangent
+    side, ``energy`` is E_L = Delta(L) - L, None on the Hamiltonian side."""
 
-    def __init__(self, kind: str, n: int, k: int, chart: ChartSpace, function: ScalarField,
-                 theta: tuple[PForm, ...], omega: tuple[PForm, ...], energy: ScalarField | None,
-                 bundle: KCotangentChart | KTangentChart):
-        self._set(kind=kind, n=n, k=k, chart=chart, function=function, theta=theta,
-                  omega=omega, energy=energy, bundle=bundle)
-
-    @property
-    def hamiltonian_side(self) -> bool:
-        return self.kind == "hamiltonian"
+    def __init__(self, kind: str, chart: ChartSpace, function: ScalarField,
+                 theta: tuple[PForm, ...], omega: tuple[PForm, ...], energy: ScalarField | None):
+        self._set(kind=kind, chart=chart, function=function, theta=theta, omega=omega,
+                  energy=energy)
 
     @property
     def target(self) -> ScalarField:
         """The scalar whose differential drives the evolution equation."""
-        return self.function if self.hamiltonian_side else self.energy
+        return self.function if self.kind == "hamiltonian" else self.energy
 
     @property
     def default_tolerance(self) -> float:
@@ -128,18 +122,6 @@ class FieldSystem(Record, frozen=False):
         non-polynomial functions (square roots and friends)."""
         has_func = fold(self.function.expr, lambda node, kids: isinstance(node, Func) or any(kids))
         return 1e-6 if has_func else 1e-8
-
-    # evaluator tables, each built on first use and kept with the system
-
-    @cached_property
-    def fiber_hessian(self) -> list[list]:
-        """Evaluators of d^2 L / dv_A_i dv_B_j: row (A, i), column (B, j), read off
-        omega_A's (x_i, v_B_j) coefficient, since omega_A = -d(dL/dv_A_i dx_i)."""
-        chart, zero = self.chart, Num(0.0)
-        return [
-            [batch_evaluator(omega.components.get((i, b), zero)) for b in chart.fiber_indices]
-            for omega in self.omega for i in range(self.n)
-        ]
 
     @cached_property
     def target_differential(self) -> PForm:
@@ -167,10 +149,7 @@ def build_system(
         bundle = cotangent_bundle(n, k)
         chart = bundle.chart
         H = ScalarField(chart, parse_expression(function_source, chart, parameters))
-        return FieldSystem(
-            kind=kind, n=n, k=k, chart=chart, function=H,
-            theta=bundle.theta, omega=bundle.omega, energy=None, bundle=bundle,
-        )
+        return FieldSystem(kind, chart, H, bundle.theta, bundle.omega, None)
     bundle = tangent_bundle(n, k)
     chart = bundle.chart
     L = ScalarField(chart, parse_expression(function_source, chart, parameters))
@@ -179,10 +158,7 @@ def build_system(
     omegas = tuple(form_neg(exterior_derivative(th)) for th in thetas)
     energy_expr = make_add(interior_product(bundle.liouville, dL).component(), make_neg(L.expr))
     energy = ScalarField(chart, energy_expr)
-    return FieldSystem(
-        kind=kind, n=n, k=k, chart=chart, function=L,
-        theta=thetas, omega=omegas, energy=energy, bundle=bundle,
-    )
+    return FieldSystem(kind, chart, L, thetas, omegas, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +166,18 @@ def build_system(
 # ---------------------------------------------------------------------------
 
 
+def _abs_dets(matrices: np.ndarray) -> np.ndarray:
+    """|det| of each square matrix in the stack.  An infinite entry makes det
+    NaN and huge ones overflow it: verdicts, not warnings."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.abs(np.linalg.det(matrices))
+
+
 def check_regularity(
     system: FieldSystem, points, tolerance: float = REGULARITY_DET_TOL
 ) -> Check:
-    """Invertibility of the fiber Hessian of L across the sample points.
+    """Invertibility of the fiber Hessian of L across the sample points: entry
+    d^2 L / dv_A_i dv_B_j is omega_A's (x_i, v_B_j) coefficient, zero if absent.
 
     Regular iff min |det| > tolerance, strictly.  The check reports it as
     max_residual = -min |det| against -tolerance, so a larger residual is
@@ -202,10 +186,13 @@ def check_regularity(
     if system.kind != "lagrangian":
         raise ValueError("regularity applies to Lagrangian systems")
     points = np.asarray(points, dtype=float)
-    hess = np.array([[fn(points) for fn in row] for row in system.fiber_hessian])
-    # an infinite entry makes det NaN and huge ones overflow it: verdicts, not warnings
-    with np.errstate(invalid="ignore", over="ignore"):
-        dets = np.abs(np.linalg.det(np.moveaxis(hess, -1, 0)))  # one (nk, nk) matrix per point
+    n, k = system.chart.n, system.chart.k
+    hess = np.zeros((len(points), n * k, n * k))  # one (nk, nk) matrix per point
+    for A, omega in enumerate(system.omega):
+        for (i, b), expr in omega.components.items():
+            if i < n <= b:
+                hess[:, A * n + i, b - n] = batch_evaluator(expr)(points)
+    dets = _abs_dets(hess)
     at = int(np.argmin(dets))  # the first NaN, if any
     det = float(dets[at])
     return Check("regularity", det > tolerance, -det, -tolerance, points[at], {"min_abs_det": det})
@@ -248,7 +235,7 @@ def solve_evolution_hamiltonian(system: FieldSystem, point) -> np.ndarray:
     if system.kind != "hamiltonian":
         raise ValueError("expected a Hamiltonian system")
     M, b = _evolution_system(system, np.asarray(point, dtype=float))
-    return _least_squares(M, b).reshape(system.k, -1)
+    return _least_squares(M, b).reshape(system.chart.k, -1)
 
 
 def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
@@ -262,13 +249,12 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
     """
     if system.kind != "lagrangian":
         raise ValueError("expected a Lagrangian system")
-    n, k = system.n, system.k
+    n, k = system.chart.n, system.chart.k
     point = np.asarray(point, dtype=float)
     M, b = _evolution_system(system, point)
     rows = M[:n].reshape(n, k, -1)  # base row i, copy A, slot
     el = -rows[:, :, n:]  # the Euler-Lagrange rows: d^2 L / dv_A_i dv_B_j at [i, A, (B, j)]
-    with np.errstate(invalid="ignore", over="ignore"):  # as in check_regularity
-        det = abs(float(np.linalg.det(el.transpose(1, 0, 2).reshape(n * k, n * k))))
+    det = float(_abs_dets(el.transpose(1, 0, 2).reshape(n * k, n * k)))
     if not det > REGULARITY_DET_TOL:  # the verdict of check_regularity, NaN included
         raise SingularHessianError(f"fiber Hessian is singular at the point (|det| = {det:.3e})")
 

@@ -139,10 +139,12 @@ class Record:
     ``__init__``, whose parameters are the record's fields, in order, and
     which stores them with ``_set``: unlike a dataclass, nothing is generated
     and compiled at import.  ``repr``, ``==`` and ``hash`` read the fields,
-    and records of different classes are never equal.  As with a dataclass,
-    a subclass may pass ``eq=False`` (identity equality) or ``frozen=False``
-    (assignable, and unhashable unless ``eq=False``); a frozen record refuses
-    assignment with AttributeError."""
+    and records of different classes are never equal.  An attribute that
+    ``_set`` stores but that is no ``__init__`` parameter is derived from
+    the fields, and stays out of ``repr``, ``==`` and ``hash``.  As with a
+    dataclass, a subclass may pass ``eq=False`` (identity equality) or
+    ``frozen=False`` (assignable, and unhashable unless ``eq=False``); a
+    frozen record refuses assignment with AttributeError."""
 
     def __init_subclass__(cls, eq: bool = True, frozen: bool = True):
         init = cls.__init__.__code__
@@ -186,20 +188,26 @@ CHART_KINDS = ("base", "k-tangent", "k-cotangent")
 
 
 class ChartSpace(Record):
-    """A named global coordinate chart.
+    """A global coordinate chart of one kind over n base coordinates, with k
+    fiber copies.
 
     Coordinates are ordered base first (x_1 .. x_n), then fiber blocks
     grouped by copy index A ascending, base index i ascending within each
-    block.  Names follow the grammar x_{i}, v_{A}_{i}, p_{A}_{i} with
-    1-based unpadded decimal indices.
+    block.  The chart derives their names from the grammar x_{i}, v_{A}_{i}
+    (k-tangent), p_{A}_{i} (k-cotangent) with 1-based unpadded decimal
+    indices; a base chart has no fiber block.
     """
 
-    def __init__(self, n: int, k: int, kind: str, coordinate_names: tuple[str, ...]):
+    def __init__(self, n: int, k: int, kind: str):
         if kind not in CHART_KINDS:
             raise ValueError(f"unknown chart kind {kind!r}")
         if n < 1 or k < 1:
             raise ValueError("chart requires n >= 1 and k >= 1")
-        self._set(n=n, k=k, kind=kind, coordinate_names=coordinate_names)
+        names = [f"x_{i}" for i in range(1, n + 1)]
+        if kind != "base":
+            prefix = "v" if kind == "k-tangent" else "p"
+            names += [f"{prefix}_{A}_{i}" for A in range(1, k + 1) for i in range(1, n + 1)]
+        self._set(n=n, k=k, kind=kind, coordinate_names=tuple(names))
 
     @property
     def dimension(self) -> int:
@@ -230,10 +238,6 @@ class ChartSpace(Record):
             raise IndexError(f"base index {i} out of range 1..{self.n}")
         return self.n + (A - 1) * self.n + (i - 1)
 
-    @property
-    def fiber_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.n, self.dimension))
-
     def coordinate(self, name: str) -> "Coord":
         return Coord(self.index_of(name), name)
 
@@ -245,24 +249,17 @@ def _name_index_map(chart: ChartSpace) -> dict:
 
 @lru_cache(maxsize=None)
 def base_chart(n: int, k: int = 1) -> ChartSpace:
-    names = tuple(f"x_{i}" for i in range(1, n + 1))
-    return ChartSpace(n=n, k=k, kind="base", coordinate_names=names)
-
-
-def _fibered_names(prefix: str, n: int, k: int) -> tuple[str, ...]:
-    base = [f"x_{i}" for i in range(1, n + 1)]
-    fiber = [f"{prefix}_{A}_{i}" for A in range(1, k + 1) for i in range(1, n + 1)]
-    return tuple(base + fiber)
+    return ChartSpace(n, k, "base")
 
 
 @lru_cache(maxsize=None)
 def tangent_chart(n: int, k: int) -> ChartSpace:
-    return ChartSpace(n=n, k=k, kind="k-tangent", coordinate_names=_fibered_names("v", n, k))
+    return ChartSpace(n, k, "k-tangent")
 
 
 @lru_cache(maxsize=None)
 def cotangent_chart(n: int, k: int) -> ChartSpace:
-    return ChartSpace(n=n, k=k, kind="k-cotangent", coordinate_names=_fibered_names("p", n, k))
+    return ChartSpace(n, k, "k-cotangent")
 
 
 # ---------------------------------------------------------------------------

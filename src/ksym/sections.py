@@ -51,11 +51,12 @@ class SectionIntegrationError(RuntimeError):
 
 
 class SectionGrid(Record, eq=False):
-    """A rectangular grid of section values psi(t), including t = 0."""
+    """A rectangular grid of section values psi(t), including t = 0: the
+    origin is ``values[0, ..., 0]`` and axis A ends at ``axes[A][-1]``."""
 
-    def __init__(self, chart: ChartSpace, origin: np.ndarray, ranges: tuple[float, ...],
-                 steps: tuple[float, ...], axes: tuple[np.ndarray, ...], values: np.ndarray):
-        self._set(chart=chart, origin=origin, ranges=ranges, steps=steps, axes=axes, values=values)
+    def __init__(self, chart: ChartSpace, steps: tuple[float, ...], axes: tuple[np.ndarray, ...],
+                 values: np.ndarray):
+        self._set(chart=chart, steps=steps, axes=axes, values=values)
 
     @property
     def k(self) -> int:
@@ -171,7 +172,7 @@ def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
         _march(kernels, lines, h[a], f"axis {a + 1}")
 
     axes = tuple(np.arange(m + 1) * h[a] for a, m in enumerate(counts))
-    return SectionGrid(chart=chart, origin=origin, ranges=T, steps=h, axes=axes, values=values)
+    return SectionGrid(chart=chart, steps=h, axes=axes, values=values)
 
 
 def verify_law_divergence(

@@ -22,7 +22,7 @@ from ksym.expr import batch_evaluator, differentiate
 def solve(system, point) -> np.ndarray:
     """The (k, N) components at one point: base rows the velocities, fiber rows
     the minimum-norm solution of the Euler-Lagrange and symmetry rows."""
-    chart, n, k = system.chart, system.n, system.k
+    chart, n, k = system.chart, system.chart.n, system.chart.k
     L = system.function.expr
     point = np.asarray(point, dtype=float)
     batch = point[None]

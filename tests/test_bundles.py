@@ -31,7 +31,7 @@ def test_tautological_forms_components():
     theta2 = cb.theta[1]
     assert theta2.component(chart.base_index(1)) == chart.coordinate("p_2_1")
     # no fiber components
-    for idx in chart.fiber_indices:
+    for idx in range(chart.n, chart.dimension):
         assert theta1.component(idx) == Num(0.0)
 
 

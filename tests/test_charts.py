@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ksym.bundles import tangent_bundle
 from ksym.calculus import (
     ChartMismatchError,
     PForm,
@@ -53,10 +54,11 @@ def _mismatches():
     w, far_w = sys.omega[0], far_sys.omega[0]
     points = np.zeros((1, ch.dimension))
     axis = np.arange(3) * 0.5
-    grid = SectionGrid(ch, points[0], (1.0,), (0.5,), (axis,), np.zeros((3, ch.dimension)))
+    grid = SectionGrid(ch, (0.5,), (axis,), np.zeros((3, ch.dimension)))
     cases = [
         ("precompose_one_form",
-         lambda: sys.bundle.structures[0].precompose_one_form(one_form(far, {0: Num(1.0)}))),
+         lambda: tangent_bundle(1, 1).structures[0].precompose_one_form(
+             one_form(far, {0: Num(1.0)}))),
         ("ConservationLaw", lambda: ConservationLaw(ch, (ScalarField(far, Num(1.0)),), "user")),
         ("build_bracket_law-form", lambda: build_bracket_law([far_w], [dx], dx)),
         ("build_bracket_law-companion", lambda: build_bracket_law([w], [far_dx], dx)),

@@ -356,6 +356,14 @@ def test_variational_commands_reject_plain_systems(capsys):
     assert main(["check", "regularity", "--model", "oscillator_k1"]) == 2
 
 
+@pytest.mark.parametrize("model", ["nahm", "oscillator_k1"])  # an ode and a hamiltonian model
+def test_regularity_refuses_every_non_lagrangian_model_alike(model, capsys):
+    assert main(["check", "regularity", "--model", model]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: check regularity applies to lagrangian models only\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["check", "symmetry", "--field", "ddx"], "--against"),
     (["verify", "evolution"], "--against"),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ksym import bundles, calculus, conservation, dynamics
+from ksym.bundles import tangent_bundle
 from ksym.calculus import (
     ChartMismatchError,
     PotentialEvaluator,
@@ -12,6 +14,7 @@ from ksym.calculus import (
     one_form,
     two_form_matrix,
 )
+from ksym.cli import load_model, main, resolve_model_path
 from ksym.conservation import (
     LAW_TOLERANCE,
     ConservationLaw,
@@ -92,7 +95,7 @@ def oscillator():
 def test_bracket_law_matches_matrix_contraction_oracle():
     sys, family = free_particle()
     ch = sys.chart
-    delta = sys.bundle.liouville
+    delta = tangent_bundle(1, 2).liouville
     dx = coordinate_vector_field(ch, "x_1")
     law = build_bracket_law(sys.omega, [delta], dx)
     assert law.provenance == "bracket-law"
@@ -109,7 +112,7 @@ def test_bracket_law_free_particle_yields_momenta():
     sys, family = free_particle()
     ch = sys.chart
     law = build_bracket_law(
-        sys.omega, [sys.bundle.liouville], coordinate_vector_field(ch, "x_1")
+        sys.omega, [tangent_bundle(1, 2).liouville], coordinate_vector_field(ch, "x_1")
     )
     v1, v2 = ch.index_of("v_1_1"), ch.index_of("v_2_1")
     pts = sample_points(ch, count=16, seed=21)
@@ -234,7 +237,7 @@ def test_noether_law_coupled_quadratic_model():
 def test_noether_gate_rejects_non_cartan_field():
     sys = string_system()
     with pytest.raises(NotCartanSymmetryError) as info:
-        build_noether_law(sys, sys.bundle.liouville, sample_points(sys.chart))
+        build_noether_law(sys, tangent_bundle(1, 2).liouville, sample_points(sys.chart))
     assert info.value.verdict.max_residual > 0.5
 
 
@@ -367,12 +370,31 @@ def test_nan_residual_is_not_folded_into_a_pass():
     assert not residual <= 1e-8
 
 
+def test_noether_never_differentiates_a_theta_again(monkeypatch, capsys):
+    # L_Y theta_A = d(theta_A(Y)) - i_Y omega_A: omega_A = -d theta_A is the
+    # system's, so the command differentiates each theta_A once, building it
+    thetas = load_model(resolve_model_path("vibrating_string")).system.theta
+    taken = []
+    exterior_derivative = calculus.exterior_derivative
+
+    def counted(form):
+        taken.append(form)
+        return exterior_derivative(form)
+
+    for module in (bundles, calculus, conservation, dynamics):
+        monkeypatch.setattr(module, "exterior_derivative", counted)
+    assert main(["build", "noether", "--model", "vibrating_string", "--field", "ddx"]) == 0
+    capsys.readouterr()
+    assert [sum(form == theta for form in taken) for theta in thetas] == [1, 1]
+    assert all(sum(form == other for other in taken) == 1 for form in taken)
+
+
 @given(a=st.floats(-2, 2, allow_nan=False), b=st.floats(-2, 2, allow_nan=False))
 def test_verification_residual_is_sublinear(a, b):
     sys, family = free_particle()
     ch = sys.chart
     law_a = build_bracket_law(
-        sys.omega, [sys.bundle.liouville], coordinate_vector_field(ch, "x_1")
+        sys.omega, [tangent_bundle(1, 2).liouville], coordinate_vector_field(ch, "x_1")
     )
     law_b = user_law(ch, (sys.energy, sys.energy))
     pts = sample_points(ch, count=8, seed=34)
@@ -428,7 +450,7 @@ def test_wave_flux_law_is_not_noether_induced_by_ansatz_fields():
     )
     family = string_sopde(ch)
     pts = sample_points(ch, count=32, seed=37)
-    for candidate in (coordinate_vector_field(ch, "x_1"), sys.bundle.liouville):
+    for candidate in (coordinate_vector_field(ch, "x_1"), tangent_bundle(1, 2).liouville):
         pairing, conserved, _cartan = check_momentum_converse(sys, candidate, law, family, pts)
         assert conserved.holds
         assert not pairing.holds
@@ -443,7 +465,7 @@ def test_verified_hypotheses_imply_conservation():
     sys, family = free_particle()
     ch = sys.chart
     dx = coordinate_vector_field(ch, "x_1")
-    delta = sys.bundle.liouville
+    delta = tangent_bundle(1, 2).liouville
     pts = sample_points(ch, count=48, seed=42)
     assert is_symmetry(family, dx, pts).holds
     assert solve_pseudosymmetry(family, delta, repeat(dx), pts)[0].holds

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lagrangian_oracle
-from ksym import calculus, expr
+from ksym import calculus, dynamics, expr
+from ksym.bundles import cotangent_bundle, tangent_bundle
 from ksym.calculus import VectorField, two_form_matrix
 from ksym.cli import load_model, resolve_model_path
 from ksym.dynamics import (
@@ -64,8 +65,8 @@ def test_build_hamiltonian_system_canonical_forms():
     assert sys.chart.kind == "k-cotangent"
     assert sys.energy is None
     assert sys.target is sys.function
-    assert sys.omega == sys.bundle.omega
-    assert sys.theta == sys.bundle.theta
+    assert sys.omega == cotangent_bundle(2, 1).omega
+    assert sys.theta == cotangent_bundle(2, 1).theta
 
 
 def test_build_lagrangian_string_forms():
@@ -241,14 +242,11 @@ def test_inconsistent_system_raises():
     good = build_system("hamiltonian", 1, 1, "x_1")
     broken = FieldSystem(
         kind="hamiltonian",
-        n=1,
-        k=1,
         chart=good.chart,
         function=good.function,
         theta=good.theta,
         omega=(zero_form(good.chart, 2),),
         energy=None,
-        bundle=good.bundle,
     )
     with pytest.raises(InconsistentSystemError):
         solve_evolution_hamiltonian(broken, np.zeros(2))
@@ -449,15 +447,56 @@ def test_fiber_hessian_is_read_off_omega(name):
         system = build_system("lagrangian", *AD_HOC_LAGRANGIANS[name])
     else:
         system = load_model(resolve_model_path(name)).system
-    chart, n = system.chart, system.n
-    assert len(system.fiber_hessian) == n * system.k
-    for a, row in enumerate(system.fiber_hessian):
-        A, i = divmod(a, n)
-        for slot, kernel in zip(chart.fiber_indices, row, strict=True):
-            coefficient = system.omega[A].components.get((i, slot), Num(0.0))
-            # the entry d/dv_B_j of theta_A(d/dx_i) = dL/dv_A_i, as it would be derived
-            assert coefficient == differentiate(system.theta[A].component(i), slot)
-            assert kernel is batch_evaluator(coefficient)
+    chart = system.chart
+    for theta, omega in zip(system.theta, system.omega, strict=True):
+        for i in range(chart.n):
+            for slot in range(chart.n, chart.dimension):
+                coefficient = omega.components.get((i, slot), Num(0.0))
+                # the entry d/dv_B_j of theta_A(d/dx_i) = dL/dv_A_i, as it would be derived
+                assert coefficient == differentiate(theta.component(i), slot)
+
+
+def counting(runs: Counter):
+    """A stand-in for ``batch_evaluator`` whose kernels count their runs per expression."""
+    def counted(e):
+        kernel = batch_evaluator(e)
+
+        def run(points, *args, **kwargs):
+            runs[e] += 1
+            return kernel(points, *args, **kwargs)
+
+        return run
+
+    return counted
+
+
+def hessian_entries(system) -> Counter:
+    """omega_A's (x_i, v_B_j) coefficients, one count per Hessian entry."""
+    n = system.chart.n
+    return Counter(
+        e for omega in system.omega for (i, j), e in omega.components.items() if i < n <= j
+    )
+
+
+@pytest.mark.parametrize("name", BUNDLED_LAGRANGIANS + list(AD_HOC_LAGRANGIANS))
+def test_regularity_runs_each_nonzero_hessian_kernel_once(name, monkeypatch):
+    if name in AD_HOC_LAGRANGIANS:
+        system = build_system("lagrangian", *AD_HOC_LAGRANGIANS[name])
+    else:
+        system = load_model(resolve_model_path(name)).system
+    chart = system.chart
+    points = sample_points(chart, count=16, seed=9)
+    # the dense table, zero entries included, as a reference for the verdict
+    dense = np.stack([
+        np.stack([batch_evaluator(omega.components.get((i, b), Num(0.0)))(points)
+                  for b in range(chart.n, chart.dimension)], axis=-1)
+        for omega in system.omega for i in range(chart.n)
+    ], axis=1)
+    runs = Counter()
+    monkeypatch.setattr(dynamics, "batch_evaluator", counting(runs))
+    check = check_regularity(system, points)
+    assert runs == hessian_entries(system) and Num(0.0) not in runs, runs
+    assert check.extra["min_abs_det"] == np.min(np.abs(np.linalg.det(dense)))
 
 
 @pytest.mark.parametrize("name", ["navier", "vibrating_string", "laplace3", "minimal_surface"])
@@ -488,24 +527,20 @@ def test_lagrangian_derivatives_are_taken_once(name, monkeypatch):
 @pytest.mark.parametrize("name", ["navier", "vibrating_string", "laplace3", "minimal_surface"])
 def test_fiber_hessian_is_evaluated_once_per_solve(name, monkeypatch):
     # the solve reads the Hessian off omega_A's (x_i, v_B_j) entries, so each
-    # omega kernel, the Hessian's among them, runs once and fiber_hessian not at all
+    # omega kernel, the Hessian's among them, runs once
     system = load_model(resolve_model_path(name)).system
     entries = Counter(e for omega in system.omega for e in omega.components.values())
     runs = Counter()
-
-    def counted(e):
-        kernel = batch_evaluator(e)
-
-        def run(points, *args, **kwargs):
-            runs[e] += 1
-            return kernel(points, *args, **kwargs)
-
-        return run
-
-    monkeypatch.setattr(calculus, "batch_evaluator", counted)
+    monkeypatch.setattr(calculus, "batch_evaluator", counting(runs))
     solve_evolution_lagrangian(system, np.full(system.chart.dimension, 0.5))
-    hessian = {
-        e for omega in system.omega for (i, j), e in omega.components.items() if i < system.n <= j
-    }
-    assert hessian <= set(runs) and runs == entries, runs
-    assert "fiber_hessian" not in vars(system)
+    assert set(hessian_entries(system)) <= set(runs) and runs == entries, runs
+
+
+@pytest.mark.parametrize("copied", [dict(n=1), dict(k=1), dict(bundle=tangent_bundle(1, 1))])
+def test_a_field_system_holds_no_copy_of_its_chart(copied):
+    # n = 1, k = 1 beside a k = 2 chart once built a system that crashed the solver
+    good = build_system("lagrangian", 1, 2, "(v_1_1^2 + v_2_1^2)/2")
+    fields = {name: getattr(good, name)
+              for name in ("kind", "chart", "function", "theta", "omega", "energy")}
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{next(iter(copied))}'"):
+        FieldSystem(**fields, **copied)

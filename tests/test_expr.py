@@ -70,9 +70,25 @@ def test_cotangent_chart_names_unpadded():
     assert ch.index_of("p_3_1") == 3
 
 
+@pytest.mark.parametrize("kind, prefix", [("base", None), ("k-tangent", "v"), ("k-cotangent", "p")])
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (3, 12)])
+def test_a_chart_names_its_coordinates_by_the_grammar(kind, prefix, n, k):
+    chart = ChartSpace(n, k, kind)
+    names = chart.coordinate_names
+    assert len(names) == n * (1 if prefix is None else 1 + k) == chart.dimension
+    for i in range(1, n + 1):
+        assert names[chart.base_index(i)] == f"x_{i}"
+        for A in range(1, k + 1) if prefix else ():
+            assert names[chart.fiber_index(A, i)] == f"{prefix}_{A}_{i}"
+    for slot, name in enumerate(names):
+        assert parse_expression(name, chart) == Coord(slot, name)
+    # derived from (n, k, kind): not a field, so repr, == and hash ignore it
+    assert "coordinate_names" not in repr(chart) and chart == ChartSpace(n, k, kind)
+
+
 def test_chart_rejects_bad_kind():
     with pytest.raises(ValueError):
-        ChartSpace(n=1, k=1, kind="weird", coordinate_names=("x_1",))
+        ChartSpace(n=1, k=1, kind="weird")
 
 
 def test_charts_are_cached_instances():

@@ -37,25 +37,24 @@ def fields_of() -> dict:
     model = load_model(resolve_model_path("free_particle"))
     one = ScalarField(chart, Num(1.0))
     return {
-        ChartSpace: dict(n=2, k=1, kind="base", coordinate_names=("x_1", "x_2")),
+        ChartSpace: dict(n=2, k=1, kind="base"),
         _Token: dict(kind="num", text="1", offset=0),
         Check: dict(kind="sampled", holds=True, max_residual=0.0, tolerance=1e-9,
                     witness=np.zeros(2), extra={"note": 1}),
         ScalarField: dict(chart=chart, expr=Coord(1, "x_2")),
         VectorField: dict(chart=tb.chart, components=tb.liouville.components),
         PForm: dict(chart=cb.chart, degree=1, components=dict(cb.theta[0].components)),
-        KCotangentChart: dict(n=2, k=1, chart=cb.chart, theta=cb.theta, omega=cb.omega),
-        TangentStructure: dict(A=1, chart=tb.chart, slot_map=((0, 2), (1, 3))),
-        KTangentChart: dict(n=2, k=1, chart=tb.chart, liouville=tb.liouville,
-                            structures=tb.structures),
+        KCotangentChart: dict(chart=cb.chart, theta=cb.theta, omega=cb.omega),
+        TangentStructure: dict(A=1, chart=tb.chart),
+        KTangentChart: dict(chart=tb.chart, liouville=tb.liouville, structures=tb.structures),
         KVectorField: dict(chart=tb.chart, fields=(tb.liouville,)),
         FieldSystem: {name: getattr(system, name) for name in (
-            "kind", "n", "k", "chart", "function", "theta", "omega", "energy", "bundle")},
+            "kind", "chart", "function", "theta", "omega", "energy")},
         NumericLawComponent: dict(chart=chart, symbolic=one, potential=None),
         ConservationLaw: dict(chart=chart, components=(one,), provenance="user",
                               ingredients={"field": "ddx"}),
-        SectionGrid: dict(chart=chart, origin=np.zeros(2), ranges=(0.5,), steps=(0.25,),
-                          axes=(np.linspace(0.0, 0.5, 3),), values=np.zeros((3, 2))),
+        SectionGrid: dict(chart=chart, steps=(0.25,), axes=(np.linspace(0.0, 0.5, 3),),
+                          values=np.zeros((3, 2))),
         LoadedModel: {name: getattr(model, name) for name in (
             "name", "kind", "chart", "system", "params", "fields", "laws", "label")},
         Report: dict(command="check regularity", model="m", seed=7, samples=64, checks=[],
@@ -146,10 +145,9 @@ def _bad_records():
     other = base_chart(2, 2)
     one = ScalarField(chart, Num(1.0))
     return [
-        (lambda: ChartSpace(1, 1, "bogus", ("x_1",)), ValueError, "unknown chart kind 'bogus'"),
-        (lambda: ChartSpace(0, 1, "base", ()), ValueError, "chart requires n >= 1 and k >= 1"),
-        (lambda: ChartSpace(1, 0, "base", ("x_1",)), ValueError,
-         "chart requires n >= 1 and k >= 1"),
+        (lambda: ChartSpace(1, 1, "bogus"), ValueError, "unknown chart kind 'bogus'"),
+        (lambda: ChartSpace(0, 1, "base"), ValueError, "chart requires n >= 1 and k >= 1"),
+        (lambda: ChartSpace(1, 0, "base"), ValueError, "chart requires n >= 1 and k >= 1"),
         (lambda: ScalarField(chart, Coord(2, "x_3")), ValueError,
          "coordinate 'x_3' (slot 2) does not belong to the chart"),
         (lambda: VectorField(chart, (Num(0.0),)), ValueError, "expected 2 components, got 1"),
@@ -179,17 +177,16 @@ def test_a_record_refuses_bad_fields_with_the_same_message(build, error, message
 
 
 def test_equal_charts_built_apart_share_one_name_index_map_entry():
-    names = tuple(f"x_{i}" for i in range(1, 8))
-    a, b = ChartSpace(7, 5, "base", names), ChartSpace(7, 5, "base", names)
+    a, b = ChartSpace(7, 5, "base"), ChartSpace(7, 5, "base")
     assert a is not b and a == b and hash(a) == hash(b)
-    assert not a != b and a != ChartSpace(7, 4, "base", names)
+    assert not a != b and a != ChartSpace(7, 4, "base")
     before = _name_index_map.cache_info().currsize
     assert _name_index_map(a) is _name_index_map(b)
     assert _name_index_map.cache_info().currsize - before <= 1
 
 
 def test_a_record_repr_reads_as_the_dataclass_repr():
-    assert repr(base_chart(1)) == "ChartSpace(n=1, k=1, kind='base', coordinate_names=('x_1',))"
+    assert repr(base_chart(1)) == "ChartSpace(n=1, k=1, kind='base')"
     assert repr(_Token("num", "1", 0)) == "_Token(kind='num', text='1', offset=0)"
     assert repr(Report("c", None, 1, 2, [])) == (
         "Report(command='c', model=None, seed=1, samples=2, checks=[], extra={}, elapsed_ms=0)"
@@ -198,6 +195,6 @@ def test_a_record_repr_reads_as_the_dataclass_repr():
 
 def test_a_field_system_keeps_its_derived_tables():
     system = build_system("lagrangian", 1, 1, "v_1_1^2/2 - x_1^2")
-    assert "fiber_hessian" not in vars(system)
-    assert system.fiber_hessian is system.fiber_hessian
-    assert "fiber_hessian" in vars(system)
+    assert "target_differential" not in vars(system)
+    assert system.target_differential is system.target_differential
+    assert "target_differential" in vars(system)

@@ -305,7 +305,7 @@ def test_front_march_matches_per_line_march_on_a_transcendental_flow():
 def test_momentum_law_divergence_is_exactly_zero_for_free_particle():
     sys, family = free_particle()
     law = build_bracket_law(
-        sys.omega, [sys.bundle.liouville], coordinate_vector_field(sys.chart, "x_1")
+        sys.omega, [tangent_bundle(1, 2).liouville], coordinate_vector_field(sys.chart, "x_1")
     )
     grid = integrate_section(family, np.array([0.0, 1.0, 2.0]), ranges=0.5, steps=1 / 16)
     report = verify_law_divergence(law, grid)

@@ -136,7 +136,7 @@ def test_liouville_brackets_into_span_of_translation_tuple():
     sys, family = free_particle()
     ch = sys.chart
     pts = sample_points(ch, count=48, seed=5)
-    delta = sys.bundle.liouville
+    delta = tangent_bundle(1, 2).liouville
     dx = coordinate_vector_field(ch, "x_1")
     verdict, lam = solve_pseudosymmetry(family, delta, repeat(dx), pts)
     assert verdict.holds
@@ -315,7 +315,7 @@ def test_rotation_is_cartan_symmetry_of_oscillator():
 def test_dilation_fails_cartan_on_string():
     sys, _ = string_sopde()
     pts = sample_points(sys.chart, count=32, seed=12)
-    verdict = is_cartan_symmetry(sys, sys.bundle.liouville, pts)
+    verdict = is_cartan_symmetry(sys, tangent_bundle(1, 2).liouville, pts)
     assert not verdict.holds
     # scaling doubles the quadratic energy, so the energy residual alone
     # reaches 2|E| at the witness
