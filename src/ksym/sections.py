@@ -51,20 +51,24 @@ class SectionIntegrationError(RuntimeError):
 
 
 class SectionGrid(Record, eq=False):
-    """A rectangular grid of section values psi(t), including t = 0: the
-    origin is ``values[0, ..., 0]`` and axis A ends at ``axes[A][-1]``."""
+    """A grid of section values psi(t) over [0, T]^k with spacing ``step``,
+    including t = 0: the origin is ``values[0, ..., 0]`` and every axis
+    runs through ``times``."""
 
-    def __init__(self, chart: ChartSpace, steps: tuple[float, ...], axes: tuple[np.ndarray, ...],
-                 values: np.ndarray):
-        self._set(chart=chart, steps=steps, axes=axes, values=values)
+    def __init__(self, chart: ChartSpace, step: float, values: np.ndarray):
+        self._set(chart=chart, step=step, values=values)
 
     @property
     def k(self) -> int:
-        return len(self.axes)
+        return self.values.ndim - 1
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape[:-1]
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.shape[0]) * self.step
 
 
 def check_integrability(
@@ -75,15 +79,6 @@ def check_integrability(
     brackets = [lie_bracket(X[a], X[b]) for a in range(k) for b in range(a + 1, k)]
     residuals = max_abs((c for br in brackets for c in br.components), points)
     return residual_check("commutation", residuals, points, tolerance)
-
-
-def _per_axis(value, k: int, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
-        return (float(value),) * k
-    out = tuple(float(v) for v in value)
-    if len(out) != k:
-        raise ValueError(f"expected {k} {name} entries, got {len(out)}")
-    return out
 
 
 def _rk4_step(kernels, P: np.ndarray, h: float, strict: bool) -> np.ndarray:
@@ -131,11 +126,11 @@ def _march(kernels, lines: np.ndarray, h: float, axis_label: str) -> None:
     )
 
 
-def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
-    """Fill the section grid over [0, T_A] with spacing h_A per axis.
+def integrate_section(X: KVectorField, origin, T: float, h: float) -> SectionGrid:
+    """Fill the section grid over [0, T]^k with spacing h on every axis.
 
-    Each T_A must be an integer multiple of h_A (to 1e-9 relative).  Where
-    the fields do not commute the flow composition order matters:
+    T must be an integer multiple of h (to 1e-9 relative).  Where the
+    fields do not commute the flow composition order matters:
     ``check_integrability`` on ``values.reshape(-1, N)`` tells.
     """
     chart = X.chart
@@ -145,22 +140,16 @@ def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
         raise ValueError(
             f"origin has shape {origin.shape}, chart needs ({chart.dimension},)"
         )
-    T = _per_axis(ranges, k, "range")
-    h = _per_axis(steps, k, "step")
-    counts = []
-    for a in range(k):
-        if not (0.0 < h[a] < np.inf and 0.0 <= T[a] < np.inf):
-            raise ValueError("ranges must be finite and nonnegative, steps finite and positive")
-        if not T[a] / h[a] < np.inf:
-            raise ValueError(f"axis {a + 1}: range {T[a]} over step {h[a]} overflows")
-        m = int(round(T[a] / h[a])) if T[a] else 0
-        if abs(m * h[a] - T[a]) > 1e-9 * max(1.0, abs(T[a])):
-            raise ValueError(
-                f"axis {a + 1}: range {T[a]} is not an integer multiple of step {h[a]}"
-            )
-        counts.append(m)
+    T, h = float(T), float(h)
+    if not (0.0 < h < np.inf and 0.0 <= T < np.inf):
+        raise ValueError("range must be finite and nonnegative, step finite and positive")
+    if not T / h < np.inf:
+        raise ValueError(f"range {T} over step {h} overflows")
+    m = int(round(T / h)) if T else 0
+    if abs(m * h - T) > 1e-9 * max(1.0, abs(T)):
+        raise ValueError(f"range {T} is not an integer multiple of step {h}")
 
-    shape = tuple(m + 1 for m in counts)
+    shape = (m + 1,) * k
     values = np.empty(shape + (chart.dimension,))
     values[(0,) * k] = origin
 
@@ -168,11 +157,9 @@ def integrate_section(X: KVectorField, origin, ranges, steps) -> SectionGrid:
     # later axes starts one line of the next axis out
     for a in range(k - 1, -1, -1):
         kernels = [batch_evaluator(c) for c in X[a].components]
-        lines = values[(0,) * a].reshape(shape[a], -1, chart.dimension)
-        _march(kernels, lines, h[a], f"axis {a + 1}")
-
-    axes = tuple(np.arange(m + 1) * h[a] for a, m in enumerate(counts))
-    return SectionGrid(chart=chart, steps=h, axes=axes, values=values)
+        lines = values[(0,) * a].reshape(m + 1, -1, chart.dimension)
+        _march(kernels, lines, h, f"axis {a + 1}")
+    return SectionGrid(chart=chart, step=h, values=values)
 
 
 def verify_law_divergence(
@@ -182,7 +169,7 @@ def verify_law_divergence(
 
     Derivatives are second-order central differences per axis, so a true
     conservation law leaves a residual of order h^2; the implied constant
-    is reported as scale_constant = residual / max(h)^2, beside the grid
+    is reported as scale_constant = residual / h^2, beside the grid
     times witness_t of the witness node.
     """
     _same_chart(grid, law)
@@ -200,7 +187,7 @@ def verify_law_divergence(
         for A in range(k):
             upper = tuple(slice(2, None) if a == A else slice(1, -1) for a in range(k))
             lower = tuple(slice(0, -2) if a == A else slice(1, -1) for a in range(k))
-            total += (phi[A][upper] - phi[A][lower]) / (2.0 * grid.steps[A])
+            total += (phi[A][upper] - phi[A][lower]) / (2.0 * grid.step)
 
     residual = np.abs(total)
     top, at = worst_sample(residual.ravel())
@@ -212,8 +199,8 @@ def verify_law_divergence(
         tolerance,
         grid.values[node],
         {
-            "scale_constant": top / max(grid.steps) / max(grid.steps),  # h^2 may underflow
-            "witness_t": [float(grid.axes[a][node[a]]) for a in range(k)],
+            "scale_constant": top / grid.step / grid.step,  # h^2 may underflow
+            "witness_t": [float(grid.times[i]) for i in node],
         },
     )
 
@@ -229,6 +216,6 @@ def export_grid_csv(grid: SectionGrid, target) -> None:
         with open(target, "w", encoding="utf-8") as fh:
             return export_grid_csv(grid, fh)
     header = [f"t_{a + 1}" for a in range(grid.k)] + list(grid.chart.coordinate_names)
-    times = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)
+    times = np.stack(np.meshgrid(*(grid.times,) * grid.k, indexing="ij"), axis=-1)
     rows = np.concatenate([times, grid.values], axis=-1).reshape(-1, len(header))
     np.savetxt(target, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")

@@ -31,7 +31,7 @@ from .calculus import (
     lie_derivative_form,
     max_abs,
 )
-from .dynamics import FieldSystem, KVectorField
+from .dynamics import RCOND, FieldSystem, KVectorField
 from .expr import (
     ChartSpace, Check, Coord, Num, make_add, make_mul, make_pow, residual_check, to_source,
 )
@@ -82,17 +82,19 @@ def solve_pseudosymmetry(
 
 def _stacked_solve(Zmats: np.ndarray, rhs: np.ndarray):
     """Minimum-norm solutions of Zmats[i] @ x = rhs[i] over a stack of (N, k)
-    matrices and (N, c) right-hand sides, from one SVD: the (m, k, c)
-    solutions, each sample's worst residual, and how many matrices have a
-    rank below k as ``np.linalg.matrix_rank`` counts it.  Singular values at
-    or below 1e-12 of the largest count as zero, as in ``np.linalg.lstsq``
-    with ``rcond=1e-12``."""
-    U, s, Vt = np.linalg.svd(Zmats, full_matrices=False)
+    matrices and (N, c) right-hand sides, from one SVD of the finite samples:
+    the (m, k, c) solutions and each sample's worst residual, both NaN where
+    Zmats[i] or rhs[i] is not finite, and how many finite matrices have a rank
+    below k as ``np.linalg.matrix_rank`` counts it.  Singular values at or
+    below ``dynamics.RCOND`` times the largest count as zero."""
+    finite = np.isfinite(Zmats).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    U, s, Vt = np.linalg.svd(Zmats[finite], full_matrices=False)
     s_max = s.max(axis=-1, keepdims=True)
-    rank = np.count_nonzero(s > s_max * max(Zmats.shape[1:]) * np.finfo(float).eps, axis=-1)
-    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-12 * s_max)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite Z gives NaN residuals
-        sol = Vt.transpose(0, 2, 1) @ (s_inv[..., None] * (U.transpose(0, 2, 1) @ rhs))
+    rank = np.count_nonzero(s > s_max * (max(Zmats.shape[1:]) * np.finfo(float).eps), axis=-1)
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > RCOND * s_max)
+    sol = np.full((len(Zmats), Zmats.shape[2], rhs.shape[2]), np.nan)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite sample gives NaN residuals
+        sol[finite] = Vt.swapaxes(1, 2) @ (s_inv[..., None] * (U.swapaxes(1, 2) @ rhs[finite]))
         residuals = np.abs(Zmats @ sol - rhs).max(axis=(1, 2))
     return sol, residuals, int(np.count_nonzero(rank < Zmats.shape[2]))
 
@@ -165,17 +167,21 @@ def _render_polynomial(chart: ChartSpace, exponents, coefficients) -> str:
 def _fit_lambda(chart, points, lam) -> dict:
     """Report entries lambda_fit (rows of degree-``FIT_DEGREE`` polynomial
     sources, None where the fit misses ``FIT_TOLERANCE``) and
-    lambda_fit_residual; none when the samples cannot fix every coefficient
-    (no samples, or fewer independent ones than monomials)."""
+    lambda_fit_residual; none when a monomial or lambda value is not finite or
+    the samples cannot fix every coefficient (no samples, or fewer independent
+    ones than monomials)."""
     n_pts, k, _ = lam.shape
     exponents = _monomial_exponents(chart.dimension, FIT_DEGREE)
     pts = np.asarray(points, dtype=float).reshape(n_pts, chart.dimension)
     design = np.ones((n_pts, len(exponents)))
-    for m, exps in enumerate(exponents):
-        for i, e in enumerate(exps):
-            if e:
-                design[:, m] *= pts[:, i] ** e
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite design fits nothing
+        for m, exps in enumerate(exponents):
+            for i, e in enumerate(exps):
+                if e:
+                    design[:, m] *= pts[:, i] ** e
     values = lam.reshape(n_pts, k * k)
+    if not (np.isfinite(design).all() and np.isfinite(values).all()):
+        return {}
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     if rank < len(exponents):
         return {}

@@ -53,8 +53,7 @@ def _mismatches():
     far_law = user_law(far, [ScalarField(far, Num(1.0))])
     w, far_w = sys.omega[0], far_sys.omega[0]
     points = np.zeros((1, ch.dimension))
-    axis = np.arange(3) * 0.5
-    grid = SectionGrid(ch, (0.5,), (axis,), np.zeros((3, ch.dimension)))
+    grid = SectionGrid(ch, 0.5, np.zeros((3, ch.dimension)))
     cases = [
         ("precompose_one_form",
          lambda: tangent_bundle(1, 1).structures[0].precompose_one_form(

@@ -101,6 +101,17 @@ GOLDEN_CASES = [
     ("oscillator_noether", ["build", "noether", "--model", "oscillator_k1", "--field", "rotation"], 0),
     ("oscillator_energy", ["verify", "law", "--model", "oscillator_k1", "--law", "energy"], 0),
     ("oscillator_solve", ["solve", "evolution", "--model", "oscillator_k1", "--at", "0.3,0.7"], 0),
+    (
+        "cartan_oscillator_rotation",
+        ["check", "cartan", "--model", "oscillator_k1", "--field", "rotation"],
+        0,
+    ),
+    # delta is a pseudosymmetry of the free particle but not a Cartan symmetry
+    (
+        "cartan_free_particle_delta",
+        ["check", "cartan", "--model", "free_particle", "--field", "delta"],
+        1,
+    ),
 ]
 
 
@@ -476,6 +487,23 @@ def test_a_non_finite_evolution_system_fails_the_solve_check(kind, function, at,
     (check,) = body["checks"]
     assert check["name"] == "solve" and not check["pass"]
     assert check["error"] == "evolution system has non-finite entries at the point"
+
+
+@pytest.mark.parametrize(
+    "z", ["1e300*x_1*1e300 - 1e300*x_1*1e300", "1e300*x_1*1e300"], ids=["nan", "inf"]
+)
+def test_a_non_finite_pseudosymmetry_system_fails_the_check(z, tmp_path):
+    path = write_model(
+        tmp_path,
+        "[model]\nname = m\nkind = ode\nn = 2\nk = 1\n\n[field X]\nc_x_1 = 1\n\n"
+        f"[field Y]\nc_x_2 = 1\n\n[field Z]\nc_x_1 = {z}\nc_x_2 = 1\n",
+    )
+    proc = run_ksym(["check", "pseudosymmetry", "--model", str(path), "--field", "Y",
+                     "--against", "Z", "--format", "json"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert (check["pass"], check["max_residual"]) == (False, "NaN")
+    assert "lambda_fit" not in check and "rank_deficient_points" not in check
 
 
 HUGE_HESSIAN = "1e300*v_1_1^2 + 1e300*v_2_1^2 + 1e300*v_1_1*v_2_1"
@@ -894,6 +922,29 @@ FLAG_VALUES = [
 def leaf_flags(path) -> tuple:
     body = cli.COMMANDS[path[0]][-1]
     return body[path[1]][2] if isinstance(body, dict) else body
+
+
+BOXED_CASES = [
+    (name, argv) for name, argv, _ in GOLDEN_CASES if "--box" in dict(leaf_flags(argv[:2]))
+]
+
+
+@pytest.mark.parametrize("box", ["1e200", "1e300"])
+@pytest.mark.parametrize("argv", [argv for _, argv in BOXED_CASES],
+                         ids=[name for name, _ in BOXED_CASES])
+def test_an_extreme_box_ends_in_a_verdict_or_one_error_line(argv, box, capsys):
+    code = main(argv + ["--box", box, "--format", "json"])
+    err = capsys.readouterr().err
+    assert code in (1, 2), err
+    assert len(err.splitlines()) <= 1 and not err.startswith("internal error:"), err
+
+
+def test_a_rank_cutoff_near_the_largest_float_warns_nothing(capsys):
+    # at this box the largest singular value of Z nears 1e308, so the rank
+    # cutoff overflows unless its small factors are multiplied together first
+    argv = ["check", "pseudosymmetry", "--model", "nahm", "--field", "radial", "--against", "X"]
+    assert main(argv + ["--box", "1e154", "--format", "json"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 @st.composite

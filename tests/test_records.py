@@ -53,8 +53,7 @@ def fields_of() -> dict:
         NumericLawComponent: dict(chart=chart, symbolic=one, potential=None),
         ConservationLaw: dict(chart=chart, components=(one,), provenance="user",
                               ingredients={"field": "ddx"}),
-        SectionGrid: dict(chart=chart, steps=(0.25,), axes=(np.linspace(0.0, 0.5, 3),),
-                          values=np.zeros((3, 2))),
+        SectionGrid: dict(chart=chart, step=0.25, values=np.zeros((3, 2))),
         LoadedModel: {name: getattr(model, name) for name in (
             "name", "kind", "chart", "system", "params", "fields", "laws", "label")},
         Report: dict(command="check regularity", model="m", seed=7, samples=64, checks=[],

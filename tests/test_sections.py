@@ -112,12 +112,12 @@ def test_shear_pair_fails_integrability():
 def test_free_particle_section_is_affine_and_exact():
     sys, family = free_particle()
     origin = np.array([0.0, 1.0, 2.0])
-    grid = integrate_section(family, origin, ranges=0.5, steps=1 / 8)
+    grid = integrate_section(family, origin, T=0.5, h=1 / 8)
     assert grid.shape == (5, 5)
     assert check_integrability(family, grid.values.reshape(-1, 3)).max_residual == 0.0
     np.testing.assert_allclose(grid.values[0, 0], origin)
-    for i, t1 in enumerate(grid.axes[0]):
-        for j, t2 in enumerate(grid.axes[1]):
+    for i, t1 in enumerate(grid.times):
+        for j, t2 in enumerate(grid.times):
             np.testing.assert_allclose(
                 grid.values[i, j], [t1 + 2.0 * t2, 1.0, 2.0], atol=1e-12
             )
@@ -125,7 +125,7 @@ def test_free_particle_section_is_affine_and_exact():
 
 def test_exponential_flow_meets_rk4_budget():
     ch, family = exponential_flow()
-    grid = integrate_section(family, np.array([1.0]), ranges=1.0, steps=1e-3)
+    grid = integrate_section(family, np.array([1.0]), T=1.0, h=1e-3)
     assert abs(grid.values[-1, 0] - np.e) <= 1e-8
 
 
@@ -133,7 +133,7 @@ def test_rk4_is_fourth_order_on_exponential_flow():
     ch, family = exponential_flow()
     errors = []
     for h in (0.05, 0.025):
-        grid = integrate_section(family, np.array([1.0]), ranges=1.0, steps=h)
+        grid = integrate_section(family, np.array([1.0]), T=1.0, h=h)
         errors.append(abs(grid.values[-1, 0] - np.e))
     assert errors[0] / errors[1] >= 12.0
 
@@ -143,7 +143,7 @@ def test_string_section_satisfies_defining_pde():
     origin = np.array([0.0, 0.3, 0.2])
 
     def pde_residual(h):
-        grid = integrate_section(family, origin, ranges=0.25, steps=h)
+        grid = integrate_section(family, origin, T=0.25, h=h)
         worst = 0.0
         vals = grid.values
         for a in (0, 1):
@@ -163,9 +163,9 @@ def test_string_section_satisfies_defining_pde():
 def test_commuting_flows_permute():
     sys, family = string_sopde()
     origin = np.array([0.0, 0.3, 0.2])
-    fwd = integrate_section(family, origin, ranges=0.25, steps=1 / 64)
+    fwd = integrate_section(family, origin, T=0.25, h=1 / 64)
     swapped = KVectorField(sys.chart, (family[1], family[0]))
-    rev = integrate_section(swapped, origin, ranges=0.25, steps=1 / 64)
+    rev = integrate_section(swapped, origin, T=0.25, h=1 / 64)
     np.testing.assert_allclose(
         fwd.values, np.swapaxes(rev.values, 0, 1), atol=1e-6
     )
@@ -175,7 +175,7 @@ def test_non_commuting_family_reports_its_residual_without_a_warning():
     ch, family = non_commuting_family()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = integrate_section(family, np.zeros(3), ranges=0.25, steps=1 / 8)
+        grid = integrate_section(family, np.zeros(3), T=0.25, h=1 / 8)
         check = check_integrability(family, grid.values.reshape(-1, 3))
     assert check.max_residual == pytest.approx(1.0)
     assert not check.holds
@@ -183,20 +183,27 @@ def test_non_commuting_family_reports_its_residual_without_a_warning():
 
 def test_range_must_be_multiple_of_step():
     ch, family = exponential_flow()
-    with pytest.raises(ValueError):
-        integrate_section(family, np.ones(1), ranges=0.5, steps=0.15)
+    with pytest.raises(ValueError, match=r"^range 0\.5 is not an integer multiple of step 0\.15$"):
+        integrate_section(family, np.ones(1), T=0.5, h=0.15)
+
+
+@pytest.mark.parametrize("T, h", [((0.5, 0.5), 0.125), (0.5, (0.125, 0.25))], ids=["T", "h"])
+def test_a_tuple_span_or_step_is_refused(T, h):
+    sys, family = free_particle()
+    with pytest.raises(TypeError):
+        integrate_section(family, np.zeros(3), T, h)
 
 
 def test_step_count_overflow_is_a_value_error():
     ch, family = exponential_flow()
     with pytest.raises(ValueError, match="overflows"):
-        integrate_section(family, np.ones(1), ranges=1e300, steps=1e-300)
+        integrate_section(family, np.ones(1), T=1e300, h=1e-300)
 
 
 def test_origin_shape_check():
     ch, family = exponential_flow()
     with pytest.raises(ValueError):
-        integrate_section(family, np.ones(2), ranges=0.5, steps=0.125)
+        integrate_section(family, np.ones(2), T=0.5, h=0.125)
 
 
 def test_domain_error_reports_flow_position():
@@ -205,7 +212,7 @@ def test_domain_error_reports_flow_position():
     X = VectorField(ch, (parse_expression("sqrt(x_1)^2 - x_1 - 1", ch),))
     family = KVectorField(ch, (X,))
     with pytest.raises(SectionIntegrationError, match="left the domain"):
-        integrate_section(family, np.array([0.3]), ranges=0.75, steps=0.25)
+        integrate_section(family, np.array([0.3]), T=0.75, h=0.25)
 
 
 def test_nan_guard_reports_divergence():
@@ -214,25 +221,25 @@ def test_nan_guard_reports_divergence():
     X = VectorField(ch, (parse_expression("-x_1/x_1", ch),))
     family = KVectorField(ch, (X,))
     with pytest.raises(SectionIntegrationError, match="axis 1"):
-        integrate_section(family, np.array([0.5]), ranges=0.625, steps=0.125)
+        integrate_section(family, np.array([0.5]), T=0.625, h=0.125)
 
 
 def test_overflow_guard_reports_divergence():
     ch, family = exponential_flow()
     with pytest.raises(SectionIntegrationError, match="diverged"):
-        integrate_section(family, np.array([1.0]), ranges=800.0, steps=1.0)
+        integrate_section(family, np.array([1.0]), T=800.0, h=1.0)
 
 
 def test_first_failing_line_in_row_order_is_reported():
-    # line j of axis 1 starts at x_2 = j/4 and leaves sqrt's domain after
-    # about 0.3/(1 + j/4) in t, so later lines fail sooner; the report still
+    # line j of axis 1 starts at x_2 = j/16 and leaves sqrt's domain after
+    # about 0.3/(1 + j/16) in t, so later lines fail sooner; the report still
     # names line 0, the one a line-by-line march reaches first
     ch = base_chart(2, 2)
     X1 = VectorField(ch, (parse_expression("sqrt(x_1)^2 - x_1 - (1 + x_2)", ch), Num(0.0)))
     X2 = VectorField(ch, (Num(0.0), Num(1.0)))
     family = KVectorField(ch, (X1, X2))
     with pytest.raises(SectionIntegrationError) as info:
-        integrate_section(family, np.array([0.3, 0.0]), ranges=(1, 2), steps=(0.0625, 0.25))
+        integrate_section(family, np.array([0.3, 0.0]), T=1, h=0.0625)
     assert str(info.value) == (
         "flow along axis 1 left the domain at t=0.3125, point [0.05 0.  ]: "
         "square root of a negative number in 'sqrt(x_1)'"
@@ -278,7 +285,7 @@ def bundled_family(name, fields):
     ids=["free_particle", "vibrating_string", "laplace3"],
 )
 def test_front_march_is_bit_identical_on_polynomial_families(family, origin, T, h):
-    grid = integrate_section(family, np.array(origin), ranges=T, steps=h)
+    grid = integrate_section(family, np.array(origin), T=T, h=h)
     reference = per_line_march(family, np.array(origin), T, h)
     assert np.array_equal(grid.values, reference)
 
@@ -291,7 +298,7 @@ def test_front_march_matches_per_line_march_on_a_transcendental_flow():
     origin = np.array([0.2, -0.4])
     with warnings.catch_warnings():  # the fields do not commute; that is no warning
         warnings.simplefilter("error")
-        grid = integrate_section(family, origin, ranges=0.5, steps=1 / 32)
+        grid = integrate_section(family, origin, T=0.5, h=1 / 32)
         commutation = check_integrability(family, grid.values.reshape(-1, 2))
     assert not commutation.max_residual <= COMMUTATION_TOLERANCE
     np.testing.assert_array_max_ulp(grid.values, per_line_march(family, origin, 0.5, 1 / 32), maxulp=4)
@@ -307,7 +314,7 @@ def test_momentum_law_divergence_is_exactly_zero_for_free_particle():
     law = build_bracket_law(
         sys.omega, [tangent_bundle(1, 2).liouville], coordinate_vector_field(sys.chart, "x_1")
     )
-    grid = integrate_section(family, np.array([0.0, 1.0, 2.0]), ranges=0.5, steps=1 / 16)
+    grid = integrate_section(family, np.array([0.0, 1.0, 2.0]), T=0.5, h=1 / 16)
     report = verify_law_divergence(law, grid)
     assert report.max_residual == 0.0
 
@@ -317,7 +324,7 @@ def test_constant_law_divergence_is_zero():
     law = user_law(
         sys.chart, (ScalarField(sys.chart, Num(2.0)), ScalarField(sys.chart, Num(-7.0)))
     )
-    grid = integrate_section(family, np.array([0.0, 0.3, 0.2]), ranges=0.25, steps=1 / 16)
+    grid = integrate_section(family, np.array([0.0, 0.3, 0.2]), T=0.25, h=1 / 16)
     assert verify_law_divergence(law, grid).max_residual == 0.0
 
 
@@ -336,7 +343,7 @@ def test_wave_flux_divergence_is_integrator_limited():
     # difference stencils cancel exactly and only RK4 error remains
     sys, family = string_sopde()
     origin = np.array([0.0, 0.4, 0.3])
-    grid = integrate_section(family, origin, ranges=0.25, steps=1 / 128)
+    grid = integrate_section(family, origin, T=0.25, h=1 / 128)
     report = verify_law_divergence(string_flux_law(sys.chart), grid)
     assert report.max_residual <= 1e-11
 
@@ -358,7 +365,7 @@ def test_cubic_law_divergence_shrinks_at_second_order():
     origin = np.array([0.0, 1.0, 2.0])
     residuals = []
     for h in (1 / 32, 1 / 64, 1 / 128):
-        grid = integrate_section(family, origin, ranges=0.25, steps=h)
+        grid = integrate_section(family, origin, T=0.25, h=h)
         report = verify_law_divergence(law, grid)
         residuals.append(report.max_residual)
         assert report.extra["scale_constant"] < 10.0
@@ -372,10 +379,10 @@ def test_divergence_needs_three_nodes_per_axis():
     law = user_law(
         sys.chart, (ScalarField(sys.chart, Num(0.0)), ScalarField(sys.chart, Num(0.0)))
     )
-    grid = integrate_section(family, np.zeros(3), ranges=0.25, steps=0.125)
+    grid = integrate_section(family, np.zeros(3), T=0.25, h=0.125)
     report = verify_law_divergence(law, grid)  # 3 nodes: minimum accepted
     assert report.max_residual == 0.0
-    thin = integrate_section(family, np.zeros(3), ranges=0.25, steps=0.25)
+    thin = integrate_section(family, np.zeros(3), T=0.25, h=0.25)
     with pytest.raises(ValueError):
         verify_law_divergence(law, thin)
 
@@ -384,9 +391,9 @@ def test_prolongation_of_base_track_recovers_fibers():
     sys, family = string_sopde()
     origin = np.array([0.0, 0.3, 0.2])
     h = 1 / 64
-    grid = integrate_section(family, origin, ranges=0.25, steps=h)
+    grid = integrate_section(family, origin, T=0.25, h=h)
     base_track = grid.values[..., :1]
-    fibers = [np.gradient(base_track, grid.steps[A], axis=A, edge_order=2) for A in range(grid.k)]
+    fibers = [np.gradient(base_track, grid.step, axis=A, edge_order=2) for A in range(grid.k)]
     prolonged = np.concatenate([base_track, *fibers], axis=-1)
     np.testing.assert_allclose(prolonged, grid.values, atol=1e-4)
 
@@ -398,7 +405,7 @@ def test_prolongation_of_base_track_recovers_fibers():
 
 def test_csv_export_layout():
     sys, family = free_particle()
-    grid = integrate_section(family, np.array([0.0, 1.0, 2.0]), ranges=0.25, steps=0.125)
+    grid = integrate_section(family, np.array([0.0, 1.0, 2.0]), T=0.25, h=0.125)
     buffer = io.StringIO()
     export_grid_csv(grid, buffer)
     lines = buffer.getvalue().splitlines()
@@ -418,7 +425,7 @@ def row_loop_csv(grid) -> str:
     header = [f"t_{a + 1}" for a in range(grid.k)] + list(grid.chart.coordinate_names)
     lines = [",".join(header)]
     for idx in np.ndindex(*grid.shape):
-        row = [grid.axes[a][idx[a]] for a in range(grid.k)] + list(grid.values[idx])
+        row = [grid.times[i] for i in idx] + list(grid.values[idx])
         lines.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
@@ -426,7 +433,7 @@ def row_loop_csv(grid) -> str:
 def test_csv_export_matches_the_row_loop_byte_for_byte(tmp_path):
     model = load_model(resolve_model_path("laplace3"))
     family = KVectorField(model.chart, [model.fields[f"X{A}"] for A in (1, 2, 3)])
-    grid = integrate_section(family, np.array([0.1, -0.3, 0.7, 0.2]), ranges=0.25, steps=1 / 16)
+    grid = integrate_section(family, np.array([0.1, -0.3, 0.7, 0.2]), T=0.25, h=1 / 16)
     expected = row_loop_csv(grid).encode()
     for target in (tmp_path / "path.csv", str(tmp_path / "str.csv"), bytes(tmp_path / "b.csv")):
         export_grid_csv(grid, target)
@@ -434,3 +441,16 @@ def test_csv_export_matches_the_row_loop_byte_for_byte(tmp_path):
     buffer = io.StringIO()
     export_grid_csv(grid, buffer)
     assert buffer.getvalue() == row_loop_csv(grid)
+
+
+def test_grid_times_are_every_time_column_of_the_laplace3_csv():
+    model = load_model(resolve_model_path("laplace3"))
+    family = KVectorField(model.chart, [model.fields[f"X{A}"] for A in (1, 2, 3)])
+    grid = integrate_section(family, np.array([0.1, -0.3, 0.7, 0.2]), T=0.25, h=1 / 16)
+    assert np.array_equal(grid.times, [0.0, 0.0625, 0.125, 0.1875, 0.25])
+    buffer = io.StringIO()
+    export_grid_csv(grid, buffer)
+    table = np.loadtxt(io.StringIO(buffer.getvalue()), delimiter=",", skiprows=1)
+    for a in range(grid.k):
+        column = np.moveaxis(table[:, a].reshape(grid.shape), a, -1)
+        assert np.array_equal(column, np.broadcast_to(grid.times, column.shape))

@@ -227,6 +227,22 @@ def test_stacked_solve_matches_the_per_point_lstsq(stack):
         assert abs(residuals[pi] - want_residuals[pi]) <= 1e-12 * bound
 
 
+def test_stacked_solve_leaves_non_finite_samples_unsolved():
+    # only the finite samples 0 and 2 (rank 1) are solved and counted
+    Zmats = np.zeros((5, 3, 2))
+    Zmats[:, 0, 0] = Zmats[:, 1, 1] = 1.0
+    Zmats[1, 0, 0], Zmats[2, 1, 0], Zmats[3, 2, 1] = np.nan, 1.0, np.inf
+    Zmats[2, 1, 1] = Zmats[3, 1, 1] = 0.0
+    rhs = np.ones((5, 3, 1))
+    rhs[4, 2, 0] = np.inf
+    sol, residuals, rank_deficient = _stacked_solve(Zmats, rhs)
+    want_sol, want_residuals, want_deficient = _stacked_solve(Zmats[[0, 2]], rhs[[0, 2]])
+    assert np.array_equal(sol[[0, 2]], want_sol)
+    assert np.array_equal(residuals[[0, 2]], want_residuals)
+    assert np.isnan(sol[[1, 3, 4]]).all() and np.isnan(residuals[[1, 3, 4]]).all()
+    assert rank_deficient == want_deficient == 1
+
+
 def test_solver_calls_do_not_grow_with_the_sample_count(monkeypatch):
     calls = Counter()
     for name in ("lstsq", "svd", "pinv", "matrix_rank"):
