@@ -22,6 +22,7 @@ from .expr import (
     Record,
     batch_evaluator,
     differentiate,
+    field_evaluator,
     make_add,
     make_mul,
     make_neg,
@@ -114,9 +115,10 @@ class ScalarField(Record):
 
 class VectorField(Record):
     """A vector field written in the coordinate frame; one component per
-    chart coordinate."""
+    chart coordinate, held as a tuple, which also keys the field's kernel."""
 
     def __init__(self, chart: ChartSpace, components: tuple[Expression, ...]):
+        components = tuple(components)
         if len(components) != chart.dimension:
             raise ValueError(f"expected {chart.dimension} components, got {len(components)}")
         for comp in components:
@@ -124,8 +126,9 @@ class VectorField(Record):
         self._set(chart=chart, components=components)
 
     def evaluate(self, points) -> np.ndarray:
-        """Component values at each of the (m, N) points, shape (m, N)."""
-        return np.stack([batch_evaluator(c)(points) for c in self.components], axis=-1)
+        """Component values at each of the (m, N) points, shape (m, N), from
+        one run of the field's kernel."""
+        return field_evaluator(self.components)(points)
 
 
 def directional_derivative(X: VectorField, f: Expression) -> Expression:

@@ -83,9 +83,11 @@ class InconsistentSystemError(ValueError):
 
 
 class KVectorField(Record):
-    """An ordered family (X_1, ..., X_k) of vector fields on one chart."""
+    """An ordered family (X_1, ..., X_k) of vector fields on one chart, held
+    as a tuple."""
 
     def __init__(self, chart: ChartSpace, fields: tuple[VectorField, ...]):
+        fields = tuple(fields)
         if len(fields) != chart.k:
             raise ValueError(f"expected {chart.k} component fields, got {len(fields)}")
         _same_chart(chart, *fields)

@@ -16,12 +16,14 @@ identities, and flattening of nested sums and products.  There is no
 canonical polynomial form; callers that need equality of values check it
 at sample points.
 
-Every evaluation goes through ``batch_evaluator``: each expression is
-compiled once into a straight-line numpy kernel, one statement per
-structurally unique node, over an (m, N) array of points (a single point is
-a one-row batch).  Rows the kernel cannot settle in IEEE arithmetic are
-rerun through a checked copy of the same statements, which names the first
-subexpression, in scalar evaluation order, that left its domain.
+Every evaluation goes through ``field_evaluator``: a tuple of expressions
+is compiled once into one straight-line numpy kernel, one statement per
+structurally unique node of all of them, over an (m, N) array of points (a
+single point is a one-row batch) in blocks of at most 8,192 rows;
+``batch_evaluator`` is its one-expression case.  Rows the kernel cannot
+settle in IEEE arithmetic are rerun through a checked copy of the same
+statements, which names the first subexpression, in scalar evaluation
+order, that left its domain.
 
 Sample points are the stream of numpy's ``default_rng(seed).uniform``,
 reproduced bit for bit in uint64 arithmetic, so sampling never imports
@@ -67,6 +69,7 @@ __all__ = [
     "parse_expression",
     "to_source",
     "differentiate",
+    "field_evaluator",
     "batch_evaluator",
     "validate_on_chart",
     "sample_points",
@@ -308,7 +311,7 @@ class Num(Expression):
     __slots__ = ("value", "_key")
 
     def __init__(self, value: float):
-        self.value = float(value)
+        self.value = float(value) + 0.0  # -0.0 is 0.0, as == and printing have it
         self._key = (self.value,) if self.value == self.value else ("nan",)  # NaNs are equal
         self._hash = hash(self._key)
 
@@ -823,9 +826,13 @@ def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
 
 _NUMPY_IMPL = {name: getattr(np, name) for name in FUNCTIONS}
 
-# distinct expressions kept compiled; one command on a bundled model compiles
-# fewer than ten
+# distinct expression tuples kept compiled; one command on a bundled model
+# compiles fewer than ten
 COMPILE_CACHE_SIZE = 1024
+
+# rows per kernel block and draws per sampling step: no temporary of 8,192
+# floats reaches the 128 kB at which glibc starts to trim and regrow its heap
+_BLOCK = 8192
 
 # statement templates over the operand names and the node ``e``
 _STATEMENTS = {Div: "{0} / {1}", Neg: "-{0}", Pow: "{0} ** {e.exponent}", Func: "{e.name}({0})"}
@@ -847,18 +854,19 @@ def _first(*codes):
     return out
 
 
-def _compile(e: Expression) -> tuple[Callable, Callable, list]:
-    """A straight-line kernel ``run(P)`` over the transposed points: one
-    statement per structurally unique node (``t7 = t3 * t5``, equal operations
-    on equal operands share one), each operation in the order the nested
-    expression takes it, with literals bound by name.
+def _compile(exprs: tuple[Expression, ...]) -> tuple[Callable, Callable, list]:
+    """A straight-line kernel ``run(P, out)`` over the transposed points that
+    stores component j of ``exprs`` in ``out[j]``: one statement per
+    structurally unique node of all the components (``t7 = t3 * t5``, equal
+    operations on equal operands share one), each operation in the order the
+    nested expression takes it, with literals bound by name.
 
     ``checked()`` compiles, on first use, a kernel that runs the same
-    statements and also returns, per row, the index into ``failures`` --
-    (reason, node) pairs -- of the first node in scalar evaluation order that
-    leaves its domain, or -1.  That order takes children left to right, each
-    node after its children, except that a ``Div`` tests its denominator
-    before it evaluates its numerator.
+    statements and also returns, per component and row, the index into
+    ``failures`` -- (reason, node) pairs -- of the first node in scalar
+    evaluation order that leaves its domain, or -1.  That order takes children
+    left to right, each node after its children, except that a ``Div`` tests
+    its denominator before it evaluates its numerator.
     """
     values, steps, failures, emitted, literals = [], [], [], {}, {}
     namespace = {**_NUMPY_IMPL, "first": _first, "where": np.where, "isinf": np.isinf,
@@ -866,7 +874,7 @@ def _compile(e: Expression) -> tuple[Callable, Callable, list]:
 
     def rule(node, kids):
         t = type(node)
-        if t is Num:  # repr keeps -0.0 apart from 0.0
+        if t is Num:  # repr names every NaN alike
             name = literals.setdefault(repr(node.value), f"c{len(literals)}")
             namespace[name] = np.float64(node.value)
             return name, None
@@ -903,57 +911,74 @@ def _compile(e: Expression) -> tuple[Callable, Callable, list]:
         emitted[text] = name, code
         return name, code
 
-    root, code = fold(e, rule)
-    checked = cache(partial(_define, steps, f"{root}, {code or -1}", namespace))
-    return _define(values, root, namespace), checked, failures
+    roots, codes = zip(*(fold(e, rule) for e in exprs))
+    stores = [f"out[{j}] = {root}" for j, root in enumerate(roots)]
+    checked = cache(partial(_define, steps + stores, f"{', '.join(c or '-1' for c in codes)},",
+                            namespace))
+    return _define(values + stores, "None", namespace), checked, failures
 
 
 def _define(lines: list, result: str, namespace: dict) -> Callable:
     body = "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
-    exec(f"def kernel(P):\n{body}", namespace)
+    exec(f"def kernel(P, out):\n{body}", namespace)
     return namespace["kernel"]
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def batch_evaluator(e: Expression) -> Callable:
-    """Compile to a numpy kernel mapping an (m, N) point array to m values.
+def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
+    """Compile a tuple of expressions to one numpy kernel mapping an (m, N)
+    point array to the (m, len(exprs)) array of their values.
 
-    The straight-line kernel runs with numpy raising on division by zero,
-    invalid operations and overflow.  If it raises, every row is rerun in
-    checked mode; otherwise only the rows it left non-finite are.  Checked
-    mode runs the same statements in IEEE arithmetic, so overflow keeps its
+    The straight-line kernel runs over blocks of at most ``_BLOCK`` rows, with
+    numpy raising on division by zero, invalid operations and overflow.  A
+    block it raises in is rerun in checked mode; otherwise only the rows it
+    left non-finite are, and an entry it left finite is kept.  Checked mode
+    runs the same statements in IEEE arithmetic, so overflow keeps its
     infinity, and finds per row the first node that leaves its domain: a zero
     divisor, zero to a negative power, the square root of a negative number,
     the logarithm of a non-positive one, sin or cos of an infinity.  The
-    first such row raises an ``EvaluationDomainError`` naming that
-    subexpression, or gives NaN with ``strict=False``.
+    lowest failing component's first failing row raises an
+    ``EvaluationDomainError`` naming that subexpression; with ``strict=False``
+    each failing entry is NaN.
     """
-    run, checked, failures = _compile(e)
+    run, checked, failures = _compile(exprs)
 
     def kernel(points, strict: bool = True) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        m = len(points)
-        if not m:
-            return np.zeros(0)
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                values = np.full(m, run(points.T))
-            rows = np.flatnonzero(~np.isfinite(values))
-        except FloatingPointError:
-            values, rows = np.empty(m), np.arange(m)
-        if not len(rows):
-            return values
+        values = np.empty((len(exprs), len(points)))
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            for start in range(0, len(points), _BLOCK):
+                block = slice(start, start + _BLOCK)
+                try:
+                    run(points[block].T, values[:, block])
+                except FloatingPointError:
+                    values[:, block] = math.nan
+        finite = np.isfinite(values)
+        if finite.all():
+            return values.T
+        redo = ~finite
+        rows = np.flatnonzero(redo.any(axis=0))
+        redo, rerun = redo[:, rows], np.empty((len(exprs), len(rows)))
         with np.errstate(all="ignore"):
-            values[rows], codes = checked()(points[rows].T)
-        codes = np.broadcast_to(codes, rows.shape)
-        bad = np.flatnonzero(codes >= 0)
-        if len(bad) and strict:
-            reason, node = failures[codes[bad[0]]]
-            raise EvaluationDomainError(reason, to_source(node))
-        values[rows[bad]] = math.nan
-        return values
+            codes = checked()(points[rows].T, rerun)
+        values[:, rows] = np.where(redo, rerun, values[:, rows])
+        for j, code in enumerate(codes):
+            code = np.broadcast_to(code, rows.shape)
+            bad = np.flatnonzero(redo[j] & (code >= 0))
+            if len(bad) and strict:
+                reason, node = failures[code[bad[0]]]
+                raise EvaluationDomainError(reason, to_source(node))
+            values[j, rows[bad]] = math.nan
+        return values.T
 
     return kernel
+
+
+def batch_evaluator(e: Expression) -> Callable:
+    """The kernel of ``field_evaluator((e,))``, mapping an (m, N) point array
+    to m values."""
+    kernel = field_evaluator((e,))
+    return lambda points, strict=True: kernel(points, strict)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +987,6 @@ def batch_evaluator(e: Expression) -> Callable:
 
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_BLOCK = 8192  # draws per vectorized step
 _LANES = 128  # jumps in one row of the jump table
 
 

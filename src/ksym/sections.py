@@ -8,8 +8,8 @@ fields, innermost copy first:
 Each flow runs classical fixed-step fourth-order Runge-Kutta, one step per
 grid interval.  The grid is filled by marching the last axis first; every
 node filled so far starts one line of the next axis, and all lines of an
-axis advance together as one front through the batched kernels, so each
-node is computed exactly once.
+axis advance together as one front, so each node is computed exactly once,
+and each RK4 stage is one run of the field's kernel over the front.
 
 For commuting component fields the composition order is immaterial up to
 integration error; ``check_integrability`` is the commutation verdict, run
@@ -29,7 +29,7 @@ from .calculus import _same_chart, lie_bracket, max_abs
 from .conservation import ConservationLaw
 from .dynamics import KVectorField
 from .expr import (
-    ChartSpace, Check, EvaluationDomainError, Record, batch_evaluator, residual_check,
+    ChartSpace, Check, EvaluationDomainError, Record, field_evaluator, residual_check,
     worst_sample,
 )
 
@@ -81,18 +81,17 @@ def check_integrability(
     return residual_check("commutation", residuals, points, tolerance)
 
 
-def _rk4_step(kernels, P: np.ndarray, h: float, strict: bool) -> np.ndarray:
-    """One classical RK4 step of size h from every row of the (L, N) array P."""
-    def F(Q):
-        return np.stack([kern(Q, strict=strict) for kern in kernels], axis=-1)
-    k1 = F(P)
-    k2 = F(P + (h / 2.0) * k1)
-    k3 = F(P + (h / 2.0) * k2)
-    k4 = F(P + h * k3)
+def _rk4_step(field, P: np.ndarray, h: float, strict: bool) -> np.ndarray:
+    """One classical RK4 step of size h from every row of the (L, N) array P,
+    one run of the ``field`` kernel per stage."""
+    k1 = field(P, strict)
+    k2 = field(P + (h / 2.0) * k1, strict)
+    k3 = field(P + (h / 2.0) * k2, strict)
+    k4 = field(P + h * k3, strict)
     return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(kernels, lines: np.ndarray, h: float, axis_label: str) -> None:
+def _march(field, lines: np.ndarray, h: float, axis_label: str) -> None:
     """Fill lines[1:] from lines[0] (an (m+1, L, N) view), all L lines at once.
 
     Non-finite values propagate silently and stop their line.  The
@@ -104,7 +103,7 @@ def _march(kernels, lines: np.ndarray, h: float, axis_label: str) -> None:
     failed_at = np.full(lines.shape[1], -1)
     with np.errstate(all="ignore"):
         for i in range(len(lines) - 1):
-            new = _rk4_step(kernels, lines[i, alive], h, strict=False)
+            new = _rk4_step(field, lines[i, alive], h, strict=False)
             ok = np.isfinite(new).all(axis=1)
             failed_at[alive[~ok]] = i
             alive = alive[ok]
@@ -115,7 +114,7 @@ def _march(kernels, lines: np.ndarray, h: float, axis_label: str) -> None:
         i = int(failed_at[line])
         p = lines[i, line]
         try:
-            _rk4_step(kernels, p[None], h, strict=True)
+            _rk4_step(field, p[None], h, strict=True)
         except EvaluationDomainError as err:
             raise SectionIntegrationError(
                 f"flow along {axis_label} left the domain at t={i * h + h:.6g}, "
@@ -156,9 +155,8 @@ def integrate_section(X: KVectorField, origin, T: float, h: float) -> SectionGri
     # march the innermost flow first; every node already filled along the
     # later axes starts one line of the next axis out
     for a in range(k - 1, -1, -1):
-        kernels = [batch_evaluator(c) for c in X[a].components]
         lines = values[(0,) * a].reshape(m + 1, -1, chart.dimension)
-        _march(kernels, lines, h, f"axis {a + 1}")
+        _march(field_evaluator(X[a].components), lines, h, f"axis {a + 1}")
     return SectionGrid(chart=chart, step=h, values=values)
 
 

@@ -1,15 +1,17 @@
 """Shorthand constructors that only the tests use, built on the package's
 public ones: frame and zero fields, a field from its nonzero components, the
-zero form, and a constant k-vector field.
+zero form, and a constant k-vector field; and a kernel compiler that counts
+its kernels' runs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping
 
 from ksym.calculus import PForm, VectorField
 from ksym.dynamics import KVectorField
-from ksym.expr import ChartSpace, Expression, Num
+from ksym.expr import ChartSpace, Expression, Num, batch_evaluator
 
 
 def zero_vector_field(chart: ChartSpace) -> VectorField:
@@ -46,3 +48,18 @@ def repeat(Y: VectorField, k: int | None = None) -> KVectorField:
     if k is None:
         k = Y.chart.k
     return KVectorField(Y.chart, tuple([Y] * k))
+
+
+def counting(runs: Counter, compiler=batch_evaluator):
+    """A stand-in for ``compiler`` (``batch_evaluator`` or ``field_evaluator``)
+    whose kernels count their runs per compiled argument."""
+    def counted(e):
+        kernel = compiler(e)
+
+        def run(points, *args, **kwargs):
+            runs[e] += 1
+            return kernel(points, *args, **kwargs)
+
+        return run
+
+    return counted

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ksym
+from ksym import calculus
 from ksym.calculus import (
     ChartMismatchError,
     ClosednessError,
@@ -38,6 +40,7 @@ from ksym.expr import (
     base_chart,
     batch_evaluator,
     differentiate,
+    field_evaluator,
     make_add,
     make_mul,
     make_neg,
@@ -47,6 +50,7 @@ from ksym.expr import (
 )
 from builders import (
     coordinate_vector_field,
+    counting,
     is_zero_field,
     vector_field_from_map,
     zero_vector_field,
@@ -130,6 +134,21 @@ def test_bracket_antisymmetry_and_jacobi(seed):
         assert np.max(np.abs(a + b)) <= 1e-10 * scale
         total = j1 + j2 + j3
         assert np.max(np.abs(total)) <= 1e-10 * max(1.0, np.max(np.abs(j1)))
+
+
+def test_a_vector_field_evaluates_in_one_kernel_run(monkeypatch):
+    chart = base_chart(3)
+    X = _vf(chart, {"x_1": "x_2*x_3", "x_2": "sin(x_3*x_1)", "x_3": "x_1*x_2"})
+    fields = (X, lie_bracket(X, _vf(chart, {"x_1": "x_1", "x_3": "exp(x_2)"})))
+    pts = sample_points(chart, count=20_000, seed=9)
+    expected = [np.stack([batch_evaluator(c)(pts) for c in V.components], axis=-1)
+                for V in fields]
+    runs = Counter()
+    monkeypatch.setattr(calculus, "field_evaluator", counting(runs, field_evaluator))
+    monkeypatch.setattr(calculus, "batch_evaluator", counting(runs))
+    for V, values in zip(fields, expected):
+        np.testing.assert_array_equal(V.evaluate(pts), values)
+    assert runs == Counter({V.components: 1 for V in fields})
 
 
 def test_bracket_chart_mismatch_rejected():

@@ -32,7 +32,7 @@ from ksym.expr import (
     parse_expression,
     sample_points,
 )
-from builders import repeat, zero_form
+from builders import counting, repeat, zero_form
 from scalar_oracle import evaluate
 
 
@@ -454,20 +454,6 @@ def test_fiber_hessian_is_read_off_omega(name):
                 coefficient = omega.components.get((i, slot), Num(0.0))
                 # the entry d/dv_B_j of theta_A(d/dx_i) = dL/dv_A_i, as it would be derived
                 assert coefficient == differentiate(theta.component(i), slot)
-
-
-def counting(runs: Counter):
-    """A stand-in for ``batch_evaluator`` whose kernels count their runs per expression."""
-    def counted(e):
-        kernel = batch_evaluator(e)
-
-        def run(points, *args, **kwargs):
-            runs[e] += 1
-            return kernel(points, *args, **kwargs)
-
-        return run
-
-    return counted
 
 
 def hessian_entries(system) -> Counter:

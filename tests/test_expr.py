@@ -26,6 +26,7 @@ from ksym.expr import (
     batch_evaluator,
     cotangent_chart,
     differentiate,
+    field_evaluator,
     make_add,
     make_div,
     make_func,
@@ -39,7 +40,7 @@ from ksym.expr import (
     to_source,
     validate_on_chart,
 )
-from ksym.expr import _BLOCK, _LANES, _uniform_stream
+from ksym.expr import _BLOCK, _LANES, _NUMPY_IMPL, _uniform_stream
 from scalar_oracle import evaluate, evaluator
 
 
@@ -504,6 +505,89 @@ def test_batch_kernel_raises_the_scalar_domain_error(source, x, reason):
     relaxed = batch_evaluator(e)(points, strict=False)
     assert math.isnan(relaxed[1])
     assert relaxed[0] == pytest.approx(evaluate(e, points[0]), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# field kernels
+# ---------------------------------------------------------------------------
+
+# row counts on both sides of the kernel's block boundary
+_FIELD_ROWS = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 20_000)
+_FIELD_POINTS = sample_points(base_chart(3), count=max(_FIELD_ROWS), seed=11, halfwidth=2.0)
+
+
+def _outcome(evaluate_all, strict):
+    """Values and no error, or no values and the strict error's text."""
+    try:
+        return evaluate_all(strict), None
+    except EvaluationDomainError as exc:
+        return None, str(exc)
+
+
+@given(
+    st.lists(_expression_strategy(base_chart(3)), min_size=1, max_size=4).map(tuple),
+    st.sampled_from(_FIELD_ROWS),
+)
+def test_field_kernel_matches_the_stacked_expression_kernels(exprs, m):
+    points = _FIELD_POINTS[:m]
+    field = field_evaluator(exprs)
+
+    def stacked(strict):
+        return np.stack([batch_evaluator(e)(points, strict) for e in exprs], axis=-1)
+
+    for strict in (True, False):
+        (values, error), (expected, expected_error) = (
+            _outcome(lambda strict: field(points, strict), strict), _outcome(stacked, strict))
+        assert error == expected_error
+        if error is None:
+            assert values.shape == (m, len(exprs))
+            np.testing.assert_array_equal(values, expected)
+            np.testing.assert_array_equal(np.signbit(values), np.signbit(expected))
+            np.testing.assert_array_equal(np.isnan(values), np.isnan(expected))
+    # a row's entries, here from the strict=False run, do not depend on its
+    # block: each side of the boundary gives what that row alone gives
+    for row in {0, _BLOCK - 1, _BLOCK, m - 1} & set(range(m)):
+        np.testing.assert_array_equal(values[row], field(points[row:row + 1], False)[0])
+
+
+def test_the_lowest_failing_component_names_the_error_whatever_its_row():
+    chart = base_chart(3)
+    exprs = (parse_expression("sqrt(x_1)", chart), parse_expression("1/x_2", chart),
+             parse_expression("x_3", chart))
+    points = np.ones((20_000, 3))
+    points[_BLOCK + 5, 0] = -1.0  # component 0 fails in the second block
+    points[3, 1] = 0.0  # component 1 fails sooner, in the first
+    with pytest.raises(EvaluationDomainError) as caught:
+        field_evaluator(exprs)(points)
+    assert str(caught.value) == "square root of a negative number in 'sqrt(x_1)'"
+    with pytest.raises(EvaluationDomainError, match="division by zero in '1 / x_2'"):
+        field_evaluator(exprs[1:])(points)
+    relaxed = field_evaluator(exprs)(points, strict=False)
+    assert np.argwhere(np.isnan(relaxed)).tolist() == [[3, 1], [_BLOCK + 5, 0]]
+    assert (relaxed[~np.isnan(relaxed)] == 1.0).all()
+
+
+def test_a_field_kernel_takes_a_shared_subexpression_once(monkeypatch):
+    calls = []
+    monkeypatch.setitem(_NUMPY_IMPL, "exp", lambda x: calls.append(x) or np.exp(x))
+    chart = base_chart(2)
+    exprs = tuple(parse_expression(f"exp(0.375 * x_1 * x_2) + {i}", chart) for i in (1, 2, 3))
+    values = field_evaluator(exprs)(np.zeros((5, 2)))
+    assert len(calls) == 1 and values.tolist() == [[2.0, 3.0, 4.0]] * 5
+
+
+def test_a_negative_zero_literal_is_zero():
+    # Num(-0.0) == Num(0.0), so both key one cached kernel and must compile alike
+    assert math.copysign(1.0, make_neg(Num(0.0)).value) == 1.0
+    assert not np.signbit(batch_evaluator(make_neg(Num(0.0)))(np.zeros((2, 1)))).any()
+
+
+def test_an_overflowing_entry_keeps_its_infinity_beside_finite_ones():
+    chart = base_chart(1)
+    exprs = (parse_expression("exp(x_1)", chart), parse_expression("-exp(x_1)", chart),
+             parse_expression("x_1", chart))
+    values = field_evaluator(exprs)(np.array([[1000.0], [0.0]]))
+    assert values.tolist() == [[math.inf, -math.inf, 1000.0], [1.0, -1.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from ksym.bundles import (
     tangent_bundle,
 )
 from ksym.calculus import ChartMismatchError, PForm, ScalarField, VectorField
+from ksym import cli
 from ksym.cli import LoadedModel, Report, load_model, resolve_model_path
+from ksym.models import bundled_model_names
 from ksym.conservation import ConservationLaw, NumericLawComponent
 from ksym.dynamics import FieldSystem, KVectorField, build_system
 from ksym.expr import ChartSpace, Check, Coord, Num, _name_index_map, _Token, base_chart
@@ -197,3 +199,16 @@ def test_a_field_system_keeps_its_derived_tables():
     assert "target_differential" not in vars(system)
     assert system.target_differential is system.target_differential
     assert "target_differential" in vars(system)
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_a_bundled_models_fields_hold_tuples(name):
+    # a list of components could be changed after its one chart check
+    model = load_model(resolve_model_path(name))
+    evolution = cli._named_family(model, ",".join([next(iter(model.fields))] * model.chart.k))
+    for record, field in [*((X, "components") for X in model.fields.values()),
+                          (evolution, "fields")]:
+        held = getattr(record, field)
+        assert type(held) is tuple
+        with pytest.raises(TypeError):
+            held[0] = Coord(7, "bogus")

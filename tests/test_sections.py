@@ -3,17 +3,19 @@
 import io
 import os
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ksym import sections
 from ksym.bundles import tangent_bundle
 from ksym.calculus import ScalarField, VectorField
 from ksym.cli import load_model, resolve_model_path
 from ksym.conservation import build_bracket_law, user_law
 from ksym.dynamics import KVectorField, build_system
-from ksym.expr import Num, base_chart, parse_expression, sample_points
+from ksym.expr import Num, base_chart, field_evaluator, parse_expression, sample_points
 from ksym.sections import (
     COMMUTATION_TOLERANCE,
     SectionIntegrationError,
@@ -22,7 +24,7 @@ from ksym.sections import (
     integrate_section,
     verify_law_divergence,
 )
-from builders import coordinate_vector_field
+from builders import coordinate_vector_field, counting
 from scalar_oracle import evaluator
 
 
@@ -288,6 +290,16 @@ def test_front_march_is_bit_identical_on_polynomial_families(family, origin, T, 
     grid = integrate_section(family, np.array(origin), T=T, h=h)
     reference = per_line_march(family, np.array(origin), T, h)
     assert np.array_equal(grid.values, reference)
+
+
+def test_each_rk4_stage_runs_the_field_kernel_once(monkeypatch):
+    # the golden free_particle grid, 65 x 65: 2 axes x 64 steps x 4 stages
+    family = bundled_family("free_particle", ("X1", "X2"))
+    runs = Counter()
+    monkeypatch.setattr(sections, "field_evaluator", counting(runs, field_evaluator))
+    grid = integrate_section(family, np.array([0.0, 1.0, 2.0]), T=0.5, h=0.0078125)
+    assert grid.shape == (65, 65)
+    assert runs == Counter({family[0].components: 256, family[1].components: 256})
 
 
 def test_front_march_matches_per_line_march_on_a_transcendental_flow():

@@ -7,13 +7,23 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ksym import calculus
 from ksym.calculus import (
     ChartMismatchError,
     VectorField,
+    lie_bracket,
 )
 from ksym.bundles import tangent_bundle
 from ksym.dynamics import KVectorField, build_system
-from ksym.expr import Num, base_chart, make_add, make_mul, parse_expression, sample_points
+from ksym.expr import (
+    Num,
+    base_chart,
+    field_evaluator,
+    make_add,
+    make_mul,
+    parse_expression,
+    sample_points,
+)
 from ksym.symmetry import (
     is_cartan_symmetry,
     is_invariant_form,
@@ -21,7 +31,9 @@ from ksym.symmetry import (
     solve_pseudosymmetry,
     _stacked_solve,
 )
-from builders import coordinate_vector_field, repeat, vector_field_from_map, zero_vector_field
+from builders import (
+    coordinate_vector_field, counting, repeat, vector_field_from_map, zero_vector_field,
+)
 import lstsq_oracle
 from scalar_oracle import evaluate
 
@@ -130,6 +142,17 @@ def test_radial_field_is_pseudosymmetry_with_constant_coefficient():
     assert verdict.extra["lambda_fit"] == [["-1"]]
     assert verdict.extra["lambda_fit_residual"] <= 1e-9
     assert "rank_deficient_points" not in verdict.extra
+
+
+def test_the_pseudosymmetry_stacks_run_one_kernel_per_field(monkeypatch):
+    # Z_B and each [X_A, Y] are evaluated by one kernel run apiece
+    ch, family = cyclic_quadratic_family()
+    pts = sample_points(ch, count=32, seed=4)
+    runs = Counter()
+    monkeypatch.setattr(calculus, "field_evaluator", counting(runs, field_evaluator))
+    solve_pseudosymmetry(family, radial(ch), family, pts)
+    brackets = [lie_bracket(X, radial(ch)).components for X in family]
+    assert runs == Counter([Z.components for Z in family] + brackets)
 
 
 def test_liouville_brackets_into_span_of_translation_tuple():
