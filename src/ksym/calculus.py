@@ -6,6 +6,8 @@ Forms are stored sparsely as maps from strictly increasing index tuples to
 coefficient expressions; contraction is iterated interior products.
 Fields and potentials ``evaluate``, forms ``max_component_at``, an (m, N)
 array of chart points: one row per point is the only evaluation path.
+Each residual family (a bracket's components, a form's coefficients) is
+one kernel run, and ``max_abs`` is the package's one sup-norm over one.
 """
 
 from __future__ import annotations
@@ -70,13 +72,11 @@ class ClosednessError(ValueError):
 
 
 def max_abs(exprs: Iterable[Expression], points) -> np.ndarray:
-    """Running maximum of |e| over ``exprs`` at each of the (m, N) points,
-    starting from 0; NaN propagates, so no NaN ever passes a tolerance."""
-    points = np.asarray(points, dtype=float)
-    out = np.zeros(len(points))
-    for e in exprs:
-        np.maximum(out, np.abs(batch_evaluator(e)(points)), out=out)
-    return out
+    """The one sup-norm: the largest |e| over the family ``exprs`` (0 if empty)
+    at each of the (m, N) points, in place on the values of one kernel run;
+    NaN propagates, so no NaN ever passes a tolerance."""
+    values = field_evaluator(tuple(exprs))(points)
+    return np.abs(values, out=values).max(axis=1, initial=0.0)
 
 
 def _same_chart(*operands) -> ChartSpace:
@@ -282,8 +282,8 @@ def two_form_matrix(omega: PForm, point) -> np.ndarray:
     dim = omega.chart.dimension
     W = np.zeros((dim, dim))
     row = np.asarray(point, dtype=float)[None]
-    for (i, j), expr in omega.components.items():
-        value = batch_evaluator(expr)(row)[0]
+    values = field_evaluator(tuple(omega.components.values()))(row)[0]
+    for (i, j), value in zip(omega.components, values):
         W[i, j] += value
         W[j, i] -= value
     return W
@@ -317,23 +317,21 @@ class PotentialEvaluator:
 
     @functools.cached_property
     def _quadrature(self) -> tuple:
-        """(nodes on [0, 1], their weights, (index, kernel) per component)."""
+        """(nodes on [0, 1], their weights, component indices, their kernel)."""
         ts, ws = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-        comps = [(key[0], batch_evaluator(expr)) for key, expr in self.alpha.components.items()]
-        return 0.5 * (ts + 1.0), 0.5 * ws, comps
+        indices = [key[0] for key in self.alpha.components]
+        kernel = field_evaluator(tuple(self.alpha.components.values()))
+        return 0.5 * (ts + 1.0), 0.5 * ws, indices, kernel
 
     def evaluate(self, points) -> np.ndarray:
-        """g at each of the (m, N) points, shape (m,)."""
-        ts, ws, comps = self._quadrature
+        """g at each of the (m, N) points, shape (m,); one kernel run a node."""
+        ts, ws, indices, kernel = self._quadrature
         delta = np.asarray(points, dtype=float) - self.base_point
         total = np.zeros(len(delta))
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite alpha gives NaN or inf
             for t, w in zip(ts, ws):
-                x = self.base_point + t * delta
-                pairing = 0.0
-                for idx, fn in comps:
-                    pairing = pairing + fn(x) * delta[:, idx]
-                total += w * pairing
+                values = kernel(self.base_point + t * delta)
+                total += w * sum(values[:, j] * delta[:, idx] for j, idx in enumerate(indices))
         return total
 
 

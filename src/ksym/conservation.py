@@ -46,7 +46,7 @@ from .calculus import (
 )
 from .dynamics import FieldSystem, KVectorField
 from .expr import (
-    ChartSpace, Check, Num, Record, batch_evaluator, make_add, make_neg, residual_check,
+    ChartSpace, Check, Num, Record, field_evaluator, make_add, make_neg, residual_check,
     worst_sample,
 )
 from .symmetry import is_cartan_symmetry
@@ -187,17 +187,16 @@ def _directional_derivative(Xa: VectorField, comp):
 
 
 def law_residuals(X: KVectorField, law: ConservationLaw, points) -> np.ndarray:
-    """|sum_A X_A(Phi_A)| at each sample point.
+    """|sum_A X_A(Phi_A)| at each sample point, the k terms from one kernel run.
 
     Quadrature-backed components are differentiated exactly, through the
     one-form alpha_A = df_A their potential integrates.
     """
     _same_chart(law, X)
+    terms = tuple(map(_directional_derivative, X, law.components))
+    values = field_evaluator(terms)(points)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN verdict
-        return np.abs(sum(
-            batch_evaluator(_directional_derivative(Xa, comp))(points)
-            for Xa, comp in zip(X, law.components)
-        ))
+        return np.abs(values.sum(axis=1))
 
 
 def verify_law_pointwise(

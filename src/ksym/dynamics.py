@@ -40,7 +40,7 @@ from .expr import (
     Check,
     Func,
     Record,
-    batch_evaluator,
+    field_evaluator,
     fold,
     make_add,
     make_neg,
@@ -188,12 +188,10 @@ def check_regularity(
     if system.kind != "lagrangian":
         raise ValueError("regularity applies to Lagrangian systems")
     points = np.asarray(points, dtype=float)
-    n, k = system.chart.n, system.chart.k
-    hess = np.zeros((len(points), n * k, n * k))  # one (nk, nk) matrix per point
-    for A, omega in enumerate(system.omega):
-        for (i, b), expr in omega.components.items():
-            if i < n <= b:
-                hess[:, A * n + i, b - n] = batch_evaluator(expr)(points)
+    n, dim = system.chart.n, system.chart.dimension
+    entries = tuple(omega.component(i, b) for omega in system.omega
+                    for i in range(n) for b in range(n, dim))
+    hess = field_evaluator(entries)(points).reshape(len(points), dim - n, dim - n)  # no copy
     dets = _abs_dets(hess)
     at = int(np.argmin(dets))  # the first NaN, if any
     det = float(dets[at])
@@ -209,9 +207,9 @@ def _evolution_system(system: FieldSystem, point: np.ndarray) -> tuple[np.ndarra
     """Row c of sum_A i_{X_A} omega_A = d(target) at one point: the (N, kN)
     matrix with sum_A sum_b W_A[b, c] (X_A)^b on row c, and (d target)_c."""
     M = np.hstack([two_form_matrix(omega, point).T for omega in system.omega])
+    gradient = system.target_differential.components
     b = np.zeros(system.chart.dimension)
-    for (c,), expr in system.target_differential.components.items():
-        b[c] = batch_evaluator(expr)(point[None])[0]
+    b[[c for (c,) in gradient]] = field_evaluator(tuple(gradient.values()))(point[None])[0]
     return M, b
 
 

@@ -911,10 +911,10 @@ def _compile(exprs: tuple[Expression, ...]) -> tuple[Callable, Callable, list]:
         emitted[text] = name, code
         return name, code
 
-    roots, codes = zip(*(fold(e, rule) for e in exprs))
-    stores = [f"out[{j}] = {root}" for j, root in enumerate(roots)]
-    checked = cache(partial(_define, steps + stores, f"{', '.join(c or '-1' for c in codes)},",
-                            namespace))
+    folded = [fold(e, rule) for e in exprs]
+    stores = [f"out[{j}] = {root}" for j, (root, _) in enumerate(folded)]
+    checked = cache(partial(_define, steps + stores,
+                            f"({''.join(f'{c or -1}, ' for _, c in folded)})", namespace))
     return _define(values + stores, "None", namespace), checked, failures
 
 
@@ -927,7 +927,8 @@ def _define(lines: list, result: str, namespace: dict) -> Callable:
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
     """Compile a tuple of expressions to one numpy kernel mapping an (m, N)
-    point array to the (m, len(exprs)) array of their values.
+    point array to the (m, len(exprs)) array of their values; an empty tuple
+    gives an (m, 0) array.
 
     The straight-line kernel runs over blocks of at most ``_BLOCK`` rows, with
     numpy raising on division by zero, invalid operations and overflow.  A
@@ -1112,7 +1113,9 @@ def sample_points(
     if not math.isfinite(2.0 * halfwidth):
         raise SamplingError(f"halfwidth {halfwidth!r} spans a box of non-finite width")
     draw = _uniform_stream(seed)
-    exprs = [getattr(item, "expr", item) for item in require]
+    exprs = tuple(getattr(item, "expr", item) for item in require)
+    # one run per draw for all of them; with none, no kernel to compile
+    kernel = field_evaluator(exprs) if exprs else lambda pts, strict: pts[:, :0]
 
     accepted, kept, drawn = [], 0, 0  # each batch's valid rows, copied only if some are not
     budget = 10 * count
@@ -1126,12 +1129,11 @@ def sample_points(
         batch = min(count, budget - drawn)
         pts = draw(-halfwidth, halfwidth, (batch, chart.dimension))
         drawn += batch
-        valid = np.ones(batch, dtype=bool)
-        for e in exprs:
-            finite = np.isfinite(batch_evaluator(e)(pts, strict=False))
-            if rejected is None and not finite.all():
-                rejected = e, pts[np.argmin(finite)]
-            valid &= finite
+        finite = np.isfinite(kernel(pts, strict=False))
+        valid = finite.all(axis=1)
+        if rejected is None and not valid.all():
+            first = int(np.argmin(finite.all(axis=0)))
+            rejected = exprs[first], pts[np.argmin(finite[:, first])]
         accepted.append((pts if valid.all() else pts[valid])[: count - kept])
         kept += len(accepted[-1])
     if len(accepted) == 1:

@@ -1,20 +1,33 @@
 """The interpretive scalar evaluator, kept as the reference that the batched
 kernels of ``ksym.expr.batch_evaluator`` are tested against.
 
-It walks the tree at one point in Python floats and the ``math`` module and
-raises the ``EvaluationDomainError`` of the first node, in evaluation order,
-that leaves its domain.  A ``Div`` evaluates and tests its denominator
-before its numerator.
+It walks the tree at one point in Python floats and raises the
+``EvaluationDomainError`` of the first node, in evaluation order, that
+leaves its domain.  A ``Div`` evaluates and tests its denominator before its
+numerator.  Integer powers and the analytic functions are numpy's, applied
+to a one-element array as the kernels apply them: Python's ``float ** int``
+and ``math.exp`` or ``math.log`` differ from them by an ulp at some points,
+and cancellation or a function near a root, as in sin((x_1^2)^-2), magnifies
+that gap to thousands of ulp.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
+
+import numpy as np
 
 from ksym.expr import Add, Coord, Div, EvaluationDomainError, Mul, Neg, Num, Pow, to_source
 
-_MATH = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
+_NUMPY = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
+
+
+def _elementwise(fn, value: float, *args) -> float:
+    """``fn(value, *args)`` as a kernel takes it, on a one-element array."""
+    with np.errstate(over="ignore"):  # an overflow is the signed infinity
+        return float(fn(np.array([value]), *args)[0])
 
 
 def evaluate(e, point) -> float:
@@ -42,24 +55,17 @@ def evaluate(e, point) -> float:
         return -evaluate(e.arg, point)
     if t is Pow:
         base = evaluate(e.base, point)
-        try:
-            return base**e.exponent
-        except ZeroDivisionError:
-            raise EvaluationDomainError("division by zero", to_source(e)) from None
-        except OverflowError:
-            sign = 1.0 if (base > 0 or e.exponent % 2 == 0) else -1.0
-            return sign * math.inf
+        if base == 0.0 and e.exponent < 0:
+            raise EvaluationDomainError("division by zero", to_source(e))
+        return _elementwise(operator.pow, base, e.exponent)
     value = evaluate(e.arg, point)  # Func
     if e.name == "sqrt" and value < 0.0:
         raise EvaluationDomainError("square root of a negative number", to_source(e))
     if e.name == "log" and value <= 0.0:
         raise EvaluationDomainError("logarithm of a non-positive number", to_source(e))
-    try:
-        return _MATH[e.name](value)
-    except OverflowError:
-        return math.inf
-    except ValueError:  # sin and cos of an infinite argument
-        raise EvaluationDomainError(f"{e.name} of an infinite number", to_source(e)) from None
+    if e.name in ("sin", "cos") and math.isinf(value):
+        raise EvaluationDomainError(f"{e.name} of an infinite number", to_source(e))
+    return _elementwise(_NUMPY[e.name], value)
 
 
 def evaluator(e):

@@ -14,8 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ksym
-from ksym import calculus
+from ksym import calculus, conservation, dynamics
 from ksym.calculus import (
+    QUADRATURE_NODES,
     ChartMismatchError,
     ClosednessError,
     PForm,
@@ -29,11 +30,14 @@ from ksym.calculus import (
     interior_product,
     lie_bracket,
     lie_derivative_form,
+    max_abs,
     one_form,
     potential_of_exact_one_form,
     scalar_form,
     two_form_matrix,
 )
+from ksym.conservation import check_momentum_converse, law_residuals
+from ksym.dynamics import KVectorField, check_regularity, evolution_residuals
 from ksym.expr import (
     Coord,
     Num,
@@ -48,6 +52,9 @@ from ksym.expr import (
     sample_points,
     tangent_chart,
 )
+from ksym.models import load_model, resolve_model_path
+from ksym.sections import check_integrability
+from ksym.symmetry import is_cartan_symmetry, is_invariant_form, is_symmetry
 from builders import (
     coordinate_vector_field,
     counting,
@@ -149,6 +156,66 @@ def test_a_vector_field_evaluates_in_one_kernel_run(monkeypatch):
     for V, values in zip(fields, expected):
         np.testing.assert_array_equal(V.evaluate(pts), values)
     assert runs == Counter({V.components: 1 for V in fields})
+
+
+def count_kernel_runs(monkeypatch) -> Counter:
+    """Runs of every kernel the residual paths evaluate, per compiled argument."""
+    runs = Counter()
+    for module in (calculus, conservation, dynamics):
+        monkeypatch.setattr(module, "field_evaluator", counting(runs, field_evaluator))
+    monkeypatch.setattr(calculus, "batch_evaluator", counting(runs))
+    return runs
+
+
+def _family(model, names: str) -> KVectorField:
+    return KVectorField(model.chart, tuple(model.fields[name] for name in names.split(",")))
+
+
+# claim: (model, residual families it evaluates, the claim on the model's points)
+RESIDUAL_FAMILIES = {
+    "is_symmetry": ("free_particle", 1, lambda m, pts: is_symmetry(
+        _family(m, "X1,X2"), m.fields["ddx"], pts)),
+    "is_cartan_symmetry": ("vibrating_string", 1, lambda m, pts: is_cartan_symmetry(
+        m.system, m.fields["ddx"], pts)),
+    "is_invariant_form": ("free_particle", 1, lambda m, pts: is_invariant_form(
+        _family(m, "X1,X2"), m.system.omega, pts)),
+    "check_integrability": ("vibrating_string", 1, lambda m, pts: check_integrability(
+        _family(m, "xi1,xi2"), pts)),
+    # the pairing, the law along X and the Cartan check
+    "check_momentum_converse": ("free_particle", 3, lambda m, pts: check_momentum_converse(
+        m.system, m.fields["ddx"], m.laws["momenta"], _family(m, "X1,X2"), pts)),
+    "law_residuals": ("vibrating_string", 1, lambda m, pts: law_residuals(
+        _family(m, "xi1,xi2"), m.laws["wave_flux"], pts)),
+    "evolution_residuals": ("vibrating_string", 1, lambda m, pts: evolution_residuals(
+        m.system, _family(m, "xi1,xi2"), pts)),
+    "check_regularity": ("navier", 1, lambda m, pts: check_regularity(m.system, pts)),
+}
+
+
+@pytest.mark.parametrize("claim", RESIDUAL_FAMILIES)
+def test_each_residual_family_is_one_kernel_run(claim, monkeypatch):
+    name, families, verify = RESIDUAL_FAMILIES[claim]
+    model = load_model(resolve_model_path(name))
+    points = sample_points(model.chart, count=32, seed=5, require=[model.system.function])
+    runs = count_kernel_runs(monkeypatch)
+    verify(model, points)
+    assert len(runs) == families and set(runs.values()) == {1}, runs
+
+
+def test_a_potential_runs_one_kernel_per_quadrature_node(monkeypatch):
+    chart = base_chart(3)
+    alpha = one_form(chart, [parse_expression(src, chart)
+                             for src in ("x_2*x_3", "x_1*x_3", "x_1*x_2")])
+    points = sample_points(chart, count=16, seed=3)
+    runs = count_kernel_runs(monkeypatch)
+    values = PotentialEvaluator(alpha, [0.0, 0.0, 0.0]).evaluate(points)
+    assert runs == Counter({tuple(alpha.components.values()): QUADRATURE_NODES})
+    np.testing.assert_allclose(values, points.prod(axis=1), rtol=1e-12, atol=1e-15)
+
+
+def test_the_sup_norm_of_an_empty_family_is_zero():
+    points = sample_points(base_chart(2), count=5, seed=3)
+    assert max_abs((), points).tolist() == [0.0] * 5
 
 
 def test_bracket_chart_mismatch_rejected():

@@ -650,6 +650,26 @@ def test_a_command_that_draws_no_sample_reports_no_seed(argv, capsys):
     assert code == 0 and "\nseed: " not in out
 
 
+def test_a_single_field_section_commutes_with_residual_0(capsys):
+    # k = 1: the commutation family has no bracket
+    argv = ["integrate", "section", "--model", "oscillator_k1", "--T", "0.5", "--h", "0.125"]
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    (check,) = json.loads(out)["checks"]
+    assert code == 0 and (check["name"], check["pass"], check["max_residual"]) == (
+        "commutation", True, 0.0)
+
+
+def test_a_constant_hamiltonian_solves_to_the_zero_field(tmp_path, capsys):
+    # d(H) has no component: the right-hand side is an empty family
+    path = write_model(tmp_path, "[model]\nname = m\nkind = hamiltonian\nn = 1\nk = 1\n"
+                                 "function = 1\n")
+    code, out = run_cli(["solve", "evolution", "--model", str(path), "--at", "0.3,0.7",
+                         "--format", "json"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["solution"] == [[0.0, 0.0]]
+    assert [(c["pass"], c["max_residual"]) for c in report["checks"]] == [(True, 0.0)]
+
+
 def one_dimensional_model(tmp_path) -> Path:
     # base chart of dimension 1, so a count of nodes or samples is a count of values
     return write_model(

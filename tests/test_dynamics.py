@@ -28,6 +28,7 @@ from ksym.expr import (
     Num,
     batch_evaluator,
     differentiate,
+    field_evaluator,
     make_add,
     parse_expression,
     sample_points,
@@ -465,7 +466,7 @@ def hessian_entries(system) -> Counter:
 
 
 @pytest.mark.parametrize("name", BUNDLED_LAGRANGIANS + list(AD_HOC_LAGRANGIANS))
-def test_regularity_runs_each_nonzero_hessian_kernel_once(name, monkeypatch):
+def test_regularity_runs_the_dense_hessian_in_one_kernel_run(name, monkeypatch):
     if name in AD_HOC_LAGRANGIANS:
         system = build_system("lagrangian", *AD_HOC_LAGRANGIANS[name])
     else:
@@ -479,9 +480,12 @@ def test_regularity_runs_each_nonzero_hessian_kernel_once(name, monkeypatch):
         for omega in system.omega for i in range(chart.n)
     ], axis=1)
     runs = Counter()
-    monkeypatch.setattr(dynamics, "batch_evaluator", counting(runs))
+    monkeypatch.setattr(dynamics, "field_evaluator", counting(runs, field_evaluator))
     check = check_regularity(system, points)
-    assert runs == hessian_entries(system) and Num(0.0) not in runs, runs
+    # one run of all (nk)^2 entries, an absent one as the literal 0
+    [(entries, count)] = runs.items()
+    assert count == 1 and len(entries) == (chart.n * chart.k) ** 2
+    assert Counter(e for e in entries if e != Num(0.0)) == hessian_entries(system)
     assert check.extra["min_abs_det"] == np.min(np.abs(np.linalg.det(dense)))
 
 
@@ -511,15 +515,17 @@ def test_lagrangian_derivatives_are_taken_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["navier", "vibrating_string", "laplace3", "minimal_surface"])
-def test_fiber_hessian_is_evaluated_once_per_solve(name, monkeypatch):
+def test_a_lagrangian_solve_runs_one_kernel_per_omega_and_one_for_the_gradient(name, monkeypatch):
     # the solve reads the Hessian off omega_A's (x_i, v_B_j) entries, so each
-    # omega kernel, the Hessian's among them, runs once
+    # omega_A, the Hessian's entries among them, and d(E_L) are one run each
     system = load_model(resolve_model_path(name)).system
-    entries = Counter(e for omega in system.omega for e in omega.components.values())
+    expected = Counter(tuple(omega.components.values()) for omega in system.omega)
+    expected[tuple(system.target_differential.components.values())] += 1
     runs = Counter()
-    monkeypatch.setattr(calculus, "batch_evaluator", counting(runs))
+    for module in (calculus, dynamics):
+        monkeypatch.setattr(module, "field_evaluator", counting(runs, field_evaluator))
     solve_evolution_lagrangian(system, np.full(system.chart.dimension, 0.5))
-    assert set(hessian_entries(system)) <= set(runs) and runs == entries, runs
+    assert runs == expected, runs
 
 
 @pytest.mark.parametrize("copied", [dict(n=1), dict(k=1), dict(bundle=tangent_bundle(1, 1))])

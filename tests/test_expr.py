@@ -590,6 +590,12 @@ def test_an_overflowing_entry_keeps_its_infinity_beside_finite_ones():
     assert values.tolist() == [[math.inf, -math.inf, 1000.0], [1.0, -1.0, 0.0]]
 
 
+@pytest.mark.parametrize("m", _FIELD_ROWS)
+def test_an_empty_family_evaluates_to_m_by_0(m):
+    # a k = 1 commutation check, a constant target and a zero form are empty families
+    assert field_evaluator(())(_FIELD_POINTS[:m]).shape == (m, 0)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
