@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .calculus import ScalarField, VectorField
+from .calculus import VectorField
 from .conservation import (
     ConservationLaw,
     NotCartanSymmetryError,
@@ -284,10 +284,9 @@ def _point(values: np.ndarray | None, chart: ChartSpace, flag: str) -> np.ndarra
 
 
 def _phi_sources(law: ConservationLaw) -> list:
-    return [
-        to_source(comp.expr) if isinstance(comp, ScalarField) else None
-        for comp in law.components
-    ]
+    """Each component's source, or None where the law subtracts a potential."""
+    pairs = zip(law.components, law.potentials)
+    return [to_source(c.expr) if f is None else None for c, f in pairs]
 
 
 # ---------------------------------------------------------------------------

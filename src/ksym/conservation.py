@@ -1,8 +1,9 @@
 """Conservation laws: construction and sampled verification.
 
-A law is a tuple of scalar quantities Phi_1..Phi_k on one chart, conserved
-along an evolution family X when sum_A X_A(Phi_A) vanishes.  Two
-constructors:
+A law is a tuple of scalar quantities Phi_A = c_A - f_A on one chart,
+conserved along an evolution family X when sum_A X_A(Phi_A) vanishes: each
+c_A is a ``ScalarField`` and each f_A a quadrature-backed potential or
+absent (zero).  Two constructors:
 
   * build_bracket_law   Phi_A = omega_A(S_1, ..., S_{p-1}, Y), fully
                         symbolic.  Deliberately total: it does not check
@@ -13,14 +14,13 @@ constructors:
                         vanishing test below and the closedness of
                         L_Y theta_A all run on the caller's one point set.
                         When that derivative vanishes on the points f_A is
-                        taken to be zero and the law stays symbolic;
-                        otherwise f_A is recovered by line-integral
+                        absent; otherwise f_A is recovered by line-integral
                         quadrature, pinned to 0 at the chart origin.
 
-Verification differentiates every component exactly.  A quadrature-backed
-component needs no finite difference: its potential satisfies df_A =
-L_Y theta_A by construction, so X_A(Phi_A) = X_A(theta_A(Y)) - (L_Y
-theta_A)(X_A) and d Phi_A = d(theta_A(Y)) - L_Y theta_A, both symbolic.
+Verification differentiates every component exactly.  A potential needs
+no finite difference: it satisfies df_A = alpha_A (= L_Y theta_A) by
+construction, so X_A(Phi_A) = X_A(c_A) - alpha_A(X_A) and d Phi_A =
+d c_A - alpha_A, both symbolic.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from .calculus import (
     PForm,
-    PotentialEvaluator,
     ScalarField,
     VectorField,
     _same_chart,
@@ -46,14 +45,12 @@ from .calculus import (
 )
 from .dynamics import FieldSystem, KVectorField
 from .expr import (
-    ChartSpace, Check, Num, Record, field_evaluator, make_add, make_neg, residual_check,
-    worst_sample,
+    ChartSpace, Check, Record, field_evaluator, make_add, make_neg, residual_check, worst_sample,
 )
 from .symmetry import is_cartan_symmetry
 
 __all__ = [
     "ConservationLaw",
-    "NumericLawComponent",
     "NotCartanSymmetryError",
     "user_law",
     "build_bracket_law",
@@ -78,36 +75,31 @@ class NotCartanSymmetryError(ValueError):
         self.verdict = verdict
 
 
-class NumericLawComponent(Record):
-    """theta_A(Y) minus a quadrature-backed potential of L_Y theta_A."""
-
-    def __init__(self, chart: ChartSpace, symbolic: ScalarField, potential: PotentialEvaluator):
-        self._set(chart=chart, symbolic=symbolic, potential=potential)
-
-    def evaluate(self, points) -> np.ndarray:
-        """Values at each of the (m, N) points, shape (m,)."""
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN value
-            return self.symbolic.evaluate(points) - self.potential.evaluate(points)
-
-
 class ConservationLaw(Record, eq=False):
+    """Phi_A = c_A - f_A: k ``ScalarField`` c_A, k ``PotentialEvaluator`` f_A or None (0)."""
+
     def __init__(self, chart: ChartSpace, components: tuple, provenance: str,
-                 ingredients: Mapping | None = None):
+                 potentials: tuple | None = None, ingredients: Mapping | None = None):
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
         if len(components) != chart.k:
             raise ValueError(f"expected {chart.k} components on this chart, got {len(components)}")
-        _same_chart(chart, *components)
+        potentials = (None,) * chart.k if potentials is None else tuple(potentials)
+        if len(potentials) != chart.k:
+            raise ValueError(f"expected {chart.k} potentials on this chart, got {len(potentials)}")
+        _same_chart(chart, *components, *(f.alpha for f in potentials if f is not None))
         self._set(chart=chart, components=components, provenance=provenance,
-                  ingredients={} if ingredients is None else ingredients)
-
-    @property
-    def symbolic(self) -> bool:
-        return all(isinstance(c, ScalarField) for c in self.components)
+                  potentials=potentials, ingredients={} if ingredients is None else ingredients)
 
     def evaluate(self, points) -> np.ndarray:
-        """Phi_1..Phi_k at each of the (m, N) points, shape (k, m)."""
-        return np.stack([c.evaluate(points) for c in self.components])
+        """Phi_1..Phi_k at each of the (m, N) points, shape (k, m): one kernel
+        run over the components, minus each potential there is."""
+        values = field_evaluator(tuple(c.expr for c in self.components))(points).T
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN value
+            for row, f in zip(values, self.potentials):
+                if f is not None:
+                    row -= f.evaluate(points)
+        return values
 
 
 def user_law(chart: ChartSpace, components: Sequence) -> ConservationLaw:
@@ -132,7 +124,7 @@ def build_bracket_law(
         Y.chart,
         components,
         "bracket-law",
-        {"omega": tuple(omegas), "S": tuple(s_fields), "Y": Y},
+        ingredients={"omega": tuple(omegas), "S": tuple(s_fields), "Y": Y},
     )
 
 
@@ -150,24 +142,20 @@ def build_noether_law(
     verdict = is_cartan_symmetry(sys, Y, points, tol)
     if not verdict.holds:
         raise NotCartanSymmetryError(verdict)
-    components = []
+    components = tuple(ScalarField(sys.chart, apply_form(theta, [Y])) for theta in sys.theta)
     potentials = []
-    for theta, omega in zip(sys.theta, sys.omega):
-        pairing = ScalarField(sys.chart, apply_form(theta, [Y]))
+    for pairing, omega in zip(components, sys.omega):
         # Cartan's formula on the forms the system holds: omega_A = -d theta_A
         derivative = form_sub(exterior_derivative(scalar_form(pairing)), interior_product(Y, omega))
-        if worst_sample(derivative.max_component_at(points))[0] <= tol:
-            potentials.append(ScalarField(sys.chart, Num(0.0)))
-            components.append(pairing)
-        else:
-            f = potential_of_exact_one_form(derivative, np.zeros(sys.chart.dimension), points, tol)
-            potentials.append(f)
-            components.append(NumericLawComponent(sys.chart, pairing, f))
+        vanishes = worst_sample(derivative.max_component_at(points))[0] <= tol
+        potentials.append(None if vanishes else potential_of_exact_one_form(
+            derivative, np.zeros(sys.chart.dimension), points, tol))
     return ConservationLaw(
         sys.chart,
-        tuple(components),
+        components,
         "noether",
-        {"Y": Y, "theta": sys.theta, "f": tuple(potentials), "cartan": verdict},
+        potentials,
+        {"Y": Y, "theta": sys.theta, "cartan": verdict},
     )
 
 
@@ -176,24 +164,20 @@ def build_noether_law(
 # ---------------------------------------------------------------------------
 
 
-def _directional_derivative(Xa: VectorField, comp):
-    if isinstance(comp, ScalarField):
-        return directional_derivative(Xa, comp.expr)
+def _directional_derivative(Xa: VectorField, comp: ScalarField, f):
+    term = directional_derivative(Xa, comp.expr)
     # X_A(f_A) = alpha_A(X_A) because df_A = alpha_A
-    return make_add(
-        directional_derivative(Xa, comp.symbolic.expr),
-        make_neg(apply_form(comp.potential.alpha, [Xa])),
-    )
+    return term if f is None else make_add(term, make_neg(apply_form(f.alpha, [Xa])))
 
 
 def law_residuals(X: KVectorField, law: ConservationLaw, points) -> np.ndarray:
     """|sum_A X_A(Phi_A)| at each sample point, the k terms from one kernel run.
 
-    Quadrature-backed components are differentiated exactly, through the
-    one-form alpha_A = df_A their potential integrates.
+    Potentials are differentiated exactly, through the one-form alpha_A =
+    df_A each integrates.
     """
     _same_chart(law, X)
-    terms = tuple(map(_directional_derivative, X, law.components))
+    terms = tuple(map(_directional_derivative, X, law.components, law.potentials))
     values = field_evaluator(terms)(points)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN verdict
         return np.abs(values.sum(axis=1))
@@ -206,15 +190,11 @@ def verify_law_pointwise(
     return residual_check("law-pointwise", law_residuals(X, law, points), points, tolerance)
 
 
-def _differential(comp) -> PForm:
-    if isinstance(comp, ScalarField):
-        return exterior_derivative(scalar_form(comp))
-    # d Phi_A = d(theta_A(Y)) - alpha_A because df_A = alpha_A
-    return form_sub(exterior_derivative(scalar_form(comp.symbolic)), comp.potential.alpha)
-
-
-def _pairing_form(X_single, comp, omega) -> PForm:
-    return form_sub(interior_product(X_single, omega), _differential(comp))
+def _pairing_form(X_single: VectorField, comp: ScalarField, f, omega: PForm) -> PForm:
+    differential = exterior_derivative(scalar_form(comp))
+    if f is not None:  # d Phi_A = d c_A - alpha_A because df_A = alpha_A
+        differential = form_sub(differential, f.alpha)
+    return form_sub(interior_product(X_single, omega), differential)
 
 
 def check_momentum_converse(
@@ -235,7 +215,8 @@ def check_momentum_converse(
     _same_chart(sys, X_single, law)
     tol = sys.default_tolerance if tolerance is None else tolerance
     pairing_forms = [
-        _pairing_form(X_single, comp, omega) for comp, omega in zip(law.components, sys.omega)
+        _pairing_form(X_single, comp, f, omega)
+        for comp, f, omega in zip(law.components, law.potentials, sys.omega)
     ]
     exprs = [e for form in pairing_forms for e in form.components.values()]
     pairing = residual_check("pairing", max_abs(exprs, points), points, tol)

@@ -463,21 +463,26 @@ def make_add(*terms: Expression) -> Expression:
 
 def make_mul(*factors: Expression) -> Expression:
     flat: list[Expression] = []
+    nums: list[Num] = []
     constant = 1.0
     for factor in factors:
         if isinstance(factor, Mul):
             for sub in factor.factors:
                 if isinstance(sub, Num):
                     constant *= sub.value
+                    nums.append(sub)
                 else:
                     flat.append(sub)
         elif isinstance(factor, Num):
             constant *= factor.value
+            nums.append(factor)
         else:
             flat.append(factor)
-    if constant == 0.0:
+    if constant == 0.0 and all(c.value for c in nums):  # an underflow stays as written
+        flat[:0] = [c for c in nums if c.value != 1.0]
+    elif constant == 0.0:
         return Num(0.0)
-    if constant != 1.0:
+    elif constant != 1.0:
         flat.insert(0, Num(constant))
     if not flat:
         return Num(1.0)
@@ -499,7 +504,9 @@ def make_div(numerator: Expression, denominator: Expression) -> Expression:
         if denominator.value == 1.0:
             return numerator
         if isinstance(numerator, Num) and denominator.value != 0.0:
-            return Num(numerator.value / denominator.value)
+            quotient = numerator.value / denominator.value
+            if quotient != 0.0 or numerator.value == 0.0:  # an underflow stays as written
+                return Num(quotient)
     if isinstance(numerator, Num) and numerator.value == 0.0:
         return Num(0.0)
     return Div(numerator, denominator)
@@ -511,12 +518,13 @@ def make_pow(base: Expression, exponent: int) -> Expression:
         return Num(1.0)
     if exponent == 1:
         return base
-    if isinstance(base, Num):
-        if not (base.value == 0.0 and exponent < 0):
-            try:
-                return Num(base.value**exponent)
-            except OverflowError:
-                pass
+    if isinstance(base, Num) and not (base.value == 0.0 and exponent < 0):
+        try:
+            power = base.value**exponent
+        except OverflowError:
+            return Pow(base, exponent)
+        if power != 0.0 or base.value == 0.0:  # an underflow stays as written
+            return Num(power)
     return Pow(base, exponent)
 
 

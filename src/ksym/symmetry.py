@@ -33,7 +33,8 @@ from .calculus import (
 )
 from .dynamics import RCOND, FieldSystem, KVectorField
 from .expr import (
-    ChartSpace, Check, Coord, Num, make_add, make_mul, make_pow, residual_check, to_source,
+    ChartSpace, Check, Coord, Num, field_evaluator, make_add, make_mul, make_pow, residual_check,
+    to_source,
 )
 
 __all__ = [
@@ -70,14 +71,20 @@ def solve_pseudosymmetry(
     lambda = 0).  How many samples were rank deficient is reported.
     """
     _same_chart(X, Y, Z)
-    Zmats = np.stack([Zb.evaluate(points) for Zb in Z], axis=-1)  # (m, N, k)
-    rhs = np.stack([lie_bracket(Xa, Y).evaluate(points) for Xa in X], axis=-1)
+    Zmats = _field_stack(Z, points)
+    rhs = _field_stack([lie_bracket(Xa, Y) for Xa in X], points)
     lam_t, residuals, rank_deficient = _stacked_solve(Zmats, rhs)
     lam = lam_t.transpose(0, 2, 1)  # lam[:, a, b] = lambda_A^B
     extra = _fit_lambda(X.chart, points, lam)
     if rank_deficient:
         extra["rank_deficient_points"] = rank_deficient
     return residual_check("pseudosymmetry", residuals, points, tolerance, **extra), lam
+
+
+def _field_stack(fields: Sequence[VectorField], points) -> np.ndarray:
+    """The (m, N, k) values of k fields at the (m, N) points, from one kernel run."""
+    values = field_evaluator(tuple(c for F in fields for c in F.components))(points)
+    return values.reshape(len(values), len(fields), -1).swapaxes(1, 2)
 
 
 def _stacked_solve(Zmats: np.ndarray, rhs: np.ndarray):

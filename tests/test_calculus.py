@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ksym
-from ksym import calculus, conservation, dynamics
+from ksym import calculus, conservation, dynamics, symmetry
 from ksym.calculus import (
     QUADRATURE_NODES,
     ChartMismatchError,
@@ -54,7 +54,9 @@ from ksym.expr import (
 )
 from ksym.models import load_model, resolve_model_path
 from ksym.sections import check_integrability
-from ksym.symmetry import is_cartan_symmetry, is_invariant_form, is_symmetry
+from ksym.symmetry import (
+    is_cartan_symmetry, is_invariant_form, is_symmetry, solve_pseudosymmetry,
+)
 from builders import (
     coordinate_vector_field,
     counting,
@@ -161,7 +163,7 @@ def test_a_vector_field_evaluates_in_one_kernel_run(monkeypatch):
 def count_kernel_runs(monkeypatch) -> Counter:
     """Runs of every kernel the residual paths evaluate, per compiled argument."""
     runs = Counter()
-    for module in (calculus, conservation, dynamics):
+    for module in (calculus, conservation, dynamics, symmetry):
         monkeypatch.setattr(module, "field_evaluator", counting(runs, field_evaluator))
     monkeypatch.setattr(calculus, "batch_evaluator", counting(runs))
     return runs
@@ -186,6 +188,12 @@ RESIDUAL_FAMILIES = {
         m.system, m.fields["ddx"], m.laws["momenta"], _family(m, "X1,X2"), pts)),
     "law_residuals": ("vibrating_string", 1, lambda m, pts: law_residuals(
         _family(m, "xi1,xi2"), m.laws["wave_flux"], pts)),
+    "law_evaluate_wave_flux": ("vibrating_string", 1,
+                               lambda m, pts: m.laws["wave_flux"].evaluate(pts)),
+    "law_evaluate_momenta": ("free_particle", 1, lambda m, pts: m.laws["momenta"].evaluate(pts)),
+    # the Z stack and the bracket stack
+    "solve_pseudosymmetry": ("free_particle", 2, lambda m, pts: solve_pseudosymmetry(
+        _family(m, "X1,X2"), m.fields["delta"], _family(m, "ddx,ddx"), pts)),
     "evolution_residuals": ("vibrating_string", 1, lambda m, pts: evolution_residuals(
         m.system, _family(m, "xi1,xi2"), pts)),
     "check_regularity": ("navier", 1, lambda m, pts: check_regularity(m.system, pts)),

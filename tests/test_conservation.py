@@ -19,7 +19,6 @@ from ksym.conservation import (
     LAW_TOLERANCE,
     ConservationLaw,
     NotCartanSymmetryError,
-    NumericLawComponent,
     build_bracket_law,
     build_noether_law,
     check_momentum_converse,
@@ -40,11 +39,11 @@ def free_particle():
     return sys, KVectorField(ch, (g1, g2))
 
 
-def test_a_non_finite_quadrature_component_evaluates_to_nan_without_a_warning():
+def test_a_non_finite_law_component_evaluates_to_nan_without_a_warning():
     ch = base_chart(1)
     potential = PotentialEvaluator(one_form(ch, {0: Num(1e999)}), [0.0])
-    component = NumericLawComponent(ch, ScalarField(ch, Num(1e999)), potential)
-    assert np.isnan(component.evaluate([[1.0]])).tolist() == [True]  # inf - inf
+    law = ConservationLaw(ch, (ScalarField(ch, Num(1e999)),), "user", (potential,))
+    assert np.isnan(law.evaluate([[1.0]])).tolist() == [[True]]  # inf - inf
 
 
 def string_system(sigma=1.0, tau=1.0):
@@ -99,7 +98,7 @@ def test_bracket_law_matches_matrix_contraction_oracle():
     dx = coordinate_vector_field(ch, "x_1")
     law = build_bracket_law(sys.omega, [delta], dx)
     assert law.provenance == "bracket-law"
-    assert law.symbolic
+    assert law.potentials == (None, None)
     pts = sample_points(ch, count=16, seed=20)
     phis = law.evaluate(pts).T
     for p, s_val, y_val, phi in zip(pts, delta.evaluate(pts), dx.evaluate(pts), phis):
@@ -170,7 +169,7 @@ def test_noether_law_string_momenta():
     ch = sys.chart
     law = build_noether_law(sys, coordinate_vector_field(ch, "x_1"), sample_points(ch))
     assert law.provenance == "noether"
-    assert law.symbolic
+    assert law.potentials == (None, None)
     v1, v2 = ch.index_of("v_1_1"), ch.index_of("v_2_1")
     pts = sample_points(ch, count=16, seed=25)
     for p, phi1, phi2 in zip(pts, *law.evaluate(pts)):
@@ -250,16 +249,16 @@ def test_noether_quadrature_branch_recovers_energy():
     sys, rotation, evolution = oscillator()
     ch = sys.chart
     law = build_noether_law(sys, rotation, sample_points(ch))
-    assert not law.symbolic
-    assert isinstance(law.components[0], NumericLawComponent)
+    assert isinstance(law.potentials[0], PotentialEvaluator)
+    assert "f" not in law.ingredients
     # the rotation drags theta into x dx - p dp, whose potential is
     # (x^2 - p^2)/2; the law collapses to minus the energy
     H = sys.function
-    assert law.components[0].evaluate(np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-12)
+    assert law.evaluate(np.zeros((1, 2)))[0, 0] == pytest.approx(0.0, abs=1e-12)
     pts = sample_points(ch, count=32, seed=29)
-    for phi, energy in zip(law.components[0].evaluate(pts), H.evaluate(pts)):
+    for phi, energy in zip(law.evaluate(pts)[0], H.evaluate(pts)):
         assert phi == pytest.approx(-energy, abs=1e-6)
-    f = law.ingredients["f"][0]
+    f = law.potentials[0]
     x, q = ch.index_of("x_1"), ch.index_of("p_1_1")
     pts = sample_points(ch, count=8, seed=30)
     for p, value in zip(pts, f.evaluate(pts)):
@@ -269,9 +268,9 @@ def test_noether_quadrature_branch_recovers_energy():
 def test_noether_quadrature_component_recomposition():
     sys, rotation, _ = oscillator()
     law = build_noether_law(sys, rotation, sample_points(sys.chart))
-    comp = law.components[0]
+    comp, f = law.components[0], law.potentials[0]
     pts = sample_points(sys.chart, count=8, seed=31)
-    assert (comp.evaluate(pts) == comp.symbolic.evaluate(pts) - comp.potential.evaluate(pts)).all()
+    assert (law.evaluate(pts)[0] == comp.evaluate(pts) - f.evaluate(pts)).all()
 
 
 def test_noether_quadrature_law_verifies_along_flow():

@@ -385,6 +385,27 @@ def test_round_trip_fixed_cases():
         assert parse_expression(to_source(e), chart) == e
 
 
+@pytest.mark.parametrize("source, printed", [
+    ("1e-200*1e-200*x_1^3", "1e-200 * 1e-200 * x_1^3"),
+    ("x_1*1e-200*1e-200", "1e-200 * 1e-200 * x_1"),
+    ("1*1e-200*1e-200*x_1", "1e-200 * 1e-200 * x_1"),
+    ("(1e-200)^2*x_1", "1e-200^2 * x_1"),
+    ("1e-200/1e200*x_1", "1e-200 / 1e+200 * x_1"),
+    ("0*x_1", "0"),
+    ("2*3*x_1", "6 * x_1"),
+])
+def test_constants_fold_unless_the_result_underflows(source, printed):
+    # a nonzero operation on constants that gives 0.0 stays as written, so a
+    # nonzero field is never read as the zero field; its values are the same
+    chart = base_chart(1)
+    e = parse_expression(source, chart)
+    assert to_source(e) == printed
+    assert parse_expression(printed, chart) == e
+    xs = [-2.0, 0.5, 3.0]
+    floats = [eval(source.replace("^", "**"), {"x_1": x}) for x in xs]
+    assert batch_evaluator(e)(np.array([xs]).T).tolist() == floats
+
+
 # ---------------------------------------------------------------------------
 # evaluation and domain errors
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ from ksym.bundles import (
     cotangent_bundle,
     tangent_bundle,
 )
-from ksym.calculus import ChartMismatchError, PForm, ScalarField, VectorField
+from ksym.calculus import (
+    ChartMismatchError, PForm, PotentialEvaluator, ScalarField, VectorField, one_form,
+)
 from ksym import cli
 from ksym.cli import LoadedModel, Report, load_model, resolve_model_path
 from ksym.models import bundled_model_names
-from ksym.conservation import ConservationLaw, NumericLawComponent
+from ksym.conservation import ConservationLaw
 from ksym.dynamics import FieldSystem, KVectorField, build_system
 from ksym.expr import ChartSpace, Check, Coord, Num, _name_index_map, _Token, base_chart
 from ksym.sections import SectionGrid
@@ -52,8 +54,8 @@ def fields_of() -> dict:
         KVectorField: dict(chart=tb.chart, fields=(tb.liouville,)),
         FieldSystem: {name: getattr(system, name) for name in (
             "kind", "chart", "function", "theta", "omega", "energy")},
-        NumericLawComponent: dict(chart=chart, symbolic=one, potential=None),
         ConservationLaw: dict(chart=chart, components=(one,), provenance="user",
+                              potentials=(PotentialEvaluator(one_form(chart, [one.expr]), [0, 0]),),
                               ingredients={"field": "ddx"}),
         SectionGrid: dict(chart=chart, step=0.25, values=np.zeros((3, 2))),
         LoadedModel: {name: getattr(model, name) for name in (
@@ -65,14 +67,13 @@ def fields_of() -> dict:
 
 RECORDS = [
     ChartSpace, _Token, Check, ScalarField, VectorField, PForm, KCotangentChart, TangentStructure,
-    KTangentChart, KVectorField, FieldSystem, NumericLawComponent,
-    ConservationLaw, SectionGrid, LoadedModel, Report,
+    KTangentChart, KVectorField, FieldSystem, ConservationLaw, SectionGrid, LoadedModel, Report,
 ]
 by_class = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 
 
 def test_every_record_class_is_listed():
-    assert len(RECORDS) == 16 and set(RECORDS) == set(fields_of())
+    assert len(RECORDS) == 15 and set(RECORDS) == set(fields_of())
 
 
 @by_class
@@ -167,6 +168,13 @@ def _bad_records():
          "expected 1 components on this chart, got 2"),
         (lambda: ConservationLaw(other, (one, one), "user"), ChartMismatchError,
          "chart mismatch: base(2,1) vs base(2,2)"),
+        (lambda: ConservationLaw(chart, (one,), "user", (None, None)), ValueError,
+         "expected 1 potentials on this chart, got 2"),
+        (lambda: ConservationLaw(chart, (one,), "user", ()), ValueError,
+         "expected 1 potentials on this chart, got 0"),
+        (lambda: ConservationLaw(chart, (one,), "user", (PotentialEvaluator(
+            one_form(base_chart(3), [Num(1.0)]), [0, 0, 0]),)), ChartMismatchError,
+         "chart mismatch: base(3,1) vs base(2,1)"),
     ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ksym import calculus
+from ksym import calculus, symmetry
 from ksym.calculus import (
     ChartMismatchError,
     VectorField,
@@ -144,15 +144,17 @@ def test_radial_field_is_pseudosymmetry_with_constant_coefficient():
     assert "rank_deficient_points" not in verdict.extra
 
 
-def test_the_pseudosymmetry_stacks_run_one_kernel_per_field(monkeypatch):
-    # Z_B and each [X_A, Y] are evaluated by one kernel run apiece
-    ch, family = cyclic_quadratic_family()
-    pts = sample_points(ch, count=32, seed=4)
+def test_the_pseudosymmetry_stacks_run_one_kernel_per_stack(monkeypatch):
+    # the k fields Z_B, and the k brackets [X_A, Y], are one kernel run each
+    sys, family = free_particle()
+    delta = tangent_bundle(1, 2).liouville
+    pts = sample_points(sys.chart, count=32, seed=4)
     runs = Counter()
-    monkeypatch.setattr(calculus, "field_evaluator", counting(runs, field_evaluator))
-    solve_pseudosymmetry(family, radial(ch), family, pts)
-    brackets = [lie_bracket(X, radial(ch)).components for X in family]
-    assert runs == Counter([Z.components for Z in family] + brackets)
+    for module in (calculus, symmetry):
+        monkeypatch.setattr(module, "field_evaluator", counting(runs, field_evaluator))
+    solve_pseudosymmetry(family, delta, family, pts)
+    stack = lambda fields: tuple(c for F in fields for c in F.components)
+    assert runs == Counter([stack(family), stack(lie_bracket(X, delta) for X in family)])
 
 
 def test_liouville_brackets_into_span_of_translation_tuple():

@@ -279,7 +279,11 @@ def test_main_parses_every_benchmark_command_without_argparse(monkeypatch, tmp_p
 
 
 # the traced targets that no workload command calls: they read 0 in every run
-UNREACHED_BY_WORKLOADS = {"calculus.PotentialEvaluator.evaluate"}
+UNREACHED_BY_WORKLOADS = {
+    "calculus.PotentialEvaluator.evaluate",
+    "calculus.ScalarField.evaluate",
+    "calculus.VectorField.evaluate",
+}
 
 # run.py's traced child, minus the span file: install the recorder, run argvs
 TRACED_RUN = """
@@ -299,10 +303,17 @@ print(json.dumps(sorted(set(spans.SPAN_NAMES) - called)))
 """
 
 
-def test_the_workloads_reach_every_traced_target_but_the_potential(monkeypatch, tmp_path):
+def test_the_workloads_reach_every_traced_target_but_the_unreached(monkeypatch, tmp_path):
     argvs = benchmark_argvs(monkeypatch, tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(SPANS), json.dumps(argvs)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout)) == UNREACHED_BY_WORKLOADS
+
+
+def test_the_report_digest_prints_one_sha256_line():
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "report_digest.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout), proc.stdout
