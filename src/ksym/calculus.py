@@ -8,6 +8,7 @@ Fields and potentials ``evaluate``, forms ``max_component_at``, an (m, N)
 array of chart points: one row per point is the only evaluation path.
 Each residual family (a bracket's components, a form's coefficients) is
 one kernel run, and ``max_abs`` is the package's one sup-norm over one.
+What is derived here from operands on one chart is not checked against it again.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .expr import (
     Num,
     Record,
     batch_evaluator,
-    differentiate,
     field_evaluator,
+    gradient,
     make_add,
     make_mul,
     make_neg,
@@ -96,6 +97,19 @@ def _is_zero_expr(e: Expression) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
 
+def _derived(cls, **fields):
+    """A ``cls`` record derived from operands on its chart, stored unchecked."""
+    record = object.__new__(cls)
+    record._set(**fields)
+    return record
+
+
+def _form(chart: ChartSpace, degree: int, components: dict) -> "PForm":
+    """A derived form, its zero components dropped as ``PForm`` drops them."""
+    return _derived(PForm, chart=chart, degree=degree, components={
+        key: e for key, e in components.items() if not _is_zero_expr(e)})
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -132,11 +146,8 @@ class VectorField(Record):
 
 
 def directional_derivative(X: VectorField, f: Expression) -> Expression:
-    terms = []
-    for index, comp in enumerate(X.components):
-        if _is_zero_expr(comp):
-            continue
-        terms.append(make_mul(comp, differentiate(f, index)))
+    terms = [make_mul(X.components[index], partial) for index, partial in gradient(f).items()
+             if not _is_zero_expr(X.components[index])]
     return make_add(*terms) if terms else Num(0.0)
 
 
@@ -148,7 +159,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
                  make_neg(directional_derivative(Y, X.components[j])))
         for j in range(chart.dimension)
     )
-    return VectorField(chart, comps)
+    return _derived(VectorField, chart=chart, components=comps)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +202,7 @@ class PForm(Record):
 
 
 def scalar_form(f: ScalarField) -> PForm:
-    return PForm(f.chart, 0, {(): f.expr})
+    return _form(f.chart, 0, {(): f.expr})
 
 
 def one_form(chart: ChartSpace, components: Mapping[int, Expression] | Sequence[Expression]) -> PForm:
@@ -207,14 +218,12 @@ def form_add(a: PForm, b: PForm) -> PForm:
     if a.degree != b.degree:
         raise ValueError(f"cannot add forms of degree {a.degree} and {b.degree}")
     keys = set(a.components) | set(b.components)
-    comps = {}
-    for key in keys:
-        comps[key] = make_add(a.components.get(key, Num(0.0)), b.components.get(key, Num(0.0)))
-    return PForm(chart, a.degree, comps)
+    return _form(chart, a.degree, {key: make_add(a.component(*key), b.component(*key))
+                                   for key in keys})
 
 
 def form_neg(a: PForm) -> PForm:
-    return PForm(a.chart, a.degree, {k: make_neg(e) for k, e in a.components.items()})
+    return _form(a.chart, a.degree, {k: make_neg(e) for k, e in a.components.items()})
 
 
 def form_sub(a: PForm, b: PForm) -> PForm:
@@ -223,20 +232,14 @@ def form_sub(a: PForm, b: PForm) -> PForm:
 
 def exterior_derivative(omega: PForm) -> PForm:
     """d(omega); satisfies d(d(omega)) = 0 up to roundoff in evaluation."""
-    chart = omega.chart
     acc: dict[tuple[int, ...], list[Expression]] = {}
     for key, expr in omega.components.items():
-        for j in range(chart.dimension):
+        for j, deriv in gradient(expr).items():
             if j in key:
                 continue
-            deriv = differentiate(expr, j)
-            if _is_zero_expr(deriv):
-                continue
-            smaller = sum(1 for i in key if i < j)
-            new_key = tuple(sorted(key + (j,)))
-            term = deriv if smaller % 2 == 0 else make_neg(deriv)
-            acc.setdefault(new_key, []).append(term)
-    return PForm(chart, omega.degree + 1, {k: make_add(*v) for k, v in acc.items()})
+            term = deriv if sum(i < j for i in key) % 2 == 0 else make_neg(deriv)
+            acc.setdefault(tuple(sorted(key + (j,))), []).append(term)
+    return _form(omega.chart, omega.degree + 1, {k: make_add(*v) for k, v in acc.items()})
 
 
 def interior_product(X: VectorField, omega: PForm) -> PForm:
@@ -253,7 +256,7 @@ def interior_product(X: VectorField, omega: PForm) -> PForm:
             rest = key[:pos] + key[pos + 1:]
             term = make_mul(comp, expr)
             acc.setdefault(rest, []).append(term if pos % 2 == 0 else make_neg(term))
-    return PForm(chart, omega.degree - 1, {k: make_add(*v) for k, v in acc.items()})
+    return _form(chart, omega.degree - 1, {k: make_add(*v) for k, v in acc.items()})
 
 
 def lie_derivative_form(X: VectorField, omega: PForm) -> PForm:

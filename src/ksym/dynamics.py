@@ -26,6 +26,7 @@ from .calculus import (
     PForm,
     ScalarField,
     VectorField,
+    _derived,
     _same_chart,
     exterior_derivative,
     form_add,
@@ -40,12 +41,14 @@ from .expr import (
     Check,
     Func,
     Record,
+    cotangent_chart,
     field_evaluator,
     fold,
     make_add,
     make_neg,
     parse_expression,
     residual_check,
+    tangent_chart,
 )
 
 __all__ = [
@@ -106,12 +109,37 @@ class KVectorField(Record):
 class FieldSystem(Record, frozen=False):
     """A Hamiltonian or Lagrangian field model on its bundle chart, the one owner
     of n and k: ``function`` is H on the cotangent side and L on the tangent
-    side, ``energy`` is E_L = Delta(L) - L, None on the Hamiltonian side."""
+    side.  ``theta``, ``omega`` and ``energy`` are derived on first read: the
+    cotangent bundle's forms and None, or dL o J^A, -d(theta_A) and i_Delta dL - L."""
 
-    def __init__(self, kind: str, chart: ChartSpace, function: ScalarField,
-                 theta: tuple[PForm, ...], omega: tuple[PForm, ...], energy: ScalarField | None):
-        self._set(kind=kind, chart=chart, function=function, theta=theta, omega=omega,
-                  energy=energy)
+    def __init__(self, kind: str, chart: ChartSpace, function: ScalarField):
+        self._set(kind=kind, chart=chart, function=function)
+
+    @cached_property
+    def _dL(self) -> PForm:  # shared by theta_A and E_L
+        return exterior_derivative(scalar_form(self.function))
+
+    @cached_property
+    def theta(self) -> tuple[PForm, ...]:
+        if self.kind == "hamiltonian":
+            return cotangent_bundle(self.chart.n, self.chart.k).theta
+        structures = tangent_bundle(self.chart.n, self.chart.k).structures
+        return tuple(S.precompose_one_form(self._dL) for S in structures)
+
+    @cached_property
+    def omega(self) -> tuple[PForm, ...]:
+        if self.kind == "hamiltonian":
+            return cotangent_bundle(self.chart.n, self.chart.k).omega
+        return tuple(form_neg(exterior_derivative(theta)) for theta in self.theta)
+
+    @cached_property
+    def energy(self) -> ScalarField | None:
+        if self.kind == "hamiltonian":
+            return None
+        liouville = tangent_bundle(self.chart.n, self.chart.k).liouville
+        energy = make_add(interior_product(liouville, self._dL).component(),
+                          make_neg(self.function.expr))
+        return _derived(ScalarField, chart=self.chart, expr=energy)
 
     @property
     def target(self) -> ScalarField:
@@ -138,29 +166,13 @@ def build_system(
     function_source: str,
     parameters: dict | None = None,
 ) -> FieldSystem:
-    """Construct a field system from the generating function's source text.
-
-    Parameters are substituted as literals while parsing.  On the Lagrangian
-    side the one-form family is dL composed with each vertical endomorphism,
-    the two-form family is minus its exterior derivative, and the energy is
-    Delta(L) - L with Delta(L) = i_Delta dL.
-    """
+    """A field system whose function is parsed from ``function_source`` on the
+    bundle chart, with ``parameters`` substituted as literals."""
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
-    if kind == "hamiltonian":
-        bundle = cotangent_bundle(n, k)
-        chart = bundle.chart
-        H = ScalarField(chart, parse_expression(function_source, chart, parameters))
-        return FieldSystem(kind, chart, H, bundle.theta, bundle.omega, None)
-    bundle = tangent_bundle(n, k)
-    chart = bundle.chart
-    L = ScalarField(chart, parse_expression(function_source, chart, parameters))
-    dL = exterior_derivative(scalar_form(L))
-    thetas = tuple(S.precompose_one_form(dL) for S in bundle.structures)
-    omegas = tuple(form_neg(exterior_derivative(th)) for th in thetas)
-    energy_expr = make_add(interior_product(bundle.liouville, dL).component(), make_neg(L.expr))
-    energy = ScalarField(chart, energy_expr)
-    return FieldSystem(kind, chart, L, thetas, omegas, energy)
+    chart = cotangent_chart(n, k) if kind == "hamiltonian" else tangent_chart(n, k)
+    function = ScalarField(chart, parse_expression(function_source, chart, parameters))
+    return FieldSystem(kind, chart, function)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +283,11 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
     return np.hstack([velocities.reshape(k, n), fibers.reshape(k, k * n)])
 
 
-def _evolution_residual_form(system: FieldSystem, X: KVectorField) -> PForm:
-    _same_chart(system, X)
-    total = reduce(form_add, map(interior_product, X, system.omega))
-    return form_sub(total, system.target_differential)
-
-
 def evolution_residuals(system: FieldSystem, X: KVectorField, points) -> np.ndarray:
     """Sup-norm of the evolution one-form residual at each sample point."""
-    return _evolution_residual_form(system, X).max_component_at(points)
+    _same_chart(system, X)
+    total = reduce(form_add, map(interior_product, X, system.omega))
+    return form_sub(total, system.target_differential).max_component_at(points)
 
 
 def verify_evolution(

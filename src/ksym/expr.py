@@ -69,6 +69,7 @@ __all__ = [
     "parse_expression",
     "to_source",
     "differentiate",
+    "gradient",
     "field_evaluator",
     "batch_evaluator",
     "validate_on_chart",
@@ -559,40 +560,32 @@ def simplify(e: Expression) -> Expression:
     return fold(e, rule)
 
 
-def _derivative_rule(index: int) -> Callable:
-    """The fold rule for d/d(slot ``index``): each node's derivative from its
-    children's derivatives ``d``."""
-
-    def rule(e: Expression, d: list) -> Expression:
-        t = type(e)
-        if t is Num:
-            return Num(0.0)
-        if t is Coord:
-            return Num(1.0) if e.index == index else Num(0.0)
-        if t is Add:
-            return make_add(*d)
-        if t is Mul:
-            f = e.factors
-            return make_add(*[make_mul(*f[:i], di, *f[i + 1:]) for i, di in enumerate(d)])
-        if t is Div:
-            (u, v), (du, dv) = e.children(), d
-            return make_div(make_add(make_mul(du, v), make_neg(make_mul(u, dv))), make_pow(v, 2))
-        if t is Neg:
-            return make_neg(d[0])
-        if t is Pow:
-            return make_mul(Num(float(e.exponent)), make_pow(e.base, e.exponent - 1), d[0])
-        u, du = e.arg, d[0]
-        if e.name == "sqrt":
-            return make_div(du, make_mul(Num(2.0), make_func("sqrt", u)))
-        if e.name == "sin":
-            return make_mul(make_func("cos", u), du)
-        if e.name == "cos":
-            return make_neg(make_mul(make_func("sin", u), du))
-        if e.name == "exp":
-            return make_mul(make_func("exp", u), du)
-        return make_div(du, u)  # log
-
-    return rule
+def _partial(e: Expression, d: list) -> Expression:
+    """The derivative of a node with children, by one slot, from its
+    children's derivatives ``d`` by that slot."""
+    t = type(e)
+    if t is Add:
+        return make_add(*d)
+    if t is Mul:
+        f = e.factors
+        return make_add(*[make_mul(*f[:i], di, *f[i + 1:]) for i, di in enumerate(d)])
+    if t is Div:
+        (u, v), (du, dv) = e.children(), d
+        return make_div(make_add(make_mul(du, v), make_neg(make_mul(u, dv))), make_pow(v, 2))
+    if t is Neg:
+        return make_neg(d[0])
+    if t is Pow:
+        return make_mul(Num(float(e.exponent)), make_pow(e.base, e.exponent - 1), d[0])
+    u, du = e.arg, d[0]
+    if e.name == "sqrt":
+        return make_div(du, make_mul(Num(2.0), make_func("sqrt", u)))
+    if e.name == "sin":
+        return make_mul(make_func("cos", u), du)
+    if e.name == "cos":
+        return make_neg(make_mul(make_func("sin", u), du))
+    if e.name == "exp":
+        return make_mul(make_func("exp", u), du)
+    return make_div(du, u)  # log
 
 
 # ---------------------------------------------------------------------------
@@ -808,9 +801,25 @@ def parse_expression(source: str, chart: ChartSpace, parameters: dict | None = N
 # ---------------------------------------------------------------------------
 
 
+def gradient(e: Expression) -> dict[int, Expression]:
+    """``{slot: exact partial}`` for each slot whose partial is not the literal 0,
+    in slot order, from one walk: a node takes the one-slot rule only for slots
+    its children read, so an unread slot has partial 0 beside an infinite literal."""
+    zero = Num(0.0)
+
+    def rule(node, kids):
+        if type(node) is Coord:
+            return {node.index: Num(1.0)}
+        partials = ((slot, _partial(node, [kid.get(slot, zero) for kid in kids]))
+                    for slot in sorted(set().union(*kids)))
+        return {slot: d for slot, d in partials if d != zero}
+
+    return fold(e, rule)
+
+
 def differentiate(e: Expression, index: int) -> Expression:
     """Exact partial derivative with respect to the chart coordinate in slot ``index``."""
-    return fold(e, _derivative_rule(index))
+    return gradient(e).get(index, Num(0.0))
 
 
 def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
@@ -996,7 +1005,6 @@ def batch_evaluator(e: Expression) -> Callable:
 
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LANES = 128  # jumps in one row of the jump table
 
 
 def _hasher(const: int, mult: int) -> Callable:
@@ -1054,20 +1062,21 @@ def _halves(ints) -> np.ndarray:
 def _jump_table(inc: int, size: int) -> np.ndarray:
     """jumps[h, t, j - 1], j = 1 .. n >= size: half h (high, low) of A_j = M^j
     (t = 0) or C_j (t = 1), so that j steps from state s reach A_j s + C_j.
-    It is the product of the first _LANES jumps and the jumps by whole rows
-    of lanes, taken as Python ints: A_(Lr+j) = A_j A_Lr, C_(Lr+j) = A_j C_Lr + C_j."""
+    It is the product of the first L = ceil(sqrt(size)) jumps and the jumps by
+    whole rows of L, taken as Python ints: A_(Lr+j) = A_j A_Lr, C_(Lr+j) = A_j C_Lr + C_j."""
     def then(first, second):  # the jump by ``first``, then by ``second``
         return first[0] * second[0] & _M128, (first[1] * second[0] + second[1]) & _M128
 
+    width = math.isqrt(size - 1) + 1
     lanes, rows = [(_PCG64_MULT, inc)], [(1, 0)]
-    while len(lanes) < _LANES:
+    while len(lanes) < width:
         lanes.append(then(lanes[-1], lanes[0]))
-    while len(rows) * _LANES < size:
+    while len(rows) * width < size:
         rows.append(then(rows[-1], lanes[-1]))
     (lane_a, lane_c), (row_a, row_c) = zip(*lanes), zip(*rows)
     table = _mul_add(_halves(row_a + row_c).reshape(2, 2, -1, 1),
-                     _halves(lane_a).reshape(2, 1, 1, _LANES),
-                     _halves((0,) * _LANES + lane_c).reshape(2, 2, 1, _LANES))
+                     _halves(lane_a).reshape(2, 1, 1, width),
+                     _halves((0,) * width + lane_c).reshape(2, 2, 1, width))
     return table.reshape(2, 2, -1)
 
 

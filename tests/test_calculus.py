@@ -26,6 +26,8 @@ from ksym.calculus import (
     apply_form,
     directional_derivative,
     exterior_derivative,
+    form_add,
+    form_neg,
     form_sub,
     interior_product,
     lie_bracket,
@@ -37,7 +39,7 @@ from ksym.calculus import (
     two_form_matrix,
 )
 from ksym.conservation import check_momentum_converse, law_residuals
-from ksym.dynamics import KVectorField, check_regularity, evolution_residuals
+from ksym.dynamics import FieldSystem, KVectorField, check_regularity, evolution_residuals
 from ksym.expr import (
     Coord,
     Num,
@@ -500,3 +502,29 @@ def test_potential_of_zero_form_is_zero():
     zero = one_form(chart, {})
     g = potential_of_exact_one_form(zero, [0.0, 0.0, 0.0], sample_points(chart))
     assert g.evaluate(np.array([[0.3, -0.2, 0.9]]))[0] == 0.0
+
+
+def test_a_derived_field_or_form_is_not_validated_again(monkeypatch):
+    chart = tangent_chart(1, 2)
+    L = ScalarField(chart, parse_expression("(v_1_1^2 + v_2_1^2)/2 + x_1*v_1_1", chart))
+    X, Y = _vf(chart, {"x_1": "v_1_1", "v_2_1": "x_1"}), _vf(chart, {"v_1_1": "x_1^2"})
+    alpha = one_form(chart, [parse_expression("x_1*v_2_1", chart), Num(1.0), Num(0.0)])
+    system = FieldSystem("lagrangian", chart, L)
+    system.theta  # composed with each vertical endomorphism by the one-form constructor
+    validated = []
+    validate_on_chart = calculus.validate_on_chart
+
+    def counted(e, ch):
+        validated.append(e)
+        validate_on_chart(e, ch)
+
+    monkeypatch.setattr(calculus, "validate_on_chart", counted)
+    dL = exterior_derivative(scalar_form(L))
+    lie_bracket(X, Y), form_add(dL, alpha), form_neg(alpha), form_sub(alpha, dL)
+    exterior_derivative(alpha), interior_product(X, dL), lie_derivative_form(Y, alpha)
+    system.omega, system.energy, system.target_differential
+    assert validated == []
+    # the public constructors still check every expression
+    with pytest.raises(ValueError, match=r"coordinate 'x_3' \(slot 2\) does not belong"):
+        ScalarField(base_chart(2), Coord(2, "x_3"))
+    assert validated == [Coord(2, "x_3")]

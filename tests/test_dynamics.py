@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lagrangian_oracle
-from ksym import calculus, dynamics, expr
+from ksym import bundles, calculus, conservation, dynamics, expr
 from ksym.bundles import cotangent_bundle, tangent_bundle
 from ksym.calculus import VectorField, two_form_matrix
-from ksym.cli import load_model, resolve_model_path
+from ksym.cli import load_model, main, resolve_model_path
 from ksym.dynamics import (
     EVOLUTION_TOLERANCE,
     FieldSystem,
@@ -240,15 +240,12 @@ def test_hamiltonian_k1_closed_form(a, b, x, q):
 
 
 def test_inconsistent_system_raises():
-    good = build_system("hamiltonian", 1, 1, "x_1")
-    broken = FieldSystem(
-        kind="hamiltonian",
-        chart=good.chart,
-        function=good.function,
-        theta=good.theta,
-        omega=(zero_form(good.chart, 2),),
-        energy=None,
-    )
+    # no x solves 0 x = (1, 0): the least-squares residual refuses it
+    with pytest.raises(InconsistentSystemError, match="inconsistent: residual 1.000e[+]00"):
+        dynamics._least_squares(np.zeros((2, 2)), np.array([1.0, 0.0]))
+    # and the solver passes the refusal on, here for a zero omega in place of dx ^ dp
+    broken = build_system("hamiltonian", 1, 1, "x_1")
+    broken.omega = (zero_form(broken.chart, 2),)
     with pytest.raises(InconsistentSystemError):
         solve_evolution_hamiltonian(broken, np.zeros(2))
 
@@ -491,27 +488,50 @@ def test_regularity_runs_the_dense_hessian_in_one_kernel_run(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["navier", "vibrating_string", "laplace3", "minimal_surface"])
 def test_lagrangian_derivatives_are_taken_once(name, monkeypatch):
-    # what `solve evolution` and `verify evolution` derive: the system (dL once,
-    # shared by theta_A and Delta(L)), then d(E_L) once for the solve and the residual
-    taken = Counter()
-    differentiate = expr.differentiate
+    # loading derives nothing; the regularity check walks L once (dL, shared by
+    # theta_A and E_L) and each theta_A component once (omega_A); the solve
+    # then walks E_L once, for d(E_L), which the residual shares
+    walked = Counter()
+    gradient = expr.gradient
 
-    def counted(e, index):
-        taken[(e, index)] += 1
-        return differentiate(e, index)
+    def counted(e):
+        walked[e] += 1
+        return gradient(e)
 
-    monkeypatch.setattr(calculus, "differentiate", counted)  # its one caller in ksym
+    monkeypatch.setattr(calculus, "gradient", counted)  # its one caller in ksym
     system = load_model(resolve_model_path(name)).system
-    built = set(taken)
+    assert not walked
     point = np.full(system.chart.dimension, 0.5)
     assert check_regularity(system, point[None]).holds
+    assert "energy" not in vars(system)
+    thetas = {e for theta in system.theta for e in theta.components.values()}
+    assert set(walked) == {system.function.expr} | thetas
     solution = solve_evolution_lagrangian(system, point)
     verify_evolution(system, constant_family(system.chart, solution), point[None])
-    assert taken and max(taken.values()) == 1, [
-        (expr.to_source(e), slot) for (e, slot), count in taken.items() if count > 1
-    ]
-    # only the energy's gradient is differentiated; L and theta_A never are
-    assert {e for e, _ in taken.keys() - built} == {system.energy.expr}
+    assert max(walked.values()) == 1, [expr.to_source(e) for e, count in walked.items() if count > 1]
+    assert set(walked) == {system.function.expr, system.energy.expr} | thetas
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "law", "--model", "free_particle", "--law", "momenta"],
+    ["check", "symmetry", "--model", "free_particle", "--field", "ddx"],
+])
+def test_a_check_along_given_fields_derives_no_form(argv, monkeypatch, capsys):
+    # neither command reads theta_A, omega_A or E_L, so loading the model and
+    # running the command take no exterior derivative
+    taken = []
+    exterior_derivative = calculus.exterior_derivative
+
+    def counted(form):
+        taken.append(form)
+        return exterior_derivative(form)
+
+    for module in (bundles, calculus, conservation, dynamics):
+        monkeypatch.setattr(module, "exterior_derivative", counted)
+    load_model(resolve_model_path("free_particle"))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert taken == []
 
 
 @pytest.mark.parametrize("name", ["navier", "vibrating_string", "laplace3", "minimal_surface"])
@@ -532,7 +552,6 @@ def test_a_lagrangian_solve_runs_one_kernel_per_omega_and_one_for_the_gradient(n
 def test_a_field_system_holds_no_copy_of_its_chart(copied):
     # n = 1, k = 1 beside a k = 2 chart once built a system that crashed the solver
     good = build_system("lagrangian", 1, 2, "(v_1_1^2 + v_2_1^2)/2")
-    fields = {name: getattr(good, name)
-              for name in ("kind", "chart", "function", "theta", "omega", "energy")}
+    fields = {name: getattr(good, name) for name in ("kind", "chart", "function")}
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{next(iter(copied))}'"):
         FieldSystem(**fields, **copied)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ksym.expr import (
@@ -27,6 +27,8 @@ from ksym.expr import (
     cotangent_chart,
     differentiate,
     field_evaluator,
+    fold,
+    gradient,
     make_add,
     make_div,
     make_func,
@@ -40,7 +42,8 @@ from ksym.expr import (
     to_source,
     validate_on_chart,
 )
-from ksym.expr import _BLOCK, _LANES, _NUMPY_IMPL, _uniform_stream
+from ksym.expr import _BLOCK, _NUMPY_IMPL, _uniform_stream
+import derivative_oracle
 from scalar_oracle import evaluate, evaluator
 
 
@@ -357,6 +360,37 @@ def test_simplify_idempotent(e):
     once = simplify(e)
     twice = simplify(once)
     assert once == twice
+
+
+def _finite_literals(e) -> bool:
+    return fold(e, lambda node, kids: (type(node) is not Num or math.isfinite(node.value))
+                and all(kids))
+
+
+@settings(max_examples=200)
+@given(_expression_strategy(tangent_chart(2, 2)))
+# a partial that cancels to the literal 0 is left out
+@example(make_add(Coord(0, "x_1"), make_neg(Coord(0, "x_1"))))
+@example(make_mul(Coord(3, "v_1_2"),
+                  make_add(Num(2.0), make_neg(Coord(2, "v_1_1")), Coord(2, "v_1_1"))))
+def test_the_gradient_is_every_nonzero_one_slot_derivative(e):
+    assume(_finite_literals(e))  # folded constants can overflow; see the test below
+    chart = tangent_chart(2, 2)
+    expected = {slot: derivative_oracle.partial(e, slot) for slot in range(chart.dimension)}
+    expected = {slot: d for slot, d in expected.items() if d != Num(0.0)}
+    grad = gradient(e)
+    assert list(grad) == list(expected)  # the same slots, in slot order
+    for slot, d in expected.items():
+        assert grad[slot] == d, slot  # node for node
+        assert differentiate(e, slot) == d
+
+
+def test_a_slot_beside_an_infinite_literal_has_partial_zero():
+    e = parse_expression("1e999*x_1", base_chart(2))
+    assert gradient(e) == {0: Num(math.inf)}
+    assert differentiate(e, 1) == Num(0.0)
+    # the one-slot walk folds the literal times the 0 of d(x_1)/d(x_2) to NaN
+    assert derivative_oracle.partial(e, 1) == Num(math.nan)
 
 
 def test_simplify_examples():
@@ -677,20 +711,26 @@ def test_sampling_accepts_the_widest_finite_box():
     assert np.isfinite(pts).all() and np.all(np.abs(pts) <= 8e307)
 
 
+# a jump table for a draw of L^2 states has L lanes, and one more for L^2 + 1
+LANE_BOUNDARIES = [2, 4, 5, 64, 65, 384, 400, 401, 1024, 1025, 8100, 8101]
+
+
 @given(
     seed=st.integers(0, 2**128),
     halfwidth=st.floats(1e-3, 1e300),
     sizes=st.lists(
         st.sampled_from(
-            [0, 1, _LANES - 1, _LANES, _LANES + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+            [0, 1, *LANE_BOUNDARIES, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
         ),
         min_size=1,
         max_size=4,
     ),
 )
 # a small draw, then larger ones: the jump table regrows mid-stream
-@example(seed=7, halfwidth=1.0, sizes=[0, 1, _LANES - 1, _LANES + 1])
-@example(seed=8, halfwidth=1.0, sizes=[_LANES, _BLOCK - 1, 2 * _BLOCK + 3, 1])
+@example(seed=7, halfwidth=1.0, sizes=[0, 1, 2, 4, 5])
+@example(seed=8, halfwidth=1.0, sizes=[64, 65, 400, 401])
+@example(seed=9, halfwidth=1.0, sizes=[384, 1024, 1025, 8100, 8101])
+@example(seed=10, halfwidth=1.0, sizes=[128, _BLOCK - 1, 2 * _BLOCK + 3, 1])
 def test_sample_stream_is_numpys_uniform_stream(seed, halfwidth, sizes):
     rng = np.random.default_rng(seed)
     draw = _uniform_stream(seed)

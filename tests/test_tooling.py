@@ -317,3 +317,49 @@ def test_the_report_digest_prints_one_sha256_line():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout), proc.stdout
+
+
+# runs argvs, read from stdin, in one interpreter, each after clearing the
+# caches a fresh interpreter starts without (kernels and bundles); prints the
+# exit codes and the expression walks (``expr.fold`` calls) of all of them
+COUNT_WALKS = """
+import contextlib, importlib, io, json, pkgutil, sys
+import ksym
+from ksym import bundles, cli, expr
+modules = [importlib.import_module(f"ksym.{m.name}") for m in pkgutil.iter_modules(ksym.__path__)]
+walks, fold = 0, expr.fold
+
+def counted(root, rule):
+    global walks
+    walks += 1
+    return fold(root, rule)
+
+for module in modules:
+    if vars(module).get("fold") is fold:
+        module.fold = counted
+codes = []
+for argv in json.load(sys.stdin):
+    for cached in (expr.field_evaluator, bundles.tangent_bundle, bundles.cotangent_bundle):
+        cached.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, walks]))
+"""
+
+# the expression walks of one golden pass; a derivative walk per slot and forms
+# derived at every load would take 1,265
+GOLDEN_PASS_WALKS = 608
+
+
+def test_a_golden_pass_walks_each_expression_few_times(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    specs = run.WORKLOADS["golden"]["commands"]
+    argvs = [run.command_argv(spec, 42, tmp_path / "grid.csv") for spec in specs]
+    env = {**os.environ, "PYTHONPATH": str(Path(ksym.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", COUNT_WALKS], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, walks = json.loads(proc.stdout)
+    assert len(argvs) == 22 and codes == [spec["exit"] for spec in specs]
+    assert walks <= GOLDEN_PASS_WALKS
