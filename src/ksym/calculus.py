@@ -8,7 +8,8 @@ Fields and potentials ``evaluate``, forms ``max_component_at``, an (m, N)
 array of chart points: one row per point is the only evaluation path.
 Each residual family (a bracket's components, a form's coefficients) is
 one kernel run, and ``max_abs`` is the package's one sup-norm over one.
-What is derived here from operands on one chart is not checked against it again.
+Every field and form, given or derived, is built by its public constructor,
+which checks each expression's coordinate set against the chart without a walk.
 """
 
 from __future__ import annotations
@@ -97,19 +98,6 @@ def _is_zero_expr(e: Expression) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
 
-def _derived(cls, **fields):
-    """A ``cls`` record derived from operands on its chart, stored unchecked."""
-    record = object.__new__(cls)
-    record._set(**fields)
-    return record
-
-
-def _form(chart: ChartSpace, degree: int, components: dict) -> "PForm":
-    """A derived form, its zero components dropped as ``PForm`` drops them."""
-    return _derived(PForm, chart=chart, degree=degree, components={
-        key: e for key, e in components.items() if not _is_zero_expr(e)})
-
-
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -159,7 +147,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
                  make_neg(directional_derivative(Y, X.components[j])))
         for j in range(chart.dimension)
     )
-    return _derived(VectorField, chart=chart, components=comps)
+    return VectorField(chart, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +190,7 @@ class PForm(Record):
 
 
 def scalar_form(f: ScalarField) -> PForm:
-    return _form(f.chart, 0, {(): f.expr})
+    return PForm(f.chart, 0, {(): f.expr})
 
 
 def one_form(chart: ChartSpace, components: Mapping[int, Expression] | Sequence[Expression]) -> PForm:
@@ -218,12 +206,12 @@ def form_add(a: PForm, b: PForm) -> PForm:
     if a.degree != b.degree:
         raise ValueError(f"cannot add forms of degree {a.degree} and {b.degree}")
     keys = set(a.components) | set(b.components)
-    return _form(chart, a.degree, {key: make_add(a.component(*key), b.component(*key))
+    return PForm(chart, a.degree, {key: make_add(a.component(*key), b.component(*key))
                                    for key in keys})
 
 
 def form_neg(a: PForm) -> PForm:
-    return _form(a.chart, a.degree, {k: make_neg(e) for k, e in a.components.items()})
+    return PForm(a.chart, a.degree, {k: make_neg(e) for k, e in a.components.items()})
 
 
 def form_sub(a: PForm, b: PForm) -> PForm:
@@ -239,7 +227,7 @@ def exterior_derivative(omega: PForm) -> PForm:
                 continue
             term = deriv if sum(i < j for i in key) % 2 == 0 else make_neg(deriv)
             acc.setdefault(tuple(sorted(key + (j,))), []).append(term)
-    return _form(omega.chart, omega.degree + 1, {k: make_add(*v) for k, v in acc.items()})
+    return PForm(omega.chart, omega.degree + 1, {k: make_add(*v) for k, v in acc.items()})
 
 
 def interior_product(X: VectorField, omega: PForm) -> PForm:
@@ -256,7 +244,7 @@ def interior_product(X: VectorField, omega: PForm) -> PForm:
             rest = key[:pos] + key[pos + 1:]
             term = make_mul(comp, expr)
             acc.setdefault(rest, []).append(term if pos % 2 == 0 else make_neg(term))
-    return _form(chart, omega.degree - 1, {k: make_add(*v) for k, v in acc.items()})
+    return PForm(chart, omega.degree - 1, {k: make_add(*v) for k, v in acc.items()})
 
 
 def lie_derivative_form(X: VectorField, omega: PForm) -> PForm:

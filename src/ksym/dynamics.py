@@ -26,7 +26,6 @@ from .calculus import (
     PForm,
     ScalarField,
     VectorField,
-    _derived,
     _same_chart,
     exterior_derivative,
     form_add,
@@ -139,14 +138,14 @@ class FieldSystem(Record, frozen=False):
         liouville = tangent_bundle(self.chart.n, self.chart.k).liouville
         energy = make_add(interior_product(liouville, self._dL).component(),
                           make_neg(self.function.expr))
-        return _derived(ScalarField, chart=self.chart, expr=energy)
+        return ScalarField(self.chart, energy)
 
     @property
     def target(self) -> ScalarField:
         """The scalar whose differential drives the evolution equation."""
         return self.function if self.kind == "hamiltonian" else self.energy
 
-    @property
+    @cached_property
     def default_tolerance(self) -> float:
         """1e-8 on polynomial data, relaxed to 1e-6 when the model involves
         non-polynomial functions (square roots and friends)."""

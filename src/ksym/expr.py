@@ -273,9 +273,10 @@ def cotangent_chart(n: int, k: int) -> ChartSpace:
 
 class Expression:
     """Immutable AST node.  Subclasses are structural value types; each node
-    caches its hash at construction, so hashing never walks the tree."""
+    caches its hash and ``_coords``, the (slot, name) pairs of its ``Coord``
+    leaves, at construction, so hashing and chart checks never walk the tree."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_coords")
     _key = ()  # the data beside the children (value, name, exponent)
 
     def children(self) -> tuple["Expression", ...]:
@@ -308,8 +309,18 @@ class Expression:
         return f"{type(self).__name__}({to_source(self)})"
 
 
+def _union(children: tuple[Expression, ...]) -> frozenset:
+    """The union of the children's coordinate sets: a child's own set when that is the union."""
+    widest = frozenset()
+    for child in children:
+        if not child._coords <= widest:
+            widest = child._coords if widest <= child._coords else widest | child._coords
+    return widest
+
+
 class Num(Expression):
     __slots__ = ("value", "_key")
+    _coords = frozenset()
 
     def __init__(self, value: float):
         self.value = float(value) + 0.0  # -0.0 is 0.0, as == and printing have it
@@ -325,6 +336,7 @@ class Coord(Expression):
         self.name = name
         self._key = (self.index, name)
         self._hash = hash(self._key)
+        self._coords = frozenset((self._key,))
 
 
 class Add(Expression):
@@ -333,6 +345,7 @@ class Add(Expression):
     def __init__(self, terms: tuple[Expression, ...]):
         self.terms = terms
         self._hash = hash((Add, terms))
+        self._coords = _union(terms)
 
     def children(self):
         return self.terms
@@ -344,6 +357,7 @@ class Mul(Expression):
     def __init__(self, factors: tuple[Expression, ...]):
         self.factors = factors
         self._hash = hash((Mul, factors))
+        self._coords = _union(factors)
 
     def children(self):
         return self.factors
@@ -356,6 +370,7 @@ class Div(Expression):
         self.numerator = numerator
         self.denominator = denominator
         self._hash = hash((Div, numerator._hash, denominator._hash))
+        self._coords = _union((numerator, denominator))
 
     def children(self):
         return (self.numerator, self.denominator)
@@ -367,6 +382,7 @@ class Neg(Expression):
     def __init__(self, arg: Expression):
         self.arg = arg
         self._hash = hash((Neg, arg._hash))
+        self._coords = arg._coords
 
     def children(self):
         return (self.arg,)
@@ -382,6 +398,7 @@ class Pow(Expression):
         self.exponent = int(exponent)
         self._key = (self.exponent,)
         self._hash = hash((Pow, base._hash, self.exponent))
+        self._coords = base._coords
 
     def children(self):
         return (self.base,)
@@ -400,6 +417,7 @@ class Func(Expression):
         self.arg = arg
         self._key = (name,)
         self._hash = hash((Func, name, arg._hash))
+        self._coords = arg._coords
 
     def children(self):
         return (self.arg,)
@@ -823,18 +841,13 @@ def differentiate(e: Expression, index: int) -> Expression:
 
 
 def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
-    """Check that each coordinate reference matches the chart by index and name."""
-    names = chart.coordinate_names
-
-    def check(node, _):
-        if isinstance(node, Coord) and not (
-            0 <= node.index < len(names) and names[node.index] == node.name
-        ):
-            raise ValueError(
-                f"coordinate {node.name!r} (slot {node.index}) does not belong to the chart"
-            )
-
-    fold(e, check)
+    """Check that each coordinate reference matches the chart by index and name,
+    from the expression's coordinate set; a foreign one in the lowest slot is named."""
+    slots = _name_index_map(chart)
+    foreign = [(index, name) for index, name in e._coords if slots.get(name) != index]
+    if foreign:
+        index, name = min(foreign)
+        raise ValueError(f"coordinate {name!r} (slot {index}) does not belong to the chart")
 
 
 # ---------------------------------------------------------------------------

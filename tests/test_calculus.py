@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ksym
-from ksym import calculus, conservation, dynamics, symmetry
+from ksym import calculus, conservation, dynamics, expr, symmetry
 from ksym.calculus import (
     QUADRATURE_NODES,
     ChartMismatchError,
@@ -504,27 +504,36 @@ def test_potential_of_zero_form_is_zero():
     assert g.evaluate(np.array([[0.3, -0.2, 0.9]]))[0] == 0.0
 
 
-def test_a_derived_field_or_form_is_not_validated_again(monkeypatch):
+def test_no_field_or_form_constructor_walks_a_tree(monkeypatch):
     chart = tangent_chart(1, 2)
     L = ScalarField(chart, parse_expression("(v_1_1^2 + v_2_1^2)/2 + x_1*v_1_1", chart))
     X, Y = _vf(chart, {"x_1": "v_1_1", "v_2_1": "x_1"}), _vf(chart, {"v_1_1": "x_1^2"})
     alpha = one_form(chart, [parse_expression("x_1*v_2_1", chart), Num(1.0), Num(0.0)])
     system = FieldSystem("lagrangian", chart, L)
-    system.theta  # composed with each vertical endomorphism by the one-form constructor
-    validated = []
-    validate_on_chart = calculus.validate_on_chart
+    checked, walks, walks_in_checks = [], [], []
+    fold, validate_on_chart = expr.fold, calculus.validate_on_chart
+
+    def counted_fold(root, rule):
+        walks.append(root)
+        return fold(root, rule)
 
     def counted(e, ch):
-        validated.append(e)
-        validate_on_chart(e, ch)
+        before = len(walks)
+        try:
+            validate_on_chart(e, ch)
+        finally:
+            checked.append(e)
+            walks_in_checks.extend(walks[before:])
 
+    monkeypatch.setattr(expr, "fold", counted_fold)
     monkeypatch.setattr(calculus, "validate_on_chart", counted)
     dL = exterior_derivative(scalar_form(L))
     lie_bracket(X, Y), form_add(dL, alpha), form_neg(alpha), form_sub(alpha, dL)
     exterior_derivative(alpha), interior_product(X, dL), lie_derivative_form(Y, alpha)
     system.omega, system.energy, system.target_differential
-    assert validated == []
-    # the public constructors still check every expression
+    # every derived field and form went through its checking constructor
+    assert system.energy.expr in checked and len(checked) > 20
     with pytest.raises(ValueError, match=r"coordinate 'x_3' \(slot 2\) does not belong"):
         ScalarField(base_chart(2), Coord(2, "x_3"))
-    assert validated == [Coord(2, "x_3")]
+    assert checked[-1] == Coord(2, "x_3")
+    assert walks and walks_in_checks == []

@@ -106,6 +106,13 @@ def test_default_tolerance_tracks_function_class():
     assert surface.default_tolerance == 1e-6
 
 
+def test_the_default_tolerance_walks_the_function_once(monkeypatch):
+    system, walked, fold = string_system(), [], dynamics.fold
+    monkeypatch.setattr(dynamics, "fold", lambda e, rule: walked.append(e) or fold(e, rule))
+    assert system.default_tolerance == system.default_tolerance == 1e-8
+    assert walked == [system.function.expr]
+
+
 def test_kvector_field_arity_and_repeat():
     sys = string_system()
     ch = sys.chart

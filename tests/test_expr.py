@@ -13,8 +13,10 @@ from ksym.expr import (
     Add,
     ChartSpace,
     Coord,
+    Div,
     EvaluationDomainError,
     ExprSyntaxError,
+    Func,
     Mul,
     Neg,
     NonIntegerExponentError,
@@ -214,6 +216,18 @@ def test_coordinate_from_wrong_chart_rejected():
         validate_on_chart(e, base_chart(2))
 
 
+def test_of_several_foreign_coordinates_the_lowest_slot_is_named():
+    x_9, x_3 = Coord(5, "x_9"), Coord(2, "x_3")
+    for e in (make_add(x_9, x_3), make_add(x_3, x_9), make_mul(make_neg(x_9), x_3)):
+        with pytest.raises(ValueError, match=r"^coordinate 'x_3' \(slot 2\) does not belong"):
+            validate_on_chart(e, base_chart(2))
+    # whatever order a set of foreign names iterates in, the lowest slot wins
+    for tag in range(6):
+        e = make_add(*(Coord(slot, f"y_{slot}_{tag}") for slot in range(5, -1, -1)))
+        with pytest.raises(ValueError, match=rf"^coordinate 'y_0_{tag}' \(slot 0\)"):
+            validate_on_chart(e, base_chart(2))
+
+
 # ---------------------------------------------------------------------------
 # differentiation against the finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -360,6 +374,37 @@ def test_simplify_idempotent(e):
     once = simplify(e)
     twice = simplify(once)
     assert once == twice
+
+
+def _check_coordinate_sets(e):
+    """Assert that every node of ``e`` carries the (slot, name) pairs of the
+    ``Coord`` leaves under it, as a fold collects them."""
+    def rule(node, kids):
+        is_coord = type(node) is Coord
+        leaves = frozenset([(node.index, node.name)]) if is_coord else frozenset().union(*kids)
+        assert node._coords == leaves, node
+        return leaves
+
+    fold(e, rule)
+
+
+@given(_expression_strategy(tangent_chart(2, 2)))
+def test_each_node_carries_the_coordinates_of_its_leaves(e):
+    parsed = parse_expression(to_source(e), tangent_chart(2, 2))
+    for tree in (e, parsed, *gradient(parsed).values(), make_add(e, parsed), make_mul(e, parsed),
+                 make_div(e, parsed), make_neg(e), make_pow(e, 3), make_func("exp", e)):
+        _check_coordinate_sets(tree)
+
+
+def test_each_node_class_carries_its_coordinate_set():
+    x, y, z = Coord(0, "x_1"), Coord(1, "x_2"), Coord(2, "x_3")
+    xy = Mul((x, y))
+    nodes = [Num(2.0), x, Add((Num(1.0), x, z)), xy, Div(x, y), Div(y, x), Neg(z), Pow(y, 3),
+             Func("sin", z), Add((xy, y, z))]
+    for node in nodes:
+        _check_coordinate_sets(node)
+    # a node whose child already holds every coordinate shares that child's set
+    assert Add((xy, Neg(x)))._coords is xy._coords and Pow(xy, 2)._coords is xy._coords
 
 
 def _finite_literals(e) -> bool:

@@ -163,6 +163,13 @@ def test_the_package_source_never_names_numpys_random_module():
     assert named == []
 
 
+def test_the_package_source_never_builds_a_record_around_its_constructor():
+    # every field and form, given or derived, is checked by its constructor
+    sources = sorted(Path(ksym.__file__).parent.glob("*.py"))
+    assert sources
+    assert [p.name for p in sources if "object.__new__" in p.read_text()] == []
+
+
 def test_only_same_chart_compares_charts_or_raises_a_chart_mismatch():
     found = []
     for path in sorted(Path(ksym.__file__).parent.glob("*.py")):
@@ -347,8 +354,9 @@ print(json.dumps([codes, walks]))
 """
 
 # the expression walks of one golden pass; a derivative walk per slot and forms
-# derived at every load would take 1,265
-GOLDEN_PASS_WALKS = 608
+# derived at every load would take 1,265, and a validation walk per field and
+# form 608
+GOLDEN_PASS_WALKS = 291
 
 
 def test_a_golden_pass_walks_each_expression_few_times(monkeypatch, tmp_path):
