@@ -17,13 +17,12 @@ canonical polynomial form; callers that need equality of values check it
 at sample points.
 
 Every evaluation goes through ``field_evaluator``: a tuple of expressions
-is compiled once into one straight-line numpy kernel, one statement per
-structurally unique node of all of them, over an (m, N) array of points (a
-single point is a one-row batch) in blocks of at most 8,192 rows;
-``batch_evaluator`` is its one-expression case.  Rows the kernel cannot
-settle in IEEE arithmetic are rerun through a checked copy of the same
-statements, which names the first subexpression, in scalar evaluation
-order, that left its domain.
+is built once into one tape of numpy calls, one per structurally unique node
+of all of them, walked over an (m, N) array of points (a single point is a
+one-row batch) in blocks of at most 8,192 rows; ``batch_evaluator`` is its
+one-expression case.  Rows the tape cannot settle in IEEE arithmetic are
+rerun along it with domain tests among its steps, which name the first
+subexpression, in scalar evaluation order, that left its domain.
 
 Sample points are the stream of numpy's ``default_rng(seed).uniform``,
 reproduced bit for bit in uint64 arithmetic, so sampling never imports
@@ -38,7 +37,7 @@ import itertools
 import math
 import operator
 import re
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -851,7 +850,7 @@ def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: straight-line numpy kernels over point arrays
+# compiled evaluation: tapes of numpy calls over point arrays
 # ---------------------------------------------------------------------------
 
 _NUMPY_IMPL = {name: getattr(np, name) for name in FUNCTIONS}
@@ -864,137 +863,139 @@ COMPILE_CACHE_SIZE = 1024
 # floats reaches the 128 kB at which glibc starts to trim and regrow its heap
 _BLOCK = 8192
 
-# statement templates over the operand names and the node ``e``
-_STATEMENTS = {Div: "{0} / {1}", Neg: "-{0}", Pow: "{0} ** {e.exponent}", Func: "{e.name}({0})"}
+# the numpy call each operator makes (``**`` keeps numpy's fast paths for
+# small powers); a coordinate is a row of the transposed points
+_CALLS = {Add: np.add, Mul: np.multiply, Div: np.divide, Neg: np.negative, Pow: operator.pow,
+          Coord: operator.getitem}
 
-# the test on a function's argument that leaves its domain, and why
-_FUNC_DOMAINS = {
-    "sqrt": ("{} < 0", "square root of a negative number"),
-    "log": ("{} <= 0", "logarithm of a non-positive number"),
-    "sin": ("isinf({})", "sin of an infinite number"),
-    "cos": ("isinf({})", "cos of an infinite number"),
+# the test on an operand that leaves its domain -- a ufunc and its second
+# argument (None is ``isinf``'s ``out``) -- and why; Pow only below zero
+_DOMAINS = {
+    Div: (np.equal, 0, "division by zero"),
+    Pow: (np.equal, 0, "division by zero"),
+    "sqrt": (np.less, 0, "square root of a negative number"),
+    "log": (np.less_equal, 0, "logarithm of a non-positive number"),
+    "sin": (np.isinf, None, "sin of an infinite number"),
+    "cos": (np.isinf, None, "cos of an infinite number"),
 }
 
 
-def _first(*codes):
-    """Per row, the first of ``codes`` that is not -1."""
-    out = codes[-1]
-    for code in codes[-2::-1]:
-        out = np.where(code >= 0, code, out)
-    return out
+def _walk(tape: list, constants: list, P, out) -> list:
+    """The registers -- P, ``out``, then ``constants`` -- after each step
+    (fn, dest, a, b, c) stores fn of registers a, b, c, those not None, in dest."""
+    r = [P, out, *constants]
+    for fn, dest, a, b, c in tape:
+        r[dest] = fn(r[a]) if b is None else fn(r[a], r[b]) if c is None else fn(r[a], r[b], r[c])
+    return r
 
 
-def _compile(exprs: tuple[Expression, ...]) -> tuple[Callable, Callable, list]:
-    """A straight-line kernel ``run(P, out)`` over the transposed points that
-    stores component j of ``exprs`` in ``out[j]``: one statement per
-    structurally unique node of all the components (``t7 = t3 * t5``, equal
-    operations on equal operands share one), each operation in the order the
-    nested expression takes it, with literals bound by name.
+def _compile(exprs: tuple[Expression, ...]) -> tuple[Callable, Callable, list, list]:
+    """A kernel ``run(P, out)`` over the transposed points that stores
+    component j of ``exprs`` in ``out[j]``: a tape of the numpy calls the
+    nodes' operators make, on registers holding P, ``out``, the literals and
+    one value per structurally unique node of all the components, each
+    operation in the order the nested expression takes it.
 
-    ``checked()`` compiles, on first use, a kernel that runs the same
-    statements and also returns, per component and row, the index into
-    ``failures`` -- (reason, node) pairs -- of the first node in scalar
-    evaluation order that leaves its domain, or -1.  That order takes children
-    left to right, each node after its children, except that a ``Div`` tests
-    its denominator before it evaluates its numerator.
+    ``checked(P, out)`` walks the same tape with domain-code steps among it;
+    its register ``codes[j]`` holds per row the index into ``failures`` --
+    (reason, node) pairs -- of component j's first node, in scalar evaluation
+    order, that leaves its domain, or -1.  That order takes children left to
+    right, each node after its children, except that a ``Div`` tests its
+    denominator before it evaluates its numerator.
     """
-    values, steps, failures, emitted, literals = [], [], [], {}, {}
-    namespace = {**_NUMPY_IMPL, "first": _first, "where": np.where, "isinf": np.isinf,
-                 "__builtins__": {}}
+    registers, literals, values, tape, checked, failures = [None, None], {}, {}, [], [], []
+
+    def literal(value) -> int:  # repr names every NaN alike
+        if repr(value) not in literals:
+            literals[repr(value)] = len(registers)
+            registers.append(value)
+        return literals[repr(value)]
+
+    def step(fn, *operands, dest=None, fast=True) -> int:
+        if dest is None:
+            dest = len(registers)
+            registers.append(None)
+        checked.append((fn, dest, *operands, *(None,) * (3 - len(operands))))
+        if fast:
+            tape.append(checked[-1])
+        return dest
 
     def rule(node, kids):
         t = type(node)
-        if t is Num:  # repr names every NaN alike
-            name = literals.setdefault(repr(node.value), f"c{len(literals)}")
-            namespace[name] = np.float64(node.value)
-            return name, None
-        if t is Coord:
-            return f"P[{node.index}]", None
-        args, codes = zip(*kids)
-        op = " + " if t is Add else " * " if t is Mul else None
-        text = op.join(args) if op else _STATEMENTS[t].format(*args, e=node)
-        if text in emitted:
-            return emitted[text]
-        name = f"t{len(values)}"
-        if op:
-            lines = [f"{name} = {op.join(args[:2])}"] + [f"{name} = {name}{op}{a}" for a in args[2:]]
-        else:
-            lines = [f"{name} = {text}"]
-        values.extend(lines)
-        steps.extend(lines)
-        if t is Div or (t is Pow and node.exponent < 0):
-            domain = ("{} == 0", "division by zero")
-        else:
-            domain = _FUNC_DOMAINS.get(node.name) if t is Func else None
+        if t is Num:
+            return literal(np.float64(node.value)), None
+        args, codes = zip(*kids) if kids else ((0, literal(node.index)), ())  # Coord: P's row
+        key = (t, node._key, args)
+        if key in values:
+            return values[key]
+        operands = (*args, literal(node.exponent)) if t is Pow else args
+        fn = _CALLS.get(t) or _NUMPY_IMPL[node.name]
+        value = step(fn, *operands[:2])
+        for operand in operands[2:]:  # sums and products one operand at a time
+            value = step(fn, value, operand, dest=value)
+        domain = _DOMAINS.get(node.name if t is Func else t)
         own = None
-        if domain:  # tested on the last operand: denominator, base or argument
-            own = f"where({domain[0].format(args[-1])}, {len(failures)}, -1)"
-            failures.append((domain[1], node))
+        if domain and (t is not Pow or node.exponent < 0):  # on the last argument
+            failed = step(domain[0], args[-1], literal(domain[1]), fast=False)
+            own = step(np.where, failed, literal(len(failures)), literal(-1), fast=False)
+            failures.append((domain[2], node))
         codes = [c for c in ([codes[1], own, codes[0]] if t is Div else [*codes, own]) if c]
-        if len(codes) == 1 and own is None:
-            code = codes[0]
-        elif codes:
-            code = f"e{name}"
-            steps.append(f"{code} = first({', '.join(codes)})")
-        else:
-            code = None
-        emitted[text] = name, code
-        return name, code
+        code = codes.pop() if codes else None
+        for first in reversed(codes):  # per row, the first code that is not -1
+            at = step(np.greater_equal, first, literal(0), fast=False)
+            code = step(np.where, at, first, code, fast=False)
+        values[key] = value, code
+        return value, code
 
     folded = [fold(e, rule) for e in exprs]
-    stores = [f"out[{j}] = {root}" for j, (root, _) in enumerate(folded)]
-    checked = cache(partial(_define, steps + stores,
-                            f"({''.join(f'{c or -1}, ' for _, c in folded)})", namespace))
-    return _define(values + stores, "None", namespace), checked, failures
-
-
-def _define(lines: list, result: str, namespace: dict) -> Callable:
-    body = "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
-    exec(f"def kernel(P, out):\n{body}", namespace)
-    return namespace["kernel"]
+    for j, (root, _) in enumerate(folded):
+        step(operator.setitem, 1, literal(j), root)
+    codes = [literal(-1) if code is None else code for _, code in folded]
+    constants = registers[2:]
+    return partial(_walk, tape, constants), partial(_walk, checked, constants), codes, failures
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
-    """Compile a tuple of expressions to one numpy kernel mapping an (m, N)
-    point array to the (m, len(exprs)) array of their values; an empty tuple
-    gives an (m, 0) array.
+    """One numpy kernel for a tuple of expressions, mapping an (m, N) point
+    array to the (m, len(exprs)) array of their values; an empty tuple gives
+    an (m, 0) array.
 
-    The straight-line kernel runs over blocks of at most ``_BLOCK`` rows, with
-    numpy raising on division by zero, invalid operations and overflow.  A
-    block it raises in is rerun in checked mode; otherwise only the rows it
-    left non-finite are, and an entry it left finite is kept.  Checked mode
-    runs the same statements in IEEE arithmetic, so overflow keeps its
-    infinity, and finds per row the first node that leaves its domain: a zero
-    divisor, zero to a negative power, the square root of a negative number,
-    the logarithm of a non-positive one, sin or cos of an infinity.  The
-    lowest failing component's first failing row raises an
-    ``EvaluationDomainError`` naming that subexpression; with ``strict=False``
-    each failing entry is NaN.
+    Its tape runs over blocks of at most ``_BLOCK`` rows, with numpy raising
+    on division by zero, invalid operations and overflow.  A block it raises
+    in is rerun in checked mode; otherwise only the rows it left non-finite
+    are, and an entry it left finite is kept.  Checked mode walks the same
+    tape in IEEE arithmetic, so overflow keeps its infinity, and finds per
+    row the first node that leaves its domain: a zero divisor, zero to a
+    negative power, the square root of a negative number, the logarithm of
+    a non-positive one, sin or cos of an infinity.  The lowest failing
+    component's first failing row raises an ``EvaluationDomainError`` naming
+    that subexpression; with ``strict=False`` each failing entry is NaN.
     """
-    run, checked, failures = _compile(exprs)
+    run, checked, codes, failures = _compile(exprs)
 
     def kernel(points, strict: bool = True) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         values = np.empty((len(exprs), len(points)))
+        P = points.T
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             for start in range(0, len(points), _BLOCK):
                 block = slice(start, start + _BLOCK)
-                try:
-                    run(points[block].T, values[:, block])
+                try:  # one block is the whole arrays, unsliced
+                    run(P, values) if len(points) <= _BLOCK else run(P[:, block], values[:, block])
                 except FloatingPointError:
                     values[:, block] = math.nan
         finite = np.isfinite(values)
-        if finite.all():
+        if np.count_nonzero(finite) == finite.size:  # cheaper than ``all``
             return values.T
         redo = ~finite
         rows = np.flatnonzero(redo.any(axis=0))
         redo, rerun = redo[:, rows], np.empty((len(exprs), len(rows)))
         with np.errstate(all="ignore"):
-            codes = checked()(points[rows].T, rerun)
+            registers = checked(points[rows].T, rerun)
         values[:, rows] = np.where(redo, rerun, values[:, rows])
         for j, code in enumerate(codes):
-            code = np.broadcast_to(code, rows.shape)
+            code = np.broadcast_to(registers[code], rows.shape)
             bad = np.flatnonzero(redo[j] & (code >= 0))
             if len(bad) and strict:
                 reason, node = failures[code[bad[0]]]
@@ -1072,52 +1073,52 @@ def _halves(ints) -> np.ndarray:
     return np.array([[i >> 64 for i in ints], [i & _M64 for i in ints]], dtype=np.uint64)
 
 
-def _jump_table(inc: int, size: int) -> np.ndarray:
-    """jumps[h, t, j - 1], j = 1 .. n >= size: half h (high, low) of A_j = M^j
-    (t = 0) or C_j (t = 1), so that j steps from state s reach A_j s + C_j.
-    It is the product of the first L = ceil(sqrt(size)) jumps and the jumps by
-    whole rows of L, taken as Python ints: A_(Lr+j) = A_j A_Lr, C_(Lr+j) = A_j C_Lr + C_j."""
-    def then(first, second):  # the jump by ``first``, then by ``second``
-        return first[0] * second[0] & _M128, (first[1] * second[0] + second[1]) & _M128
-
-    width = math.isqrt(size - 1) + 1
-    lanes, rows = [(_PCG64_MULT, inc)], [(1, 0)]
-    while len(lanes) < width:
-        lanes.append(then(lanes[-1], lanes[0]))
-    while len(rows) * width < size:
-        rows.append(then(rows[-1], lanes[-1]))
-    (lane_a, lane_c), (row_a, row_c) = zip(*lanes), zip(*rows)
-    table = _mul_add(_halves(row_a + row_c).reshape(2, 2, -1, 1),
-                     _halves(lane_a).reshape(2, 1, 1, width),
-                     _halves((0,) * width + lane_c).reshape(2, 2, 1, width))
-    return table.reshape(2, 2, -1)
+def _then(first: tuple, second: tuple) -> tuple:
+    """The jump by ``first``, then by ``second``: (A, C) pairs that take state s to A s + C."""
+    return first[0] * second[0] & _M128, (first[1] * second[0] + second[1]) & _M128
 
 
 def _uniform_stream(seed) -> Callable:
     """``draw(low, high, shape)``: the values of successive
     ``default_rng(seed).uniform(low, high, shape)`` calls on one numpy
-    Generator, bit for bit -- its PCG64 seeded through SeedSequence, stepped
-    here in blocks of up to _BLOCK states, each a jump from the block's
-    start read off a lane x row table -- without importing numpy's random
-    module.  The table covers the largest block drawn so far."""
+    Generator, bit for bit -- its PCG64 seeded through SeedSequence -- without
+    importing numpy's random module.  A draw steps the generator in blocks of
+    up to _BLOCK states.  Its first block holds A_j s_r + C_j, the lane jumps
+    (A_j, C_j) by j = 1 .. L = ceil(sqrt(size)) steps applied to row starts
+    s_r, L steps apart, all taken as Python ints; each later block is the
+    jump by _BLOCK steps of the block before it."""
     w0, w1, w2, w3 = _seed_words(seed)
     inc = ((w2 << 64 | w3) << 1 | 1) & _M128
     state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128
-    jumps = np.empty((2, 2, 0), dtype=np.uint64)
+    jump, power, n = (1, 0), (_PCG64_MULT, inc), _BLOCK  # by _BLOCK steps, by squaring
+    while n:
+        jump, power, n = _then(jump, power) if n & 1 else jump, _then(power, power), n >> 1
+    block_jump = _halves(jump[:1]), _halves(jump[1:])
 
     def draw(low: float, high: float, shape: tuple) -> np.ndarray:
-        nonlocal state, jumps
+        nonlocal state
         low, span = float(low), float(high) - float(low)
         out = np.empty(math.prod(shape))
         for start in range(0, out.size, _BLOCK):
             size = min(_BLOCK, out.size - start)
-            if jumps.shape[2] < size:
-                jumps = _jump_table(inc, size)
-            hi, lo = _mul_add(jumps[:, 0, :size], _halves([state]), jumps[:, 1, :size])
-            state = int(hi[-1]) << 64 | int(lo[-1])
+            if start:
+                states = _mul_add(states[:, :size], *block_jump)
+            else:
+                lanes = [(_PCG64_MULT, inc)]
+                while len(lanes) ** 2 < size:
+                    lanes.append(_then(lanes[-1], lanes[0]))
+                (a, c), starts = lanes[-1], [state]  # a row is the jump by L steps
+                while len(starts) * len(lanes) < size:
+                    starts.append((a * starts[-1] + c) & _M128)
+                lane_a, lane_c = zip(*lanes)
+                states = _mul_add(_halves(starts).reshape(2, -1, 1),
+                                  _halves(lane_a).reshape(2, 1, -1),
+                                  _halves(lane_c).reshape(2, 1, -1)).reshape(2, -1)[:, :size]
+            hi, lo = states
             x, rot = hi ^ lo, hi >> 58  # PCG's XSL-RR output
             bits = x >> rot | x << (-rot & 63)
             out[start : start + size] = low + span * ((bits >> 11) * 2.0**-53)
+            state = int(hi[-1]) << 64 | int(lo[-1])
         return out.reshape(shape)
 
     return draw
@@ -1144,8 +1145,7 @@ def sample_points(
         raise SamplingError(f"halfwidth {halfwidth!r} spans a box of non-finite width")
     draw = _uniform_stream(seed)
     exprs = tuple(getattr(item, "expr", item) for item in require)
-    # one run per draw for all of them; with none, no kernel to compile
-    kernel = field_evaluator(exprs) if exprs else lambda pts, strict: pts[:, :0]
+    kernel = field_evaluator(exprs)  # one run per draw for all of them
 
     accepted, kept, drawn = [], 0, 0  # each batch's valid rows, copied only if some are not
     budget = 10 * count

@@ -756,7 +756,7 @@ def test_sampling_accepts_the_widest_finite_box():
     assert np.isfinite(pts).all() and np.all(np.abs(pts) <= 8e307)
 
 
-# a jump table for a draw of L^2 states has L lanes, and one more for L^2 + 1
+# a draw's first block of L^2 states has L lanes, and one of L^2 + 1 one more
 LANE_BOUNDARIES = [2, 4, 5, 64, 65, 384, 400, 401, 1024, 1025, 8100, 8101]
 
 
@@ -771,11 +771,14 @@ LANE_BOUNDARIES = [2, 4, 5, 64, 65, 384, 400, 401, 1024, 1025, 8100, 8101]
         max_size=4,
     ),
 )
-# a small draw, then larger ones: the jump table regrows mid-stream
+# each draw starts from where the last one stopped, with a first block of its
+# own lane count; a partial first block, then full and partial later blocks
 @example(seed=7, halfwidth=1.0, sizes=[0, 1, 2, 4, 5])
 @example(seed=8, halfwidth=1.0, sizes=[64, 65, 400, 401])
 @example(seed=9, halfwidth=1.0, sizes=[384, 1024, 1025, 8100, 8101])
 @example(seed=10, halfwidth=1.0, sizes=[128, _BLOCK - 1, 2 * _BLOCK + 3, 1])
+@example(seed=11, halfwidth=1.0, sizes=[5, 2 * _BLOCK + 3, _BLOCK])
+@example(seed=12, halfwidth=1.0, sizes=[_BLOCK, _BLOCK + 1])
 def test_sample_stream_is_numpys_uniform_stream(seed, halfwidth, sizes):
     rng = np.random.default_rng(seed)
     draw = _uniform_stream(seed)

@@ -170,6 +170,15 @@ def test_the_package_source_never_builds_a_record_around_its_constructor():
     assert [p.name for p in sources if "object.__new__" in p.read_text()] == []
 
 
+def test_the_package_source_never_runs_source_text():
+    # kernels are tapes of numpy calls: no exec, eval or builtin compile
+    # (``re.compile`` is an attribute, not the builtin)
+    sources = sorted(Path(ksym.__file__).parent.glob("*.py"))
+    found = [(p.name, node.id) for p in sources for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Name) and node.id in ("exec", "eval", "compile")]
+    assert len(sources) > 1 and found == []
+
+
 def test_only_same_chart_compares_charts_or_raises_a_chart_mismatch():
     found = []
     for path in sorted(Path(ksym.__file__).parent.glob("*.py")):
