@@ -7,7 +7,8 @@ coefficient expressions; contraction is iterated interior products.
 Fields and potentials ``evaluate``, forms ``max_component_at``, an (m, N)
 array of chart points: one row per point is the only evaluation path.
 Each residual family (a bracket's components, a form's coefficients) is
-one kernel run, and ``max_abs`` is the package's one sup-norm over one.
+one kernel run, and ``max_abs`` is the package's one sup-norm over one; a
+family that reads no coordinate runs on one row.
 Every field and form, given or derived, is built by its public constructor,
 which checks each expression's coordinate set against the chart without a walk.
 """
@@ -73,12 +74,22 @@ class ClosednessError(ValueError):
         self.witness = np.asarray(witness, dtype=float)
 
 
+def _rows_read(exprs: Sequence[Expression], points):
+    """``points``, or only its first row when no expression of ``exprs``
+    reads a coordinate: such a family has the same values at every point."""
+    return points if any(e._coords for e in exprs) else points[:1]
+
+
 def max_abs(exprs: Iterable[Expression], points) -> np.ndarray:
     """The one sup-norm: the largest |e| over the family ``exprs`` (0 if empty)
     at each of the (m, N) points, in place on the values of one kernel run;
-    NaN propagates, so no NaN ever passes a tolerance."""
-    values = field_evaluator(tuple(exprs))(points)
-    return np.abs(values, out=values).max(axis=1, initial=0.0)
+    NaN propagates, so no NaN ever passes a tolerance.  A family that reads
+    no coordinate runs on the first row, and its value is repeated m times."""
+    exprs = tuple(exprs)
+    rows = _rows_read(exprs, points)
+    values = field_evaluator(exprs)(rows)
+    top = np.abs(values, out=values).max(axis=1, initial=0.0)
+    return top if rows is points else np.repeat(top, len(points))
 
 
 def _same_chart(*operands) -> ChartSpace:
@@ -131,6 +142,11 @@ class VectorField(Record):
         """Component values at each of the (m, N) points, shape (m, N), from
         one run of the field's kernel."""
         return field_evaluator(self.components)(points)
+
+    @functools.cached_property
+    def partials(self) -> tuple[dict[int, Expression], ...]:
+        """``gradient`` of each component, taken on first read."""
+        return tuple(map(gradient, self.components))
 
 
 def directional_derivative(X: VectorField, f: Expression) -> Expression:
@@ -248,13 +264,29 @@ def interior_product(X: VectorField, omega: PForm) -> PForm:
 
 
 def lie_derivative_form(X: VectorField, omega: PForm) -> PForm:
-    """Cartan's identity L_X = i_X d + d i_X; i_X f = 0 on 0-forms."""
-    if omega.degree == 0:
-        return interior_product(X, exterior_derivative(omega))
-    return form_add(
-        interior_product(X, exterior_derivative(omega)),
-        exterior_derivative(interior_product(X, omega)),
-    )
+    """L_X omega by the coordinate formula for a covariant tensor (Lee,
+    *Introduction to Smooth Manifolds*, 2nd ed., ch. 12):
+
+        (L_X omega)_I = X(omega_I) + sum_r sum_j omega_{I with I_r -> j} d_{I_r} X^j,
+
+    X(f) on a 0-form.  Each stored omega_K gives, per position r and nonzero
+    d_j X^{K_r}, the term omega_K d_j X^{K_r} to the component K with K_r := j,
+    re-sorted with the sign of the sort (none when j repeats an index of K).
+    It takes no d, so no d(d(...)) is built to cancel only when evaluated."""
+    chart = _same_chart(X, omega)
+    acc: dict[tuple[int, ...], list[Expression]] = {}
+    for key, expr in omega.components.items():
+        acc.setdefault(key, []).append(directional_derivative(X, expr))
+        for r, i in enumerate(key):
+            rest = key[:r] + key[r + 1:]
+            for j, partial in X.partials[i].items():
+                if j in rest:  # a repeated index: zero in an alternating form
+                    continue
+                at = sum(k < j for k in rest)  # the sort moves j from position r to at
+                term = make_mul(expr, partial)
+                acc.setdefault(rest[:at] + (j,) + rest[at:], []).append(
+                    term if (r - at) % 2 == 0 else make_neg(term))
+    return PForm(chart, omega.degree, {k: make_add(*v) for k, v in acc.items()})
 
 
 def apply_form(omega: PForm, fields: Sequence[VectorField]) -> Expression:

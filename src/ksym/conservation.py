@@ -13,9 +13,10 @@ absent (zero).  Two constructors:
                         where df_A = L_Y theta_A.  The Cartan gate, the
                         vanishing test below and the closedness of
                         L_Y theta_A all run on the caller's one point set.
-                        When that derivative vanishes on the points f_A is
-                        absent; otherwise f_A is recovered by line-integral
-                        quadrature, pinned to 0 at the chart origin.
+                        When that derivative is the zero form, or vanishes
+                        on the points, f_A is absent; otherwise f_A is
+                        recovered by line-integral quadrature, pinned to 0
+                        at the chart origin.
 
 Verification differentiates every component exactly.  A potential needs
 no finite difference: it satisfies df_A = alpha_A (= L_Y theta_A) by
@@ -39,6 +40,7 @@ from .calculus import (
     exterior_derivative,
     form_sub,
     interior_product,
+    lie_derivative_form,
     max_abs,
     potential_of_exact_one_form,
     scalar_form,
@@ -144,10 +146,10 @@ def build_noether_law(
         raise NotCartanSymmetryError(verdict)
     components = tuple(ScalarField(sys.chart, apply_form(theta, [Y])) for theta in sys.theta)
     potentials = []
-    for pairing, omega in zip(components, sys.omega):
-        # Cartan's formula on the forms the system holds: omega_A = -d theta_A
-        derivative = form_sub(exterior_derivative(scalar_form(pairing)), interior_product(Y, omega))
-        vanishes = worst_sample(derivative.max_component_at(points))[0] <= tol
+    for theta in sys.theta:
+        derivative = lie_derivative_form(Y, theta)
+        vanishes = (derivative.is_zero()
+                    or worst_sample(derivative.max_component_at(points))[0] <= tol)
         potentials.append(None if vanishes else potential_of_exact_one_form(
             derivative, np.zeros(sys.chart.dimension), points, tol))
     return ConservationLaw(

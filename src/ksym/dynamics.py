@@ -26,6 +26,7 @@ from .calculus import (
     PForm,
     ScalarField,
     VectorField,
+    _rows_read,
     _same_chart,
     exterior_derivative,
     form_add,
@@ -194,15 +195,19 @@ def check_regularity(
 
     Regular iff min |det| > tolerance, strictly.  The check reports it as
     max_residual = -min |det| against -tolerance, so a larger residual is
-    still worse; holds keeps the strict comparison.
+    still worse; holds keeps the strict comparison.  A Hessian that reads no
+    coordinate is evaluated, and its determinant taken, at the first point.
     """
     if system.kind != "lagrangian":
         raise ValueError("regularity applies to Lagrangian systems")
     points = np.asarray(points, dtype=float)
+    if not len(points):
+        raise ValueError("regularity needs at least one sample point, got none")
     n, dim = system.chart.n, system.chart.dimension
     entries = tuple(omega.component(i, b) for omega in system.omega
                     for i in range(n) for b in range(n, dim))
-    hess = field_evaluator(entries)(points).reshape(len(points), dim - n, dim - n)  # no copy
+    rows = _rows_read(entries, points)
+    hess = field_evaluator(entries)(rows).reshape(len(rows), dim - n, dim - n)  # no copy
     dets = _abs_dets(hess)
     at = int(np.argmin(dets))  # the first NaN, if any
     det = float(dets[at])

@@ -1,7 +1,7 @@
 """Shorthand constructors that only the tests use, built on the package's
 public ones: frame and zero fields, a field from its nonzero components, the
-zero form, and a constant k-vector field; and a kernel compiler that counts
-its kernels' runs.
+zero form, and a constant k-vector field; and kernel compilers that count
+their kernels' runs or rows.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Mapping
 
 from ksym.calculus import PForm, VectorField
 from ksym.dynamics import KVectorField
-from ksym.expr import ChartSpace, Expression, Num, batch_evaluator
+from ksym.expr import ChartSpace, Expression, Num, batch_evaluator, field_evaluator
 
 
 def zero_vector_field(chart: ChartSpace) -> VectorField:
@@ -58,6 +58,20 @@ def counting(runs: Counter, compiler=batch_evaluator):
 
         def run(points, *args, **kwargs):
             runs[e] += 1
+            return kernel(points, *args, **kwargs)
+
+        return run
+
+    return counted
+
+
+def counting_rows(rows: list, compiler=field_evaluator):
+    """A stand-in for ``compiler`` whose kernels append each run's row count to ``rows``."""
+    def counted(exprs):
+        kernel = compiler(exprs)
+
+        def run(points, *args, **kwargs):
+            rows.append(len(points))
             return kernel(points, *args, **kwargs)
 
         return run

@@ -42,15 +42,17 @@ from ksym.conservation import check_momentum_converse, law_residuals
 from ksym.dynamics import FieldSystem, KVectorField, check_regularity, evolution_residuals
 from ksym.expr import (
     Coord,
+    EvaluationDomainError,
     Num,
     base_chart,
     batch_evaluator,
-    differentiate,
     field_evaluator,
     make_add,
+    make_div,
     make_mul,
     make_neg,
     parse_expression,
+    residual_check,
     sample_points,
     tangent_chart,
 )
@@ -62,6 +64,7 @@ from ksym.symmetry import (
 from builders import (
     coordinate_vector_field,
     counting,
+    counting_rows,
     is_zero_field,
     vector_field_from_map,
     zero_vector_field,
@@ -228,6 +231,20 @@ def test_the_sup_norm_of_an_empty_family_is_zero():
     assert max_abs((), points).tolist() == [0.0] * 5
 
 
+def test_a_family_that_reads_no_coordinate_runs_on_the_first_row(monkeypatch):
+    points = sample_points(base_chart(2), count=5, seed=3)
+    rows = []
+    monkeypatch.setattr(calculus, "field_evaluator", counting_rows(rows))
+    assert max_abs((Num(2.0), Num(-3.0)), points).tolist() == [3.0] * 5
+    assert max_abs((), points[:0]).shape == (0,)
+    assert rows == [1, 0]
+    # a NaN still fails at the first point, and a domain error still raises
+    check = residual_check("nan", max_abs((Num(1.0), Num(math.nan)), points), points, 1.0)
+    assert not check.holds and check.witness.tolist() == points[0].tolist()
+    with pytest.raises(EvaluationDomainError, match="division by zero"):
+        max_abs((make_div(Num(1.0), Num(0.0)),), points)
+
+
 def test_bracket_chart_mismatch_rejected():
     X = zero_vector_field(base_chart(2))
     Y = zero_vector_field(base_chart(3))
@@ -336,38 +353,27 @@ def test_apply_form_alternating():
 
 
 # ---------------------------------------------------------------------------
-# Lie derivatives: Cartan identity against the componentwise formula
+# Lie derivatives: the coordinate formula against Cartan's
 # ---------------------------------------------------------------------------
 
 
-def _componentwise_lie_one_form(X, alpha):
-    # (L_X alpha)_j = X(alpha_j) + alpha_i d(X^i)/dx_j
-    chart = alpha.chart
-    comps = {}
-    for j in range(chart.dimension):
-        terms = [directional_derivative(X, alpha.component(j))]
-        for i in range(chart.dimension):
-            terms.append(make_mul(alpha.component(i), differentiate(X.components[i], j)))
-        comps[j] = make_add(*terms)
-    return one_form(chart, comps)
-
-
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_cartan_identity_matches_componentwise_formula(seed):
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=0, max_value=3),
+       st.sampled_from([base_chart(3), tangent_chart(1, 2)]))
+def test_cartan_identity_matches_componentwise_formula(seed, degree, chart):
+    # polynomial X and omega of every degree the 3-d charts carry
     rng = np.random.default_rng(seed)
-    chart = base_chart(3)
     X = _random_poly_field(chart, rng)
-    alpha = one_form(
-        chart,
-        {i: _random_poly_field(chart, rng).components[i] for i in range(3)},
-    )
-    via_cartan = lie_derivative_form(X, alpha)
-    direct = _componentwise_lie_one_form(X, alpha)
-    diff = form_sub(via_cartan, direct)
+    names = chart.coordinate_names
+    a, b, i, j = (rng.integers(lo, hi, size=3) for lo, hi in [(-3, 4), (1, 4), (0, 3), (0, 3)])
+    omega = PForm(chart, degree, {
+        key: parse_expression(f"{a[n]} + {b[n]}*{names[i[n]]}*{names[j[n]]}", chart)
+        for n, key in enumerate(itertools.combinations(range(3), degree))
+    })
+    direct = lie_derivative_form(X, omega)
+    via_cartan = form_oracle.lie_derivative_form(X, omega)
     pts = rng.uniform(-1, 1, size=(6, 3))
-    for d, gap in zip(direct.max_component_at(pts), diff.max_component_at(pts)):
-        scale = max(1.0, d)
-        assert gap <= 1e-10 * scale
+    gap = form_sub(direct, via_cartan).max_component_at(pts)
+    assert (gap <= 1e-10 * np.maximum(1.0, via_cartan.max_component_at(pts))).all()
 
 
 def test_lie_derivative_scalar_matches_directional():

@@ -24,7 +24,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import parser_oracle
-from ksym import cli, expr, models
+from builders import counting_rows
+from ksym import calculus, cli, dynamics, expr, models
 from ksym.cli import (
     MAX_ARRAY_VALUES,
     ModelFileError,
@@ -776,6 +777,26 @@ def test_regularity_at_zero_tolerance_stays_strict(tmp_path, capsys):
     (check,) = json.loads(out)["checks"]
     assert check["min_abs_det"] == 0.0
     assert math.copysign(1.0, check["tol"]) == math.copysign(1.0, check["max_residual"]) == -1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "regularity", "--model", "navier", "--samples", "20000"],
+    ["check", "symmetry", "--model", "free_particle", "--field", "ddx", "--samples", "20000"],
+])
+def test_a_family_that_reads_no_coordinate_reports_as_if_run_on_every_row(
+    argv, capsys, monkeypatch
+):
+    # navier's fiber Hessian and free_particle's [X_A, ddx] are constants
+    rows = []
+    for module in (calculus, dynamics):
+        monkeypatch.setattr(module, "field_evaluator", counting_rows(rows))
+    with monkeypatch.context() as forced:
+        for module in (calculus, dynamics):
+            forced.setattr(module, "_rows_read", lambda exprs, points: points)
+        every_row = run_main(argv + ["--format", "json"], capsys)
+    assert rows == [20000] and every_row[0] == 0
+    rows.clear()
+    assert run_main(argv + ["--format", "json"], capsys) == every_row and rows == [1]
 
 
 def test_noether_checks_closedness_on_the_command_samples(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from ksym.calculus import (
     PotentialEvaluator,
     ScalarField,
     VectorField,
+    lie_derivative_form,
     one_form,
     two_form_matrix,
 )
@@ -245,6 +246,40 @@ def test_noether_gate_rejects_non_cartan_field():
 # ---------------------------------------------------------------------------
 
 
+def count_max_component_at(monkeypatch) -> list:
+    """The forms whose ``max_component_at`` is called, in order."""
+    calls, measured = [], calculus.PForm.max_component_at
+    monkeypatch.setattr(calculus.PForm, "max_component_at",
+                        lambda form, points: calls.append(form) or measured(form, points))
+    return calls
+
+
+@pytest.mark.parametrize("model, field", [
+    ("vibrating_string", "ddx"), ("minimal_surface", "ddx"), ("navier", "dd12"),
+    ("laplace3", "ddx"),
+])
+def test_a_bundled_translation_has_zero_lie_derivatives_and_no_sampled_potential(
+    model, field, monkeypatch
+):
+    # no omega_A or theta_A reads the translated coordinate, so the coordinate
+    # formula gives the zero form, and the law needs no sample to drop f_A
+    loaded = load_model(resolve_model_path(model))
+    sys, Y = loaded.system, loaded.fields[field]
+    assert all(lie_derivative_form(Y, form).is_zero() for form in (*sys.omega, *sys.theta))
+    calls = count_max_component_at(monkeypatch)
+    law = build_noether_law(sys, Y, sample_points(sys.chart))
+    assert law.potentials == (None,) * sys.chart.k and calls == []
+
+
+def test_the_bundled_rotation_still_gets_a_potential(monkeypatch):
+    loaded = load_model(resolve_model_path("oscillator_k1"))
+    sys, rotation = loaded.system, loaded.fields["rotation"]
+    calls = count_max_component_at(monkeypatch)
+    law = build_noether_law(sys, rotation, sample_points(sys.chart))
+    assert isinstance(law.potentials[0], PotentialEvaluator)
+    assert calls == [law.potentials[0].alpha]
+
+
 def test_noether_quadrature_branch_recovers_energy():
     sys, rotation, evolution = oscillator()
     ch = sys.chart
@@ -370,8 +405,8 @@ def test_nan_residual_is_not_folded_into_a_pass():
 
 
 def test_noether_never_differentiates_a_theta_again(monkeypatch, capsys):
-    # L_Y theta_A = d(theta_A(Y)) - i_Y omega_A: omega_A = -d theta_A is the
-    # system's, so the command differentiates each theta_A once, building it
+    # L_Y theta_A takes no d, so the command differentiates each theta_A once,
+    # building omega_A = -d theta_A
     thetas = load_model(resolve_model_path("vibrating_string")).system.theta
     taken = []
     exterior_derivative = calculus.exterior_derivative

@@ -178,6 +178,12 @@ def test_regularity_fails_on_a_nan_determinant():
     assert np.isnan(report.witness[0])
 
 
+def test_regularity_refuses_an_empty_point_set():
+    sys = string_system()
+    with pytest.raises(ValueError, match="regularity needs at least one sample point, got none"):
+        check_regularity(sys, np.empty((0, sys.chart.dimension)))
+
+
 def test_regularity_requires_lagrangian_side():
     sys = build_system("hamiltonian", 1, 1, "p_1_1^2/2")
     with pytest.raises(ValueError):

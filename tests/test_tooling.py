@@ -337,46 +337,76 @@ def test_the_report_digest_prints_one_sha256_line():
 
 # runs argvs, read from stdin, in one interpreter, each after clearing the
 # caches a fresh interpreter starts without (kernels and bundles); prints the
-# exit codes and the expression walks (``expr.fold`` calls) of all of them
-COUNT_WALKS = """
+# exit codes, the expression walks (``expr.fold`` calls) and the rows fed to
+# ``expr.field_evaluator`` kernels, of all of them
+COUNT_WORK = """
 import contextlib, importlib, io, json, pkgutil, sys
 import ksym
 from ksym import bundles, cli, expr
 modules = [importlib.import_module(f"ksym.{m.name}") for m in pkgutil.iter_modules(ksym.__path__)]
-walks, fold = 0, expr.fold
+walks, rows, fold, field_evaluator = 0, 0, expr.fold, expr.field_evaluator
 
-def counted(root, rule):
+def counted_fold(root, rule):
     global walks
     walks += 1
     return fold(root, rule)
 
+def counted_evaluator(exprs):
+    kernel = field_evaluator(exprs)
+
+    def run(points, *args, **kwargs):
+        global rows
+        rows += len(points)
+        return kernel(points, *args, **kwargs)
+
+    return run
+
 for module in modules:
     if vars(module).get("fold") is fold:
-        module.fold = counted
+        module.fold = counted_fold
+    if vars(module).get("field_evaluator") is field_evaluator:
+        module.field_evaluator = counted_evaluator
 codes = []
 for argv in json.load(sys.stdin):
-    for cached in (expr.field_evaluator, bundles.tangent_bundle, bundles.cotangent_bundle):
+    for cached in (field_evaluator, bundles.tangent_bundle, bundles.cotangent_bundle):
         cached.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-print(json.dumps([codes, walks]))
+print(json.dumps([codes, walks, rows]))
 """
 
 # the expression walks of one golden pass; a derivative walk per slot and forms
-# derived at every load would take 1,265, and a validation walk per field and
-# form 608
-GOLDEN_PASS_WALKS = 291
+# derived at every load would take 1,265, a validation walk per field and form
+# 608, and Lie derivatives by Cartan's formula 291
+GOLDEN_PASS_WALKS = 288
+
+# the rows fed to field kernels in one sampled pass at seed 7; a family that
+# reads no coordinate run on every row, and a zero L_Y theta_A sampled, took
+# 213,000
+SAMPLED_PASS_KERNEL_ROWS = 158_003
+
+
+def count_work(monkeypatch, tmp_path, workload: str, seed: int) -> tuple:
+    """One pass of ``workload`` at ``seed`` through ``COUNT_WORK``: the number
+    of commands, and the walks and kernel rows of all of them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    specs = run.WORKLOADS[workload]["commands"]
+    argvs = [run.command_argv(spec, seed, tmp_path / "grid.csv") for spec in specs]
+    env = {**os.environ, "PYTHONPATH": str(Path(ksym.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", COUNT_WORK], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, walks, rows = json.loads(proc.stdout)
+    assert codes == [spec["exit"] for spec in specs]
+    return len(argvs), walks, rows
 
 
 def test_a_golden_pass_walks_each_expression_few_times(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    run = importlib.import_module("run")
-    specs = run.WORKLOADS["golden"]["commands"]
-    argvs = [run.command_argv(spec, 42, tmp_path / "grid.csv") for spec in specs]
-    env = {**os.environ, "PYTHONPATH": str(Path(ksym.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", COUNT_WALKS], input=json.dumps(argvs),
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    codes, walks = json.loads(proc.stdout)
-    assert len(argvs) == 22 and codes == [spec["exit"] for spec in specs]
-    assert walks <= GOLDEN_PASS_WALKS
+    commands, walks, _ = count_work(monkeypatch, tmp_path, "golden", 42)
+    assert commands == 22 and walks <= GOLDEN_PASS_WALKS
+
+
+def test_a_sampled_pass_runs_kernels_on_few_rows(monkeypatch, tmp_path):
+    commands, _, rows = count_work(monkeypatch, tmp_path, "sampled", 7)
+    assert commands == 8 and rows <= SAMPLED_PASS_KERNEL_ROWS
