@@ -25,7 +25,6 @@ from .expr import (
     Expression,
     Num,
     Record,
-    batch_evaluator,
     field_evaluator,
     gradient,
     make_add,
@@ -123,7 +122,7 @@ class ScalarField(Record):
 
     def evaluate(self, points) -> np.ndarray:
         """Values at each of the (m, N) points, shape (m,)."""
-        return batch_evaluator(self.expr)(points)
+        return field_evaluator((self.expr,))(points)[:, 0]
 
 
 class VectorField(Record):
@@ -149,20 +148,22 @@ class VectorField(Record):
         return tuple(map(gradient, self.components))
 
 
-def directional_derivative(X: VectorField, f: Expression) -> Expression:
-    terms = [make_mul(X.components[index], partial) for index, partial in gradient(f).items()
+def _along(X: VectorField, partials: dict[int, Expression]) -> Expression:
+    """X(f) = sum_i X^i d_i f, from ``partials``, the gradient of f."""
+    terms = [make_mul(X.components[index], partial) for index, partial in partials.items()
              if not _is_zero_expr(X.components[index])]
     return make_add(*terms) if terms else Num(0.0)
 
 
+def directional_derivative(X: VectorField, f: Expression) -> Expression:
+    return _along(X, gradient(f))
+
+
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """Commutator [X, Y]^j = X(Y^j) - Y(X^j)."""
+    """Commutator [X, Y]^j = X(Y^j) - Y(X^j), from each field's cached partials."""
     chart = _same_chart(X, Y)
-    comps = tuple(
-        make_add(directional_derivative(X, Y.components[j]),
-                 make_neg(directional_derivative(Y, X.components[j])))
-        for j in range(chart.dimension)
-    )
+    comps = tuple(make_add(_along(X, dY), make_neg(_along(Y, dX)))
+                  for dX, dY in zip(X.partials, Y.partials))
     return VectorField(chart, comps)
 
 

@@ -65,7 +65,6 @@ from .models import (
     CliUsageError,
     LoadedModel,
     ModelFileError,
-    bundled_model_names,  # noqa: F401  (still imported from ksym.cli)
     bundled_model_rows,
     load_model,
     resolve_model_path,

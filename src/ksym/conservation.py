@@ -37,13 +37,8 @@ from .calculus import (
     _same_chart,
     apply_form,
     directional_derivative,
-    exterior_derivative,
-    form_sub,
-    interior_product,
     lie_derivative_form,
-    max_abs,
     potential_of_exact_one_form,
-    scalar_form,
 )
 from .dynamics import FieldSystem, KVectorField
 from .expr import (
@@ -59,7 +54,6 @@ __all__ = [
     "build_noether_law",
     "law_residuals",
     "verify_law_pointwise",
-    "check_momentum_converse",
 ]
 
 PROVENANCES = ("bracket-law", "noether", "user")
@@ -190,37 +184,3 @@ def verify_law_pointwise(
 ) -> Check:
     """The "law-pointwise" check: max over samples of |sum_A X_A(Phi_A)|."""
     return residual_check("law-pointwise", law_residuals(X, law, points), points, tolerance)
-
-
-def _pairing_form(X_single: VectorField, comp: ScalarField, f, omega: PForm) -> PForm:
-    differential = exterior_derivative(scalar_form(comp))
-    if f is not None:  # d Phi_A = d c_A - alpha_A because df_A = alpha_A
-        differential = form_sub(differential, f.alpha)
-    return form_sub(interior_product(X_single, omega), differential)
-
-
-def check_momentum_converse(
-    sys: FieldSystem,
-    X_single: VectorField,
-    law: ConservationLaw,
-    X: KVectorField,
-    points,
-    tolerance: float | None = None,
-) -> tuple[Check, Check, Check]:
-    """Test the biconditional linking a law to a generating Cartan symmetry.
-
-    Returns three checks: (a) "pairing", i_{X_single} omega_A = d Phi_A for
-    every A, (b) "law-pointwise", the law holds along X, (c) "cartan",
-    X_single is a Cartan symmetry of the system.  The law is induced by
-    X_single (Noether-induced) iff all three hold.
-    """
-    _same_chart(sys, X_single, law)
-    tol = sys.default_tolerance if tolerance is None else tolerance
-    pairing_forms = [
-        _pairing_form(X_single, comp, f, omega)
-        for comp, f, omega in zip(law.components, law.potentials, sys.omega)
-    ]
-    exprs = [e for form in pairing_forms for e in form.components.values()]
-    pairing = residual_check("pairing", max_abs(exprs, points), points, tol)
-    conserved = verify_law_pointwise(X, law, points, tol)
-    return pairing, conserved, is_cartan_symmetry(sys, X_single, points, tol)

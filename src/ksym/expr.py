@@ -6,23 +6,23 @@ possibly sharing subtrees, over real literals, chart coordinates, the four
 arithmetic operations, unary negation, integer powers, and a small set of
 analytic functions (sqrt, sin, cos, exp, log).
 
-Every walk -- simplifying, printing, differentiating, compiling -- is one
-iterative ``fold`` that visits each node once, after its children; hashing
-and equality do not recurse either.  Only the parser recurses, with its
+Every walk -- printing, differentiating, compiling -- is one iterative
+``fold`` that visits each node once, after its children; hashing and
+equality do not recurse either.  Only the parser recurses, with its
 nesting depth capped.
 
-Simplification is deliberately conservative: constant folding, 0/1
-identities, and flattening of nested sums and products.  There is no
-canonical polynomial form; callers that need equality of values check it
-at sample points.
+The smart constructors (``make_*``) are the simplifier, and deliberately
+conservative: constant folding, 0/1 identities, and flattening of nested
+sums and products.  There is no canonical polynomial form; callers that
+need equality of values check it at sample points.
 
 Every evaluation goes through ``field_evaluator``: a tuple of expressions
 is built once into one tape of numpy calls, one per structurally unique node
 of all of them, walked over an (m, N) array of points (a single point is a
-one-row batch) in blocks of at most 8,192 rows; ``batch_evaluator`` is its
-one-expression case.  Rows the tape cannot settle in IEEE arithmetic are
-rerun along it with domain tests among its steps, which name the first
-subexpression, in scalar evaluation order, that left its domain.
+one-row batch) in blocks of at most 8,192 rows.  Rows the tape cannot
+settle in IEEE arithmetic are rerun along it with domain tests among its
+steps, which name the first subexpression, in scalar evaluation order,
+that left its domain.
 
 Sample points are the stream of numpy's ``default_rng(seed).uniform``,
 reproduced bit for bit in uint64 arithmetic, so sampling never imports
@@ -64,13 +64,10 @@ __all__ = [
     "make_neg",
     "make_pow",
     "make_func",
-    "simplify",
     "parse_expression",
     "to_source",
-    "differentiate",
     "gradient",
     "field_evaluator",
-    "batch_evaluator",
     "validate_on_chart",
     "sample_points",
     "worst_sample",
@@ -555,28 +552,6 @@ def make_func(name: str, arg: Expression) -> Expression:
     return Func(name, arg)
 
 
-def simplify(e: Expression) -> Expression:
-    """Rebuild through the smart constructors.  Idempotent node-for-node."""
-
-    def rule(node: Expression, kids: list) -> Expression:
-        t = type(node)
-        if t is Add:
-            return make_add(*kids)
-        if t is Mul:
-            return make_mul(*kids)
-        if t is Div:
-            return make_div(*kids)
-        if t is Neg:
-            return make_neg(*kids)
-        if t is Pow:
-            return make_pow(kids[0], node.exponent)
-        if t is Func:
-            return make_func(node.name, kids[0])
-        return node
-
-    return fold(e, rule)
-
-
 def _partial(e: Expression, d: list) -> Expression:
     """The derivative of a node with children, by one slot, from its
     children's derivatives ``d`` by that slot."""
@@ -834,11 +809,6 @@ def gradient(e: Expression) -> dict[int, Expression]:
     return fold(e, rule)
 
 
-def differentiate(e: Expression, index: int) -> Expression:
-    """Exact partial derivative with respect to the chart coordinate in slot ``index``."""
-    return gradient(e).get(index, Num(0.0))
-
-
 def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
     """Check that each coordinate reference matches the chart by index and name,
     from the expression's coordinate set; a foreign one in the lowest slot is named."""
@@ -1006,13 +976,6 @@ def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
     return kernel
 
 
-def batch_evaluator(e: Expression) -> Callable:
-    """The kernel of ``field_evaluator((e,))``, mapping an (m, N) point array
-    to m values."""
-    kernel = field_evaluator((e,))
-    return lambda points, strict=True: kernel(points, strict)[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # seeded sampling
 # ---------------------------------------------------------------------------
@@ -1174,7 +1137,7 @@ def sample_points(
 def _rejection(e: Expression, point) -> str:
     """Why ``e`` rejected ``point``, from a strict rerun of that one row."""
     try:
-        cause = f"is {batch_evaluator(e)(point[None])[0]}"  # inf, -inf or nan
+        cause = f"is {field_evaluator((e,))(point[None])[0, 0]}"  # inf, -inf or nan
     except EvaluationDomainError as exc:
         cause = f"has a domain error, {exc},"
     return f"'{to_source(e)}' {cause} at {[float(x) for x in point]}"

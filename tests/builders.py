@@ -1,7 +1,8 @@
-"""Shorthand constructors that only the tests use, built on the package's
-public ones: frame and zero fields, a field from its nonzero components, the
-zero form, and a constant k-vector field; and kernel compilers that count
-their kernels' runs or rows.
+"""Shorthand that only the tests use, built on the package's public
+functions: frame and zero fields, a field from its nonzero components, the
+zero form, and a constant k-vector field; one partial read off ``gradient``
+and one expression's values read off its ``field_evaluator`` kernel; and
+kernel compilers that count their kernels' runs or rows.
 """
 
 from __future__ import annotations
@@ -9,9 +10,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
+import numpy as np
+
 from ksym.calculus import PForm, VectorField
 from ksym.dynamics import KVectorField
-from ksym.expr import ChartSpace, Expression, Num, batch_evaluator, field_evaluator
+from ksym.expr import ChartSpace, Expression, Num, field_evaluator, gradient
 
 
 def zero_vector_field(chart: ChartSpace) -> VectorField:
@@ -50,9 +53,21 @@ def repeat(Y: VectorField, k: int | None = None) -> KVectorField:
     return KVectorField(Y.chart, tuple([Y] * k))
 
 
-def counting(runs: Counter, compiler=batch_evaluator):
-    """A stand-in for ``compiler`` (``batch_evaluator`` or ``field_evaluator``)
-    whose kernels count their runs per compiled argument."""
+def derivative(e: Expression, index: int) -> Expression:
+    """The exact partial of ``e`` in slot ``index``: its ``gradient`` entry,
+    or the literal 0 for a slot the gradient leaves out."""
+    return gradient(e).get(index, Num(0.0))
+
+
+def kernel_values(e: Expression, points, strict: bool = True) -> np.ndarray:
+    """The values of ``e`` at each of the (m, N) points, shape (m,): column 0
+    of one run of the kernel ``field_evaluator((e,))``."""
+    return field_evaluator((e,))(points, strict)[:, 0]
+
+
+def counting(runs: Counter, compiler=field_evaluator):
+    """A stand-in for ``compiler`` whose kernels count their runs per
+    compiled argument."""
     def counted(e):
         kernel = compiler(e)
 

@@ -1,9 +1,10 @@
 """The hand-built Euler-Lagrange solve, kept as the reference that
 ``ksym.dynamics.solve_evolution_lagrangian`` is tested against.
 
-It differentiates L itself: dL/dx_i, the mixed partials d^2 L / dv_A_i dx_j
-and the fiber Hessian d^2 L / dv_A_i dv_B_j, each compiled with
-``batch_evaluator``.  Row i of its system is the Euler-Lagrange equation
+It differentiates L itself, one slot at a time through ``gradient``: dL/dx_i,
+the mixed partials d^2 L / dv_A_i dx_j and the fiber Hessian
+d^2 L / dv_A_i dv_B_j, each evaluated alone by its own kernel.  Row i of its
+system is the Euler-Lagrange equation
 
     sum_{A,B,j} H[(A,i),(B,j)] (X_A)^{v_B_j} = dL/dx_i - sum_{A,j} d^2 L / dv_A_i dx_j v_A_j,
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ksym.dynamics import InconsistentSystemError, SingularHessianError
-from ksym.expr import batch_evaluator, differentiate
+from builders import derivative, kernel_values
 
 
 def solve(system, point) -> np.ndarray:
@@ -28,7 +29,7 @@ def solve(system, point) -> np.ndarray:
     batch = point[None]
 
     def value(e) -> float:
-        return batch_evaluator(e)(batch)[0]
+        return kernel_values(e, batch)[0]
 
     def fiber(A: int, i: int) -> int:  # 1-based A and i
         return chart.fiber_index(A, i)
@@ -36,8 +37,8 @@ def solve(system, point) -> np.ndarray:
     def unknown(A: int, B: int, j: int) -> int:  # (X_A)^{v_B_j}, 1-based
         return ((A - 1) * k + (B - 1)) * n + (j - 1)
 
-    dLdv = {(A, i): differentiate(L, fiber(A, i)) for A in range(1, k + 1) for i in range(1, n + 1)}
-    hess = np.array([[value(differentiate(dLdv[a], fiber(*b))) for b in dLdv] for a in dLdv])
+    dLdv = {(A, i): derivative(L, fiber(A, i)) for A in range(1, k + 1) for i in range(1, n + 1)}
+    hess = np.array([[value(derivative(dLdv[a], fiber(*b))) for b in dLdv] for a in dLdv])
     det = abs(float(np.linalg.det(hess)))
     if not det > 1e-10:
         raise SingularHessianError(f"fiber Hessian is singular at the point (|det| = {det:.3e})")
@@ -46,10 +47,10 @@ def solve(system, point) -> np.ndarray:
     M = np.zeros((n + sym_rows, n * k * k))
     b = np.zeros(n + sym_rows)
     for i in range(1, n + 1):
-        rhs = value(differentiate(L, chart.base_index(i)))
+        rhs = value(derivative(L, chart.base_index(i)))
         for A in range(1, k + 1):
             for j in range(1, n + 1):
-                rhs -= value(differentiate(dLdv[(A, i)], chart.base_index(j))) * point[fiber(A, j)]
+                rhs -= value(derivative(dLdv[(A, i)], chart.base_index(j))) * point[fiber(A, j)]
                 for B in range(1, k + 1):
                     M[i - 1, unknown(A, B, j)] += hess[(A - 1) * n + i - 1, (B - 1) * n + j - 1]
         b[i - 1] = rhs

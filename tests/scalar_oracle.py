@@ -1,5 +1,5 @@
 """The interpretive scalar evaluator, kept as the reference that the batched
-kernels of ``ksym.expr.batch_evaluator`` are tested against.
+kernels of ``ksym.expr.field_evaluator`` are tested against.
 
 It walks the tree at one point in Python floats and raises the
 ``EvaluationDomainError`` of the first node, in evaluation order, that

@@ -23,7 +23,7 @@ from ksym.calculus import (
     interior_product,
     lie_derivative_form,
 )
-from ksym.cli import bundled_model_names, load_model, main, resolve_model_path
+from ksym.cli import load_model, main, resolve_model_path
 from ksym.conservation import (
     build_bracket_law,
     build_noether_law,
@@ -34,13 +34,13 @@ from ksym.dynamics import KVectorField, solve_evolution_hamiltonian, verify_evol
 from ksym.expr import (
     Num,
     base_chart,
-    differentiate,
     parse_expression,
     sample_points,
 )
+from ksym.models import bundled_model_names
 from ksym.sections import integrate_section, verify_law_divergence
 from ksym.symmetry import is_invariant_form, is_symmetry, solve_pseudosymmetry
-from builders import repeat
+from builders import derivative, repeat
 from scalar_oracle import evaluator
 
 RESULTS: dict[int, tuple[bool, str]] = {}
@@ -233,7 +233,7 @@ def test_criterion_07_oracle_equivalence(fd):
         for expr in exprs:
             fn = evaluator(expr)
             for i in range(model.chart.dimension):
-                sym = evaluator(differentiate(expr, i))
+                sym = evaluator(derivative(expr, i))
                 for p in points:
                     expected = sym(p)
                     rel = abs(fd(fn, p, i) - expected) / max(1.0, abs(expected))

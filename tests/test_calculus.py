@@ -38,15 +38,13 @@ from ksym.calculus import (
     scalar_form,
     two_form_matrix,
 )
-from ksym.conservation import check_momentum_converse, law_residuals
+from ksym.conservation import law_residuals
 from ksym.dynamics import FieldSystem, KVectorField, check_regularity, evolution_residuals
 from ksym.expr import (
     Coord,
     EvaluationDomainError,
     Num,
     base_chart,
-    batch_evaluator,
-    field_evaluator,
     make_add,
     make_div,
     make_mul,
@@ -66,6 +64,7 @@ from builders import (
     counting,
     counting_rows,
     is_zero_field,
+    kernel_values,
     vector_field_from_map,
     zero_vector_field,
 )
@@ -155,11 +154,10 @@ def test_a_vector_field_evaluates_in_one_kernel_run(monkeypatch):
     X = _vf(chart, {"x_1": "x_2*x_3", "x_2": "sin(x_3*x_1)", "x_3": "x_1*x_2"})
     fields = (X, lie_bracket(X, _vf(chart, {"x_1": "x_1", "x_3": "exp(x_2)"})))
     pts = sample_points(chart, count=20_000, seed=9)
-    expected = [np.stack([batch_evaluator(c)(pts) for c in V.components], axis=-1)
+    expected = [np.stack([kernel_values(c, pts) for c in V.components], axis=-1)
                 for V in fields]
     runs = Counter()
-    monkeypatch.setattr(calculus, "field_evaluator", counting(runs, field_evaluator))
-    monkeypatch.setattr(calculus, "batch_evaluator", counting(runs))
+    monkeypatch.setattr(calculus, "field_evaluator", counting(runs))
     for V, values in zip(fields, expected):
         np.testing.assert_array_equal(V.evaluate(pts), values)
     assert runs == Counter({V.components: 1 for V in fields})
@@ -169,8 +167,7 @@ def count_kernel_runs(monkeypatch) -> Counter:
     """Runs of every kernel the residual paths evaluate, per compiled argument."""
     runs = Counter()
     for module in (calculus, conservation, dynamics, symmetry):
-        monkeypatch.setattr(module, "field_evaluator", counting(runs, field_evaluator))
-    monkeypatch.setattr(calculus, "batch_evaluator", counting(runs))
+        monkeypatch.setattr(module, "field_evaluator", counting(runs))
     return runs
 
 
@@ -188,9 +185,6 @@ RESIDUAL_FAMILIES = {
         _family(m, "X1,X2"), m.system.omega, pts)),
     "check_integrability": ("vibrating_string", 1, lambda m, pts: check_integrability(
         _family(m, "xi1,xi2"), pts)),
-    # the pairing, the law along X and the Cartan check
-    "check_momentum_converse": ("free_particle", 3, lambda m, pts: check_momentum_converse(
-        m.system, m.fields["ddx"], m.laws["momenta"], _family(m, "X1,X2"), pts)),
     "law_residuals": ("vibrating_string", 1, lambda m, pts: law_residuals(
         _family(m, "xi1,xi2"), m.laws["wave_flux"], pts)),
     "law_evaluate_wave_flux": ("vibrating_string", 1,
@@ -337,8 +331,8 @@ def test_apply_form_matches_the_permutation_expansion(degree):
     })
     fields = [_random_poly_field(chart, rng) for _ in range(degree)]
     points = sample_points(chart, count=16, seed=41)
-    actual = batch_evaluator(apply_form(omega, fields))(points)
-    expected = batch_evaluator(form_oracle.apply_form(omega, fields))(points)
+    actual = kernel_values(apply_form(omega, fields), points)
+    expected = kernel_values(form_oracle.apply_form(omega, fields), points)
     np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
     assert np.abs(expected).max() > 0.1  # the contraction is not trivially zero
 

@@ -29,11 +29,11 @@ from ksym import calculus, cli, dynamics, expr, models
 from ksym.cli import (
     MAX_ARRAY_VALUES,
     ModelFileError,
-    bundled_model_names,
     load_model,
     main,
     resolve_model_path,
 )
+from ksym.models import bundled_model_names
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lagrangian_oracle
-from ksym import bundles, calculus, conservation, dynamics, expr
+from ksym import bundles, calculus, dynamics, expr
 from ksym.bundles import cotangent_bundle, tangent_bundle
 from ksym.calculus import VectorField, two_form_matrix
 from ksym.cli import load_model, main, resolve_model_path
@@ -26,14 +26,11 @@ from ksym.dynamics import (
 )
 from ksym.expr import (
     Num,
-    batch_evaluator,
-    differentiate,
-    field_evaluator,
     make_add,
     parse_expression,
     sample_points,
 )
-from builders import counting, repeat, zero_form
+from builders import counting, derivative, kernel_values, repeat, zero_form
 from scalar_oracle import evaluate
 
 
@@ -464,7 +461,7 @@ def test_fiber_hessian_is_read_off_omega(name):
             for slot in range(chart.n, chart.dimension):
                 coefficient = omega.components.get((i, slot), Num(0.0))
                 # the entry d/dv_B_j of theta_A(d/dx_i) = dL/dv_A_i, as it would be derived
-                assert coefficient == differentiate(theta.component(i), slot)
+                assert coefficient == derivative(theta.component(i), slot)
 
 
 def hessian_entries(system) -> Counter:
@@ -485,12 +482,12 @@ def test_regularity_runs_the_dense_hessian_in_one_kernel_run(name, monkeypatch):
     points = sample_points(chart, count=16, seed=9)
     # the dense table, zero entries included, as a reference for the verdict
     dense = np.stack([
-        np.stack([batch_evaluator(omega.components.get((i, b), Num(0.0)))(points)
+        np.stack([kernel_values(omega.components.get((i, b), Num(0.0)), points)
                   for b in range(chart.n, chart.dimension)], axis=-1)
         for omega in system.omega for i in range(chart.n)
     ], axis=1)
     runs = Counter()
-    monkeypatch.setattr(dynamics, "field_evaluator", counting(runs, field_evaluator))
+    monkeypatch.setattr(dynamics, "field_evaluator", counting(runs))
     check = check_regularity(system, points)
     # one run of all (nk)^2 entries, an absent one as the literal 0
     [(entries, count)] = runs.items()
@@ -539,7 +536,7 @@ def test_a_check_along_given_fields_derives_no_form(argv, monkeypatch, capsys):
         taken.append(form)
         return exterior_derivative(form)
 
-    for module in (bundles, calculus, conservation, dynamics):
+    for module in (bundles, calculus, dynamics):
         monkeypatch.setattr(module, "exterior_derivative", counted)
     load_model(resolve_model_path("free_particle"))
     assert main(argv) == 0
@@ -556,7 +553,7 @@ def test_a_lagrangian_solve_runs_one_kernel_per_omega_and_one_for_the_gradient(n
     expected[tuple(system.target_differential.components.values())] += 1
     runs = Counter()
     for module in (calculus, dynamics):
-        monkeypatch.setattr(module, "field_evaluator", counting(runs, field_evaluator))
+        monkeypatch.setattr(module, "field_evaluator", counting(runs))
     solve_evolution_lagrangian(system, np.full(system.chart.dimension, 0.5))
     assert runs == expected, runs
 

@@ -25,9 +25,7 @@ from ksym.expr import (
     SamplingError,
     UnknownIdentifierError,
     base_chart,
-    batch_evaluator,
     cotangent_chart,
-    differentiate,
     field_evaluator,
     fold,
     gradient,
@@ -39,13 +37,13 @@ from ksym.expr import (
     make_pow,
     parse_expression,
     sample_points,
-    simplify,
     tangent_chart,
     to_source,
     validate_on_chart,
 )
 from ksym.expr import _BLOCK, _NUMPY_IMPL, _uniform_stream
 import derivative_oracle
+from builders import derivative, kernel_values
 from scalar_oracle import evaluate, evaluator
 
 
@@ -247,7 +245,7 @@ CASES = [
 def test_derivative_matches_central_difference(source, chart, point, fd):
     e = parse_expression(source, chart)
     for index in range(chart.dimension):
-        sym = evaluate(differentiate(e, index), point)
+        sym = evaluate(derivative(e, index), point)
         num = fd(evaluator(e), point, index)
         assert sym == pytest.approx(num, rel=1e-6, abs=1e-8)
 
@@ -255,8 +253,8 @@ def test_derivative_matches_central_difference(source, chart, point, fd):
 def test_mixed_partials_commute_numerically():
     chart = base_chart(2)
     e = parse_expression("exp(x_1*x_2) + sin(x_1)*x_2^3", chart)
-    d12 = differentiate(differentiate(e, 0), 1)
-    d21 = differentiate(differentiate(e, 1), 0)
+    d12 = derivative(derivative(e, 0), 1)
+    d21 = derivative(derivative(e, 1), 0)
     for point in sample_points(chart, count=16, seed=7):
         assert evaluate(d12, point) == pytest.approx(evaluate(d21, point), rel=1e-10, abs=1e-10)
 
@@ -264,14 +262,14 @@ def test_mixed_partials_commute_numerically():
 def test_third_derivatives_supported():
     chart = base_chart(1)
     e = parse_expression("x_1^5", chart)
-    d3 = differentiate(differentiate(differentiate(e, 0), 0), 0)
+    d3 = derivative(derivative(derivative(e, 0), 0), 0)
     assert evaluate(d3, [2.0]) == pytest.approx(60.0 * 4.0)
 
 
 def test_sqrt_derivative_closed_form():
     chart = tangent_chart(1, 2)
     L = parse_expression("sqrt(1 + v_1_1^2 + v_2_1^2)", chart)
-    dv1 = differentiate(L, chart.fiber_index(1, 1))
+    dv1 = derivative(L, chart.fiber_index(1, 1))
     for point in sample_points(chart, count=16, seed=3):
         w = math.sqrt(1 + point[1] ** 2 + point[2] ** 2)
         assert evaluate(dv1, point) == pytest.approx(point[1] / w, rel=1e-12)
@@ -308,9 +306,9 @@ def test_differentiation_linear(seed):
     combo = make_add(make_mul(Num(a), f), make_mul(Num(b), g))
     pts = rng.uniform(-1, 1, size=(8, 3))
     for index in range(3):
-        lhs = differentiate(combo, index)
+        lhs = derivative(combo, index)
         rhs = make_add(
-            make_mul(Num(a), differentiate(f, index)), make_mul(Num(b), differentiate(g, index))
+            make_mul(Num(a), derivative(f, index)), make_mul(Num(b), derivative(g, index))
         )
         for p in pts:
             assert abs(evaluate(lhs, p) - evaluate(rhs, p)) <= 1e-12 * max(
@@ -327,8 +325,8 @@ def test_product_rule(seed):
     product = make_mul(f, g)
     pts = rng.uniform(-1, 1, size=(8, 2))
     for index in range(2):
-        lhs = differentiate(product, index)
-        rhs = make_add(make_mul(differentiate(f, index), g), make_mul(f, differentiate(g, index)))
+        lhs = derivative(product, index)
+        rhs = make_add(make_mul(derivative(f, index), g), make_mul(f, derivative(g, index)))
         for p in pts:
             assert abs(evaluate(lhs, p) - evaluate(rhs, p)) <= 1e-10 * max(
                 1.0, abs(evaluate(rhs, p))
@@ -369,11 +367,27 @@ def test_print_parse_round_trip(e):
     assert reparsed == e
 
 
+def _rebuild(e):
+    """``e`` rebuilt bottom up through the smart constructors."""
+    build = {Add: make_add, Mul: make_mul, Div: make_div, Neg: make_neg}
+
+    def rule(node, kids):
+        t = type(node)
+        if t in build:
+            return build[t](*kids)
+        if t is Pow:
+            return make_pow(kids[0], node.exponent)
+        if t is Func:
+            return make_func(node.name, kids[0])
+        return node
+
+    return fold(e, rule)
+
+
 @given(_expression_strategy(base_chart(3)))
-def test_simplify_idempotent(e):
-    once = simplify(e)
-    twice = simplify(once)
-    assert once == twice
+def test_the_smart_constructors_are_idempotent(e):
+    once = _rebuild(e)
+    assert _rebuild(once) == once
 
 
 def _check_coordinate_sets(e):
@@ -427,22 +441,20 @@ def test_the_gradient_is_every_nonzero_one_slot_derivative(e):
     assert list(grad) == list(expected)  # the same slots, in slot order
     for slot, d in expected.items():
         assert grad[slot] == d, slot  # node for node
-        assert differentiate(e, slot) == d
 
 
 def test_a_slot_beside_an_infinite_literal_has_partial_zero():
     e = parse_expression("1e999*x_1", base_chart(2))
-    assert gradient(e) == {0: Num(math.inf)}
-    assert differentiate(e, 1) == Num(0.0)
+    assert gradient(e) == {0: Num(math.inf)}  # no entry for slot 1: its partial is 0
     # the one-slot walk folds the literal times the 0 of d(x_1)/d(x_2) to NaN
     assert derivative_oracle.partial(e, 1) == Num(math.nan)
 
 
-def test_simplify_examples():
+def test_smart_constructor_identities():
     x = Coord(0, "x_1")
-    assert simplify(Add((Num(0.0), x))) == x
-    assert simplify(Mul((Num(1.0), x))) == x
-    assert simplify(Mul((Num(0.0), x))) == Num(0.0)
+    assert make_add(Num(0.0), x) == x
+    assert make_mul(Num(1.0), x) == x
+    assert make_mul(Num(0.0), x) == Num(0.0)
     assert make_pow(x, 0) == Num(1.0)
     assert make_pow(x, 1) == x
     assert make_neg(make_neg(x)) == x
@@ -482,7 +494,7 @@ def test_constants_fold_unless_the_result_underflows(source, printed):
     assert parse_expression(printed, chart) == e
     xs = [-2.0, 0.5, 3.0]
     floats = [eval(source.replace("^", "**"), {"x_1": x}) for x in xs]
-    assert batch_evaluator(e)(np.array([xs]).T).tolist() == floats
+    assert kernel_values(e, np.array([xs]).T).tolist() == floats
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +508,7 @@ def _domain_error(source, chart, point):
     with pytest.raises(EvaluationDomainError) as scalar:
         evaluate(e, point)
     with pytest.raises(EvaluationDomainError) as batch:
-        batch_evaluator(e)(np.array([point], dtype=float))
+        kernel_values(e, np.array([point], dtype=float))
     assert str(batch.value) == str(scalar.value)
     return batch.value
 
@@ -528,14 +540,13 @@ def test_a_5000_deep_tree_stays_within_the_recursion_limit():
     e = x
     for _ in range(2500):
         e = make_mul(x, make_func("sin", e))
-    assert simplify(e) == e and hash(simplify(e)) == hash(e)
+    assert _rebuild(e) == e and hash(_rebuild(e)) == hash(e)
     text = to_source(e)
     assert text.startswith("x_1 * sin(x_1 * sin(") and text.count("sin(") == 2500
     points = np.array([[1.2], [1.5], [1.8]])  # f = x * sin(f) has a stable fixed point f > 0
-    f, df = batch_evaluator(e), batch_evaluator(differentiate(e, 0))
     h = 1e-6
-    expected = (f(points + h) - f(points - h)) / (2 * h)
-    np.testing.assert_allclose(df(points), expected, rtol=1e-6)
+    expected = (kernel_values(e, points + h) - kernel_values(e, points - h)) / (2 * h)
+    np.testing.assert_allclose(kernel_values(derivative(e, 0), points), expected, rtol=1e-6)
 
 
 def test_non_finite_literals_compile_and_print():
@@ -543,7 +554,7 @@ def test_non_finite_literals_compile_and_print():
     for value in (math.inf, -math.inf, math.nan):
         e = make_mul(Num(value), x)
         assert to_source(Num(value)) == repr(value)
-        values = batch_evaluator(e)(np.array([[0.0], [1.0]]))
+        values = kernel_values(e, np.array([[0.0], [1.0]]))
         assert math.isnan(values[0])  # inf * 0
         assert values[1] == pytest.approx(value, nan_ok=True)
     assert parse_expression("1e308*10*x_1", base_chart(1)) == make_mul(Num(math.inf), x)
@@ -572,10 +583,10 @@ def test_batch_kernel_matches_scalar_path(e, rows):
     expected, error = _scalar_rows(e, points)
     if error is not None:
         with pytest.raises(type(error)) as caught:
-            batch_evaluator(e)(points)
+            kernel_values(e, points)
         assert str(caught.value) == str(error)
         return
-    values = batch_evaluator(e)(points)
+    values = kernel_values(e, points)
     finite = np.isfinite(values)
     assert np.array_equal(finite, np.isfinite(expected))
     np.testing.assert_array_equal(values[~finite], expected[~finite])
@@ -599,10 +610,10 @@ def test_batch_kernel_raises_the_scalar_domain_error(source, x, reason):
     with pytest.raises(EvaluationDomainError) as scalar:
         evaluate(e, points[1])
     with pytest.raises(EvaluationDomainError) as batch:
-        batch_evaluator(e)(points)
+        kernel_values(e, points)
     assert batch.value.reason == scalar.value.reason == reason
     assert batch.value.subexpression == scalar.value.subexpression
-    relaxed = batch_evaluator(e)(points, strict=False)
+    relaxed = kernel_values(e, points, strict=False)
     assert math.isnan(relaxed[1])
     assert relaxed[0] == pytest.approx(evaluate(e, points[0]), rel=1e-15)
 
@@ -633,7 +644,7 @@ def test_field_kernel_matches_the_stacked_expression_kernels(exprs, m):
     field = field_evaluator(exprs)
 
     def stacked(strict):
-        return np.stack([batch_evaluator(e)(points, strict) for e in exprs], axis=-1)
+        return np.stack([kernel_values(e, points, strict) for e in exprs], axis=-1)
 
     for strict in (True, False):
         (values, error), (expected, expected_error) = (
@@ -679,7 +690,7 @@ def test_a_field_kernel_takes_a_shared_subexpression_once(monkeypatch):
 def test_a_negative_zero_literal_is_zero():
     # Num(-0.0) == Num(0.0), so both key one cached kernel and must compile alike
     assert math.copysign(1.0, make_neg(Num(0.0)).value) == 1.0
-    assert not np.signbit(batch_evaluator(make_neg(Num(0.0)))(np.zeros((2, 1)))).any()
+    assert not np.signbit(kernel_values(make_neg(Num(0.0)), np.zeros((2, 1)))).any()
 
 
 def test_an_overflowing_entry_keeps_its_infinity_beside_finite_ones():
@@ -742,7 +753,7 @@ def test_sampling_failure_names_the_rejecting_function(source, cause):
     assert message.startswith("could not draw 8 valid points within 80 attempts; ")
     assert f"'{to_source(e)}' {cause}" in message
     point = np.array([json.loads(message.rpartition(" at ")[2])])
-    assert point.shape == (1, 1) and not np.isfinite(batch_evaluator(e)(point, strict=False)[0])
+    assert point.shape == (1, 1) and not np.isfinite(kernel_values(e, point, strict=False)[0])
 
 
 @pytest.mark.parametrize("halfwidth", [1e308, math.inf, math.nan])

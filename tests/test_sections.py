@@ -15,7 +15,7 @@ from ksym.calculus import ScalarField, VectorField
 from ksym.cli import load_model, resolve_model_path
 from ksym.conservation import build_bracket_law, user_law
 from ksym.dynamics import KVectorField, build_system
-from ksym.expr import Num, base_chart, field_evaluator, parse_expression, sample_points
+from ksym.expr import Num, base_chart, parse_expression, sample_points
 from ksym.sections import (
     COMMUTATION_TOLERANCE,
     SectionIntegrationError,
@@ -296,7 +296,7 @@ def test_each_rk4_stage_runs_the_field_kernel_once(monkeypatch):
     # the golden free_particle grid, 65 x 65: 2 axes x 64 steps x 4 stages
     family = bundled_family("free_particle", ("X1", "X2"))
     runs = Counter()
-    monkeypatch.setattr(sections, "field_evaluator", counting(runs, field_evaluator))
+    monkeypatch.setattr(sections, "field_evaluator", counting(runs))
     grid = integrate_section(family, np.array([0.0, 1.0, 2.0]), T=0.5, h=0.0078125)
     assert grid.shape == (65, 65)
     assert runs == Counter({family[0].components: 256, family[1].components: 256})
