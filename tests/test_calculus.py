@@ -68,6 +68,7 @@ from builders import (
     vector_field_from_map,
     zero_vector_field,
 )
+import derivative_oracle
 import form_oracle
 from scalar_oracle import evaluate
 
@@ -147,6 +148,25 @@ def test_bracket_antisymmetry_and_jacobi(seed):
         assert np.max(np.abs(a + b)) <= 1e-10 * scale
         total = j1 + j2 + j3
         assert np.max(np.abs(total)) <= 1e-10 * max(1.0, np.max(np.abs(j1)))
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_bracket_matches_the_one_slot_derivative_commutator(seed):
+    # [X, Y]^j = sum_i X^i d_i Y^j - Y^i d_i X^j, each partial from the
+    # reference one-slot walk rather than the fields' cached gradients
+    rng = np.random.default_rng(seed)
+    chart = base_chart(3)
+    X, Y = _random_poly_field(chart, rng), _random_poly_field(chart, rng)
+
+    def along(V, f):
+        return make_add(*(make_mul(c, derivative_oracle.partial(f, i))
+                          for i, c in enumerate(V.components)))
+
+    expected = VectorField(chart, tuple(make_add(along(X, y), make_neg(along(Y, x)))
+                                        for x, y in zip(X.components, Y.components)))
+    pts = rng.uniform(-1, 1, size=(6, 3))
+    np.testing.assert_allclose(lie_bracket(X, Y).evaluate(pts), expected.evaluate(pts),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_a_vector_field_evaluates_in_one_kernel_run(monkeypatch):

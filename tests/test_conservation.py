@@ -466,7 +466,7 @@ def pairing_residuals(sys, Y, law, points) -> np.ndarray:
     return max_abs(exprs, points)
 
 
-def test_a_noether_law_pairs_with_its_rotation():
+def test_converse_recognizes_noether_induced_law():
     sys, rotation, evolution = oscillator()
     law = build_noether_law(sys, rotation, sample_points(sys.chart))
     pts = sample_points(sys.chart, count=32, seed=35)
@@ -475,7 +475,7 @@ def test_a_noether_law_pairs_with_its_rotation():
     assert is_cartan_symmetry(sys, rotation, pts).holds
 
 
-def test_the_string_translation_law_pairs_with_its_translation():
+def test_converse_on_string_translation_law():
     sys = string_system()
     ch = sys.chart
     dx = coordinate_vector_field(ch, "x_1")
@@ -486,7 +486,7 @@ def test_the_string_translation_law_pairs_with_its_translation():
     assert is_cartan_symmetry(sys, dx, pts).holds
 
 
-def test_the_wave_flux_law_is_conserved_without_a_noether_pairing():
+def test_wave_flux_law_is_not_noether_induced_by_ansatz_fields():
     # the paper's point: a law from symmetries and pseudosymmetries need not
     # be the Noether law of any field; i_Y omega_A - d Phi_A stays away from 0
     # for the translation d/dx_1 and the Liouville field

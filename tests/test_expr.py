@@ -385,7 +385,7 @@ def _rebuild(e):
 
 
 @given(_expression_strategy(base_chart(3)))
-def test_the_smart_constructors_are_idempotent(e):
+def test_simplify_idempotent(e):
     once = _rebuild(e)
     assert _rebuild(once) == once
 
@@ -450,7 +450,7 @@ def test_a_slot_beside_an_infinite_literal_has_partial_zero():
     assert derivative_oracle.partial(e, 1) == Num(math.nan)
 
 
-def test_smart_constructor_identities():
+def test_simplify_examples():
     x = Coord(0, "x_1")
     assert make_add(Num(0.0), x) == x
     assert make_mul(Num(1.0), x) == x

@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ksym
 import parser_oracle
 from ksym import cli
@@ -47,6 +49,21 @@ def test_former_exports_still_import_from_the_package():
     namespace = {}
     exec(f"from ksym import {', '.join(EXPORTS)}", namespace)  # ImportError on a lost name
     assert len(EXPORTS) == 53 and set(EXPORTS) <= set(namespace)
+
+
+# names deleted because another function does their job: field_evaluator
+# evaluates, gradient differentiates, the make_* constructors simplify, and
+# no command routed the Noether-converse check
+@pytest.mark.parametrize("module, name", [
+    ("expr", "batch_evaluator"),
+    ("expr", "differentiate"),
+    ("expr", "simplify"),
+    ("conservation", "check_momentum_converse"),
+])
+def test_a_deleted_name_is_gone_from_the_package_and_its_module(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from ksym import {name}", {})
+    assert not hasattr(importlib.import_module(f"ksym.{module}"), name)
 
 
 def test_the_package_exports_every_module_all():
