@@ -941,6 +941,7 @@ def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
     a non-positive one, sin or cos of an infinity.  The lowest failing
     component's first failing row raises an ``EvaluationDomainError`` naming
     that subexpression; with ``strict=False`` each failing entry is NaN.
+    ``kernel.tape`` is the bare ``run(P, out)``, for a caller that guards it.
     """
     run, checked, codes, failures = _compile(exprs)
 
@@ -973,6 +974,7 @@ def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
             values[j, rows[bad]] = math.nan
         return values.T
 
+    kernel.tape = run
     return kernel
 
 

@@ -8,8 +8,12 @@ fields, innermost copy first:
 Each flow runs classical fixed-step fourth-order Runge-Kutta, one step per
 grid interval.  The grid is filled by marching the last axis first; every
 node filled so far starts one line of the next axis, and all lines of an
-axis advance together as one front, so each node is computed exactly once,
-and each RK4 stage is one run of the field's kernel over the front.
+axis advance together as one front, so each node is computed exactly once.
+Each RK4 stage walks the field kernel's bare tape over the front, in the
+kernel's row blocks, under one errstate per axis that raises on division by
+zero, invalid operations and overflow.  A step that raises or leaves a
+non-finite value is redone, with every later step, as kernel runs, which
+stop the failing lines and name the first one's error.
 
 For commuting component fields the composition order is immaterial up to
 integration error; ``check_integrability`` is the commutation verdict, run
@@ -22,9 +26,11 @@ stacked (t, values) rows.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
+from . import expr
 from .calculus import _same_chart, lie_bracket, max_abs
 from .conservation import ConservationLaw
 from .dynamics import KVectorField
@@ -44,6 +50,10 @@ __all__ = [
 
 COMMUTATION_TOLERANCE = 1e-8
 DIVERGENCE_TOLERANCE = 1e-8
+
+# the kernel cache itself, whose tapes the march walks: a stand-in that
+# replaces ``field_evaluator`` here to count kernel runs leaves it alone
+_cached_kernels = field_evaluator
 
 
 class SectionIntegrationError(RuntimeError):
@@ -81,29 +91,56 @@ def check_integrability(
     return residual_check("commutation", residuals, points, tolerance)
 
 
-def _rk4_step(field, P: np.ndarray, h: float, strict: bool) -> np.ndarray:
+def _rk4_step(field, P: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of size h from every row of the (L, N) array P,
-    one run of the ``field`` kernel per stage."""
-    k1 = field(P, strict)
-    k2 = field(P + (h / 2.0) * k1, strict)
-    k3 = field(P + (h / 2.0) * k2, strict)
-    k4 = field(P + h * k3, strict)
+    one call of ``field`` per stage."""
+    k1 = field(P)
+    k2 = field(P + (h / 2.0) * k1)
+    k3 = field(P + (h / 2.0) * k2)
+    k4 = field(P + h * k3)
     return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(field, lines: np.ndarray, h: float, axis_label: str) -> None:
+def _walk_front(tape, P: np.ndarray) -> np.ndarray:
+    """The field at every row of the (L, N) front P: the tape walked over
+    blocks of at most ``expr._BLOCK`` rows, as the kernel walks it."""
+    values, PT, block = np.empty(P.shape[::-1]), P.T, expr._BLOCK
+    if len(P) <= block:  # one block is the whole arrays, unsliced
+        tape(PT, values)
+    else:
+        for start in range(0, len(P), block):
+            rows = slice(start, start + block)
+            tape(PT[:, rows], values[:, rows])
+    return values.T
+
+
+def _march(exprs: tuple, lines: np.ndarray, h: float, axis_label: str) -> None:
     """Fill lines[1:] from lines[0] (an (m+1, L, N) view), all L lines at once.
 
-    Non-finite values propagate silently and stop their line.  The
-    lowest-index stopped line replays that one step on the strict path, so
-    the error names the line a line-by-line march reaches first, with the
-    scalar evaluator's reason and subexpression.
+    From the first step whose tape walks raise or leave a non-finite value
+    on, the march runs the field's kernel instead: non-finite values stop
+    their line, and the lowest-index stopped line replays that one step on
+    the strict path, so the error names the line a line-by-line march
+    reaches first, with the scalar evaluator's reason and subexpression.
     """
+    walk = partial(_walk_front, _cached_kernels(exprs).tape)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        for step in range(len(lines) - 1):
+            try:
+                new = _rk4_step(walk, lines[step], h)
+            except FloatingPointError:
+                break
+            if np.count_nonzero(np.isfinite(new)) < new.size:  # cheaper than ``all``
+                break
+            lines[step + 1] = new
+        else:
+            return
+    kernel = field_evaluator(exprs)
     alive = np.arange(lines.shape[1])
     failed_at = np.full(lines.shape[1], -1)
     with np.errstate(all="ignore"):
-        for i in range(len(lines) - 1):
-            new = _rk4_step(field, lines[i, alive], h, strict=False)
+        for i in range(step, len(lines) - 1):
+            new = _rk4_step(partial(kernel, strict=False), lines[i, alive], h)
             ok = np.isfinite(new).all(axis=1)
             failed_at[alive[~ok]] = i
             alive = alive[ok]
@@ -114,7 +151,7 @@ def _march(field, lines: np.ndarray, h: float, axis_label: str) -> None:
         i = int(failed_at[line])
         p = lines[i, line]
         try:
-            _rk4_step(field, p[None], h, strict=True)
+            _rk4_step(kernel, p[None], h)
         except EvaluationDomainError as err:
             raise SectionIntegrationError(
                 f"flow along {axis_label} left the domain at t={i * h + h:.6g}, "
@@ -156,7 +193,7 @@ def integrate_section(X: KVectorField, origin, T: float, h: float) -> SectionGri
     # later axes starts one line of the next axis out
     for a in range(k - 1, -1, -1):
         lines = values[(0,) * a].reshape(m + 1, -1, chart.dimension)
-        _march(field_evaluator(X[a].components), lines, h, f"axis {a + 1}")
+        _march(X[a].components, lines, h, f"axis {a + 1}")
     return SectionGrid(chart=chart, step=h, values=values)
 
 

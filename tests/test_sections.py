@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ksym import sections
+from ksym import expr, sections
 from ksym.bundles import tangent_bundle
 from ksym.calculus import ScalarField, VectorField
 from ksym.cli import load_model, resolve_model_path
 from ksym.conservation import build_bracket_law, user_law
 from ksym.dynamics import KVectorField, build_system
-from ksym.expr import Num, base_chart, parse_expression, sample_points
+from ksym.expr import Num, base_chart, field_evaluator, parse_expression, sample_points
 from ksym.sections import (
     COMMUTATION_TOLERANCE,
     SectionIntegrationError,
@@ -292,14 +292,60 @@ def test_front_march_is_bit_identical_on_polynomial_families(family, origin, T, 
     assert np.array_equal(grid.values, reference)
 
 
-def test_each_rk4_stage_runs_the_field_kernel_once(monkeypatch):
-    # the golden free_particle grid, 65 x 65: 2 axes x 64 steps x 4 stages
+@pytest.fixture
+def tape_walks(monkeypatch):
+    """The tape walks of kernels compiled during the test, counted by the
+    number of rows walked."""
+    walks, walk = Counter(), expr._walk
+
+    def counted(tape, constants, P, out):
+        walks[P.shape[1]] += 1
+        return walk(tape, constants, P, out)
+
+    monkeypatch.setattr(expr, "_walk", counted)
+    field_evaluator.cache_clear()  # kernels compiled from here on bind ``counted``
+    yield walks
+    field_evaluator.cache_clear()
+
+
+def test_each_rk4_stage_walks_the_field_tape_once(monkeypatch, tape_walks):
+    # the golden free_particle grid, 65 x 65: per axis 64 steps x 4 stages,
+    # over the one line of axis 2, then over the 65 lines of axis 1 at once
     family = bundled_family("free_particle", ("X1", "X2"))
     runs = Counter()
     monkeypatch.setattr(sections, "field_evaluator", counting(runs))
     grid = integrate_section(family, np.array([0.0, 1.0, 2.0]), T=0.5, h=0.0078125)
     assert grid.shape == (65, 65)
-    assert runs == Counter({family[0].components: 256, family[1].components: 256})
+    assert tape_walks == Counter({1: 256, 65: 256})
+    assert runs == Counter()  # no kernel run in a march that stays finite
+
+
+def test_a_domain_error_that_ieee_arithmetic_hides_still_stops_the_march():
+    # 1/(1/x_1) is 0 at x_1 = 0 in IEEE arithmetic, but 1/x_1 leaves its domain
+    ch = base_chart(1)
+    X = VectorField(ch, (parse_expression("1/(1/x_1)", ch),))
+    with pytest.raises(SectionIntegrationError) as info:
+        integrate_section(KVectorField(ch, (X,)), np.array([0.0]), T=0.5, h=0.125)
+    assert str(info.value) == (
+        "flow along axis 1 left the domain at t=0.125, point [0.]: division by zero in '1 / x_1'"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, origin, T, h",
+    [
+        (bundled_family("vibrating_string", ("xi1", "xi2")), [0.0, 0.4, 0.3], 0.25, 0.015625),
+        (bundled_family("laplace3", ("X1", "X2", "X3")), [0.1, 0.5, -0.25, 2.0], 0.25, 1 / 32),
+    ],
+    ids=["string_golden", "laplace3"],
+)
+def test_the_march_walks_fronts_in_row_blocks(monkeypatch, tape_walks, family, origin, T, h):
+    whole = integrate_section(family, np.array(origin), T=T, h=h)
+    monkeypatch.setattr(expr, "_BLOCK", 7)
+    tape_walks.clear()
+    blocked = integrate_section(family, np.array(origin), T=T, h=h)
+    assert max(tape_walks) == 7
+    assert np.array_equal(blocked.values, whole.values)
 
 
 def test_front_march_matches_per_line_march_on_a_transcendental_flow():

@@ -397,14 +397,14 @@ def test_the_report_digest_prints_one_sha256_line():
 
 # runs argvs, read from stdin, in one interpreter, each after clearing the
 # caches a fresh interpreter starts without (kernels and bundles); prints the
-# exit codes, the expression walks (``expr.fold`` calls) and the rows fed to
-# ``expr.field_evaluator`` kernels, of all of them
+# exit codes, the expression walks (``expr.fold`` calls), and the runs of
+# ``expr.field_evaluator`` kernels and the rows fed to them, of all of them
 COUNT_WORK = """
 import contextlib, importlib, io, json, pkgutil, sys
 import ksym
 from ksym import bundles, cli, expr
 modules = [importlib.import_module(f"ksym.{m.name}") for m in pkgutil.iter_modules(ksym.__path__)]
-walks, rows, fold, field_evaluator = 0, 0, expr.fold, expr.field_evaluator
+walks, runs, rows, fold, field_evaluator = 0, 0, 0, expr.fold, expr.field_evaluator
 
 def counted_fold(root, rule):
     global walks
@@ -415,7 +415,8 @@ def counted_evaluator(exprs):
     kernel = field_evaluator(exprs)
 
     def run(points, *args, **kwargs):
-        global rows
+        global runs, rows
+        runs += 1
         rows += len(points)
         return kernel(points, *args, **kwargs)
 
@@ -432,7 +433,7 @@ for argv in json.load(sys.stdin):
         cached.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-print(json.dumps([codes, walks, rows]))
+print(json.dumps([codes, walks, runs, rows]))
 """
 
 # the expression walks of one golden pass; a derivative walk per slot and forms
@@ -440,6 +441,10 @@ print(json.dumps([codes, walks, rows]))
 # 608, Lie derivatives by Cartan's formula 291, and brackets that walk each
 # component again rather than read the fields' cached partials 288
 GOLDEN_PASS_WALKS = 282
+
+# the field-kernel runs of one golden pass; marching the two section grids
+# with a kernel run per RK4 stage took 689
+GOLDEN_PASS_KERNEL_RUNS = 49
 
 # the rows fed to field kernels in one sampled pass at seed 7; a family that
 # reads no coordinate run on every row, and a zero L_Y theta_A sampled, took
@@ -449,7 +454,7 @@ SAMPLED_PASS_KERNEL_ROWS = 158_003
 
 def count_work(monkeypatch, tmp_path, workload: str, seed: int) -> tuple:
     """One pass of ``workload`` at ``seed`` through ``COUNT_WORK``: the number
-    of commands, and the walks and kernel rows of all of them."""
+    of commands, and the walks, kernel runs and kernel rows of all of them."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     run = importlib.import_module("run")
     specs = run.WORKLOADS[workload]["commands"]
@@ -458,16 +463,21 @@ def count_work(monkeypatch, tmp_path, workload: str, seed: int) -> tuple:
     proc = subprocess.run([sys.executable, "-c", COUNT_WORK], input=json.dumps(argvs),
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    codes, walks, rows = json.loads(proc.stdout)
+    codes, walks, runs, rows = json.loads(proc.stdout)
     assert codes == [spec["exit"] for spec in specs]
-    return len(argvs), walks, rows
+    return len(argvs), walks, runs, rows
 
 
 def test_a_golden_pass_walks_each_expression_few_times(monkeypatch, tmp_path):
-    commands, walks, _ = count_work(monkeypatch, tmp_path, "golden", 42)
+    commands, walks, _, _ = count_work(monkeypatch, tmp_path, "golden", 42)
     assert commands == 22 and walks <= GOLDEN_PASS_WALKS
 
 
+def test_a_golden_pass_marches_its_sections_without_kernel_runs(monkeypatch, tmp_path):
+    commands, _, runs, _ = count_work(monkeypatch, tmp_path, "golden", 42)
+    assert commands == 22 and runs <= GOLDEN_PASS_KERNEL_RUNS
+
+
 def test_a_sampled_pass_runs_kernels_on_few_rows(monkeypatch, tmp_path):
-    commands, _, rows = count_work(monkeypatch, tmp_path, "sampled", 7)
+    commands, _, _, rows = count_work(monkeypatch, tmp_path, "sampled", 7)
     assert commands == 8 and rows <= SAMPLED_PASS_KERNEL_ROWS
