@@ -142,28 +142,20 @@ class VectorField(Record):
         one run of the field's kernel."""
         return field_evaluator(self.components)(points)
 
-    @functools.cached_property
-    def partials(self) -> tuple[dict[int, Expression], ...]:
-        """``gradient`` of each component, taken on first read."""
-        return tuple(map(gradient, self.components))
-
-
-def _along(X: VectorField, partials: dict[int, Expression]) -> Expression:
-    """X(f) = sum_i X^i d_i f, from ``partials``, the gradient of f."""
-    terms = [make_mul(X.components[index], partial) for index, partial in partials.items()
-             if not _is_zero_expr(X.components[index])]
-    return make_add(*terms) if terms else Num(0.0)
-
 
 def directional_derivative(X: VectorField, f: Expression) -> Expression:
-    return _along(X, gradient(f))
+    """X(f) = sum_i X^i d_i f, from the memoized ``gradient`` of f."""
+    return make_add(*[make_mul(X.components[index], partial)
+                      for index, partial in gradient(f).items()
+                      if not _is_zero_expr(X.components[index])])
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """Commutator [X, Y]^j = X(Y^j) - Y(X^j), from each field's cached partials."""
+    """Commutator [X, Y]^j = X(Y^j) - Y(X^j), by ``directional_derivative``
+    on the memoized ``gradient`` of each component."""
     chart = _same_chart(X, Y)
-    comps = tuple(make_add(_along(X, dY), make_neg(_along(Y, dX)))
-                  for dX, dY in zip(X.partials, Y.partials))
+    comps = tuple(make_add(directional_derivative(X, y), make_neg(directional_derivative(Y, x)))
+                  for x, y in zip(X.components, Y.components))
     return VectorField(chart, comps)
 
 
@@ -206,6 +198,15 @@ class PForm(Record):
         return max_abs(self.components.values(), points)
 
 
+def _collect(chart: ChartSpace, degree: int, pairs: Iterable[tuple]) -> PForm:
+    """The degree-``degree`` form whose component at each key, in order of first
+    appearance, is the ``make_add`` of the terms of the (key, term) ``pairs``."""
+    acc: dict[tuple[int, ...], list[Expression]] = {}
+    for key, term in pairs:
+        acc.setdefault(key, []).append(term)
+    return PForm(chart, degree, {key: make_add(*terms) for key, terms in acc.items()})
+
+
 def scalar_form(f: ScalarField) -> PForm:
     return PForm(f.chart, 0, {(): f.expr})
 
@@ -222,9 +223,7 @@ def form_add(a: PForm, b: PForm) -> PForm:
     chart = _same_chart(a, b)
     if a.degree != b.degree:
         raise ValueError(f"cannot add forms of degree {a.degree} and {b.degree}")
-    keys = set(a.components) | set(b.components)
-    return PForm(chart, a.degree, {key: make_add(a.component(*key), b.component(*key))
-                                   for key in keys})
+    return _collect(chart, a.degree, [*a.components.items(), *b.components.items()])
 
 
 def form_neg(a: PForm) -> PForm:
@@ -237,14 +236,14 @@ def form_sub(a: PForm, b: PForm) -> PForm:
 
 def exterior_derivative(omega: PForm) -> PForm:
     """d(omega); satisfies d(d(omega)) = 0 up to roundoff in evaluation."""
-    acc: dict[tuple[int, ...], list[Expression]] = {}
+    pairs = []
     for key, expr in omega.components.items():
         for j, deriv in gradient(expr).items():
             if j in key:
                 continue
             term = deriv if sum(i < j for i in key) % 2 == 0 else make_neg(deriv)
-            acc.setdefault(tuple(sorted(key + (j,))), []).append(term)
-    return PForm(omega.chart, omega.degree + 1, {k: make_add(*v) for k, v in acc.items()})
+            pairs.append((tuple(sorted(key + (j,))), term))
+    return _collect(omega.chart, omega.degree + 1, pairs)
 
 
 def interior_product(X: VectorField, omega: PForm) -> PForm:
@@ -252,7 +251,7 @@ def interior_product(X: VectorField, omega: PForm) -> PForm:
     chart = _same_chart(X, omega)
     if omega.degree == 0:
         raise ValueError("cannot contract a 0-form")
-    acc: dict[tuple[int, ...], list[Expression]] = {}
+    pairs = []
     for key, expr in omega.components.items():
         for pos, idx in enumerate(key):
             comp = X.components[idx]
@@ -260,8 +259,8 @@ def interior_product(X: VectorField, omega: PForm) -> PForm:
                 continue
             rest = key[:pos] + key[pos + 1:]
             term = make_mul(comp, expr)
-            acc.setdefault(rest, []).append(term if pos % 2 == 0 else make_neg(term))
-    return PForm(chart, omega.degree - 1, {k: make_add(*v) for k, v in acc.items()})
+            pairs.append((rest, term if pos % 2 == 0 else make_neg(term)))
+    return _collect(chart, omega.degree - 1, pairs)
 
 
 def lie_derivative_form(X: VectorField, omega: PForm) -> PForm:
@@ -275,19 +274,19 @@ def lie_derivative_form(X: VectorField, omega: PForm) -> PForm:
     re-sorted with the sign of the sort (none when j repeats an index of K).
     It takes no d, so no d(d(...)) is built to cancel only when evaluated."""
     chart = _same_chart(X, omega)
-    acc: dict[tuple[int, ...], list[Expression]] = {}
+    pairs = []
     for key, expr in omega.components.items():
-        acc.setdefault(key, []).append(directional_derivative(X, expr))
+        pairs.append((key, directional_derivative(X, expr)))
         for r, i in enumerate(key):
             rest = key[:r] + key[r + 1:]
-            for j, partial in X.partials[i].items():
+            for j, partial in gradient(X.components[i]).items():
                 if j in rest:  # a repeated index: zero in an alternating form
                     continue
                 at = sum(k < j for k in rest)  # the sort moves j from position r to at
                 term = make_mul(expr, partial)
-                acc.setdefault(rest[:at] + (j,) + rest[at:], []).append(
-                    term if (r - at) % 2 == 0 else make_neg(term))
-    return PForm(chart, omega.degree, {k: make_add(*v) for k, v in acc.items()})
+                pairs.append((rest[:at] + (j,) + rest[at:],
+                              term if (r - at) % 2 == 0 else make_neg(term)))
+    return _collect(chart, omega.degree, pairs)
 
 
 def apply_form(omega: PForm, fields: Sequence[VectorField]) -> Expression:

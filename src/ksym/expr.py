@@ -9,7 +9,8 @@ analytic functions (sqrt, sin, cos, exp, log).
 Every walk -- printing, differentiating, compiling -- is one iterative
 ``fold`` that visits each node once, after its children; hashing and
 equality do not recurse either.  Only the parser recurses, with its
-nesting depth capped.
+nesting depth capped.  ``gradient`` is memoized per expression, bounded like
+the kernel cache, so each distinct expression is differentiated once.
 
 The smart constructors (``make_*``) are the simplifier, and deliberately
 conservative: constant folding, 0/1 identities, and flattening of nested
@@ -793,10 +794,18 @@ def parse_expression(source: str, chart: ChartSpace, parameters: dict | None = N
 # ---------------------------------------------------------------------------
 
 
+# distinct expressions kept differentiated, and distinct expression tuples
+# kept compiled; one command on a bundled model compiles fewer than ten
+COMPILE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def gradient(e: Expression) -> dict[int, Expression]:
     """``{slot: exact partial}`` for each slot whose partial is not the literal 0,
     in slot order, from one walk: a node takes the one-slot rule only for slots
-    its children read, so an unread slot has partial 0 beside an infinite literal."""
+    its children read, so an unread slot has partial 0 beside an infinite literal.
+    The dict is memoized per structurally equal expression and shared by every
+    caller, so nothing may mutate it."""
     zero = Num(0.0)
 
     def rule(node, kids):
@@ -824,10 +833,6 @@ def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
 # ---------------------------------------------------------------------------
 
 _NUMPY_IMPL = {name: getattr(np, name) for name in FUNCTIONS}
-
-# distinct expression tuples kept compiled; one command on a bundled model
-# compiles fewer than ten
-COMPILE_CACHE_SIZE = 1024
 
 # rows per kernel block and draws per sampling step: no temporary of 8,192
 # floats reaches the 128 kB at which glibc starts to trim and regrow its heap
@@ -925,6 +930,15 @@ def _compile(exprs: tuple[Expression, ...]) -> tuple[Callable, Callable, list, l
     return partial(_walk, tape, constants), partial(_walk, checked, constants), codes, failures
 
 
+def _blocks(P, values) -> Iterable[tuple]:
+    """(P, values) column blocks of at most ``_BLOCK`` rows of the transposed
+    points P and the values they fill; one block is the whole arrays, unsliced."""
+    m = P.shape[1]
+    if m <= _BLOCK:
+        return ((P, values),)
+    return ((P[:, i:i + _BLOCK], values[:, i:i + _BLOCK]) for i in range(0, m, _BLOCK))
+
+
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
     """One numpy kernel for a tuple of expressions, mapping an (m, N) point
@@ -941,21 +955,26 @@ def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
     a non-positive one, sin or cos of an infinity.  The lowest failing
     component's first failing row raises an ``EvaluationDomainError`` naming
     that subexpression; with ``strict=False`` each failing entry is NaN.
-    ``kernel.tape`` is the bare ``run(P, out)``, for a caller that guards it.
+    ``kernel.tape(points)`` walks the same blocks with no guard and no rerun,
+    under the errstate of a caller that guards it, and returns the values.
     """
     run, checked, codes, failures = _compile(exprs)
+
+    def tape(points) -> np.ndarray:
+        values = np.empty((len(exprs), len(points)))
+        for P, out in _blocks(points.T, values):
+            run(P, out)
+        return values.T
 
     def kernel(points, strict: bool = True) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         values = np.empty((len(exprs), len(points)))
-        P = points.T
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            for start in range(0, len(points), _BLOCK):
-                block = slice(start, start + _BLOCK)
-                try:  # one block is the whole arrays, unsliced
-                    run(P, values) if len(points) <= _BLOCK else run(P[:, block], values[:, block])
+            for P, out in _blocks(points.T, values):
+                try:
+                    run(P, out)
                 except FloatingPointError:
-                    values[:, block] = math.nan
+                    out[...] = math.nan
         finite = np.isfinite(values)
         if np.count_nonzero(finite) == finite.size:  # cheaper than ``all``
             return values.T
@@ -974,7 +993,7 @@ def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
             values[j, rows[bad]] = math.nan
         return values.T
 
-    kernel.tape = run
+    kernel.tape = tape
     return kernel
 
 

@@ -9,11 +9,11 @@ Each flow runs classical fixed-step fourth-order Runge-Kutta, one step per
 grid interval.  The grid is filled by marching the last axis first; every
 node filled so far starts one line of the next axis, and all lines of an
 axis advance together as one front, so each node is computed exactly once.
-Each RK4 stage walks the field kernel's bare tape over the front, in the
-kernel's row blocks, under one errstate per axis that raises on division by
-zero, invalid operations and overflow.  A step that raises or leaves a
-non-finite value is redone, with every later step, as kernel runs, which
-stop the failing lines and name the first one's error.
+Each RK4 stage is one ``kernel.tape`` walk of the field's kernel over the
+front, in the kernel's own row blocks, under one errstate per axis that
+raises on division by zero, invalid operations and overflow.  A step that
+raises or leaves a non-finite value is redone, with every later step, as
+kernel runs, which stop the failing lines and name the first one's error.
 
 For commuting component fields the composition order is immaterial up to
 integration error; ``check_integrability`` is the commutation verdict, run
@@ -30,7 +30,6 @@ from functools import partial
 
 import numpy as np
 
-from . import expr
 from .calculus import _same_chart, lie_bracket, max_abs
 from .conservation import ConservationLaw
 from .dynamics import KVectorField
@@ -50,10 +49,6 @@ __all__ = [
 
 COMMUTATION_TOLERANCE = 1e-8
 DIVERGENCE_TOLERANCE = 1e-8
-
-# the kernel cache itself, whose tapes the march walks: a stand-in that
-# replaces ``field_evaluator`` here to count kernel runs leaves it alone
-_cached_kernels = field_evaluator
 
 
 class SectionIntegrationError(RuntimeError):
@@ -101,33 +96,20 @@ def _rk4_step(field, P: np.ndarray, h: float) -> np.ndarray:
     return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _walk_front(tape, P: np.ndarray) -> np.ndarray:
-    """The field at every row of the (L, N) front P: the tape walked over
-    blocks of at most ``expr._BLOCK`` rows, as the kernel walks it."""
-    values, PT, block = np.empty(P.shape[::-1]), P.T, expr._BLOCK
-    if len(P) <= block:  # one block is the whole arrays, unsliced
-        tape(PT, values)
-    else:
-        for start in range(0, len(P), block):
-            rows = slice(start, start + block)
-            tape(PT[:, rows], values[:, rows])
-    return values.T
-
-
 def _march(exprs: tuple, lines: np.ndarray, h: float, axis_label: str) -> None:
     """Fill lines[1:] from lines[0] (an (m+1, L, N) view), all L lines at once.
 
-    From the first step whose tape walks raise or leave a non-finite value
-    on, the march runs the field's kernel instead: non-finite values stop
-    their line, and the lowest-index stopped line replays that one step on
-    the strict path, so the error names the line a line-by-line march
+    From the first step whose ``kernel.tape`` walks raise or leave a
+    non-finite value on, the march runs the kernel itself: non-finite values
+    stop their line, and the lowest-index stopped line replays that one step
+    on the strict path, so the error names the line a line-by-line march
     reaches first, with the scalar evaluator's reason and subexpression.
     """
-    walk = partial(_walk_front, _cached_kernels(exprs).tape)
+    kernel = field_evaluator(exprs)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         for step in range(len(lines) - 1):
             try:
-                new = _rk4_step(walk, lines[step], h)
+                new = _rk4_step(kernel.tape, lines[step], h)
             except FloatingPointError:
                 break
             if np.count_nonzero(np.isfinite(new)) < new.size:  # cheaper than ``all``
@@ -135,7 +117,6 @@ def _march(exprs: tuple, lines: np.ndarray, h: float, axis_label: str) -> None:
             lines[step + 1] = new
         else:
             return
-    kernel = field_evaluator(exprs)
     alive = np.arange(lines.shape[1])
     failed_at = np.full(lines.shape[1], -1)
     with np.errstate(all="ignore"):

@@ -75,6 +75,7 @@ def counting(runs: Counter, compiler=field_evaluator):
             runs[e] += 1
             return kernel(points, *args, **kwargs)
 
+        run.tape = kernel.tape  # a bare walk is not a run
         return run
 
     return counted
@@ -89,6 +90,7 @@ def counting_rows(rows: list, compiler=field_evaluator):
             rows.append(len(points))
             return kernel(points, *args, **kwargs)
 
+        run.tape = kernel.tape  # a bare walk is not a run
         return run
 
     return counted

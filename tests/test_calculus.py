@@ -153,7 +153,7 @@ def test_bracket_antisymmetry_and_jacobi(seed):
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_bracket_matches_the_one_slot_derivative_commutator(seed):
     # [X, Y]^j = sum_i X^i d_i Y^j - Y^i d_i X^j, each partial from the
-    # reference one-slot walk rather than the fields' cached gradients
+    # reference one-slot walk rather than the memoized gradient
     rng = np.random.default_rng(seed)
     chart = base_chart(3)
     X, Y = _random_poly_field(chart, rng), _random_poly_field(chart, rng)

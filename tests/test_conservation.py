@@ -1,10 +1,12 @@
 """Conservation-law constructors and verifiers."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ksym import bundles, calculus, dynamics
+from ksym import bundles, calculus, dynamics, expr
 from ksym.bundles import tangent_bundle
 from ksym.calculus import (
     ChartMismatchError,
@@ -425,6 +427,30 @@ def test_noether_never_differentiates_a_theta_again(monkeypatch, capsys):
     capsys.readouterr()
     assert [sum(form == theta for form in taken) for theta in thetas] == [1, 1]
     assert all(sum(form == other for other in taken) == 1 for form in taken)
+
+
+def test_noether_walks_each_differentiated_expression_once(monkeypatch, capsys):
+    # L_Y theta_A and the law's residuals take the gradient of some expressions
+    # more than once; the memo walks each distinct expression once
+    differentiated, walked = [], []
+    gradient, fold = expr.gradient, expr.fold
+
+    def counted_gradient(e):
+        differentiated.append(e)
+        return gradient(e)
+
+    def counted_fold(root, rule):
+        if rule.__qualname__ == "gradient.<locals>.rule":
+            walked.append(root)
+        return fold(root, rule)
+
+    monkeypatch.setattr(calculus, "gradient", counted_gradient)  # its one caller in ksym
+    monkeypatch.setattr(expr, "fold", counted_fold)
+    gradient.cache_clear()
+    assert main(["build", "noether", "--model", "navier", "--field", "dd12"]) == 0
+    capsys.readouterr()
+    assert len(differentiated) > len(set(differentiated))
+    assert Counter(walked) == Counter(set(differentiated))
 
 
 @given(a=st.floats(-2, 2, allow_nan=False), b=st.floats(-2, 2, allow_nan=False))

@@ -446,6 +446,8 @@ def test_the_gradient_is_every_nonzero_one_slot_derivative(e):
 def test_a_slot_beside_an_infinite_literal_has_partial_zero():
     e = parse_expression("1e999*x_1", base_chart(2))
     assert gradient(e) == {0: Num(math.inf)}  # no entry for slot 1: its partial is 0
+    again = parse_expression("1e999*x_1", base_chart(2))
+    assert again is not e and gradient(again) is gradient(e)  # one memo entry per equal tree
     # the one-slot walk folds the literal times the 0 of d(x_1)/d(x_2) to NaN
     assert derivative_oracle.partial(e, 1) == Num(math.nan)
 

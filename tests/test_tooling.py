@@ -396,9 +396,10 @@ def test_the_report_digest_prints_one_sha256_line():
 
 
 # runs argvs, read from stdin, in one interpreter, each after clearing the
-# caches a fresh interpreter starts without (kernels and bundles); prints the
-# exit codes, the expression walks (``expr.fold`` calls), and the runs of
-# ``expr.field_evaluator`` kernels and the rows fed to them, of all of them
+# caches a fresh interpreter starts without (gradients, kernels and bundles),
+# so each command is measured cold; prints the exit codes, the expression
+# walks (``expr.fold`` calls), and the runs of ``expr.field_evaluator``
+# kernels and the rows fed to them, of all of them
 COUNT_WORK = """
 import contextlib, importlib, io, json, pkgutil, sys
 import ksym
@@ -420,6 +421,7 @@ def counted_evaluator(exprs):
         rows += len(points)
         return kernel(points, *args, **kwargs)
 
+    run.tape = kernel.tape
     return run
 
 for module in modules:
@@ -429,7 +431,8 @@ for module in modules:
         module.field_evaluator = counted_evaluator
 codes = []
 for argv in json.load(sys.stdin):
-    for cached in (field_evaluator, bundles.tangent_bundle, bundles.cotangent_bundle):
+    for cached in (expr.gradient, field_evaluator, bundles.tangent_bundle,
+                   bundles.cotangent_bundle):
         cached.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
@@ -438,9 +441,14 @@ print(json.dumps([codes, walks, runs, rows]))
 
 # the expression walks of one golden pass; a derivative walk per slot and forms
 # derived at every load would take 1,265, a validation walk per field and form
-# 608, Lie derivatives by Cartan's formula 291, and brackets that walk each
-# component again rather than read the fields' cached partials 288
-GOLDEN_PASS_WALKS = 282
+# 608, Lie derivatives by Cartan's formula 291, brackets that walk each
+# component again rather than read the fields' cached partials 288, and
+# gradients cached per field rather than memoized per expression 282
+GOLDEN_PASS_WALKS = 233
+
+# the expression walks of one sampled pass at seed 7; gradients cached per
+# field rather than memoized per expression took 102
+SAMPLED_PASS_WALKS = 91
 
 # the field-kernel runs of one golden pass; marching the two section grids
 # with a kernel run per RK4 stage took 689
@@ -476,6 +484,11 @@ def test_a_golden_pass_walks_each_expression_few_times(monkeypatch, tmp_path):
 def test_a_golden_pass_marches_its_sections_without_kernel_runs(monkeypatch, tmp_path):
     commands, _, runs, _ = count_work(monkeypatch, tmp_path, "golden", 42)
     assert commands == 22 and runs <= GOLDEN_PASS_KERNEL_RUNS
+
+
+def test_a_sampled_pass_walks_each_expression_few_times(monkeypatch, tmp_path):
+    commands, walks, _, _ = count_work(monkeypatch, tmp_path, "sampled", 7)
+    assert commands == 8 and walks <= SAMPLED_PASS_WALKS
 
 
 def test_a_sampled_pass_runs_kernels_on_few_rows(monkeypatch, tmp_path):
