@@ -5,7 +5,7 @@ Four checks, each sampled over a point set and returned as one
 
   * plain symmetry          [X_A, Y] = 0 for every A
   * generalized symmetry    [X_A, Y] = sum_B lambda_A^B Z_B, coefficients
-                            solved at every sample by one stacked SVD
+                            solved at every sample by one batched Jacobi SVD
   * Cartan symmetry         L_Y omega_A = 0 for every A and Y kills the
                             system's driving scalar
   * invariant form family   L_{X_A} omega_A = 0, paired per copy
@@ -62,8 +62,9 @@ def is_symmetry(
 def solve_pseudosymmetry(
     X: KVectorField, Y: VectorField, Z: KVectorField, points, tolerance: float = BRACKET_TOLERANCE
 ) -> tuple[Check, np.ndarray]:
-    """Solve [X_A, Y] = sum_B lambda_A^B Z_B at every sample by one SVD of
-    the stacked (m, N, k) Z matrices, for minimum-norm coefficients.
+    """Solve [X_A, Y] = sum_B lambda_A^B Z_B at every sample by one batched
+    Jacobi SVD of the stacked (m, N, k) Z matrices, for minimum-norm
+    coefficients.
 
     Returns the check and the (m, k, k) sampled coefficients.  A
     rank-deficient Z at a sample is not an error: the coefficients are still
@@ -89,13 +90,14 @@ def _field_stack(fields: Sequence[VectorField], points) -> np.ndarray:
 
 def _stacked_solve(Zmats: np.ndarray, rhs: np.ndarray):
     """Minimum-norm solutions of Zmats[i] @ x = rhs[i] over a stack of (N, k)
-    matrices and (N, c) right-hand sides, from one SVD of the finite samples:
-    the (m, k, c) solutions and each sample's worst residual, both NaN where
-    Zmats[i] or rhs[i] is not finite, and how many finite matrices have a rank
-    below k as ``np.linalg.matrix_rank`` counts it.  Singular values at or
-    below ``dynamics.RCOND`` times the largest count as zero."""
+    matrices and (N, c) right-hand sides, from one batched Jacobi SVD of the
+    finite samples: the (m, k, c) solutions and each sample's worst residual,
+    both NaN where Zmats[i] or rhs[i] is not finite, and how many finite
+    matrices have a rank below k as ``np.linalg.matrix_rank`` counts it.
+    Singular values at or below ``dynamics.RCOND`` times the largest count as
+    zero."""
     finite = np.isfinite(Zmats).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
-    U, s, Vt = np.linalg.svd(Zmats[finite], full_matrices=False)
+    U, s, Vt = _jacobi_svd(Zmats[finite])
     s_max = s.max(axis=-1, keepdims=True)
     rank = np.count_nonzero(s > s_max * (max(Zmats.shape[1:]) * np.finfo(float).eps), axis=-1)
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > RCOND * s_max)
@@ -104,6 +106,46 @@ def _stacked_solve(Zmats: np.ndarray, rhs: np.ndarray):
         sol[finite] = Vt.swapaxes(1, 2) @ (s_inv[..., None] * (U.swapaxes(1, 2) @ rhs[finite]))
         residuals = np.abs(Zmats @ sol - rhs).max(axis=(1, 2))
     return sol, residuals, int(np.count_nonzero(rank < Zmats.shape[2]))
+
+
+def _jacobi_svd(Z: np.ndarray):
+    """One-sided (Hestenes) Jacobi SVD of a stack of (N, k) matrices, each
+    column-pair rotation applied to every matrix at once: U (m, N, k), the k
+    singular values s (m, k, unsorted) and Vt (m, k, k) with
+    Z = U diag(s) Vt.  Each matrix is first scaled by a power of two, so
+    squared norms neither overflow nor underflow.  As in LAPACK's dgesvj, a
+    pair is left alone once its columns are orthogonal to N eps or the
+    smaller is round-off beside the larger, and at most 30 sweeps run."""
+    m, n, k = Z.shape
+    # G[p] is column p of Z above column p of V, samples last
+    G = np.empty((k, n + k, m))
+    G[:, :n], G[:, n:] = Z.T, np.eye(k)[..., None]
+    W = G[:, :n]
+    _, e = np.frexp(np.abs(W).max(axis=(0, 1), initial=0.0))
+    np.ldexp(W, -e, out=W)
+    tol = n * np.finfo(float).eps
+    for _ in range(30):
+        rotated = False
+        for p, q in itertools.combinations(range(k), 2):
+            a = np.einsum("im,im->m", W[p], W[p])
+            b = np.einsum("im,im->m", W[q], W[q])
+            g = np.einsum("im,im->m", W[p], W[q])
+            live = (np.abs(g) > tol * np.sqrt(a * b)) & (
+                np.minimum(a, b) > tol * tol * np.maximum(a, b))
+            if not live.any():
+                continue
+            rotated = True
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                zeta = (b - a) / (2.0 * g)
+                t = np.where(live, np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta)), 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            G[p], G[q] = c * G[p] - s * G[q], s * G[p] + c * G[q]
+        if not rotated:
+            break
+    s = np.sqrt(np.einsum("pim,pim->pm", W, W))
+    U = np.divide(W, s[:, None], out=np.zeros_like(W), where=s[:, None] > 0)
+    return U.T, np.ldexp(s, e).T, G[:, n:].transpose(2, 0, 1)
 
 
 def is_cartan_symmetry(

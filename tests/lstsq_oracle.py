@@ -1,5 +1,5 @@
-"""The per-point least-squares solve, kept as the reference that the stacked
-SVD of ``ksym.symmetry._stacked_solve`` is tested against.
+"""The per-point least-squares solve, kept as the reference that the batched
+Jacobi SVD of ``ksym.symmetry._stacked_solve`` is tested against.
 
 It calls ``np.linalg.lstsq`` once per sample and right-hand side with the
 cutoff the stacked solve uses (``rcond=1e-12``), and counts rank with

@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     python3 tests/report_digest.py
+    python3 tests/report_digest.py --per-command
 
 Runs each command of ``perfbench/workloads.json`` in process, with the argv
 that ``perfbench/run.py`` builds (``command_argv``) at seeds 42 and 7, once
@@ -11,11 +12,14 @@ codes, the reports with ``elapsed_ms`` scrubbed and the CSV files the
 commands write.  Two source trees that print the same digest give
 byte-identical reports.  The package is imported from the ``src`` beside
 this file's directory, so a copy of this file in another checkout hashes
-that checkout's code.
+that checkout's code.  With ``--per-command`` it prints one SHA-256 per
+argv (each argv names its seed and format) instead, followed by the argv,
+so two checkouts' outputs diff to the commands whose reports differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -28,12 +32,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (42, 7)
 
 
-def digest() -> str:
+def records():
+    """Yield (argv line, record bytes) for each distinct workload argv."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import run
     from ksym import cli
 
-    sha = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "grid.csv"
         argvs = []
@@ -49,13 +53,27 @@ def digest() -> str:
             with contextlib.redirect_stdout(out):
                 code = cli.main(argv)
             text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out.getvalue())
-            record = [" ".join(argv).replace(str(csv_path), "{csv}"), str(code), text]
+            line = " ".join(argv).replace(str(csv_path), "{csv}")
+            record = [line, str(code), text]
             if csv_path.exists():
                 record.append(csv_path.read_text(encoding="utf-8"))
                 csv_path.unlink()
-            sha.update("\0".join(record).encode("utf-8") + b"\1")
+            yield line, "\0".join(record).encode("utf-8") + b"\1"
+
+
+def digest() -> str:
+    sha = hashlib.sha256()
+    for _, record in records():
+        sha.update(record)
     return sha.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest())
+    parser = argparse.ArgumentParser(description="Hash the workload commands' reports.")
+    parser.add_argument("--per-command", action="store_true",
+                        help="print one hash per argv instead of one in all")
+    if parser.parse_args().per_command:
+        for line, record in records():
+            print(hashlib.sha256(record).hexdigest(), line)
+    else:
+        print(digest())
