@@ -26,10 +26,10 @@ steps, which name the first subexpression, in scalar evaluation order,
 that left its domain.
 
 Sample points are the stream of numpy's ``default_rng(seed).uniform``,
-reproduced bit for bit in uint64 arithmetic, so sampling never imports
-numpy's random module.  Every sampled claim ends in one ``Check``: the
-worst residual over the points, its witness, and whether it is within
-tolerance.
+reproduced bit for bit by in-place uint64 kernels over buffers made once per
+draw, so sampling never imports numpy's random module.  Every sampled claim
+ends in one ``Check``: the worst residual over the points, its witness, and
+whether it is within tolerance.
 """
 
 from __future__ import annotations
@@ -834,8 +834,8 @@ def validate_on_chart(e: Expression, chart: ChartSpace) -> None:
 
 _NUMPY_IMPL = {name: getattr(np, name) for name in FUNCTIONS}
 
-# rows per kernel block and draws per sampling step: no temporary of 8,192
-# floats reaches the 128 kB at which glibc starts to trim and regrow its heap
+# rows per kernel block and states per sampling step: no temporary or draw buffer of
+# about 8,192 words reaches the 128 kB at which glibc starts to trim and regrow its heap
 _BLOCK = 8192
 
 # the numpy call each operator makes (``**`` keeps numpy's fast paths for
@@ -1003,6 +1003,7 @@ def field_evaluator(exprs: tuple[Expression, ...]) -> Callable:
 
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _S11, _S32, _S58, _S64 = map(np.uint64, (_M32, 11, 32, 58, 64))  # uint64 either side of NEP 50
 
 
 def _hasher(const: int, mult: int) -> Callable:
@@ -1039,17 +1040,24 @@ def _seed_words(seed) -> list[int]:
     return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def _mul_add(x, k, add) -> np.ndarray:
-    """x * k + add mod 2^128 on (high, low) uint64 halves along the first axis
-    of each, broadcast against each other; the high half of the low halves'
-    product is taken on 32-bit halves."""
-    (hi, lo), (k_hi, k_lo) = x, k
-    a1, a0, b1, b0 = lo >> 32, lo & _M32, k_lo >> 32, k_lo & _M32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + hi * k_lo + lo * k_hi
-    lo = lo * k_lo + add[1]
-    return np.array([hi + add[0] + (lo < add[1]), lo])
+def _mul_add(x, k, add, out, t, w) -> None:
+    """Write x * k + add mod 2^128 into ``out``: (high, low) uint64 pairs, broadcast
+    together, with scratch ``t`` and ``w`` of ``out``'s shape.  On 32-bit halves, the low
+    words' high product is a1 b1 + (t >> 32) + (w >> 32) for t = a1 b0 + (a0 b0 >> 32) and
+    w = (t & M32) + a0 b1; neither sum overflows (Hacker's Delight, 2nd ed., 8-2)."""
+    (x_hi, x_lo), (k_hi, k_lo), (c_hi, c_lo), (hi, lo) = x, k, add, out
+    b0, b1 = k_lo & _U32, k_lo >> _S32
+    a0, a1 = np.bitwise_and(x_lo, _U32, out=w), np.right_shift(x_lo, _S32, out=lo)
+    np.right_shift(np.multiply(a0, b0, out=t), _S32, out=t)
+    t += np.multiply(a1, b0, out=hi)
+    np.add(np.multiply(a0, b1, out=a0), np.bitwise_and(t, _U32, out=hi), out=a0)  # w
+    np.add(np.right_shift(t, _S32, out=t), np.right_shift(a0, _S32, out=a0), out=t)
+    t += np.multiply(a1, b1, out=a1)  # the high product
+    np.add(np.multiply(x_hi, k_lo, out=hi), t, out=hi)
+    hi += np.multiply(x_lo, k_hi, out=w)
+    np.add(np.multiply(x_lo, k_lo, out=lo), c_lo, out=lo)
+    hi += np.less(lo, c_lo, out=w)  # the carry
+    hi += c_hi
 
 
 def _halves(ints) -> np.ndarray:
@@ -1070,38 +1078,45 @@ def _uniform_stream(seed) -> Callable:
     up to _BLOCK states.  Its first block holds A_j s_r + C_j, the lane jumps
     (A_j, C_j) by j = 1 .. L = ceil(sqrt(size)) steps applied to row starts
     s_r, L steps apart, all taken as Python ints; each later block is the
-    jump by _BLOCK steps of the block before it."""
+    jump by _BLOCK steps of the block before it.  All of it runs in place in
+    six uint64 buffers of the first block's R x L grid (R L < size + L), made
+    once per draw: this block's and the next block's states, which swap, and
+    two scratch words, through which the output goes straight to the floats."""
     w0, w1, w2, w3 = _seed_words(seed)
     inc = ((w2 << 64 | w3) << 1 | 1) & _M128
     state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128
     jump, power, n = (1, 0), (_PCG64_MULT, inc), _BLOCK  # by _BLOCK steps, by squaring
     while n:
         jump, power, n = _then(jump, power) if n & 1 else jump, _then(power, power), n >> 1
-    block_jump = _halves(jump[:1]), _halves(jump[1:])
+    block_jump = [tuple(map(np.uint64, divmod(v, 1 << 64))) for v in jump]
 
     def draw(low: float, high: float, shape: tuple) -> np.ndarray:
         nonlocal state
         low, span = float(low), float(high) - float(low)
         out = np.empty(math.prod(shape))
+        lanes, first = [(_PCG64_MULT, inc)], min(_BLOCK, out.size)
+        while len(lanes) ** 2 < first:
+            lanes.append(_then(lanes[-1], lanes[0]))
+        (a, c), starts = lanes[-1], [state]  # a row is the jump by L steps
+        while len(starts) * len(lanes) < first:
+            starts.append((a * starts[-1] + c) & _M128)
+        grid = len(starts), len(lanes)
+        (t, w), cur, nxt = ([np.empty(grid, np.uint64) for _ in range(2)] for _ in range(3))
+        lane_jumps = (_halves(v).reshape(2, 1, -1) for v in zip(*lanes))
+        _mul_add(_halves(starts).reshape(2, -1, 1), *lane_jumps, cur, t, w)
         for start in range(0, out.size, _BLOCK):
-            size = min(_BLOCK, out.size - start)
+            size = min(_BLOCK, out.size - start)  # never more than the block before
+            (t, w), cur, nxt = ([b.reshape(-1)[:size] for b in bs] for bs in ((t, w), cur, nxt))
             if start:
-                states = _mul_add(states[:, :size], *block_jump)
-            else:
-                lanes = [(_PCG64_MULT, inc)]
-                while len(lanes) ** 2 < size:
-                    lanes.append(_then(lanes[-1], lanes[0]))
-                (a, c), starts = lanes[-1], [state]  # a row is the jump by L steps
-                while len(starts) * len(lanes) < size:
-                    starts.append((a * starts[-1] + c) & _M128)
-                lane_a, lane_c = zip(*lanes)
-                states = _mul_add(_halves(starts).reshape(2, -1, 1),
-                                  _halves(lane_a).reshape(2, 1, -1),
-                                  _halves(lane_c).reshape(2, 1, -1)).reshape(2, -1)[:, :size]
-            hi, lo = states
-            x, rot = hi ^ lo, hi >> 58  # PCG's XSL-RR output
-            bits = x >> rot | x << (-rot & 63)
-            out[start : start + size] = low + span * ((bits >> 11) * 2.0**-53)
+                _mul_add(cur, *block_jump, nxt, t, w)
+                cur, nxt = nxt, cur
+            (hi, lo), x, rot, bits, dst = cur, t, w, nxt[0], out[start : start + size]
+            # PCG's XSL-RR output x >> rot | x << (64 - rot), right for x << 64 = 0 or = x
+            np.right_shift(np.bitwise_xor(hi, lo, out=x), np.right_shift(hi, _S58, out=rot), out=bits)
+            bits |= np.left_shift(x, np.subtract(_S64, rot, out=rot), out=x)
+            np.copyto(dst, np.right_shift(bits, _S11, out=bits).view(np.int64))  # < 2^53: exact
+            dst *= 2.0**-53  # then numpy's low + span * that
+            np.add(np.multiply(dst, span, out=dst), low, out=dst)
             state = int(hi[-1]) << 64 | int(lo[-1])
         return out.reshape(shape)
 

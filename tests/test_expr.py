@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ksym import expr
 from ksym.expr import (
     Add,
     ChartSpace,
@@ -769,13 +770,22 @@ def test_sampling_accepts_the_widest_finite_box():
     assert np.isfinite(pts).all() and np.all(np.abs(pts) <= 8e307)
 
 
+def assert_stream_is_numpys(seed, halfwidth, sizes):
+    """Successive draws continue one stream.  Each is compared after the last,
+    so a draw that hands out, or later overwrites, a buffer of the stream fails."""
+    rng, draw = np.random.default_rng(seed), _uniform_stream(seed)
+    drawn = [draw(-halfwidth, halfwidth, (size,)) for size in sizes]
+    for actual, size in zip(drawn, sizes):
+        assert actual.tobytes() == rng.uniform(-halfwidth, halfwidth, size=(size,)).tobytes()
+
+
 # a draw's first block of L^2 states has L lanes, and one of L^2 + 1 one more
 LANE_BOUNDARIES = [2, 4, 5, 64, 65, 384, 400, 401, 1024, 1025, 8100, 8101]
 
 
 @given(
     seed=st.integers(0, 2**128),
-    halfwidth=st.floats(1e-3, 1e300),
+    halfwidth=st.floats(5e-324, 8e307),
     sizes=st.lists(
         st.sampled_from(
             [0, 1, *LANE_BOUNDARIES, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
@@ -792,12 +802,17 @@ LANE_BOUNDARIES = [2, 4, 5, 64, 65, 384, 400, 401, 1024, 1025, 8100, 8101]
 @example(seed=10, halfwidth=1.0, sizes=[128, _BLOCK - 1, 2 * _BLOCK + 3, 1])
 @example(seed=11, halfwidth=1.0, sizes=[5, 2 * _BLOCK + 3, _BLOCK])
 @example(seed=12, halfwidth=1.0, sizes=[_BLOCK, _BLOCK + 1])
+# a subnormal span: 2^-53 folded into it would underflow
+@example(seed=13, halfwidth=5e-324, sizes=[1, 65, _BLOCK + 1])
 def test_sample_stream_is_numpys_uniform_stream(seed, halfwidth, sizes):
-    rng = np.random.default_rng(seed)
-    draw = _uniform_stream(seed)
-    for size in sizes:  # successive draws continue one stream
-        expected = rng.uniform(-halfwidth, halfwidth, size=(size,))
-        assert np.array_equal(draw(-halfwidth, halfwidth, (size,)), expected)
+    assert_stream_is_numpys(seed, halfwidth, sizes)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_sample_stream_at_small_blocks_is_numpys_uniform_stream(monkeypatch, block):
+    # many later blocks, partial blocks and buffer swaps per draw
+    monkeypatch.setattr(expr, "_BLOCK", block)
+    assert_stream_is_numpys(5, 2.0, [1, 6, 7, 8, 50, 130, 3])
 
 
 @pytest.mark.parametrize("count", [1, 64, 20_000])

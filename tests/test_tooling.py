@@ -494,3 +494,25 @@ def test_a_sampled_pass_walks_each_expression_few_times(monkeypatch, tmp_path):
 def test_a_sampled_pass_runs_kernels_on_few_rows(monkeypatch, tmp_path):
     commands, _, _, rows = count_work(monkeypatch, tmp_path, "sampled", 7)
     assert commands == 8 and rows <= SAMPLED_PASS_KERNEL_ROWS
+
+
+# the bytes ``tracemalloc`` sees at the peak of one 20,000 x 8 draw, above its
+# output, in a fresh interpreter; a kernel that builds each block in fresh
+# temporaries and stacks the states per block took 1,014,036
+DRAW_PEAK_ABOVE_OUTPUT = 589_824
+
+DRAW_PEAK = """
+import tracemalloc
+from ksym.expr import _uniform_stream
+tracemalloc.start()
+out = _uniform_stream(7)(-1.0, 1.0, (20000, 8))
+print(tracemalloc.get_traced_memory()[1] - out.nbytes)
+"""
+
+
+def test_a_draw_holds_few_buffers_beside_its_output():
+    env = {**os.environ, "PYTHONPATH": str(Path(ksym.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", DRAW_PEAK], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= DRAW_PEAK_ABOVE_OUTPUT
