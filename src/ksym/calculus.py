@@ -6,9 +6,10 @@ Forms are stored sparsely as maps from strictly increasing index tuples to
 coefficient expressions; contraction is iterated interior products.
 Fields and potentials ``evaluate``, forms ``max_component_at``, an (m, N)
 array of chart points: one row per point is the only evaluation path.
-Each residual family (a bracket's components, a form's coefficients) is
-one kernel run, and ``max_abs`` is the package's one sup-norm over one; a
-family that reads no coordinate runs on one row.
+Each residual family (a bracket's components, a form's coefficients, a
+law's terms) is one kernel run reduced by ``max_abs``, and ``verdict`` is
+the one sampled ``Check`` on a family; a family that reads no coordinate
+runs on one row.
 Every field and form, given or derived, is built by its public constructor,
 which checks each expression's coordinate set against the chart without a walk.
 """
@@ -22,6 +23,7 @@ import numpy as np
 
 from .expr import (
     ChartSpace,
+    Check,
     Expression,
     Num,
     Record,
@@ -54,6 +56,7 @@ __all__ = [
     "lie_derivative_form",
     "PotentialEvaluator",
     "potential_of_exact_one_form",
+    "verdict",
 ]
 
 
@@ -79,16 +82,33 @@ def _rows_read(exprs: Sequence[Expression], points):
     return points if any(e._coords for e in exprs) else points[:1]
 
 
-def max_abs(exprs: Iterable[Expression], points) -> np.ndarray:
-    """The one sup-norm: the largest |e| over the family ``exprs`` (0 if empty)
-    at each of the (m, N) points, in place on the values of one kernel run;
-    NaN propagates, so no NaN ever passes a tolerance.  A family that reads
-    no coordinate runs on the first row, and its value is repeated m times."""
+def max_abs(exprs: Iterable[Expression], points, summed: bool = False) -> np.ndarray:
+    """The largest |e| over the family ``exprs`` (0 if empty) at each of the
+    (m, N) points, in place on the values of one kernel run, or with
+    ``summed`` |sum of the values| in family order; NaN propagates, so no
+    NaN ever passes a tolerance.  A family that reads no coordinate runs on
+    the first row, and its value is repeated m times."""
     exprs = tuple(exprs)
     rows = _rows_read(exprs, points)
     values = field_evaluator(exprs)(rows)
-    top = np.abs(values, out=values).max(axis=1, initial=0.0)
+    if summed:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN residual
+            top = np.abs(values.sum(axis=1))
+    else:
+        top = np.abs(values, out=values).max(axis=1, initial=0.0)
     return top if rows is points else np.repeat(top, len(points))
+
+
+def verdict(kind: str, family: Iterable[Expression], points, tolerance: float,
+            summed: bool = False) -> Check:
+    """The sampled check that the residual ``family`` vanishes: holds iff its
+    ``max_abs`` (``summed`` as there) is within ``tolerance`` at every one of
+    the (m, N) points, never on NaN; the witness is the first worst point.
+    No point raises ``ValueError``: a check over none would prove nothing."""
+    if not len(points):
+        raise ValueError(f"{kind} needs at least one sample point, got none")
+    top, at = worst_sample(max_abs(family, points, summed))
+    return Check(kind, top <= tolerance, top, tolerance, points[at])
 
 
 def _same_chart(*operands) -> ChartSpace:

@@ -39,11 +39,10 @@ from .calculus import (
     directional_derivative,
     lie_derivative_form,
     potential_of_exact_one_form,
+    verdict,
 )
 from .dynamics import FieldSystem, KVectorField
-from .expr import (
-    ChartSpace, Check, Record, field_evaluator, make_add, make_neg, residual_check, worst_sample,
-)
+from .expr import ChartSpace, Check, Record, field_evaluator, make_add, make_neg, worst_sample
 from .symmetry import is_cartan_symmetry
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "user_law",
     "build_bracket_law",
     "build_noether_law",
-    "law_residuals",
     "verify_law_pointwise",
 ]
 
@@ -166,21 +164,13 @@ def _directional_derivative(Xa: VectorField, comp: ScalarField, f):
     return term if f is None else make_add(term, make_neg(apply_form(f.alpha, [Xa])))
 
 
-def law_residuals(X: KVectorField, law: ConservationLaw, points) -> np.ndarray:
-    """|sum_A X_A(Phi_A)| at each sample point, the k terms from one kernel run.
-
-    Potentials are differentiated exactly, through the one-form alpha_A =
-    df_A each integrates.
-    """
-    _same_chart(law, X)
-    terms = tuple(map(_directional_derivative, X, law.components, law.potentials))
-    values = field_evaluator(terms)(points)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN verdict
-        return np.abs(values.sum(axis=1))
-
-
 def verify_law_pointwise(
     X: KVectorField, law: ConservationLaw, points, tolerance: float = LAW_TOLERANCE
 ) -> Check:
-    """The "law-pointwise" check: max over samples of |sum_A X_A(Phi_A)|."""
-    return residual_check("law-pointwise", law_residuals(X, law, points), points, tolerance)
+    """The "law-pointwise" check: max over samples of |sum_A X_A(Phi_A)|, the
+    k terms from one kernel run, summed as values.  Potentials are
+    differentiated exactly, through the one-form alpha_A = df_A each
+    integrates."""
+    _same_chart(law, X)
+    terms = tuple(map(_directional_derivative, X, law.components, law.potentials))
+    return verdict("law-pointwise", terms, points, tolerance, summed=True)

@@ -35,6 +35,7 @@ from .calculus import (
     interior_product,
     scalar_form,
     two_form_matrix,
+    verdict,
 )
 from .expr import (
     ChartSpace,
@@ -47,7 +48,6 @@ from .expr import (
     make_add,
     make_neg,
     parse_expression,
-    residual_check,
     tangent_chart,
 )
 
@@ -287,11 +287,11 @@ def solve_evolution_lagrangian(system: FieldSystem, point) -> np.ndarray:
     return np.hstack([velocities.reshape(k, n), fibers.reshape(k, k * n)])
 
 
-def evolution_residuals(system: FieldSystem, X: KVectorField, points) -> np.ndarray:
-    """Sup-norm of the evolution one-form residual at each sample point."""
+def evolution_residuals(system: FieldSystem, X: KVectorField) -> PForm:
+    """The evolution residual one-form sum_A i_{X_A} omega_A - d(target)."""
     _same_chart(system, X)
     total = reduce(form_add, map(interior_product, X, system.omega))
-    return form_sub(total, system.target_differential).max_component_at(points)
+    return form_sub(total, system.target_differential)
 
 
 def verify_evolution(
@@ -299,6 +299,5 @@ def verify_evolution(
 ) -> Check:
     """The "evolution-residual" check: max over samples of the sup-norm of
     sum_A i_{X_A} omega_A - d(target)."""
-    return residual_check(
-        "evolution-residual", evolution_residuals(system, X, points), points, tolerance
-    )
+    residual = evolution_residuals(system, X)
+    return verdict("evolution-residual", residual.components.values(), points, tolerance)

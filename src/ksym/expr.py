@@ -73,7 +73,6 @@ __all__ = [
     "sample_points",
     "worst_sample",
     "Check",
-    "residual_check",
     "ExprError",
     "ExprSyntaxError",
     "UnknownIdentifierError",
@@ -1197,11 +1196,3 @@ class Check(Record, eq=False):
                  witness: np.ndarray, extra: dict | None = None):
         self._set(kind=kind, holds=holds, max_residual=max_residual, tolerance=tolerance,
                   witness=np.asarray(witness, dtype=float), extra={} if extra is None else extra)
-
-
-def residual_check(kind: str, residuals, points, tolerance: float, **extra) -> Check:
-    """Holds iff the worst of the per-point ``residuals`` is within
-    ``tolerance`` (never on NaN); the witness is that point."""
-    top, at = worst_sample(residuals)
-    witness = points[at] if len(residuals) else ()
-    return Check(kind, top <= tolerance, top, tolerance, witness, extra)

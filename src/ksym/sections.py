@@ -30,13 +30,10 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import _same_chart, lie_bracket, max_abs
+from .calculus import _same_chart, lie_bracket, verdict
 from .conservation import ConservationLaw
 from .dynamics import KVectorField
-from .expr import (
-    ChartSpace, Check, EvaluationDomainError, Record, field_evaluator, residual_check,
-    worst_sample,
-)
+from .expr import ChartSpace, Check, EvaluationDomainError, Record, field_evaluator, worst_sample
 
 __all__ = [
     "SectionGrid",
@@ -82,8 +79,7 @@ def check_integrability(
     """Max over samples of |[X_A, X_B]| components, A < B."""
     k = len(X)
     brackets = [lie_bracket(X[a], X[b]) for a in range(k) for b in range(a + 1, k)]
-    residuals = max_abs((c for br in brackets for c in br.components), points)
-    return residual_check("commutation", residuals, points, tolerance)
+    return verdict("commutation", (c for br in brackets for c in br.components), points, tolerance)
 
 
 def _rk4_step(field, P: np.ndarray, h: float) -> np.ndarray:

@@ -29,12 +29,12 @@ from .calculus import (
     directional_derivative,
     lie_bracket,
     lie_derivative_form,
-    max_abs,
+    verdict,
 )
 from .dynamics import RCOND, FieldSystem, KVectorField
 from .expr import (
-    ChartSpace, Check, Coord, Num, field_evaluator, make_add, make_mul, make_pow, residual_check,
-    to_source,
+    ChartSpace, Check, Coord, Num, field_evaluator, make_add, make_mul, make_pow, to_source,
+    worst_sample,
 )
 
 __all__ = [
@@ -55,8 +55,7 @@ def is_symmetry(
     """Does Y commute with every component field of X on the samples?"""
     _same_chart(X, Y)
     brackets = [lie_bracket(Xa, Y) for Xa in X]
-    residuals = max_abs((c for br in brackets for c in br.components), points)
-    return residual_check("symmetry", residuals, points, tolerance)
+    return verdict("symmetry", (c for br in brackets for c in br.components), points, tolerance)
 
 
 def solve_pseudosymmetry(
@@ -72,6 +71,8 @@ def solve_pseudosymmetry(
     lambda = 0).  How many samples were rank deficient is reported.
     """
     _same_chart(X, Y, Z)
+    if not len(points):
+        raise ValueError("pseudosymmetry needs at least one sample point, got none")
     Zmats = _field_stack(Z, points)
     rhs = _field_stack([lie_bracket(Xa, Y) for Xa in X], points)
     lam_t, residuals, rank_deficient = _stacked_solve(Zmats, rhs)
@@ -79,7 +80,8 @@ def solve_pseudosymmetry(
     extra = _fit_lambda(X.chart, points, lam)
     if rank_deficient:
         extra["rank_deficient_points"] = rank_deficient
-    return residual_check("pseudosymmetry", residuals, points, tolerance, **extra), lam
+    top, at = worst_sample(residuals)
+    return Check("pseudosymmetry", top <= tolerance, top, tolerance, points[at], extra), lam
 
 
 def _field_stack(fields: Sequence[VectorField], points) -> np.ndarray:
@@ -158,7 +160,7 @@ def is_cartan_symmetry(
     lies = [lie_derivative_form(Y, w) for w in sys.omega]
     exprs = [directional_derivative(Y, sys.target.expr)]
     exprs += [e for form in lies for e in form.components.values()]
-    return residual_check("cartan", max_abs(exprs, points), points, tolerance)
+    return verdict("cartan", exprs, points, tolerance)
 
 
 def is_invariant_form(
@@ -174,8 +176,8 @@ def is_invariant_form(
         )
     _same_chart(X, *omegas)
     lies = [lie_derivative_form(Xa, w) for Xa, w in zip(X, omegas)]
-    residuals = max_abs((e for form in lies for e in form.components.values()), points)
-    return residual_check("invariant-form", residuals, points, tolerance)
+    return verdict("invariant-form", (e for form in lies for e in form.components.values()),
+                   points, tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ from ksym.calculus import (
     potential_of_exact_one_form,
     scalar_form,
     two_form_matrix,
+    verdict,
 )
-from ksym.conservation import law_residuals
-from ksym.dynamics import FieldSystem, KVectorField, check_regularity, evolution_residuals
+from ksym.conservation import verify_law_pointwise
+from ksym.dynamics import FieldSystem, KVectorField, check_regularity, verify_evolution
 from ksym.expr import (
     Coord,
     EvaluationDomainError,
@@ -50,7 +51,6 @@ from ksym.expr import (
     make_mul,
     make_neg,
     parse_expression,
-    residual_check,
     sample_points,
     tangent_chart,
 )
@@ -205,7 +205,7 @@ RESIDUAL_FAMILIES = {
         _family(m, "X1,X2"), m.system.omega, pts)),
     "check_integrability": ("vibrating_string", 1, lambda m, pts: check_integrability(
         _family(m, "xi1,xi2"), pts)),
-    "law_residuals": ("vibrating_string", 1, lambda m, pts: law_residuals(
+    "verify_law_pointwise": ("vibrating_string", 1, lambda m, pts: verify_law_pointwise(
         _family(m, "xi1,xi2"), m.laws["wave_flux"], pts)),
     "law_evaluate_wave_flux": ("vibrating_string", 1,
                                lambda m, pts: m.laws["wave_flux"].evaluate(pts)),
@@ -213,7 +213,7 @@ RESIDUAL_FAMILIES = {
     # the Z stack and the bracket stack
     "solve_pseudosymmetry": ("free_particle", 2, lambda m, pts: solve_pseudosymmetry(
         _family(m, "X1,X2"), m.fields["delta"], _family(m, "ddx,ddx"), pts)),
-    "evolution_residuals": ("vibrating_string", 1, lambda m, pts: evolution_residuals(
+    "verify_evolution": ("vibrating_string", 1, lambda m, pts: verify_evolution(
         m.system, _family(m, "xi1,xi2"), pts)),
     "check_regularity": ("navier", 1, lambda m, pts: check_regularity(m.system, pts)),
 }
@@ -229,6 +229,28 @@ def test_each_residual_family_is_one_kernel_run(claim, monkeypatch):
     assert len(runs) == families and set(runs.values()) == {1}, runs
 
 
+# each sampled check of RESIDUAL_FAMILIES, by the kind its Check reports
+CHECK_KINDS = {
+    "is_symmetry": "symmetry",
+    "is_cartan_symmetry": "cartan",
+    "is_invariant_form": "invariant-form",
+    "check_integrability": "commutation",
+    "verify_law_pointwise": "law-pointwise",
+    "solve_pseudosymmetry": "pseudosymmetry",
+    "verify_evolution": "evolution-residual",
+    "check_regularity": "regularity",
+}
+
+
+@pytest.mark.parametrize("claim", CHECK_KINDS)
+def test_a_check_over_no_point_raises_rather_than_passes(claim):
+    name, _, verify = RESIDUAL_FAMILIES[claim]
+    model = load_model(resolve_model_path(name))
+    with pytest.raises(ValueError, match=f"^{CHECK_KINDS[claim]} needs at least one sample "
+                                         "point, got none$"):
+        verify(model, np.empty((0, model.chart.dimension)))
+
+
 def test_a_potential_runs_one_kernel_per_quadrature_node(monkeypatch):
     chart = base_chart(3)
     alpha = one_form(chart, [parse_expression(src, chart)
@@ -240,9 +262,27 @@ def test_a_potential_runs_one_kernel_per_quadrature_node(monkeypatch):
     np.testing.assert_allclose(values, points.prod(axis=1), rtol=1e-12, atol=1e-15)
 
 
-def test_the_sup_norm_of_an_empty_family_is_zero():
+@pytest.mark.parametrize("summed", [False, True])
+def test_the_verdict_on_an_empty_family_is_zero(summed):
     points = sample_points(base_chart(2), count=5, seed=3)
-    assert max_abs((), points).tolist() == [0.0] * 5
+    assert max_abs((), points, summed).tolist() == [0.0] * 5
+    check = verdict("empty", (), points, 0.0, summed)
+    assert (check.kind, check.holds, check.max_residual, check.extra) == ("empty", True, 0.0, {})
+    assert check.witness.tolist() == points[0].tolist()
+
+
+@pytest.mark.parametrize("summed", [False, True])
+def test_a_nan_fails_the_verdict_at_the_first_point(summed):
+    points = sample_points(base_chart(2), count=5, seed=3)
+    check = verdict("nan", (Num(1.0), Num(math.nan)), points, 1.0, summed)
+    assert not check.holds and math.isnan(check.max_residual)
+    assert check.witness.tolist() == points[0].tolist()
+
+
+def test_a_domain_error_raises_out_of_the_verdict():
+    points = sample_points(base_chart(2), count=5, seed=3)
+    with pytest.raises(EvaluationDomainError, match="division by zero"):
+        verdict("domain", (make_div(Num(1.0), Num(0.0)),), points, 1.0)
 
 
 def test_a_family_that_reads_no_coordinate_runs_on_the_first_row(monkeypatch):
@@ -250,13 +290,25 @@ def test_a_family_that_reads_no_coordinate_runs_on_the_first_row(monkeypatch):
     rows = []
     monkeypatch.setattr(calculus, "field_evaluator", counting_rows(rows))
     assert max_abs((Num(2.0), Num(-3.0)), points).tolist() == [3.0] * 5
+    assert max_abs((Num(2.0), Num(-3.0)), points, summed=True).tolist() == [1.0] * 5
     assert max_abs((), points[:0]).shape == (0,)
-    assert rows == [1, 0]
-    # a NaN still fails at the first point, and a domain error still raises
-    check = residual_check("nan", max_abs((Num(1.0), Num(math.nan)), points), points, 1.0)
-    assert not check.holds and check.witness.tolist() == points[0].tolist()
-    with pytest.raises(EvaluationDomainError, match="division by zero"):
-        max_abs((make_div(Num(1.0), Num(0.0)),), points)
+    check = verdict("constant", (Num(2.0), Num(-3.0)), points, 1.0, summed=True)
+    assert check.holds and check.max_residual == 1.0
+    assert rows == [1, 1, 0, 1]
+
+
+def test_a_summed_verdict_sums_the_term_values_in_family_order():
+    # one make_add of the terms would round differently: 4.4e-16 at 31 of
+    # these 64 points, where the value sum is exactly 0
+    model = load_model(resolve_model_path("vibrating_string"))
+    X, law = _family(model, "xi1,xi2"), model.laws["wave_flux"]
+    points = sample_points(model.chart, count=64, seed=42, require=[model.system.function])
+    terms = tuple(directional_derivative(Xa, c.expr) for Xa, c in zip(X, law.components))
+    expected = np.abs(expr.field_evaluator(terms)(points).sum(axis=1))
+    assert max_abs(terms, points, summed=True).tobytes() == expected.tobytes()
+    check = verify_law_pointwise(X, law, points)
+    assert check.max_residual == 0.0 and check.holds
+    assert check.witness.tolist() == points[0].tolist()
 
 
 def test_bracket_chart_mismatch_rejected():

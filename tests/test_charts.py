@@ -23,8 +23,8 @@ from ksym.conservation import (
     ConservationLaw,
     build_bracket_law,
     build_noether_law,
-    law_residuals,
     user_law,
+    verify_law_pointwise,
 )
 from ksym.dynamics import KVectorField, build_system, evolution_residuals, verify_evolution
 from ksym.expr import Num
@@ -61,10 +61,10 @@ def _mismatches():
         ("build_bracket_law-companion", lambda: build_bracket_law([w], [far_dx], dx)),
         ("build_bracket_law-field", lambda: build_bracket_law([w], [dx], far_dx)),
         ("build_noether_law", lambda: build_noether_law(sys, far_dx, points)),
-        ("law_residuals", lambda: law_residuals(X, far_law, points)),
+        ("verify_law_pointwise", lambda: verify_law_pointwise(X, far_law, points)),
         ("KVectorField", lambda: KVectorField(ch, (far_dx,))),
         ("verify_evolution", lambda: verify_evolution(sys, far_X, points)),
-        ("evolution_residuals", lambda: evolution_residuals(sys, far_X, points)),
+        ("evolution_residuals", lambda: evolution_residuals(sys, far_X)),
         ("verify_law_divergence", lambda: verify_law_divergence(far_law, grid)),
         ("is_symmetry", lambda: is_symmetry(X, far_dx, points)),
         ("solve_pseudosymmetry", lambda: solve_pseudosymmetry(X, dx, far_X, points)),

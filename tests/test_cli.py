@@ -560,7 +560,7 @@ def test_every_non_finite_float_of_a_report_is_a_string_in_json_only():
 def test_the_cli_builds_no_sampled_verdict_itself():
     # every check it reports comes whole from the library verifier for that job
     verdict_parts = {"residual_check", "law_residuals", "evolution_residuals", "worst_sample",
-                     "max_abs"}
+                     "max_abs", "verdict"}
     assert not verdict_parts & set(vars(cli))
 
 

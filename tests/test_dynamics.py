@@ -360,7 +360,7 @@ def test_lagrangian_solver_matches_the_euler_lagrange_oracle(data, with_x):
     else:
         assert X.tobytes() == expected.tobytes()
     family = constant_family(system.chart, X)
-    assert evolution_residuals(system, family, [point])[0] <= 1e-9
+    assert evolution_residuals(system, family).max_component_at(point[None])[0] <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def test_verify_evolution_flags_perturbation():
     )
     perturbed = KVectorField(sys.chart, (bumped, family[1]))
     pts = sample_points(sys.chart, count=64, seed=42)
-    residuals = evolution_residuals(sys, perturbed, pts)
+    residuals = evolution_residuals(sys, perturbed).max_component_at(pts)
     assert residuals.min() >= 0.09
     assert verify_evolution(sys, perturbed, pts).max_residual >= 0.09
 
@@ -424,7 +424,7 @@ def test_verify_evolution_reports_the_worst_sample_as_its_check():
                                      make_add(family[0].components[1], Num(0.1)),
                                      family[0].components[2]))
     perturbed = KVectorField(sys.chart, (bumped, family[1]))
-    residuals = evolution_residuals(sys, perturbed, pts)
+    residuals = evolution_residuals(sys, perturbed).max_component_at(pts)
     check = verify_evolution(sys, perturbed, pts)
     assert not check.holds and check.max_residual == residuals.max()
     assert np.array_equal(check.witness, pts[int(np.argmax(residuals))])

@@ -52,18 +52,48 @@ def test_former_exports_still_import_from_the_package():
 
 
 # names deleted because another function does their job: field_evaluator
-# evaluates, gradient differentiates, the make_* constructors simplify, and
+# evaluates, gradient differentiates, the make_* constructors simplify,
+# calculus.verdict judges a residual family (the law's terms summed), and
 # no command routed the Noether-converse check
 @pytest.mark.parametrize("module, name", [
     ("expr", "batch_evaluator"),
     ("expr", "differentiate"),
     ("expr", "simplify"),
+    ("expr", "residual_check"),
+    ("conservation", "law_residuals"),
     ("conservation", "check_momentum_converse"),
 ])
 def test_a_deleted_name_is_gone_from_the_package_and_its_module(module, name):
     with pytest.raises(ImportError):
         exec(f"from ksym import {name}", {})
     assert not hasattr(importlib.import_module(f"ksym.{module}"), name)
+
+
+# the functions of ``src/ksym`` that build a ``Check``: the one verdict on an
+# expression family; the checks whose residual is not one, a least-squares
+# fit (pseudosymmetry), a determinant (regularity) and a stencil over grid
+# values (divergence); and the CLI's two checks for a command that failed
+CHECK_BUILDERS = {
+    ("calculus", "verdict"),
+    ("symmetry", "solve_pseudosymmetry"),
+    ("dynamics", "check_regularity"),
+    ("sections", "verify_law_divergence"),
+    ("cli", "_cmd_solve_evolution"),
+    ("cli", "_dispatch"),
+}
+
+
+def test_every_check_is_built_at_one_of_the_known_sites():
+    # a new sampled check hands its residual family to calculus.verdict
+    sites = set()
+    for path in sorted(Path(ksym.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites.update((path.stem, function.name) for call in ast.walk(function)
+                             if isinstance(call, ast.Call)
+                             and getattr(call.func, "id", getattr(call.func, "attr", None))
+                             == "Check")
+    assert sites == CHECK_BUILDERS
 
 
 def test_the_package_exports_every_module_all():
